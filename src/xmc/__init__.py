@@ -32,8 +32,6 @@ from .evaluation import (
     linear_probe,
     project_2d,
     supervised_baseline,
-    sweep_labels,
-    sweep_queue,
 )
 from .mi import MiCriticConfig, MiEstimate, estimate_mi_gaussian, mi_lower_bound
 from .models import (

@@ -1,13 +1,16 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Define-by-run: each op returns a fresh :class:`Tensor` that remembers its
-parents and a closure propagating the output gradient to them. ``backward``
-replays the recorded graph in reverse creation order, which is a valid
-topological order because operands always exist before their result.
+Define-by-run: each op returns a fresh :class:`Tensor`, built by
+:func:`node`, that remembers its parents and a closure propagating the output
+gradient to them. ``backward`` replays the recorded graph in reverse creation
+order, which is a valid topological order because operands always exist
+before their result.
 
-Scope is deliberately small: 2-D matrices and vectors, no broadcasting beyond
-scalar scaling and an explicit row-wise bias add. Gradients accumulate into
-``.grad`` buffers; callers zero them between steps.
+Scope is deliberately small: 2-D matrices and vectors, matmul, a row-wise bias
+add, relu and row normalization. Losses are single fused nodes with
+closed-form backward passes (``models.cross_entropy``,
+``contrastive.info_nce``), built on the numpy kernel :func:`logsumexp_row`.
+Gradients accumulate into ``.grad`` buffers; callers zero them between steps.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from typing import Callable, Iterable
 import numpy as np
 
 from .errors import DegenerateInputError, DimensionError, UsageError
+
+__all__ = ["Tensor", "backward", "zero_grads", "node", "matmul", "add_bias",
+           "relu", "l2_normalize", "logsumexp_row"]
 
 NORM_EPS = 1e-12
 
@@ -41,10 +47,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    def detach(self) -> "Tensor":
-        """A view of the same values that is cut off from the graph."""
-        return Tensor(self.data)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
@@ -60,8 +62,10 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _result(data: np.ndarray, parents: tuple[Tensor, ...],
-            backward: Callable[[np.ndarray], None]) -> Tensor:
+def node(data: np.ndarray, parents: tuple[Tensor, ...],
+         backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The result of an op: records ``parents`` and the ``backward`` closure,
+    which receives the output gradient, iff some parent requires grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -110,11 +114,6 @@ def backward(loss: Tensor) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def _require_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise DimensionError(f"{op}: operand shapes {a.shape} and {b.shape} differ")
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of a (M, K) and a (K, N) tensor."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -126,54 +125,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(a.data.T @ g)
 
-    return _result(a.data @ b.data, (a, b), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("add", a, b)
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return _result(a.data + b.data, (a, b), back)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape("sub", a, b)
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(-g)
-
-    return _result(a.data - b.data, (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product."""
-    _require_same_shape("mul", a, b)
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _result(a.data * b.data, (a, b), back)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python scalar constant."""
-    c = float(c)
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(g * c)
-
-    return _result(a.data * c, (a,), back)
+    return node(a.data @ b.data, (a, b), back)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -183,7 +135,7 @@ def relu(a: Tensor) -> Tensor:
     def back(g: np.ndarray) -> None:
         a._accumulate(g * mask)
 
-    return _result(np.where(mask, a.data, 0.0), (a,), back)
+    return node(np.where(mask, a.data, 0.0), (a,), back)
 
 
 def add_bias(m: Tensor, b: Tensor) -> Tensor:
@@ -197,74 +149,18 @@ def add_bias(m: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accumulate(g.sum(axis=0))
 
-    return _result(m.data + b.data[None, :], (m, b), back)
+    return node(m.data + b.data[None, :], (m, b), back)
 
 
-def row_sum(m: Tensor) -> Tensor:
-    """Sum each row of an (M, N) matrix, yielding a length-M vector."""
-    if m.data.ndim != 2:
-        raise DimensionError(f"row_sum: expected a matrix, got shape {m.shape}")
-
-    def back(g: np.ndarray) -> None:
-        m._accumulate(np.repeat(g[:, None], m.shape[1], axis=1))
-
-    return _result(m.data.sum(axis=1), (m,), back)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise DimensionError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(g.reshape(a.shape))
-
-    return _result(a.data.reshape(shape), (a,), back)
-
-
-def concat_cols(a: Tensor, b: Tensor) -> Tensor:
-    """Column-wise concatenation of (M, Ca) and (M, Cb) matrices."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"concat_cols: incompatible shapes {a.shape} and {b.shape}")
-    ca = a.shape[1]
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g[:, :ca])
-        if b.requires_grad:
-            b._accumulate(g[:, ca:])
-
-    return _result(np.concatenate([a.data, b.data], axis=1), (a, b), back)
-
-
-def pick_cols(m: Tensor, idx: np.ndarray) -> Tensor:
-    """Select one column per row: out[i] = m[i, idx[i]]."""
-    idx = np.asarray(idx)
-    if m.data.ndim != 2 or idx.shape != (m.shape[0],):
-        raise DimensionError(f"pick_cols: matrix {m.shape} vs index shape {idx.shape}")
-    rows = np.arange(m.shape[0])
-
-    def back(g: np.ndarray) -> None:
-        full = np.zeros_like(m.data)
-        full[rows, idx] = g
-        m._accumulate(full)
-
-    return _result(m.data[rows, idx], (m,), back)
-
-
-def logsumexp_row(m: Tensor) -> Tensor:
-    """Row-wise log(sum(exp(x))), stabilized by subtracting the row max."""
-    if m.data.ndim != 2:
-        raise DimensionError(f"logsumexp_row: expected a matrix, got shape {m.shape}")
-    mx = m.data.max(axis=1, keepdims=True)
-    ex = np.exp(m.data - mx)
+def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise log(sum(exp(x))) of an (M, N) array, stabilized by subtracting
+    the row max, and the row softmax, which is its gradient."""
+    if x.ndim != 2:
+        raise DimensionError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
+    mx = x.max(axis=1, keepdims=True)
+    ex = np.exp(x - mx)
     sums = ex.sum(axis=1, keepdims=True)
-    out = (mx + np.log(sums)).reshape(-1)
-    softmax = ex / sums
-
-    def back(g: np.ndarray) -> None:
-        m._accumulate(g[:, None] * softmax)
-
-    return _result(out, (m,), back)
+    return (mx + np.log(sums)).reshape(-1), ex / sums
 
 
 def l2_normalize(m: Tensor) -> Tensor:
@@ -281,23 +177,4 @@ def l2_normalize(m: Tensor) -> Tensor:
         dots = (g * m.data).sum(axis=1)
         m._accumulate(g / norms[:, None] - m.data * (dots / norms**3)[:, None])
 
-    return _result(out, (m,), back)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all elements, as a scalar tensor."""
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, float(g)))
-
-    return _result(np.asarray(a.data.sum()), (a,), back)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    """Mean of all elements, as a scalar tensor."""
-    n = a.data.size
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(np.full_like(a.data, float(g) / n))
-
-    return _result(np.asarray(a.data.mean()), (a,), back)
+    return node(out, (m,), back)

@@ -20,7 +20,6 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import evaluation as ev
 from .config import ExperimentConfig, config_to_dict, load_config

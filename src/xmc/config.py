@@ -141,7 +141,13 @@ def load_config(path: str | Path | None = None,
     cfg = ExperimentConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
-            loaded = yaml.safe_load(f)
+            try:
+                loaded = yaml.safe_load(f)
+            except yaml.YAMLError as e:
+                mark = getattr(e, "problem_mark", None)
+                where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+                problem = getattr(e, "problem", None) or "parse error"
+                raise ConfigError(f"malformed YAML in {path}{where}: {problem}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

@@ -62,9 +62,11 @@ class NegativeQueue:
         elif self._buf.shape[1] != keys.shape[1]:
             raise UsageError(
                 f"key dim {keys.shape[1]} does not match queue dim {self._buf.shape[1]}")
-        for row in keys:
-            self._buf[self._count % self.capacity] = row
-            self._count += 1
+        start, n = self._count % self.capacity, len(keys)
+        head = min(n, self.capacity - start)  # rows that fit before the wrap
+        self._buf[start:start + head] = keys[:head]
+        self._buf[:n - head] = keys[head:]
+        self._count += n
 
     def snapshot(self) -> np.ndarray:
         """Current entries, oldest first."""
@@ -76,35 +78,44 @@ class NegativeQueue:
         return np.vstack([self._buf[p:], self._buf[:p]])
 
 
-def info_nce(q: Tensor, k_plus: Tensor | np.ndarray, queue: NegativeQueue,
-             tau: float, check_unit: bool = True) -> Tensor:
-    """Mean contrastive loss over the batch.
+def info_nce(q: Tensor, k_plus: np.ndarray, queue: NegativeQueue,
+             tau: float) -> Tensor:
+    """Mean contrastive loss over the batch, as one graph node.
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
     evaluated as a stabilized logsumexp over the (K+1)-way scores. Gradients
-    reach q only; the positive keys and the queue are treated as constants.
+    reach q only; the positive keys and the queue are constants. With
+    P = softmax - one-hot(0) over the scores, dq = P @ [k+, N] / (B tau).
+    Rows must be unit-norm iff the queue checks its keys for unit norm.
     """
     if tau <= 0.0:
         raise ConfigError(f"temperature must be > 0, got {tau}")
     if len(queue) == 0:
         raise UsageError("info_nce needs a non-empty negative queue")
-    k = k_plus.data if isinstance(k_plus, Tensor) else np.asarray(k_plus, dtype=np.float64)
-    if q.data.ndim != 2 or k.shape != q.shape:
-        raise UsageError(f"q {q.shape} and k_plus {k.shape} must be equal (B, D) shapes")
+    if q.data.ndim != 2 or k_plus.shape != q.shape:
+        raise UsageError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
     negatives = queue.snapshot()
     if negatives.shape[1] != q.shape[1]:
         raise UsageError(
             f"queue dim {negatives.shape[1]} does not match embedding dim {q.shape[1]}")
-    if check_unit:
-        for name, block in (("q", q.data), ("k_plus", k), ("queue", negatives)):
+    if queue.unit_check:
+        for name, block in (("q", q.data), ("k_plus", k_plus), ("queue", negatives)):
             norms = np.sqrt((block * block).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
                 raise ContractError(f"info_nce: {name} rows are not unit-norm")
 
-    pos = ad.row_sum(ad.mul(q, Tensor(k)))                      # (B,)
-    neg = ad.matmul(q, Tensor(negatives.T))                     # (B, K)
-    logits = ad.scale(ad.concat_cols(ad.reshape(pos, (q.shape[0], 1)), neg), 1.0 / tau)
-    return ad.mean_all(ad.sub(ad.logsumexp_row(logits), ad.scale(pos, 1.0 / tau)))
+    inv_tau = 1.0 / tau
+    pos = (q.data * k_plus).sum(axis=1)
+    scores = np.concatenate([pos[:, None], q.data @ negatives.T], axis=1) * inv_tau
+    lse, softmax = ad.logsumexp_row(scores)
+
+    def back(g: np.ndarray) -> None:
+        c = float(g) / len(pos)
+        d = softmax * c * inv_tau
+        d[:, 0] -= c * inv_tau
+        q._accumulate(d[:, 1:] @ negatives + d[:, :1] * k_plus)
+
+    return ad.node(np.asarray((lse - pos * inv_tau).mean()), (q,), back)
 
 
 @dataclass(frozen=True)
@@ -211,7 +222,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
             q = radio.forward(Tensor(heat[sel]))
             if cfg.normalize:
                 q = ad.l2_normalize(q)
-            loss = info_nce(q, keys[sel], queue, cfg.tau, check_unit=cfg.normalize)
+            loss = info_nce(q, keys[sel], queue, cfg.tau)
             value = loss.item()
             if not math.isfinite(value):
                 raise NumericError(

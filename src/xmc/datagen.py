@@ -364,7 +364,7 @@ def splits_to_json(ds: Dataset) -> str:
     return json.dumps(payload, sort_keys=True, indent=0) + "\n"
 
 
-def dataset_from_bytes(blob: bytes, splits_json: str) -> Dataset:
+def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
     off = 0
 
     def take(nbytes: int) -> bytes:
@@ -390,7 +390,12 @@ def dataset_from_bytes(blob: bytes, splits_json: str) -> Dataset:
     if off != len(blob):
         raise FormatError("dataset file has trailing bytes")
 
-    splits = json.loads(splits_json)
+    try:
+        splits = json.loads(splits_json)
+    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError from bytes
+        raise FormatError(f"splits sidecar is not JSON: {e}") from None
+    if not isinstance(splits, dict):
+        raise FormatError("splits sidecar root must be a JSON object")
     for key in ("train", "test", "vision", "contrastive"):
         if key not in splits:
             raise FormatError(f"splits sidecar is missing {key!r}")
@@ -413,5 +418,5 @@ def load_dataset(path) -> Dataset:
     from .runio import splits_path
     with open(path, "rb") as f:
         blob = f.read()
-    with open(splits_path(path), "r", encoding="ascii") as f:
+    with open(splits_path(path), "rb") as f:
         return dataset_from_bytes(blob, f.read())

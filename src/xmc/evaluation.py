@@ -17,13 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .contrastive import ContrastiveConfig, PretrainResult, pretrain
+from .contrastive import ContrastiveConfig, pretrain
 from .datagen import Dataset, N_CLASSES, heatmap_inputs
 from .errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from .models import (
-    ClassifierHead,
     EncoderModel,
-    cross_entropy_numpy,
     init_encoder,
     init_head,
     train_classifier,
@@ -46,9 +44,6 @@ class TaskSplit:
 
     def test_accuracy(self, predictions: np.ndarray) -> float:
         return float((np.asarray(predictions) == self._test_labels).mean())
-
-    def test_loss(self, logits: np.ndarray) -> float:
-        return cross_entropy_numpy(logits, self._test_labels)
 
     def test_labels_for_reporting(self) -> np.ndarray:
         """Labels for plots/CSV emission only; never feed these to training."""
@@ -283,24 +278,6 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel,
     return out
 
 
-def sweep_labels(dataset: Dataset, vision: EncoderModel, fractions: list[float],
-                 seeds: list[int], base_cfg: ContrastiveConfig,
-                 head_cfg: HeadConfig) -> tuple[SweepTable, SweepTable, list[ArmResult]]:
-    """Label-efficiency sweep: fine-tuned self-supervised arm vs supervised
-    arm over fractions x seeds."""
-    n_train = len(dataset.contrastive_idx)
-    fractions = feasible_fractions(fractions, n_train)
-    details: list[ArmResult] = []
-    for seed in seeds:
-        details.extend(label_sweep_seed(dataset, vision, base_cfg, head_cfg,
-                                        fractions, seed))
-    ft_table = aggregate_arms("label_fraction", "fine-tune",
-                              [d for d in details if d.arm == "fine-tune"])
-    sup_table = aggregate_arms("label_fraction", "supervised",
-                               [d for d in details if d.arm == "supervised"])
-    return ft_table, sup_table, details
-
-
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel,
                     base_cfg: ContrastiveConfig, head_cfg: HeadConfig,
                     k: int, seed: int) -> ArmResult:
@@ -314,15 +291,6 @@ def queue_sweep_arm(dataset: Dataset, vision: EncoderModel,
     pre = pretrain(dataset, vision, cfg)
     probe = linear_probe(pre.encoder, split, 1.0, head_cfg, seed)
     return ArmResult(float(k), "linear-probe", seed, probe.test_accuracy)
-
-
-def sweep_queue(dataset: Dataset, vision: EncoderModel, k_values: list[int],
-                seeds: list[int], base_cfg: ContrastiveConfig,
-                head_cfg: HeadConfig) -> tuple[SweepTable, list[ArmResult]]:
-    """Queue-size sweep over K values x seeds."""
-    details = [queue_sweep_arm(dataset, vision, base_cfg, head_cfg, k, seed)
-               for k in k_values for seed in seeds]
-    return aggregate_arms("K", "linear-probe", details), details
 
 
 # ---------------------------------------------------------------------------
@@ -350,16 +318,6 @@ def project_2d(features: np.ndarray) -> np.ndarray:
             loading = -loading
         coords[:, comp] = centered @ loading
     return coords
-
-
-def explained_variance_2d(features: np.ndarray) -> float:
-    """Fraction of variance captured by the top-2 principal directions."""
-    centered = features - features.mean(axis=0)
-    svals = np.linalg.svd(centered, compute_uv=False)
-    total = float((svals**2).sum())
-    if total <= 0.0:
-        raise DegenerateInputError("features have rank 0 after centering")
-    return float((svals[:2]**2).sum() / total)
 
 
 def cluster_separation(coords: np.ndarray, labels: np.ndarray) -> float:

@@ -67,10 +67,6 @@ class MiEstimate:
             raise DomainError("mi_lower_bound must equal ln(k) - mean_loss")
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Tensor) -> np.ndarray:
-    return x @ w.data + b.data[None, :]
-
-
 def quadratic_features(v: np.ndarray) -> np.ndarray:
     """[v, v^2] per coordinate; spans the Gaussian optimal critic."""
     return np.concatenate([v, v * v], axis=1)
@@ -107,10 +103,8 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
                          derive_seed(pair_cfg.seed, "mi-query"))
     k_enc = init_encoder([y.shape[1], critic.embed_dim],
                          derive_seed(pair_cfg.seed, "mi-key"), trainable=False)
-    k_enc.freeze()
-    kw, kb = k_enc.weights[0], k_enc.biases[0]
 
-    keys_train = _affine(y_train, kw, kb)
+    keys_train = k_enc.forward_numpy(y_train)
     params = q_enc.parameters()
     opt = make_optimizer(params, critic.lr, critic.momentum, 0.0)
     queue = NegativeQueue(k, unit_check=False)
@@ -128,7 +122,7 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
         for start in range(0, n, critic.batch_size):
             sel = order[start:start + critic.batch_size]
             q = q_enc.forward(Tensor(x_train[sel]))
-            loss = info_nce(q, keys_train[sel], queue, critic.tau, check_unit=False)
+            loss = info_nce(q, keys_train[sel], queue, critic.tau)
             if not math.isfinite(loss.item()):
                 raise NumericError(f"non-finite critic loss at epoch {epoch}")
             ad.zero_grads(params)
@@ -138,7 +132,7 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
 
     # Held-out evaluation: warm a fresh queue from leading held-out batches,
     # then score the remainder, enqueueing each batch after it is scored.
-    keys_hold = _affine(y_hold, kw, kb)
+    keys_hold = k_enc.forward_numpy(y_hold)
     q_hold = q_enc.forward_numpy(x_hold)
     eval_queue = NegativeQueue(k, unit_check=False)
     warm = math.ceil(k / critic.batch_size) * critic.batch_size
@@ -148,8 +142,7 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
         sel = slice(start, min(start + critic.batch_size, n_hold))
-        loss = info_nce(Tensor(q_hold[sel]), keys_hold[sel], eval_queue,
-                        critic.tau, check_unit=False)
+        loss = info_nce(Tensor(q_hold[sel]), keys_hold[sel], eval_queue, critic.tau)
         m = q_hold[sel].shape[0]
         total += loss.item() * m
         count += m

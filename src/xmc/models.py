@@ -120,7 +120,6 @@ class ClassifierHead:
 
     weight: Tensor
     bias: Tensor
-    linear_only: bool = True
 
     def parameters(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -140,21 +139,26 @@ def init_head(embed_dim: int, n_classes: int) -> ClassifierHead:
     return ClassifierHead(w, b)
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax; rows sum to 1 up to float rounding."""
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of (B, C) logits against integer labels."""
-    return ad.mean_all(ad.sub(ad.logsumexp_row(logits), ad.pick_cols(logits, labels)))
+    """Mean softmax cross-entropy of (B, C) logits against integer labels, as
+    one graph node whose backward is (softmax - one-hot(labels)) / B."""
+    labels = np.asarray(labels)
+    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
+        raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
+    rows = np.arange(len(labels))
+    lse, softmax = ad.logsumexp_row(logits.data)
+
+    def back(g: np.ndarray) -> None:
+        c = float(g) / len(rows)
+        d = softmax * c
+        d[rows, labels] -= c
+        logits._accumulate(d)
+
+    return ad.node(np.asarray((lse - logits.data[rows, labels]).mean()), (logits,), back)
 
 
 def cross_entropy_numpy(logits: np.ndarray, labels: np.ndarray) -> float:
-    mx = logits.max(axis=1, keepdims=True)
-    lse = (mx + np.log(np.exp(logits - mx).sum(axis=1, keepdims=True))).reshape(-1)
+    lse, _ = ad.logsumexp_row(logits)
     return float((lse - logits[np.arange(len(labels)), labels]).mean())
 
 

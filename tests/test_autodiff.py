@@ -9,9 +9,17 @@ from hypothesis import strategies as st
 
 from xmc import autodiff as ad
 from xmc.autodiff import Tensor
+from xmc.contrastive import NegativeQueue, info_nce
 from xmc.errors import DegenerateInputError, DimensionError, UsageError
+from xmc.models import cross_entropy
 
 from helpers import check_grads, finite_diff_grads, relative_error
+
+
+def total(m: Tensor) -> Tensor:
+    """Sum of all entries of a matrix, as a ones-vector matmul sandwich."""
+    rows, cols = m.shape
+    return ad.matmul(ad.matmul(Tensor(np.ones((1, rows))), m), Tensor(np.ones((cols, 1))))
 
 
 class TestMatmul:
@@ -33,10 +41,9 @@ class TestMatmul:
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        loss = ad.sum_all(ad.matmul(a, b))
-        ad.backward(loss)
+        ad.backward(total(ad.matmul(a, b)))
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-        check_grads(lambda: ad.sum_all(ad.matmul(a, b)).item(), [a, b])
+        check_grads(lambda: total(ad.matmul(a, b)).item(), [a, b])
 
 
 class TestElementwise:
@@ -46,36 +53,17 @@ class TestElementwise:
 
     def test_relu_subgradient_zero_at_zero(self):
         x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        ad.backward(ad.sum_all(ad.relu(x)))
+        ad.backward(total(ad.relu(x)))
         np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
     def test_add_zero_is_identity(self):
         x = Tensor([[1.5, -2.0]])
-        out = ad.add(x, Tensor([[0.0, 0.0]]))
+        out = ad.add_bias(x, Tensor([0.0, 0.0]))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            ad.add(Tensor(np.ones(3)), Tensor(np.ones(4)))
-
-    def test_mul_gradient_matches_finite_differences(self):
-        rng = np.random.default_rng(1)
-        a = Tensor(rng.normal(size=5), requires_grad=True)
-        b = Tensor(rng.normal(size=5), requires_grad=True)
-        loss = ad.sum_all(ad.mul(a, b))
-        ad.backward(loss)
-        check_grads(lambda: ad.sum_all(ad.mul(a, b)).item(), [a, b])
-
-    def test_scale_and_sub_grads(self):
-        rng = np.random.default_rng(2)
-        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
-
-        def f():
-            return ad.mean_all(ad.sub(ad.scale(a, 2.5), b)).item()
-
-        ad.backward(ad.mean_all(ad.sub(ad.scale(a, 2.5), b)))
-        check_grads(f, [a, b])
+            ad.add_bias(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
 
 
 class TestL2Normalize:
@@ -97,41 +85,48 @@ class TestL2Normalize:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(4, 8)))  # fixed projection, makes loss generic
+        w = Tensor(rng.normal(size=(8, 3)))  # fixed projection, makes loss generic
 
         def f():
-            return ad.sum_all(ad.mul(ad.l2_normalize(x), w)).item()
+            return total(ad.matmul(ad.l2_normalize(x), w)).item()
 
-        ad.backward(ad.sum_all(ad.mul(ad.l2_normalize(x), w)))
+        ad.backward(total(ad.matmul(ad.l2_normalize(x), w)))
         check_grads(f, [x])
 
 
 class TestLogsumexpRow:
     def test_two_zeros(self):
-        out = ad.logsumexp_row(Tensor([[0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [math.log(2.0)])
+        lse, _ = ad.logsumexp_row(np.array([[0.0, 0.0]]))
+        np.testing.assert_allclose(lse, [math.log(2.0)])
 
     def test_large_values_do_not_overflow(self):
-        out = ad.logsumexp_row(Tensor([[1000.0, 1000.0]]))
-        np.testing.assert_allclose(out.data, [1000.0 + math.log(2.0)])
+        lse, softmax = ad.logsumexp_row(np.array([[1000.0, 1000.0]]))
+        np.testing.assert_allclose(lse, [1000.0 + math.log(2.0)])
+        np.testing.assert_allclose(softmax, [[0.5, 0.5]])
 
     def test_single_value_row_is_exact(self):
         x = np.array([[-123.456]])
-        out = ad.logsumexp_row(Tensor(x))
-        assert out.data[0] == x[0, 0]
+        lse, softmax = ad.logsumexp_row(x)
+        assert lse[0] == x[0, 0]
+        assert softmax[0, 0] == 1.0
 
     def test_matches_naive_evaluation(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(2, 5))
         naive = np.log(np.exp(x).sum(axis=1))
-        out = ad.logsumexp_row(Tensor(x))
-        assert np.abs(out.data - naive).max() < 1e-12
+        lse, _ = ad.logsumexp_row(x)
+        assert np.abs(lse - naive).max() < 1e-12
 
     def test_gradient_is_softmax(self):
         rng = np.random.default_rng(5)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        ad.backward(ad.sum_all(ad.logsumexp_row(x)))
-        check_grads(lambda: ad.sum_all(ad.logsumexp_row(x)).item(), [x])
+        x = Tensor(rng.normal(size=(3, 4)))
+        _, softmax = ad.logsumexp_row(x.data)
+        (numeric,) = finite_diff_grads(lambda: ad.logsumexp_row(x.data)[0].sum(), [x])
+        assert relative_error(softmax, numeric) < 1e-8
+
+    def test_rejects_non_matrix(self):
+        with pytest.raises(DimensionError):
+            ad.logsumexp_row(np.zeros(3))
 
     @given(st.lists(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
                     min_size=1, max_size=4).filter(
@@ -139,7 +134,7 @@ class TestLogsumexpRow:
     @settings(max_examples=50, deadline=None)
     def test_bounded_by_max_plus_log_c(self, rows):
         x = np.array(rows)
-        out = ad.logsumexp_row(Tensor(x)).data
+        out, _ = ad.logsumexp_row(x)
         mx = x.max(axis=1)
         assert np.all(out >= mx - 1e-12)
         assert np.all(out <= mx + math.log(x.shape[1]) + 1e-12)
@@ -148,37 +143,40 @@ class TestLogsumexpRow:
 class TestBackward:
     def test_sum_grad_is_ones(self):
         x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ad.backward(ad.sum_all(x))
+        ad.backward(total(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_quadratic_grad_is_2x(self):
-        x = Tensor([1.0, -2.0, 3.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.mul(x, x)))
-        np.testing.assert_allclose(x.grad, 2 * x.data)
+        for v in (1.0, -2.0, 3.0):
+            x = Tensor([[v]], requires_grad=True)
+            ad.backward(ad.matmul(x, x))
+            np.testing.assert_allclose(x.grad, [[2 * v]])
 
     def test_non_scalar_loss_rejected(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with pytest.raises(UsageError):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ad.matmul(x, x))
 
     def test_accumulation_without_reset(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        x = Tensor([[1.0, 2.0]], requires_grad=True)
+        w = Tensor([[3.0], [-1.0]])
+        ad.backward(ad.matmul(x, w))
         first = x.grad.copy()
-        ad.backward(ad.sum_all(ad.mul(x, x)))
+        ad.backward(ad.matmul(x, w))
         np.testing.assert_allclose(x.grad, 2 * first)
 
     def test_diamond_graph(self):
-        # y = (x + x) * x -> dy/dx = 4x
-        x = Tensor([3.0], requires_grad=True)
-        ad.backward(ad.sum_all(ad.mul(ad.add(x, x), x)))
-        np.testing.assert_allclose(x.grad, [12.0])
+        # y = sum(A @ A): A feeds both operands, d/dA = 1 A^T + A^T 1
+        a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        ad.backward(total(ad.matmul(a, a)))
+        ones = np.ones((2, 2))
+        np.testing.assert_allclose(a.grad, ones @ a.data.T + a.data.T @ ones)
 
     def test_detach_blocks_gradients(self):
-        x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = ad.sum_all(ad.mul(x.detach(), x))
-        ad.backward(loss)
-        np.testing.assert_allclose(x.grad, x.data)  # only the live branch
+        # a constant copy of the values (``.data``) carries no gradient
+        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
+        ad.backward(total(ad.matmul(Tensor(x.data), x)))
+        np.testing.assert_allclose(x.grad, x.data.T @ np.ones((2, 2)))  # only the live branch
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(6)
@@ -187,29 +185,33 @@ class TestBackward:
 
         def run():
             t = ad.relu(ad.matmul(Tensor(a), Tensor(b)))
-            return ad.logsumexp_row(t).data.tobytes()
+            return ad.logsumexp_row(t.data)[0].tobytes()
 
         assert run() == run()
 
 
 class TestCompositeGradients:
     def test_mlp_with_bias_pick_and_concat(self):
-        """One graph touching every remaining op, against the fd oracle."""
+        """One graph per fused loss over every remaining op, against the fd
+        oracle: cross-entropy picks the label column, InfoNCE concatenates
+        the positive score to the queue scores."""
         rng = np.random.default_rng(7)
         w1 = Tensor(rng.normal(size=(6, 5)) * 0.5, requires_grad=True)
         b1 = Tensor(rng.normal(size=5) * 0.1, requires_grad=True)
         w2 = Tensor(rng.normal(size=(5, 3)) * 0.5, requires_grad=True)
         x = Tensor(rng.normal(size=(4, 6)))
         labels = np.array([0, 2, 1, 0])
+        unit = rng.normal(size=(10, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        keys, queue = unit[:4], NegativeQueue(6)
+        queue.enqueue(unit[4:])
 
-        def forward():
+        def losses():
             h = ad.relu(ad.add_bias(ad.matmul(x, w1), b1))
-            logits = ad.matmul(h, w2)
-            extra = ad.reshape(ad.row_sum(h), (4, 1))
-            wide = ad.concat_cols(logits, extra)
-            return ad.mean_all(ad.sub(ad.logsumexp_row(wide),
-                                      ad.pick_cols(wide, labels)))
+            out = ad.matmul(h, w2)
+            return (cross_entropy(out, labels),
+                    info_nce(ad.l2_normalize(out), keys, queue, tau=0.5))
 
-        loss = forward()
-        ad.backward(loss)
-        check_grads(lambda: forward().item(), [w1, b1, w2])
+        for loss in losses():
+            ad.backward(loss)
+        check_grads(lambda: sum(loss.item() for loss in losses()), [w1, b1, w2])

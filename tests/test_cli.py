@@ -92,6 +92,27 @@ class TestGenData:
         code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
         assert code == 3
 
+    def test_malformed_yaml_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("seed: [unclosed\n")
+        code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert str(bad) in err and "line 2, column 1" in err
+
+    @pytest.mark.parametrize("sidecar", [b"{not json", b"7", b'{"\xff": 1}'])
+    def test_bad_splits_sidecar_exits_3(self, workdir, tmp_path, capsys, sidecar):
+        out = tmp_path / "o"
+        args = ["--config", str(workdir / "tiny.yaml"), "--out", str(out)]
+        assert main(["gen-data", *args]) == 0
+        (out / "dataset.splits.json").write_bytes(sidecar)
+        capsys.readouterr()
+        code = main(["pretrain-vision", *args])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "splits sidecar" in err
+
 
 class TestDeterminism:
     def test_rerun_from_manifest_reproduces_outputs(self, pipeline, workdir, tmp_path):

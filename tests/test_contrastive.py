@@ -21,6 +21,8 @@ from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
 from xmc.errors import ConfigError, ContractError, UsageError
 from xmc.models import init_encoder, pretrain_vision
 
+from helpers import check_grads
+
 
 def unit_rows(arr: np.ndarray) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
@@ -163,11 +165,40 @@ class TestInfoNce:
         raw_q = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         raw_k = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
         queue = fill_queue(unit_rows(rng.normal(size=(8, 5))), 8)
-        loss = info_nce(ad.l2_normalize(raw_q), ad.l2_normalize(raw_k).detach(),
+        loss = info_nce(ad.l2_normalize(raw_q), ad.l2_normalize(raw_k).data,
                         queue, tau=0.2)
         ad.backward(loss)
         assert raw_q.grad is not None and np.abs(raw_q.grad).max() > 0
         assert raw_k.grad is None
+
+    def test_is_one_node_over_the_query(self):
+        rng = np.random.default_rng(8)
+        q = ad.l2_normalize(Tensor(rng.normal(size=(3, 5)), requires_grad=True))
+        queue = fill_queue(unit_rows(rng.normal(size=(4, 5))), 4)
+        loss = info_nce(q, unit_rows(rng.normal(size=(3, 5))), queue, tau=0.2)
+        assert loss.shape == () and loss._parents == (q,)
+
+    @pytest.mark.parametrize("k", [1, 11])
+    def test_gradient_through_l2_normalize_matches_finite_differences(self, k):
+        """K = 1 and K > B: the closed-form backward against the fd oracle."""
+        rng = np.random.default_rng(9 + k)
+        raw = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        k_plus = unit_rows(rng.normal(size=(4, 6)))
+        queue = fill_queue(unit_rows(rng.normal(size=(k, 6))), k)
+
+        def loss():
+            return info_nce(ad.l2_normalize(raw), k_plus, queue, tau=0.3)
+
+        ad.backward(loss())
+        check_grads(lambda: loss().item(), [raw])
+
+    def test_raw_scores_skip_the_unit_check(self):
+        # the MI critic's queue holds raw keys; q and k+ then need not be unit
+        queue = NegativeQueue(2, unit_check=False)
+        queue.enqueue(np.array([[0.0, 2.0], [3.0, 0.0]]))
+        q, k_plus = np.array([[2.0, 0.0]]), np.array([[1.0, 1.0]])
+        loss = info_nce(Tensor(q), k_plus, queue, tau=1.0).item()
+        assert math.isclose(loss, math.log(1 + math.exp(-2) + math.exp(4)), rel_tol=1e-12)
 
 
 class TestContrastiveConfig:

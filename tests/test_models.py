@@ -22,7 +22,6 @@ from xmc.models import (
     pretrain_vision,
     save_checkpoint_bytes,
     sgd_step,
-    softmax,
 )
 from xmc.seeding import derive_seed
 
@@ -47,17 +46,18 @@ class TestEncoderForward:
         m.freeze()
         out = m.forward(Tensor(np.random.default_rng(1).normal(size=(3, 5))))
         assert not out.requires_grad
-        ad.backward(ad.sum_all(out))
+        ad.backward(cross_entropy(out, np.array([0, 1, 2])))
         assert all(p.grad is None for p in m.parameters())
 
     def test_gradcheck_through_two_layer_encoder(self):
         m = init_encoder([4, 6, 3], seed=2)
         x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+        labels = np.array([2, 0, 2])
 
         def f():
-            return ad.mean_all(m.forward(x)).item()
+            return cross_entropy(m.forward(x), labels).item()
 
-        ad.backward(ad.mean_all(m.forward(x)))
+        ad.backward(cross_entropy(m.forward(x), labels))
         check_grads(f, m.parameters())
 
     def test_forward_numpy_matches_graph_forward(self):
@@ -146,8 +146,17 @@ class TestCosineSchedule:
 class TestSoftmaxAndCrossEntropy:
     def test_softmax_rows_sum_to_one(self):
         z = np.random.default_rng(5).normal(size=(10, 4)) * 30
-        s = softmax(z)
+        _, s = ad.logsumexp_row(z)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-9)
+
+    def test_cross_entropy_is_one_node_over_logits(self):
+        logits = Tensor(np.random.default_rng(7).normal(size=(5, 4)), requires_grad=True)
+        loss = cross_entropy(logits, np.array([0, 3, 1, 1, 2]))
+        assert loss.shape == () and loss._parents == (logits,)
+
+    def test_cross_entropy_label_shape_mismatch(self):
+        with pytest.raises(DimensionError):
+            cross_entropy(Tensor(np.zeros((4, 3))), np.array([0, 1]))
 
     def test_cross_entropy_matches_numpy_path(self):
         rng = np.random.default_rng(6)
@@ -180,7 +189,7 @@ class TestVisionPretrain:
         assert model.frozen
         before = model.param_bytes()
         x = Tensor(image_inputs(ds.images[ds.test_idx[:8]]))
-        ad.backward(ad.mean_all(model.forward(x)))
+        ad.backward(cross_entropy(model.forward(x), ds.labels[ds.test_idx[:8]].astype(np.int64)))
         assert model.param_bytes() == before
 
     def test_random_frozen_mode_returns_untrained_frozen(self, small_dataset):
