@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from xmc import autodiff as ad
 from xmc.datagen import SimulatorConfig, make_dataset
 from xmc.errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from xmc.evaluation import (
@@ -22,7 +23,7 @@ from xmc.evaluation import (
     stratified_label_subset,
     supervised_baseline,
 )
-from xmc.models import init_encoder
+from xmc.models import init_encoder, init_head
 
 FAST_HEAD = HeadConfig(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
                        batch_size=8)
@@ -170,6 +171,13 @@ class TestFinetuneAndBaseline:
         hi = supervised_baseline(split, 1.0, cfg, seed=23,
                                  hidden=(64,), embed_dim=32)
         assert lo.test_accuracy < hi.test_accuracy
+
+    def test_softmax_head_rows_sum_to_one(self, tiny_task):
+        x = tiny_task.train_inputs[:50]
+        head = init_head(x.shape[1], 4)
+        head.weight.data[:] = np.random.default_rng(0).normal(size=head.weight.shape) * 20
+        _, probs = ad.logsumexp_row(head.logits_numpy(x))
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestSweepPlumbing:
