@@ -53,8 +53,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to ``.grad``. The first gradient is taken over, not
+        copied, and later ones are added into it in place. So a backward
+        closure passes either a fresh array or its own output gradient,
+        which ``backward`` drops once the closure returns; none keeps ``g``."""
         if self.grad is None:
-            self.grad = g.copy()
+            self.grad = g
         else:
             self.grad += g
 

@@ -17,7 +17,9 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -28,6 +30,7 @@ from .datagen import (
     CLASS_NAMES,
     GaussianPairConfig,
     SimulatorConfig,
+    image_inputs,
     load_dataset,
     make_dataset,
     save_dataset,
@@ -52,283 +55,252 @@ class OutputExistsError(XmcError):
     pass
 
 
-def _simulator_config(cfg: ExperimentConfig) -> SimulatorConfig:
-    d = cfg.datagen
-    return SimulatorConfig(
-        range_bins=d.range_bins, azimuth_bins=d.azimuth_bins,
-        image_height=d.image_height, image_width=d.image_width,
-        sigma_radar=d.sigma_radar, sigma_image=d.sigma_image)
+def _from_section(cls, section, **extra):
+    """A ``cls`` settings object filled from the fields it shares with a
+    config section, plus ``extra``."""
+    shared = {f.name for f in fields(cls)} & {f.name for f in fields(section)}
+    return cls(**{name: getattr(section, name) for name in shared}, **extra)
 
 
-def _contrastive_config(cfg: ExperimentConfig, seed: int | None = None) -> ContrastiveConfig:
-    c = cfg.contrastive
-    return ContrastiveConfig(
-        tau=c.tau, queue_size=c.queue_size, batch_size=c.batch_size,
-        epochs=c.epochs, lr=c.lr, momentum=c.momentum,
-        weight_decay=c.weight_decay,
-        seed=cfg.seed if seed is None else seed,
-        hidden=tuple(cfg.encoder_hidden), embed_dim=cfg.embed_dim,
-        normalize=c.normalize)
+def _contrastive_config(cfg: ExperimentConfig) -> ContrastiveConfig:
+    return _from_section(ContrastiveConfig, cfg.contrastive, seed=cfg.seed,
+                         hidden=tuple(cfg.encoder_hidden), embed_dim=cfg.embed_dim)
 
 
 def _head_config(cfg: ExperimentConfig) -> ev.HeadConfig:
-    e = cfg.eval
-    return ev.HeadConfig(
-        probe_epochs=e.probe_epochs, finetune_epochs=e.finetune_epochs,
-        baseline_epochs=e.baseline_epochs, lr=e.lr, momentum=e.momentum,
-        weight_decay=e.weight_decay, batch_size=e.batch_size)
+    return _from_section(ev.HeadConfig, cfg.eval)
 
 
-def _eval_seeds(cfg: ExperimentConfig) -> list[int]:
-    return [derive_seed(cfg.seed, "eval-seed", i) % (2**31)
-            for i in range(cfg.eval.n_seeds)]
+def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
+    return [derive_seed(cfg.seed, tag, i) % (2**31) for i in range(n)]
 
 
-def _require_inputs(paths: list[Path]) -> dict[str, str]:
-    hashes = {}
-    for p in paths:
-        if not p.exists():
-            raise FileNotFoundError(f"required input not found: {p}")
-        hashes[str(p)] = sha256_file(p)
-    return hashes
+# ---------------------------------------------------------------------------
+# the command table and its driver
+# ---------------------------------------------------------------------------
+
+# Input role -> (default file under the output directory, --help text).
+# A "data" input brings its splits sidecar along.
+INPUTS = {
+    "data": ("dataset.xmcd", "dataset file"),
+    "vision": ("vision.xmck", "vision checkpoint"),
+    "encoder": ("radio.xmck", "encoder checkpoint"),
+}
+
+# Extra flag -> its argparse keywords.
+FLAGS = {
+    "fraction": {"type": float, "default": 1.0, "help": "label fraction"},
+    "jobs": {"type": int, "default": None,
+             "help": "parallel arms (default: $XMC_JOBS or 1)"},
+}
 
 
-def _check_outputs(paths: list[Path], force: bool) -> None:
-    clashes = [str(p) for p in paths if p.exists()]
-    if clashes and not force:
+@dataclass(frozen=True)
+class CommandSpec:
+    """``body(args, cfg, inputs, outputs)`` gets the input paths by role and
+    the output paths in order; it returns (manifest metrics or None, report)."""
+
+    body: Callable[..., tuple[dict | None, str]]
+    inputs: tuple[str, ...]   # keys of INPUTS
+    outputs: tuple[str, ...]  # file names under the output directory
+    flags: tuple[str, ...]    # keys of FLAGS
+
+
+SPECS: dict[str, CommandSpec] = {}
+# Command name -> a function of its own that runs the whole command; main
+# looks it up at call time, so a wrapper put here times the whole command.
+COMMANDS: dict[str, Callable[[argparse.Namespace, ExperimentConfig], int]] = {}
+
+
+def command(name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = (),
+            flags: tuple[str, ...] = ()) -> Callable:
+    """Register the decorated body as command ``name``."""
+    def register(body: Callable) -> Callable:
+        SPECS[name] = CommandSpec(body, inputs, outputs, flags)
+        COMMANDS[name] = lambda args, cfg: _drive(name, args, cfg)
+        return body
+    return register
+
+
+def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
+    """Hash the inputs (exit 2 if one is missing), refuse to overwrite the
+    outputs (exit 1), then run the body and write the manifest."""
+    spec = SPECS[name]
+    out_dir = Path(args.out or cfg.io.out_dir)
+    paths = {role: Path(getattr(args, role) or out_dir / INPUTS[role][0])
+             for role in spec.inputs}
+    inputs = {}
+    for role, path in paths.items():
+        for p in (path, splits_path(path)) if role == "data" else (path,):
+            if not p.exists():
+                raise FileNotFoundError(f"required input not found: {p}")
+            inputs[str(p)] = sha256_file(p)
+    outputs = [out_dir / file for file in spec.outputs]
+    clashes = [str(p) for p in outputs if p.exists()]
+    if clashes and not args.force:
         raise OutputExistsError(
             "refusing to overwrite existing outputs (use --force): "
             + ", ".join(clashes))
-
-
-def _finish(out_dir: Path, command: str, cfg: ExperimentConfig,
-            inputs: dict[str, str], outputs: list[Path],
-            metrics: dict | None = None) -> None:
-    out_hashes = {str(p): sha256_file(p) for p in outputs}
-    write_manifest(out_dir / f"{command}.manifest.json", command,
-                   config_to_dict(cfg), inputs, out_hashes, metrics)
-
-
-def _result_rows(results: list[ev.ProbeResult]) -> list[list]:
-    rows = []
-    for r in results:
-        final_loss = r.test_loss_curve[-1][1] if r.test_loss_curve else math.nan
-        rows.append([r.mode, r.label_fraction, r.seed, r.test_accuracy,
-                     r.best_epoch, r.best_test_loss, final_loss])
-    return rows
-
-
-RESULT_HEADER = ["mode", "label_fraction", "seed", "test_accuracy",
-                 "best_epoch", "best_test_loss", "final_test_loss"]
+    metrics, report = spec.body(args, cfg, paths, outputs)
+    write_manifest(out_dir / f"{name}.manifest.json", name, config_to_dict(cfg),
+                   inputs, {str(p): sha256_file(p) for p in outputs}, metrics)
+    print(report)
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_gen_data(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = out_dir / "dataset.xmcd"
-    _check_outputs([data_path, splits_path(data_path)], args.force)
-    ds = make_dataset(_simulator_config(cfg), cfg.datagen.n,
+@command("gen-data", outputs=("dataset.xmcd", "dataset.splits.json"))
+def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    ds = make_dataset(_from_section(SimulatorConfig, cfg.datagen), cfg.datagen.n,
                       derive_seed(cfg.seed, "datagen"),
                       vision_fraction=cfg.datagen.vision_fraction)
-    save_dataset(data_path, ds)
-    _finish(out_dir, "gen-data", cfg, {}, [data_path, splits_path(data_path)],
-            metrics={"n": ds.n, "content_hash": ds.content_hash()})
-    print(f"wrote {data_path} ({ds.n} samples)")
-    return 0
+    save_dataset(outputs[0], ds)
+    return ({"n": ds.n, "content_hash": ds.content_hash()},
+            f"wrote {outputs[0]} ({ds.n} samples)")
 
 
-def cmd_pretrain_vision(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    ckpt = out_dir / "vision.xmck"
-    curve = out_dir / "vision_pretrain.csv"
-    inputs = _require_inputs([data_path, splits_path(data_path)])
-    _check_outputs([ckpt, curve], args.force)
-    ds = load_dataset(data_path)
-    from .datagen import image_inputs
-    v = cfg.vision
+@command("pretrain-vision", inputs=("data",),
+         outputs=("vision.xmck", "vision_pretrain.csv"))
+def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    ckpt, curve = outputs
+    ds = load_dataset(inputs["data"])
+    # the vision section holds exactly pretrain_vision's training keywords
     outcome = pretrain_vision(
         image_inputs(ds.images[ds.vision_idx]),
         ds.labels[ds.vision_idx].astype(np.int64),
         hidden=list(cfg.encoder_hidden), embed_dim=cfg.embed_dim,
-        n_classes=len(CLASS_NAMES), epochs=v.epochs, lr=v.lr,
-        momentum=v.momentum, weight_decay=v.weight_decay,
-        batch_size=v.batch_size, holdout_fraction=v.holdout_fraction,
-        seed=derive_seed(cfg.seed, "vision"), mode=v.mode)
+        n_classes=len(CLASS_NAMES), seed=derive_seed(cfg.seed, "vision"),
+        **asdict(cfg.vision))
     save_checkpoint(ckpt, outcome.model)
-    write_csv(curve, ["epoch", "train_loss"],
-              [[i, x] for i, x in enumerate(outcome.train_loss)])
-    _finish(out_dir, "pretrain-vision", cfg, inputs, [ckpt, curve],
-            metrics={"holdout_accuracy": outcome.holdout_accuracy})
-    print(f"wrote {ckpt} (holdout accuracy {outcome.holdout_accuracy:.3f})")
-    return 0
+    write_csv(curve, ["epoch", "train_loss"], enumerate(outcome.train_loss))
+    return ({"holdout_accuracy": outcome.holdout_accuracy},
+            f"wrote {ckpt} (holdout accuracy {outcome.holdout_accuracy:.3f})")
 
 
-def cmd_pretrain(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    vision_path = Path(args.vision or out_dir / "vision.xmck")
-    ckpt = out_dir / "radio.xmck"
-    metrics_path = out_dir / "pretrain_metrics.csv"
-    inputs = _require_inputs([data_path, splits_path(data_path), vision_path])
-    _check_outputs([ckpt, metrics_path], args.force)
-    ds = load_dataset(data_path)
-    vision, _ = load_checkpoint(vision_path)
-    result = pretrain(ds, vision, _contrastive_config(cfg))
+@command("pretrain", inputs=("data", "vision"),
+         outputs=("radio.xmck", "pretrain_metrics.csv"))
+def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    ckpt, metrics_path = outputs
+    result = pretrain(load_dataset(inputs["data"]), load_checkpoint(inputs["vision"]),
+                      _contrastive_config(cfg))
     save_checkpoint(ckpt, result.encoder)
-    write_csv(metrics_path, ["epoch", "lr", "mean_loss", "uniform_ref"],
-              [[h.epoch, h.lr, h.mean_loss, h.uniform_ref] for h in result.history])
-    _finish(out_dir, "pretrain", cfg, inputs, [ckpt, metrics_path],
-            metrics={"final_loss": result.history[-1].mean_loss})
-    print(f"wrote {ckpt} (final loss {result.history[-1].mean_loss:.4f})")
-    return 0
+    write_csv(metrics_path, ["epoch", "lr", "mean_loss"],
+              [[h.epoch, h.lr, h.mean_loss] for h in result.history])
+    final_loss = result.history[-1].mean_loss
+    return {"final_loss": final_loss}, f"wrote {ckpt} (final loss {final_loss:.4f})"
 
 
-def _load_task(args, cfg: ExperimentConfig, out_dir: Path):
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    encoder_path = Path(args.encoder or out_dir / "radio.xmck")
-    inputs = _require_inputs([data_path, splits_path(data_path), encoder_path])
-    ds = load_dataset(data_path)
-    encoder, _ = load_checkpoint(encoder_path)
-    return ds, encoder, inputs
-
-
-def cmd_probe(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    result_path = out_dir / "probe_result.csv"
-    curve_path = out_dir / "probe_curve.csv"
-    ds, encoder, inputs = _load_task(args, cfg, out_dir)
-    _check_outputs([result_path, curve_path], args.force)
-    split = ev.make_task_split(ds)
-    r = ev.linear_probe(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
-    write_csv(result_path, RESULT_HEADER, _result_rows([r]))
+def _write_result(outputs: list, r: ev.ProbeResult, what: str):
+    """Write a probe, fine-tune or baseline result row and test-loss curve."""
+    result_path, curve_path = outputs[:2]
+    final_loss = r.test_loss_curve[-1][1] if r.test_loss_curve else math.nan
+    write_csv(result_path, ["mode", "label_fraction", "seed", "test_accuracy",
+                            "best_epoch", "best_test_loss", "final_test_loss"],
+              [[r.mode, r.label_fraction, r.seed, r.test_accuracy,
+                r.best_epoch, r.best_test_loss, final_loss]])
     write_csv(curve_path, ["epoch", "test_loss"], r.test_loss_curve)
-    _finish(out_dir, "probe", cfg, inputs, [result_path, curve_path],
-            metrics={"test_accuracy": r.test_accuracy})
-    print(f"linear probe accuracy {r.test_accuracy:.3f}")
-    return 0
+    return {"test_accuracy": r.test_accuracy}, f"{what} accuracy {r.test_accuracy:.3f}"
 
 
-def cmd_finetune(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    result_path = out_dir / "finetune_result.csv"
-    curve_path = out_dir / "finetune_curve.csv"
-    tuned_path = out_dir / "radio_finetuned.xmck"
-    ds, encoder, inputs = _load_task(args, cfg, out_dir)
-    _check_outputs([result_path, curve_path, tuned_path], args.force)
-    split = ev.make_task_split(ds)
-    r, tuned = ev.finetune(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
-    save_checkpoint(tuned_path, tuned)
-    write_csv(result_path, RESULT_HEADER, _result_rows([r]))
-    write_csv(curve_path, ["epoch", "test_loss"], r.test_loss_curve)
-    _finish(out_dir, "finetune", cfg, inputs, [result_path, curve_path, tuned_path],
-            metrics={"test_accuracy": r.test_accuracy})
-    print(f"fine-tune accuracy {r.test_accuracy:.3f}")
-    return 0
+@command("probe", inputs=("data", "encoder"),
+         outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
+def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    split = ev.make_task_split(load_dataset(inputs["data"]))
+    r = ev.linear_probe(load_checkpoint(inputs["encoder"]), split, args.fraction,
+                        _head_config(cfg), cfg.seed)
+    return _write_result(outputs, r, "linear probe")
 
 
-def cmd_baseline(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    result_path = out_dir / "baseline_result.csv"
-    curve_path = out_dir / "baseline_curve.csv"
-    inputs = _require_inputs([data_path, splits_path(data_path)])
-    _check_outputs([result_path, curve_path], args.force)
-    ds = load_dataset(data_path)
-    split = ev.make_task_split(ds)
+@command("finetune", inputs=("data", "encoder"),
+         outputs=("finetune_result.csv", "finetune_curve.csv", "radio_finetuned.xmck"),
+         flags=("fraction",))
+def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    split = ev.make_task_split(load_dataset(inputs["data"]))
+    r, tuned = ev.finetune(load_checkpoint(inputs["encoder"]), split, args.fraction,
+                           _head_config(cfg), cfg.seed)
+    save_checkpoint(outputs[2], tuned)
+    return _write_result(outputs, r, "fine-tune")
+
+
+@command("baseline", inputs=("data",),
+         outputs=("baseline_result.csv", "baseline_curve.csv"), flags=("fraction",))
+def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    split = ev.make_task_split(load_dataset(inputs["data"]))
     r = ev.supervised_baseline(split, args.fraction, _head_config(cfg), cfg.seed,
                                hidden=tuple(cfg.encoder_hidden),
                                embed_dim=cfg.embed_dim)
-    write_csv(result_path, RESULT_HEADER, _result_rows([r]))
-    write_csv(curve_path, ["epoch", "test_loss"], r.test_loss_curve)
-    _finish(out_dir, "baseline", cfg, inputs, [result_path, curve_path],
-            metrics={"test_accuracy": r.test_accuracy})
-    print(f"supervised baseline accuracy {r.test_accuracy:.3f}")
-    return 0
+    return _write_result(outputs, r, "supervised baseline")
 
 
 # -- sweeps (optionally parallel over arms) ---------------------------------
 
-def _queue_arm_worker(payload: dict) -> tuple[float, int, float]:
-    ds = load_dataset(payload["data"])
-    vision, _ = load_checkpoint(payload["vision"])
-    cfg = load_config(None, payload["config"])
-    arm = ev.queue_sweep_arm(ds, vision, _contrastive_config(cfg),
-                             _head_config(cfg), payload["k"], payload["seed"])
-    return arm.axis_value, arm.seed, arm.accuracy
+def _arm_inputs(payload: dict):
+    return (load_dataset(payload["data"]), load_checkpoint(payload["vision"]),
+            load_config(None, payload["config"]))
 
 
-def _label_seed_worker(payload: dict) -> list[tuple[float, str, int, float]]:
-    ds = load_dataset(payload["data"])
-    vision, _ = load_checkpoint(payload["vision"])
-    cfg = load_config(None, payload["config"])
-    arms = ev.label_sweep_seed(ds, vision, _contrastive_config(cfg),
+def _queue_arm_worker(payload: dict) -> ev.ArmResult:
+    ds, vision, cfg = _arm_inputs(payload)
+    return ev.queue_sweep_arm(ds, vision, _contrastive_config(cfg),
+                              _head_config(cfg), payload["k"], payload["seed"])
+
+
+def _label_seed_worker(payload: dict) -> list[ev.ArmResult]:
+    ds, vision, cfg = _arm_inputs(payload)
+    return ev.label_sweep_seed(ds, vision, _contrastive_config(cfg),
                                _head_config(cfg), payload["fractions"],
                                payload["seed"])
-    return [(a.axis_value, a.arm, a.seed, a.accuracy) for a in arms]
 
 
-def _jobs(args) -> int:
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return max(1, int(os.environ.get("XMC_JOBS", "1")))
-
-
-def _map_arms(fn, payloads: list[dict], jobs: int) -> list:
+def _map_arms(fn, payloads: list[dict], jobs: int | None) -> list:
+    """``fn`` over the payloads, in a pool of ``jobs`` processes; ``None``
+    means $XMC_JOBS, else 1."""
+    if jobs is None:
+        env = os.environ.get("XMC_JOBS", "1")
+        try:
+            jobs = int(env)
+        except ValueError:
+            raise ConfigError(f"XMC_JOBS must be an integer, got {env!r}") from None
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, payloads))
 
 
-def cmd_sweep_k(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    vision_path = Path(args.vision or out_dir / "vision.xmck")
-    detail_path = out_dir / "sweep_k.csv"
-    summary_path = out_dir / "sweep_k_summary.csv"
-    inputs = _require_inputs([data_path, splits_path(data_path), vision_path])
-    _check_outputs([detail_path, summary_path], args.force)
-    seeds = _eval_seeds(cfg)
-    payloads = [{"data": str(data_path), "vision": str(vision_path),
+@command("sweep-k", inputs=("data", "vision"),
+         outputs=("sweep_k.csv", "sweep_k_summary.csv"), flags=("jobs",))
+def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    detail_path, summary_path = outputs
+    seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
+    payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
                  "config": config_to_dict(cfg), "k": k, "seed": s}
                 for k in cfg.eval.queue_sizes for s in seeds]
-    results = _map_arms(_queue_arm_worker, payloads, _jobs(args))
-    details = [ev.ArmResult(k, "linear-probe", seed, acc)
-               for k, seed, acc in sorted(results)]
+    details = sorted(_map_arms(_queue_arm_worker, payloads, args.jobs),
+                     key=lambda d: (d.axis_value, d.seed, d.accuracy))
     table = ev.aggregate_arms("K", "linear-probe", details)
     write_csv(detail_path, ["K", "seed", "test_accuracy"],
               [[int(d.axis_value), d.seed, d.accuracy] for d in details])
     write_csv(summary_path, ["K", "mean_accuracy", "std_accuracy", "n_seeds"],
               [[int(r.value), r.mean_accuracy, r.std_accuracy, r.n_seeds]
                for r in table.rows])
-    _finish(out_dir, "sweep-k", cfg, inputs, [detail_path, summary_path])
-    print(f"wrote {summary_path}")
-    return 0
+    return None, f"wrote {summary_path}"
 
 
-def cmd_sweep_labels(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    data_path = Path(args.data or out_dir / "dataset.xmcd")
-    vision_path = Path(args.vision or out_dir / "vision.xmck")
-    detail_path = out_dir / "sweep_labels.csv"
-    summary_path = out_dir / "sweep_labels_summary.csv"
-    inputs = _require_inputs([data_path, splits_path(data_path), vision_path])
-    _check_outputs([detail_path, summary_path], args.force)
-    ds = load_dataset(data_path)
-    fractions = ev.feasible_fractions(cfg.eval.fractions, len(ds.contrastive_idx))
-    seeds = _eval_seeds(cfg)
-    payloads = [{"data": str(data_path), "vision": str(vision_path),
-                 "config": config_to_dict(cfg), "fractions": fractions,
-                 "seed": s}
-                for s in seeds]
-    per_seed = _map_arms(_label_seed_worker, payloads, _jobs(args))
-    details = [ev.ArmResult(f, arm, seed, acc)
-               for chunk in per_seed for f, arm, seed, acc in chunk]
-    details.sort(key=lambda d: (d.axis_value, d.arm, d.seed))
+@command("sweep-labels", inputs=("data", "vision"),
+         outputs=("sweep_labels.csv", "sweep_labels_summary.csv"), flags=("jobs",))
+def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    detail_path, summary_path = outputs
+    fractions = ev.feasible_fractions(cfg.eval.fractions,
+                                      len(load_dataset(inputs["data"]).contrastive_idx))
+    payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
+                 "config": config_to_dict(cfg), "fractions": fractions, "seed": s}
+                for s in _seeds(cfg, "eval-seed", cfg.eval.n_seeds)]
+    per_seed = _map_arms(_label_seed_worker, payloads, args.jobs)
+    details = sorted((d for chunk in per_seed for d in chunk),
+                     key=lambda d: (d.axis_value, d.arm, d.seed))
     write_csv(detail_path, ["label_fraction", "arm", "seed", "test_accuracy"],
               [[d.axis_value, d.arm, d.seed, d.accuracy] for d in details])
     rows = []
@@ -340,103 +312,66 @@ def cmd_sweep_labels(args, cfg: ExperimentConfig) -> int:
     write_csv(summary_path,
               ["label_fraction", "arm", "mean_accuracy", "std_accuracy", "n_seeds"],
               rows)
-    _finish(out_dir, "sweep-labels", cfg, inputs, [detail_path, summary_path])
-    print(f"wrote {summary_path}")
-    return 0
+    return None, f"wrote {summary_path}"
 
 
 def _mi_arm_worker(payload: dict) -> tuple[float, int, float, float, float]:
-    cfg = load_config(None, payload["config"])
-    m = cfg.mi
+    m = load_config(None, payload["config"]).mi
     pair_cfg = GaussianPairConfig(dim=m.dim, rho=payload["rho"],
                                   count=m.pair_count, seed=payload["seed"])
-    critic = MiCriticConfig(embed_dim=m.embed_dim, batch_size=m.batch_size,
-                            epochs=m.epochs, lr=m.lr, momentum=m.momentum)
-    est = estimate_mi_gaussian(pair_cfg, critic, m.queue_size)
+    est = estimate_mi_gaussian(pair_cfg, _from_section(MiCriticConfig, m), m.queue_size)
     return (payload["rho"], payload["seed"], est.mean_loss,
             est.mi_lower_bound, est.true_mi)
 
 
-def cmd_estimate_mi(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    csv_path = out_dir / "mi_estimates.csv"
-    _check_outputs([csv_path], args.force)
-    seeds = [derive_seed(cfg.seed, "mi-seed", i) % (2**31)
-             for i in range(cfg.mi.n_seeds)]
+@command("estimate-mi", outputs=("mi_estimates.csv",), flags=("jobs",))
+def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    (csv_path,) = outputs
+    seeds = _seeds(cfg, "mi-seed", cfg.mi.n_seeds)
     payloads = [{"config": config_to_dict(cfg), "rho": rho, "seed": s}
                 for rho in cfg.mi.rhos for s in seeds]
-    results = sorted(_map_arms(_mi_arm_worker, payloads, _jobs(args)))
+    results = sorted(_map_arms(_mi_arm_worker, payloads, args.jobs))
     write_csv(csv_path,
               ["rho", "dim", "K", "seed", "mean_loss", "mi_lower_bound", "true_mi"],
               [[rho, cfg.mi.dim, cfg.mi.queue_size, seed, loss, bound, true]
                for rho, seed, loss, bound, true in results])
-    _finish(out_dir, "estimate-mi", cfg, {}, [csv_path])
-    print(f"wrote {csv_path}")
-    return 0
+    return None, f"wrote {csv_path}"
 
 
-def cmd_project(args, cfg: ExperimentConfig) -> int:
-    out_dir = Path(args.out or cfg.io.out_dir)
-    proj_path = out_dir / "projection.csv"
-    ds, encoder, inputs = _load_task(args, cfg, out_dir)
-    _check_outputs([proj_path], args.force)
-    split = ev.make_task_split(ds)
-    feats = ev.extract_features(encoder, split.test_inputs)
+@command("project", inputs=("data", "encoder"), outputs=("projection.csv",))
+def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    (proj_path,) = outputs
+    split = ev.make_task_split(load_dataset(inputs["data"]))
+    feats = ev.extract_features(load_checkpoint(inputs["encoder"]), split.test_inputs)
     coords = ev.project_2d(feats)
     labels = split.test_labels_for_reporting()
     sep = ev.cluster_separation(coords, labels)
     write_csv(proj_path, ["x", "y", "class"],
               [[coords[i, 0], coords[i, 1], CLASS_NAMES[labels[i]]]
                for i in range(len(labels))])
-    _finish(out_dir, "project", cfg, inputs, [proj_path],
-            metrics={"cluster_separation": sep})
-    print(f"wrote {proj_path} (separation {sep:.3f})")
-    return 0
+    return {"cluster_separation": sep}, f"wrote {proj_path} (separation {sep:.3f})"
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-COMMANDS = {
-    "gen-data": cmd_gen_data,
-    "pretrain-vision": cmd_pretrain_vision,
-    "pretrain": cmd_pretrain,
-    "probe": cmd_probe,
-    "finetune": cmd_finetune,
-    "baseline": cmd_baseline,
-    "sweep-k": cmd_sweep_k,
-    "sweep-labels": cmd_sweep_labels,
-    "estimate-mi": cmd_estimate_mi,
-    "project": cmd_project,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="xmc",
         description="Cross-modal contrastive training and evaluation pipeline.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, spec in SPECS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="YAML config file")
         p.add_argument("--seed", type=int, default=None, help="override root seed")
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--force", action="store_true",
                        help="overwrite existing outputs")
-        if name in {"pretrain-vision", "pretrain", "probe", "finetune",
-                    "baseline", "sweep-k", "sweep-labels", "project"}:
-            p.add_argument("--data", default=None, help="dataset file")
-        if name in {"pretrain", "sweep-k", "sweep-labels"}:
-            p.add_argument("--vision", default=None, help="vision checkpoint")
-        if name in {"probe", "finetune", "project"}:
-            p.add_argument("--encoder", default=None, help="encoder checkpoint")
-        if name in {"probe", "finetune", "baseline"}:
-            p.add_argument("--fraction", type=float, default=1.0,
-                           help="label fraction")
-        if name in {"sweep-k", "sweep-labels", "estimate-mi"}:
-            p.add_argument("--jobs", type=int, default=None,
-                           help="parallel arms (default: $XMC_JOBS or 1)")
+        for role in spec.inputs:
+            p.add_argument(f"--{role}", default=None, help=INPUTS[role][1])
+        for flag in spec.flags:
+            p.add_argument(f"--{flag}", **FLAGS[flag])
     return parser
 
 

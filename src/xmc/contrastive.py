@@ -41,10 +41,6 @@ class NegativeQueue:
     def __len__(self) -> int:
         return min(self._count, self.capacity)
 
-    @property
-    def full(self) -> bool:
-        return len(self) == self.capacity
-
     def enqueue(self, keys: np.ndarray) -> None:
         """Insert a (B, D) block of keys, evicting the B oldest when full."""
         keys = np.asarray(keys, dtype=np.float64)
@@ -149,8 +145,6 @@ class EpochStats:
     epoch: int
     lr: float
     mean_loss: float
-    uniform_ref: float  # ln(K+1), the equal-score level; an uninformative
-                        # query's loss sits above it by the Jensen gap
 
 
 @dataclass
@@ -232,6 +226,5 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
             sgd_step(params, opt, lr=lr)
             queue.enqueue(keys[sel])
             total += value * len(sel)
-        history.append(EpochStats(epoch, lr, total / n,
-                                  math.log(cfg.queue_size + 1)))
+        history.append(EpochStats(epoch, lr, total / n))
     return PretrainResult(encoder=radio, history=history)

@@ -27,7 +27,7 @@ from .errors import (
 from .seeding import derive_seed, rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -174,7 +174,6 @@ class OptimizerState:
     momentum: float
     weight_decay: float
     velocities: list[np.ndarray] = field(default_factory=list)
-    step_count: int = 0
 
 
 def make_optimizer(params: list[Tensor], lr: float, momentum: float,
@@ -197,7 +196,6 @@ def sgd_step(params: list[Tensor], state: OptimizerState,
         v *= state.momentum
         v += p.grad + state.weight_decay * p.data
         p.data -= state.lr * v
-    state.step_count += 1
 
 
 def cosine_lr(t: int, total: int, base: float) -> float:
@@ -305,6 +303,9 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
     n_hold = max(1, int(round(holdout_fraction * n)))
     order = rng_for(seed, "vision-holdout").permutation(n)
     hold, fit = order[:n_hold], order[n_hold:]
+    if len(fit) == 0:
+        raise ConfigError(f"the vision holdout takes all {n} samples of the "
+                          f"vision split; none are left to fit")
 
     head = init_head(embed_dim, n_classes)
     run = train_classifier(
@@ -328,14 +329,12 @@ def _pack_array(a: np.ndarray) -> bytes:
     return a.astype("<f8").tobytes()
 
 
-def save_checkpoint_bytes(model: EncoderModel,
-                          optimizer: OptimizerState | None = None) -> bytes:
-    """Serialize a model (and optionally optimizer state) to bytes.
+def save_checkpoint_bytes(model: EncoderModel) -> bytes:
+    """Serialize a model to bytes.
 
     Layout: magic, version u16, frozen u8, layer count u16, dims u32 each,
-    per-layer weight then bias as little-endian f64, then an optimizer flag
-    and, if set, lr/momentum/weight_decay f64, step_count u64 and velocity
-    buffers in parameter order. Round-trips bit-exactly.
+    then per-layer weight and bias as little-endian f64. Round-trips
+    bit-exactly.
     """
     n_layers = len(model.weights)
     parts = [CHECKPOINT_MAGIC,
@@ -344,18 +343,10 @@ def save_checkpoint_bytes(model: EncoderModel,
     for w, b in zip(model.weights, model.biases):
         parts.append(_pack_array(w.data))
         parts.append(_pack_array(b.data))
-    if optimizer is None:
-        parts.append(struct.pack("<B", 0))
-    else:
-        parts.append(struct.pack("<B", 1))
-        parts.append(struct.pack("<dddQ", optimizer.lr, optimizer.momentum,
-                                 optimizer.weight_decay, optimizer.step_count))
-        for v in optimizer.velocities:
-            parts.append(_pack_array(v))
     return b"".join(parts)
 
 
-def load_checkpoint_bytes(blob: bytes) -> tuple[EncoderModel, OptimizerState | None]:
+def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
     off = 0
 
     def take(n: int) -> bytes:
@@ -381,29 +372,16 @@ def load_checkpoint_bytes(blob: bytes) -> tuple[EncoderModel, OptimizerState | N
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         ws.append(Tensor(read_array((fan_in, fan_out)), requires_grad=not frozen))
         bs.append(Tensor(read_array((fan_out,)), requires_grad=not frozen))
-    model = EncoderModel(dims, ws, bs, frozen=bool(frozen))
-
-    opt: OptimizerState | None = None
-    (has_opt,) = struct.unpack("<B", take(1))
-    if has_opt:
-        lr, momentum, wd, steps = struct.unpack("<dddQ", take(32))
-        velocities = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            velocities.append(read_array((fan_in, fan_out)))
-            velocities.append(read_array((fan_out,)))
-        opt = OptimizerState(lr=lr, momentum=momentum, weight_decay=wd,
-                             velocities=velocities, step_count=steps)
     if off != len(blob):
         raise FormatError("checkpoint has trailing bytes")
-    return model, opt
+    return EncoderModel(dims, ws, bs, frozen=bool(frozen))
 
 
-def save_checkpoint(path, model: EncoderModel,
-                    optimizer: OptimizerState | None = None) -> None:
+def save_checkpoint(path, model: EncoderModel) -> None:
     from .runio import atomic_write_bytes
-    atomic_write_bytes(path, save_checkpoint_bytes(model, optimizer))
+    atomic_write_bytes(path, save_checkpoint_bytes(model))
 
 
-def load_checkpoint(path) -> tuple[EncoderModel, OptimizerState | None]:
+def load_checkpoint(path) -> EncoderModel:
     with open(path, "rb") as f:
         return load_checkpoint_bytes(f.read())

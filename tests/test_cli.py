@@ -1,14 +1,17 @@
 """Command-line pipeline tests on a miniature configuration."""
 
+import argparse
 import json
 import struct
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 import yaml
 
+from xmc import cli
 from xmc.cli import main
 from xmc.runio import sha256_file
 
@@ -112,6 +115,107 @@ class TestGenData:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and "splits sidecar" in err
+
+
+class TestExitCodes:
+    def one_line(self, capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        return err
+
+    def test_holdout_taking_the_whole_vision_split_exits_3(self, workdir, tmp_path,
+                                                            capsys):
+        cfg = tmp_path / "hold.yaml"
+        cfg.write_text(TINY_YAML.replace("vision:\n", "vision:\n  holdout_fraction: 1.0\n"))
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(["gen-data", *args]) == 0
+        capsys.readouterr()
+        assert main(["pretrain-vision", *args]) == 3
+        assert "none are left to fit" in self.one_line(capsys)
+
+    def test_one_sample_vision_split_exits_3(self, workdir, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--config", str(workdir / "tiny.yaml"), "--out", str(out)]
+        assert main(["gen-data", *args]) == 0
+        sidecar = out / "dataset.splits.json"
+        splits = json.loads(sidecar.read_text())
+        splits["vision"] = splits["vision"][:1]
+        sidecar.write_text(json.dumps(splits))
+        capsys.readouterr()
+        assert main(["pretrain-vision", *args]) == 3
+        assert "takes all 1 samples" in self.one_line(capsys)
+
+    def test_non_integer_xmc_jobs_exits_3(self, workdir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("XMC_JOBS", "two")
+        code = main(["estimate-mi", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "XMC_JOBS" in self.one_line(capsys)
+
+    def test_version_1_checkpoint_exits_3(self, pipeline, workdir, tmp_path, capsys):
+        blob = (pipeline / "radio.xmck").read_bytes()
+        old = tmp_path / "old.xmck"
+        old.write_bytes(blob[:4] + struct.pack("<H", 1) + blob[6:] + b"\x00")
+        capsys.readouterr()
+        code = main(["probe", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"),
+                     "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(old)])
+        assert code == 3
+        assert "unsupported checkpoint version 1" in self.one_line(capsys)
+
+    def test_overwrite_is_refused_before_inputs_are_loaded(self, pipeline, workdir,
+                                                           tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "projection.csv").write_text("x,y,class\n")
+        junk = tmp_path / "junk.xmck"
+        junk.write_bytes(b"not a checkpoint")
+        code = main(["project", "--config", str(workdir / "tiny.yaml"), "--out", str(out),
+                     "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(junk)])
+        assert code == 1
+
+
+COMMON_FLAGS = {"--config", "--seed", "--out", "--force"}
+EXTRA_FLAGS = {
+    "gen-data": set(),
+    "pretrain-vision": {"--data"},
+    "pretrain": {"--data", "--vision"},
+    "probe": {"--data", "--encoder", "--fraction"},
+    "finetune": {"--data", "--encoder", "--fraction"},
+    "baseline": {"--data", "--fraction"},
+    "sweep-k": {"--data", "--vision", "--jobs"},
+    "sweep-labels": {"--data", "--vision", "--jobs"},
+    "estimate-mi": {"--jobs"},
+    "project": {"--data", "--encoder"},
+}
+
+
+class TestCommandTable:
+    def test_one_distinct_function_per_command(self):
+        assert set(cli.COMMANDS) == set(EXTRA_FLAGS)
+        fns = list(cli.COMMANDS.values())
+        assert all(isinstance(fn, types.FunctionType) for fn in fns)
+        assert len(set(map(id, fns))) == len(fns)
+
+    def test_main_looks_the_command_up_at_call_time(self, monkeypatch):
+        seen = []
+        monkeypatch.setitem(cli.COMMANDS, "gen-data",
+                            lambda args, cfg: seen.append(args.command) or 0)
+        assert main(["gen-data"]) == 0
+        assert seen == ["gen-data"]
+
+    def test_each_command_has_exactly_its_flags(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(EXTRA_FLAGS)
+        for name, parser in sub.choices.items():
+            flags = {opt for a in parser._actions for opt in a.option_strings}
+            assert flags - {"-h", "--help"} == COMMON_FLAGS | EXTRA_FLAGS[name], name
+
+    def test_flag_defaults(self):
+        args = cli.build_parser().parse_args(["probe"])
+        assert (args.fraction, args.data, args.encoder, args.force) == (1.0, None, None, False)
+        assert cli.build_parser().parse_args(["sweep-k"]).jobs is None
 
 
 class TestDeterminism:
