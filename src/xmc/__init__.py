@@ -27,7 +27,6 @@ from .evaluation import (
     ProbeResult,
     SweepTable,
     cluster_separation,
-    extract_features,
     finetune,
     linear_probe,
     project_2d,
@@ -35,7 +34,6 @@ from .evaluation import (
 )
 from .mi import MiCriticConfig, MiEstimate, estimate_mi_gaussian, mi_lower_bound
 from .models import (
-    ClassifierHead,
     EncoderModel,
     OptimizerState,
     cosine_lr,

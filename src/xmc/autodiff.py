@@ -1,159 +1,60 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Explicit reverse-mode gradients through the one network shape xmc trains.
 
-Define-by-run: each op returns a fresh :class:`Tensor`, built by
-:func:`node`, that remembers its parents and a closure propagating the output
-gradient to them. ``backward`` replays the recorded graph in reverse creation
-order, which is a valid topological order because operands always exist
-before their result.
-
-Scope is deliberately small: 2-D matrices and vectors, matmul, a row-wise bias
-add, relu and row normalization. Losses are single fused nodes with
-closed-form backward passes (``models.cross_entropy``,
-``contrastive.info_nce``), built on the numpy kernel :func:`logsumexp_row`.
-Gradients accumulate into ``.grad`` buffers; callers zero them between steps.
+Every trained model is an MLP chain (affine layers, relu between them, none
+after the last) that feeds a loss with a closed-form gradient
+(``models.cross_entropy``, ``contrastive.info_nce``, both on the numpy kernel
+:func:`logsumexp_row`). So there is no graph: ``EncoderModel.forward``
+returns each layer's input next to the output, and :func:`backward` walks
+the layers in reverse from the loss gradient. The one other differentiable
+step, :func:`l2_normalize` between the radio encoder and InfoNCE, returns
+its backward as a closure.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, UsageError
+from .errors import ContractError, DegenerateInputError, DimensionError
 
-__all__ = ["Tensor", "backward", "zero_grads", "node", "matmul", "add_bias",
-           "relu", "l2_normalize", "logsumexp_row"]
+__all__ = ["Tensor", "backward", "l2_normalize", "logsumexp_row"]
 
 NORM_EPS = 1e-12
 
-_node_ids = itertools.count()
-
 
 class Tensor:
-    """A float64 array, an optional gradient buffer, and graph bookkeeping."""
+    """A float64 parameter array and the gradient :func:`backward` assigns."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_nid")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data, dtype=np.float64)
-        self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], None] | None = None
-        self._nid = next(_node_ids)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise UsageError(f"item() needs a scalar tensor, got shape {self.shape}")
-        return float(self.data.reshape(()))
-
-    def _accumulate(self, g: np.ndarray) -> None:
-        """Add ``g`` to ``.grad``. The first gradient is taken over, not
-        copied, and later ones are added into it in place. So a backward
-        closure passes either a fresh array or its own output gradient,
-        which ``backward`` drops once the closure returns; none keeps ``g``."""
-        if self.grad is None:
-            self.grad = g
-        else:
-            self.grad += g
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def node(data: np.ndarray, parents: tuple[Tensor, ...],
-         backward: Callable[[np.ndarray], None]) -> Tensor:
-    """The result of an op: records ``parents`` and the ``backward`` closure,
-    which receives the output gradient, iff some parent requires grad."""
-    out = Tensor(data)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
-    return out
-
-
-def zero_grads(params: Iterable[Tensor]) -> None:
-    for p in params:
-        p.grad = None
-
-
-def backward(loss: Tensor) -> None:
-    """Populate ``.grad`` on every tensor the scalar ``loss`` depends on.
-
-    Repeated calls without zeroing accumulate gradients on leaf tensors.
-    """
-    if loss.data.size != 1:
-        raise UsageError(f"backward() needs a scalar loss, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-
-    seen: set[int] = set()
-    nodes: list[Tensor] = []
-    stack = [loss]
-    while stack:
-        t = stack.pop()
-        if id(t) in seen:
-            continue
-        seen.add(id(t))
-        nodes.append(t)
-        stack.extend(t._parents)
-
-    loss.grad = np.ones_like(loss.data)
-    # Reverse creation order visits every node after all of its consumers.
-    for t in sorted(nodes, key=lambda n: n._nid, reverse=True):
-        if t._backward is None:
-            continue
-        if t.grad is not None:
-            t._backward(t.grad)
-            t.grad = None  # interior grads are consumed; leaves keep theirs
-
-
-# ---------------------------------------------------------------------------
-# ops
-# ---------------------------------------------------------------------------
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of a (M, K) and a (K, N) tensor."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return node(a.data @ b.data, (a, b), back)
-
-
-def relu(a: Tensor) -> Tensor:
-    """max(x, 0); the subgradient at exactly 0 is taken to be 0."""
-    mask = a.data > 0.0
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(g * mask)
-
-    return node(np.where(mask, a.data, 0.0), (a,), back)
-
-
-def add_bias(m: Tensor, b: Tensor) -> Tensor:
-    """Add a length-N bias vector to every row of an (M, N) matrix."""
-    if m.data.ndim != 2 or b.data.ndim != 1 or m.shape[1] != b.shape[0]:
-        raise DimensionError(f"add_bias: matrix {m.shape} vs bias {b.shape}")
-
-    def back(g: np.ndarray) -> None:
-        if m.requires_grad:
-            m._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g.sum(axis=0))
-
-    return node(m.data + b.data[None, :], (m, b), back)
+def backward(model, acts: list[np.ndarray], g: np.ndarray,
+             input_grad: bool = False) -> np.ndarray | None:
+    """Assign ``.grad`` on every parameter of ``model``, an ``EncoderModel``
+    whose ``forward`` gave the layer inputs ``acts``, from the loss gradient
+    ``g`` with respect to its output. Each parameter gets exactly one
+    gradient, so it is assigned, not added. Returns the gradient with
+    respect to the model's input iff ``input_grad``."""
+    if model.frozen:
+        raise ContractError("cannot backpropagate into a frozen model")
+    if g.shape != (len(acts[0]), model.dims[-1]):
+        raise DimensionError(
+            f"backward: output gradient {g.shape} vs output "
+            f"{(len(acts[0]), model.dims[-1])}")
+    for i in reversed(range(len(model.weights))):
+        a, w = acts[i], model.weights[i]
+        model.biases[i].grad = g.sum(axis=0)
+        w.grad = a.T @ g
+        if i or input_grad:
+            g = g @ w.data.T
+        if i:
+            g *= a > 0.0  # a is the previous layer's relu output
+    return g if input_grad else None
 
 
 def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -167,18 +68,18 @@ def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (mx + np.log(sums)).reshape(-1), ex / sums
 
 
-def l2_normalize(m: Tensor) -> Tensor:
-    """Scale each row of an (M, N) matrix to unit Euclidean norm."""
-    if m.data.ndim != 2:
+def l2_normalize(m: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Each row of an (M, N) matrix scaled to unit Euclidean norm, and the
+    backward that maps a gradient on the result to one on ``m``."""
+    if m.ndim != 2:
         raise DimensionError(f"l2_normalize: expected a matrix, got shape {m.shape}")
-    norms = np.sqrt((m.data * m.data).sum(axis=1))
+    norms = np.sqrt((m * m).sum(axis=1))
     bad = np.nonzero(norms <= NORM_EPS)[0]
     if bad.size:
         raise DegenerateInputError(f"l2_normalize: row {bad[0]} has near-zero norm")
-    out = m.data / norms[:, None]
 
-    def back(g: np.ndarray) -> None:
-        dots = (g * m.data).sum(axis=1)
-        m._accumulate(g / norms[:, None] - m.data * (dots / norms**3)[:, None])
+    def back(g: np.ndarray) -> np.ndarray:
+        dots = (g * m).sum(axis=1)
+        return g / norms[:, None] - m * (dots / norms**3)[:, None]
 
-    return node(out, (m,), back)
+    return m / norms[:, None], back

@@ -342,7 +342,7 @@ def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     (proj_path,) = outputs
     split = ev.make_task_split(load_dataset(inputs["data"]))
-    feats = ev.extract_features(load_checkpoint(inputs["encoder"]), split.test_inputs)
+    feats = load_checkpoint(inputs["encoder"]).forward_numpy(split.test_inputs)
     coords = ev.project_2d(feats)
     labels = split.test_labels_for_reporting()
     sep = ev.cluster_separation(coords, labels)

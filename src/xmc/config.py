@@ -1,7 +1,8 @@
 """Experiment configuration: defaults, YAML overlay, strict validation.
 
 Every field has a default, so every command runs with zero flags; unknown
-keys are rejected so a typo cannot silently fall back to a default. Together
+keys are rejected so a typo cannot silently fall back to a default, and
+values out of range are rejected once the overlay is complete. Together
 with the code version, a resolved config fully determines a run.
 """
 
@@ -48,7 +49,6 @@ class ContrastiveSection:
     lr: float = 0.03
     momentum: float = 0.9
     weight_decay: float = 1e-4
-    normalize: bool = True
 
 
 @dataclass
@@ -135,9 +135,44 @@ def _apply(obj, mapping: dict, path: str) -> None:
             raise ConfigError(f"cannot assign {where}")
 
 
+# Field name -> (range test, its description). Every other field annotated
+# as an integer or a list of integers, but the seed, is a count.
+_RANGES = {
+    "lr": (lambda v: v > 0.0, "> 0"),
+    "tau": (lambda v: v > 0.0, "> 0"),
+    "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+    "weight_decay": (lambda v: v >= 0.0, ">= 0"),
+    "holdout_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    "rhos": (lambda v: -1.0 < v < 1.0, "in (-1, 1)"),
+}
+_COUNT = (lambda v: v >= 1, "an integer >= 1")
+
+
+def _check_ranges(obj, path: str = "") -> None:
+    """Raise ConfigError for the first value out of its range; the range of
+    a list field holds for each of its entries."""
+    for f in dataclasses.fields(obj):
+        where = f"{path}.{f.name}" if path else f.name
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            _check_ranges(value, where)
+            continue
+        if f.name in _RANGES:
+            kinds, (test, rule) = (int, float), _RANGES[f.name]
+        elif f.type in ("int", "list[int]") and f.name != "seed":
+            kinds, (test, rule) = int, _COUNT
+        else:
+            continue
+        for v in value if isinstance(value, list) else [value]:
+            if isinstance(v, bool) or not isinstance(v, kinds) or not test(v):
+                raise ConfigError(f"{where} must be {rule}, got {v!r}")
+
+
 def load_config(path: str | Path | None = None,
                 overrides: dict | None = None) -> ExperimentConfig:
-    """Defaults, overlaid by an optional YAML file, then explicit overrides."""
+    """Defaults, overlaid by an optional YAML file, then explicit overrides;
+    then every value is checked against its range."""
     cfg = ExperimentConfig()
     if path is not None:
         with open(path, "r", encoding="utf-8") as f:
@@ -155,6 +190,7 @@ def load_config(path: str | Path | None = None,
         _apply(cfg, loaded, "")
     if overrides:
         _apply(cfg, overrides, "")
+    _check_ranges(cfg)
     return cfg
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .datagen import Dataset, heatmap_inputs, image_inputs
 from .errors import ConfigError, ContractError, NumericError, UsageError
 from .models import EncoderModel, cosine_lr, init_encoder, make_optimizer, sgd_step
@@ -74,9 +73,9 @@ class NegativeQueue:
         return np.vstack([self._buf[p:], self._buf[:p]])
 
 
-def info_nce(q: Tensor, k_plus: np.ndarray, queue: NegativeQueue,
-             tau: float) -> Tensor:
-    """Mean contrastive loss over the batch, as one graph node.
+def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
+             tau: float) -> tuple[float, np.ndarray]:
+    """Mean contrastive loss over the batch, and its gradient dq.
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
     evaluated as a stabilized logsumexp over the (K+1)-way scores. Gradients
@@ -88,30 +87,28 @@ def info_nce(q: Tensor, k_plus: np.ndarray, queue: NegativeQueue,
         raise ConfigError(f"temperature must be > 0, got {tau}")
     if len(queue) == 0:
         raise UsageError("info_nce needs a non-empty negative queue")
-    if q.data.ndim != 2 or k_plus.shape != q.shape:
+    if q.ndim != 2 or k_plus.shape != q.shape:
         raise UsageError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
     negatives = queue.snapshot()
     if negatives.shape[1] != q.shape[1]:
         raise UsageError(
             f"queue dim {negatives.shape[1]} does not match embedding dim {q.shape[1]}")
     if queue.unit_check:
-        for name, block in (("q", q.data), ("k_plus", k_plus), ("queue", negatives)):
+        for name, block in (("q", q), ("k_plus", k_plus), ("queue", negatives)):
             norms = np.sqrt((block * block).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
                 raise ContractError(f"info_nce: {name} rows are not unit-norm")
 
     inv_tau = 1.0 / tau
-    pos = (q.data * k_plus).sum(axis=1)
-    scores = np.concatenate([pos[:, None], q.data @ negatives.T], axis=1) * inv_tau
-    lse, softmax = ad.logsumexp_row(scores)
-
-    def back(g: np.ndarray) -> None:
-        c = float(g) / len(pos)
-        d = softmax * c * inv_tau
-        d[:, 0] -= c * inv_tau
-        q._accumulate(d[:, 1:] @ negatives + d[:, :1] * k_plus)
-
-    return ad.node(np.asarray((lse - pos * inv_tau).mean()), (q,), back)
+    pos = (q * k_plus).sum(axis=1)
+    scores = np.concatenate([pos[:, None], q @ negatives.T], axis=1) * inv_tau
+    lse, d = ad.logsumexp_row(scores)
+    c = 1.0 / len(pos)
+    d *= c
+    d *= inv_tau
+    d[:, 0] -= c * inv_tau
+    return (float((lse - pos * inv_tau).mean()),
+            d[:, 1:] @ negatives + d[:, :1] * k_plus)
 
 
 @dataclass(frozen=True)
@@ -128,7 +125,6 @@ class ContrastiveConfig:
     seed: int = 0
     hidden: tuple[int, ...] = (256, 256)
     embed_dim: int = 128
-    normalize: bool = True
 
     def __post_init__(self):
         if self.tau <= 0.0:
@@ -154,16 +150,14 @@ class PretrainResult:
 
 
 def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
-                normalize: bool = True, batch: int = 256) -> np.ndarray:
-    """Vision-branch keys for a stack of flattened images, without recording
-    any graph. The vision branch is frozen, so keys are computed once."""
+                batch: int = 256) -> np.ndarray:
+    """Unit-norm vision-branch keys for a stack of flattened images. The
+    vision branch is frozen, so keys are computed once."""
     out = np.empty((len(images_flat), vision.embed_dim))
     for start in range(0, len(images_flat), batch):
         block = vision.forward_numpy(images_flat[start:start + batch])
-        if normalize:
-            norms = np.sqrt((block * block).sum(axis=1, keepdims=True))
-            block = block / np.maximum(norms, ad.NORM_EPS)
-        out[start:start + batch] = block
+        norms = np.sqrt((block * block).sum(axis=1, keepdims=True))
+        out[start:start + batch] = block / np.maximum(norms, ad.NORM_EPS)
     return out
 
 
@@ -184,7 +178,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
 
     heat = heatmap_inputs(dataset.heatmaps[idx])
-    keys = encode_keys(vision, image_inputs(dataset.images[idx]), cfg.normalize)
+    keys = encode_keys(vision, image_inputs(dataset.images[idx]))
     if vision.embed_dim != cfg.embed_dim:
         raise ConfigError(
             f"vision embed dim {vision.embed_dim} != configured {cfg.embed_dim}")
@@ -193,7 +187,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
                          derive_seed(cfg.seed, "radio"))
     params = radio.parameters()
     opt = make_optimizer(params, cfg.lr, cfg.momentum, cfg.weight_decay)
-    queue = NegativeQueue(cfg.queue_size, unit_check=cfg.normalize)
+    queue = NegativeQueue(cfg.queue_size)
 
     n = len(idx)
     order_rng = rng_for(cfg.seed, "batch-order")
@@ -213,16 +207,13 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
         total = 0.0
         for start in range(0, n, cfg.batch_size):
             sel = order[start:start + cfg.batch_size]
-            q = radio.forward(Tensor(heat[sel]))
-            if cfg.normalize:
-                q = ad.l2_normalize(q)
-            loss = info_nce(q, keys[sel], queue, cfg.tau)
-            value = loss.item()
+            raw, acts = radio.forward(heat[sel])
+            q, normalize_back = ad.l2_normalize(raw)
+            value, dq = info_nce(q, keys[sel], queue, cfg.tau)
             if not math.isfinite(value):
                 raise NumericError(
                     f"non-finite contrastive loss at epoch {epoch}, sample {start}")
-            ad.zero_grads(params)
-            ad.backward(loss)
+            ad.backward(radio, acts, normalize_back(dq))
             sgd_step(params, opt, lr=lr)
             queue.enqueue(keys[sel])
             total += value * len(sel)

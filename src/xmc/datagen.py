@@ -326,86 +326,109 @@ def make_dataset(cfg: SimulatorConfig, n: int, seed: int,
 def heatmap_inputs(heatmaps: np.ndarray) -> np.ndarray:
     """Flatten heatmaps and scale each to unit peak (radar AGC); keeps the
     encoder input O(1) despite the 1/range^2 amplitude swing."""
-    flat = heatmaps.reshape(len(heatmaps), -1)
+    flat = heatmaps.reshape(len(heatmaps), math.prod(heatmaps.shape[1:]))
     peaks = np.maximum(flat.max(axis=1), 1e-30)
     return flat / peaks[:, None]
 
 
 def image_inputs(images: np.ndarray) -> np.ndarray:
     """Flatten images; patches are unit intensity already."""
-    return images.reshape(len(images), -1)
+    return images.reshape(len(images), math.prod(images.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
 # container file format
 # ---------------------------------------------------------------------------
 
+_HEADER = struct.Struct("<4sH5I")  # magic, version, R, A, H, W, n
+_SPLIT_KEYS = ("train", "test", "vision", "contrastive")
+
+
+def _record_dtype(r: int, a: int, h: int, w: int) -> np.dtype:
+    """One sample of the file body: class u8, heatmap f64, image f64."""
+    return np.dtype([("label", "u1"), ("heatmap", "<f8", (r, a)),
+                     ("image", "<f8", (h, w))])
+
+
 def dataset_to_bytes(ds: Dataset) -> bytes:
     """Header: magic, version u16, R, A, H, W, n as little-endian u32;
     then per sample: class u8, heatmap f64 row-major, image f64 row-major."""
     _, r, a = ds.heatmaps.shape
     _, h, w = ds.images.shape
-    parts = [DATASET_MAGIC,
-             struct.pack("<H5I", DATASET_VERSION, r, a, h, w, ds.n)]
-    for i in range(ds.n):
-        parts.append(struct.pack("<B", int(ds.labels[i])))
-        parts.append(ds.heatmaps[i].astype("<f8").tobytes())
-        parts.append(ds.images[i].astype("<f8").tobytes())
-    return b"".join(parts)
+    record = _record_dtype(r, a, h, w)
+    blob = bytearray(_HEADER.size + ds.n * record.itemsize)
+    blob[:_HEADER.size] = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, r, a, h, w, ds.n)
+    body = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
+    body["label"] = ds.labels
+    body["heatmap"] = ds.heatmaps
+    body["image"] = ds.images
+    return bytes(blob)
 
 
 def splits_to_json(ds: Dataset) -> str:
-    payload = {
-        "train": ds.train_idx.tolist(),
-        "test": ds.test_idx.tolist(),
-        "vision": ds.vision_idx.tolist(),
-        "contrastive": ds.contrastive_idx.tolist(),
-    }
+    payload = {key: getattr(ds, f"{key}_idx").tolist() for key in _SPLIT_KEYS}
     return json.dumps(payload, sort_keys=True, indent=0) + "\n"
 
 
-def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
-    off = 0
-
-    def take(nbytes: int) -> bytes:
-        nonlocal off
-        if off + nbytes > len(blob):
-            raise FormatError("dataset file truncated")
-        out = blob[off:off + nbytes]
-        off += nbytes
-        return out
-
-    if take(4) != DATASET_MAGIC:
-        raise FormatError("not a dataset file (bad magic)")
-    version, r, a, h, w, n = struct.unpack("<H5I", take(2 + 20))
-    if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
-    heatmaps = np.empty((n, r, a))
-    images = np.empty((n, h, w))
-    labels = np.empty(n, dtype=np.uint8)
-    for i in range(n):
-        (labels[i],) = struct.unpack("<B", take(1))
-        heatmaps[i] = np.frombuffer(take(8 * r * a), dtype="<f8").reshape(r, a)
-        images[i] = np.frombuffer(take(8 * h * w), dtype="<f8").reshape(h, w)
-    if off != len(blob):
-        raise FormatError("dataset file has trailing bytes")
-
+def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
+    """The four index arrays of a splits sidecar for ``n`` samples. Each
+    holds distinct in-range indices, test and train share none, and vision
+    and contrastive partition train."""
     try:
         splits = json.loads(splits_json)
     except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError from bytes
         raise FormatError(f"splits sidecar is not JSON: {e}") from None
     if not isinstance(splits, dict):
         raise FormatError("splits sidecar root must be a JSON object")
-    for key in ("train", "test", "vision", "contrastive"):
+    out = {}
+    for key in _SPLIT_KEYS:
         if key not in splits:
             raise FormatError(f"splits sidecar is missing {key!r}")
-    return Dataset(
-        heatmaps, images, labels,
-        np.asarray(splits["train"], dtype=np.int64),
-        np.asarray(splits["test"], dtype=np.int64),
-        np.asarray(splits["vision"], dtype=np.int64),
-        np.asarray(splits["contrastive"], dtype=np.int64),
-    )
+        idx = splits[key]
+        if not isinstance(idx, list) or any(type(i) is not int for i in idx):
+            raise FormatError(f"splits sidecar {key!r} must be a list of integers")
+        bad = [i for i in idx if not 0 <= i < n]
+        if bad:
+            raise FormatError(
+                f"splits sidecar {key!r} index {bad[0]} is out of range for {n} samples")
+        out[key] = np.asarray(idx, dtype=np.int64)
+        if len(np.unique(out[key])) != len(idx):
+            raise FormatError(f"splits sidecar {key!r} repeats an index")
+    if np.intersect1d(out["test"], out["train"]).size:
+        raise FormatError("splits sidecar: test and train share samples")
+    if np.intersect1d(out["vision"], out["contrastive"]).size:
+        raise FormatError("splits sidecar: vision and contrastive share samples")
+    if not np.array_equal(np.union1d(out["vision"], out["contrastive"]),
+                          np.sort(out["train"])):
+        raise FormatError("splits sidecar: vision and contrastive do not make up train")
+    return out
+
+
+def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
+    if len(blob) < _HEADER.size:
+        raise FormatError("dataset file truncated")
+    magic, version, r, a, h, w, n = _HEADER.unpack_from(blob)
+    if magic != DATASET_MAGIC:
+        raise FormatError("not a dataset file (bad magic)")
+    if version != DATASET_VERSION:
+        raise FormatError(f"unsupported dataset version {version}")
+    if min(r, a, h, w, n) < 1:
+        raise FormatError(f"dataset header has a zero size: R, A, H, W, n = "
+                          f"{r}, {a}, {h}, {w}, {n}")
+    # the exact length is checked before anything is allocated from the header
+    expected = _HEADER.size + n * (1 + 8 * r * a + 8 * h * w)
+    if len(blob) < expected:
+        raise FormatError(f"dataset file truncated: {len(blob)} bytes, the header "
+                          f"implies {expected}")
+    if len(blob) > expected:
+        raise FormatError("dataset file has trailing bytes")
+    body = np.frombuffer(blob, dtype=_record_dtype(r, a, h, w), offset=_HEADER.size)
+    if body["label"].max() >= N_CLASSES:
+        raise FormatError(f"dataset file has a class id above {N_CLASSES - 1}")
+    idx = _split_indices(splits_json, n)
+    return Dataset(body["heatmap"].astype(np.float64), body["image"].astype(np.float64),
+                   body["label"].copy(), idx["train"], idx["test"], idx["vision"],
+                   idx["contrastive"])
 
 
 def save_dataset(path, ds: Dataset) -> None:

@@ -7,7 +7,7 @@ and queue-size sweeps aggregate means and standard deviations over seeds.
 
 Test-split hygiene: training code receives a :class:`TaskSplit` whose test
 labels are private; the only way to touch them is through scoring methods,
-and all test-side forward passes use the graph-free numpy path.
+and no test-side forward pass is ever backpropagated.
 """
 
 from __future__ import annotations
@@ -61,11 +61,6 @@ def make_task_split(dataset: Dataset) -> TaskSplit:
         test_inputs=heatmap_inputs(dataset.heatmaps[te]),
         _test_labels=dataset.labels[te].astype(np.int64),
     )
-
-
-def extract_features(encoder: EncoderModel, inputs: np.ndarray) -> np.ndarray:
-    """Embeddings of a stack of flattened inputs; graph-free, deterministic."""
-    return encoder.forward_numpy(inputs)
 
 
 def stratified_label_subset(labels: np.ndarray, fraction: float,
@@ -151,8 +146,8 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
     """Train only a linear head on frozen features from a stratified label
     subsample; the encoder is never updated. Features are standardized with
     statistics of the (label-free) full train split."""
-    feats_train = extract_features(encoder, split.train_inputs)
-    feats_test = extract_features(encoder, split.test_inputs)
+    feats_train = encoder.forward_numpy(split.train_inputs)
+    feats_test = encoder.forward_numpy(split.test_inputs)
     mu, sd = _standardizer(feats_train)
     feats_train = (feats_train - mu) / sd
     feats_test = (feats_test - mu) / sd
@@ -166,7 +161,7 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
         weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
         seed=derive_seed(seed, "probe-train"), train_encoder=False,
         test_inputs=feats_test, test_labels=split.test_labels_for_reporting())
-    preds = head.logits_numpy(feats_test).argmax(axis=1)
+    preds = head.forward_numpy(feats_test).argmax(axis=1)
     return _result("linear-probe", fraction, seed,
                    split.test_accuracy(preds), run.test_loss)
 
@@ -185,7 +180,7 @@ def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
         weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
         seed=derive_seed(seed, "finetune-train"), train_encoder=True,
         test_inputs=split.test_inputs, test_labels=split.test_labels_for_reporting())
-    preds = head.logits_numpy(tuned.forward_numpy(split.test_inputs)).argmax(axis=1)
+    preds = head.forward_numpy(tuned.forward_numpy(split.test_inputs)).argmax(axis=1)
     result = _result("fine-tune", fraction, seed,
                      split.test_accuracy(preds), run.test_loss)
     return result, tuned
@@ -207,7 +202,7 @@ def supervised_baseline(split: TaskSplit, fraction: float, cfg: HeadConfig,
         weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
         seed=derive_seed(seed, "baseline-train"), train_encoder=True,
         test_inputs=split.test_inputs, test_labels=split.test_labels_for_reporting())
-    preds = head.logits_numpy(encoder.forward_numpy(split.test_inputs)).argmax(axis=1)
+    preds = head.forward_numpy(encoder.forward_numpy(split.test_inputs)).argmax(axis=1)
     return _result("supervised-baseline", fraction, seed,
                    split.test_accuracy(preds), run.test_loss)
 

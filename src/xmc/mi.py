@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .contrastive import NegativeQueue, info_nce
 from .datagen import GaussianPairConfig, analytic_mi, gen_gaussian_pairs
 from .errors import DomainError, NumericError
@@ -121,12 +120,11 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
         lr = cosine_lr(epoch, n_epochs, critic.lr)
         for start in range(0, n, critic.batch_size):
             sel = order[start:start + critic.batch_size]
-            q = q_enc.forward(Tensor(x_train[sel]))
-            loss = info_nce(q, keys_train[sel], queue, critic.tau)
-            if not math.isfinite(loss.item()):
+            q, acts = q_enc.forward(x_train[sel])
+            loss, dq = info_nce(q, keys_train[sel], queue, critic.tau)
+            if not math.isfinite(loss):
                 raise NumericError(f"non-finite critic loss at epoch {epoch}")
-            ad.zero_grads(params)
-            ad.backward(loss)
+            ad.backward(q_enc, acts, dq)
             sgd_step(params, opt, lr=lr)
             _enqueue_tail(queue, keys_train[sel])
 
@@ -142,9 +140,9 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
         sel = slice(start, min(start + critic.batch_size, n_hold))
-        loss = info_nce(Tensor(q_hold[sel]), keys_hold[sel], eval_queue, critic.tau)
+        loss, _ = info_nce(q_hold[sel], keys_hold[sel], eval_queue, critic.tau)
         m = q_hold[sel].shape[0]
-        total += loss.item() * m
+        total += loss * m
         count += m
         _enqueue_tail(eval_queue, keys_hold[sel])
     mean_loss = total / count

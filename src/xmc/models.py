@@ -1,8 +1,9 @@
 """Encoders, classifier heads, the SGD optimizer, and checkpoint IO.
 
 Both branches are plain MLPs (affine layers with relu between, none after
-the last). The vision branch is trained supervised on its own data slice and
-then frozen; it only ever serves as a fixed key encoder afterwards.
+the last), and a classifier head is a one-layer MLP. The vision branch is
+trained supervised on its own data slice and then frozen; it only ever
+serves as a fixed key encoder afterwards.
 """
 
 from __future__ import annotations
@@ -59,42 +60,35 @@ class EncoderModel:
             out.append(b)
         return out
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Embed a (B, input_dim) batch; gradients flow iff not frozen."""
-        if x.data.ndim != 2 or x.shape[1] != self.input_dim:
-            raise DimensionError(
-                f"encoder expects (B, {self.input_dim}), got {x.shape}")
-        h = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = ad.add_bias(ad.matmul(h, w), b)
-            if i != last:
-                h = ad.relu(h)
-        return h
-
-    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
-        """Graph-free forward pass for feature extraction and metrics."""
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """Embed a (B, input_dim) batch. Also returns each layer's input,
+        which ``autodiff.backward`` needs."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.input_dim:
             raise DimensionError(
                 f"encoder expects (B, {self.input_dim}), got {h.shape}")
+        acts = []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            acts.append(h)
             h = h @ w.data + b.data[None, :]
             if i != last:
                 h = np.maximum(h, 0.0)
-        return h
+        return h, acts
+
+    def forward_numpy(self, x: np.ndarray) -> np.ndarray:
+        """The embedding alone, for feature extraction and metrics."""
+        return self.forward(x)[0]
 
     def freeze(self) -> None:
         self.frozen = True
         for p in self.parameters():
-            p.requires_grad = False
             p.grad = None
 
     def copy(self, trainable: bool = True) -> "EncoderModel":
         """Independent deep copy; by default the copy is trainable."""
-        ws = [Tensor(w.data.copy(), requires_grad=trainable) for w in self.weights]
-        bs = [Tensor(b.data.copy(), requires_grad=trainable) for b in self.biases]
+        ws = [Tensor(w.data.copy()) for w in self.weights]
+        bs = [Tensor(b.data.copy()) for b in self.biases]
         return EncoderModel(list(self.dims), ws, bs, frozen=not trainable)
 
     def param_bytes(self) -> bytes:
@@ -109,57 +103,32 @@ def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderM
     rng = rng_for(seed, "encoder-init")
     ws, bs = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(Tensor(xavier_uniform(rng, fan_in, fan_out), requires_grad=trainable))
-        bs.append(Tensor(np.zeros(fan_out), requires_grad=trainable))
+        ws.append(Tensor(xavier_uniform(rng, fan_in, fan_out)))
+        bs.append(Tensor(np.zeros(fan_out)))
     return EncoderModel(list(dims), ws, bs, frozen=not trainable)
 
 
-@dataclass
-class ClassifierHead:
-    """A single affine layer from embeddings to class logits."""
-
-    weight: Tensor
-    bias: Tensor
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
-
-    def forward(self, features: Tensor) -> Tensor:
-        return ad.add_bias(ad.matmul(features, self.weight), self.bias)
-
-    def logits_numpy(self, features: np.ndarray) -> np.ndarray:
-        return features @ self.weight.data + self.bias.data[None, :]
+def init_head(embed_dim: int, n_classes: int) -> EncoderModel:
+    """A one-layer model from embeddings to class logits. Heads start at
+    zero: at the small head learning rates the learned update direction, not
+    a random init, must decide the argmax."""
+    return EncoderModel([embed_dim, n_classes],
+                        [Tensor(np.zeros((embed_dim, n_classes)))],
+                        [Tensor(np.zeros(n_classes))])
 
 
-def init_head(embed_dim: int, n_classes: int) -> ClassifierHead:
-    """Heads start at zero: at the small head learning rates the learned
-    update direction, not a random init, must decide the argmax."""
-    w = Tensor(np.zeros((embed_dim, n_classes)), requires_grad=True)
-    b = Tensor(np.zeros(n_classes), requires_grad=True)
-    return ClassifierHead(w, b)
-
-
-def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean softmax cross-entropy of (B, C) logits against integer labels, as
-    one graph node whose backward is (softmax - one-hot(labels)) / B."""
+def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of (B, C) logits against integer labels,
+    and its gradient (softmax - one-hot(labels)) / B."""
     labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.shape != (logits.shape[0],):
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     rows = np.arange(len(labels))
-    lse, softmax = ad.logsumexp_row(logits.data)
-
-    def back(g: np.ndarray) -> None:
-        c = float(g) / len(rows)
-        d = softmax * c
-        d[rows, labels] -= c
-        logits._accumulate(d)
-
-    return ad.node(np.asarray((lse - logits.data[rows, labels]).mean()), (logits,), back)
-
-
-def cross_entropy_numpy(logits: np.ndarray, labels: np.ndarray) -> float:
-    lse, _ = ad.logsumexp_row(logits)
-    return float((lse - logits[np.arange(len(labels)), labels]).mean())
+    lse, d = ad.logsumexp_row(logits)
+    c = 1.0 / len(rows)
+    d *= c
+    d[rows, labels] -= c
+    return float((lse - logits[rows, labels]).mean()), d
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +154,8 @@ def make_optimizer(params: list[Tensor], lr: float, momentum: float,
 
 def sgd_step(params: list[Tensor], state: OptimizerState,
              lr: float | None = None) -> None:
-    """v <- momentum*v + (g + wd*p); p <- p - lr*v."""
+    """v <- momentum*v + (g + wd*p); p <- p - lr*v. Each gradient is used
+    once: it is cleared after the step."""
     if len(state.velocities) != len(params):
         raise UsageError("optimizer state does not match the parameter list")
     if lr is not None:
@@ -196,6 +166,7 @@ def sgd_step(params: list[Tensor], state: OptimizerState,
         v *= state.momentum
         v += p.grad + state.weight_decay * p.data
         p.data -= state.lr * v
+        p.grad = None
 
 
 def cosine_lr(t: int, total: int, base: float) -> float:
@@ -219,7 +190,7 @@ class ClassifierRun:
     test_loss: list[float]
 
 
-def train_classifier(encoder: EncoderModel | None, head: ClassifierHead,
+def train_classifier(encoder: EncoderModel | None, head: EncoderModel,
                      inputs: np.ndarray, labels: np.ndarray, *,
                      epochs: int, lr: float, momentum: float,
                      weight_decay: float, batch_size: int, seed: int,
@@ -230,8 +201,8 @@ def train_classifier(encoder: EncoderModel | None, head: ClassifierHead,
 
     ``encoder=None`` treats the inputs as ready-made features and trains the
     head alone (linear probing). The per-epoch test loss, when test data is
-    given, uses the graph-free forward path so no gradients ever touch the
-    test split.
+    given, is never backpropagated, so no gradients ever touch the test
+    split.
     """
     if encoder is None and train_encoder:
         raise UsageError("train_encoder=True needs an encoder")
@@ -243,7 +214,7 @@ def train_classifier(encoder: EncoderModel | None, head: ClassifierHead,
     n = len(labels)
     run = ClassifierRun(train_loss=[], test_loss=[])
 
-    def embed_numpy(x: np.ndarray) -> np.ndarray:
+    def embed(x: np.ndarray) -> np.ndarray:
         return x if encoder is None else encoder.forward_numpy(x)
 
     for epoch in range(epochs):
@@ -252,21 +223,22 @@ def train_classifier(encoder: EncoderModel | None, head: ClassifierHead,
         for start in range(0, n, batch_size):
             sel = order[start:start + batch_size]
             if train_encoder:
-                feats = encoder.forward(Tensor(inputs[sel]))
+                feats, encoder_acts = encoder.forward(inputs[sel])
             else:
-                feats = Tensor(embed_numpy(inputs[sel]))
-            loss = cross_entropy(head.forward(feats), labels[sel])
-            value = loss.item()
+                feats = embed(inputs[sel])
+            logits, head_acts = head.forward(feats)
+            value, g = cross_entropy(logits, labels[sel])
             if not math.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, sample {start}")
-            ad.zero_grads(params)
-            ad.backward(loss)
+            g = ad.backward(head, head_acts, g, input_grad=train_encoder)
+            if train_encoder:
+                ad.backward(encoder, encoder_acts, g)
             sgd_step(params, opt)
             total += value * len(sel)
         run.train_loss.append(total / n)
         if test_inputs is not None and test_labels is not None:
-            test_logits = head.logits_numpy(embed_numpy(test_inputs))
-            run.test_loss.append(cross_entropy_numpy(test_logits, test_labels))
+            test_logits = head.forward_numpy(embed(test_inputs))
+            run.test_loss.append(cross_entropy(test_logits, test_labels)[0])
     return run
 
 
@@ -300,6 +272,9 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
         raise ConfigError(f"unknown vision pretrain mode: {mode!r}")
 
     n = len(labels)
+    if n == 0:
+        raise ConfigError("the vision split is empty; there is nothing to train "
+                          "the teacher on")
     n_hold = max(1, int(round(holdout_fraction * n)))
     order = rng_for(seed, "vision-holdout").permutation(n)
     hold, fit = order[:n_hold], order[n_hold:]
@@ -314,7 +289,7 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
         batch_size=batch_size, seed=derive_seed(seed, "vision-train"),
         train_encoder=True)
 
-    logits = head.logits_numpy(model.forward_numpy(images[hold]))
+    logits = head.forward_numpy(model.forward_numpy(images[hold]))
     acc = float((logits.argmax(axis=1) == labels[hold]).mean())
     model.freeze()
     return VisionPretrainOutcome(model=model, holdout_accuracy=acc,
@@ -362,16 +337,20 @@ def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
     version, frozen, n_layers = struct.unpack("<HBH", take(5))
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}")
+    if frozen > 1 or n_layers < 1:
+        raise FormatError(f"bad checkpoint header (frozen {frozen}, {n_layers} layers)")
     dims = list(struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1))))
+    if min(dims) < 1:
+        raise FormatError(f"checkpoint layer dims must be positive, got {dims}")
 
     def read_array(shape: tuple[int, ...]) -> np.ndarray:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
 
     ws, bs = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(Tensor(read_array((fan_in, fan_out)), requires_grad=not frozen))
-        bs.append(Tensor(read_array((fan_out,)), requires_grad=not frozen))
+        ws.append(Tensor(read_array((fan_in, fan_out))))
+        bs.append(Tensor(read_array((fan_out,))))
     if off != len(blob):
         raise FormatError("checkpoint has trailing bytes")
     return EncoderModel(dims, ws, bs, frozen=bool(frozen))

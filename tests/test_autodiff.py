@@ -1,4 +1,4 @@
-"""Tensor engine tests: forward values, gradient oracle, graph semantics."""
+"""Chain backward tests: forward values, gradient oracle, layer semantics."""
 
 import math
 
@@ -10,88 +10,91 @@ from hypothesis import strategies as st
 from xmc import autodiff as ad
 from xmc.autodiff import Tensor
 from xmc.contrastive import NegativeQueue, info_nce
-from xmc.errors import DegenerateInputError, DimensionError, UsageError
-from xmc.models import cross_entropy
+from xmc.errors import DegenerateInputError, DimensionError
+from xmc.models import EncoderModel, cross_entropy
 
 from helpers import check_grads, finite_diff_grads, relative_error
 
 
-def total(m: Tensor) -> Tensor:
-    """Sum of all entries of a matrix, as a ones-vector matmul sandwich."""
-    rows, cols = m.shape
-    return ad.matmul(ad.matmul(Tensor(np.ones((1, rows))), m), Tensor(np.ones((cols, 1))))
+def chain(*layers) -> EncoderModel:
+    """An MLP from (weight, bias) pairs."""
+    ws = [Tensor(w) for w, _ in layers]
+    bs = [Tensor(b) for _, b in layers]
+    return EncoderModel([ws[0].data.shape[0]] + [w.data.shape[1] for w in ws], ws, bs)
+
+
+def identity(n: int):
+    return np.eye(n), np.zeros(n)
 
 
 class TestMatmul:
     def test_identity(self):
-        a = Tensor([[2.0, -1.0], [0.5, 3.0]])
-        eye = Tensor(np.eye(2))
-        np.testing.assert_array_equal(ad.matmul(eye, a).data, a.data)
+        a = np.array([[2.0, -1.0], [0.5, 3.0]])
+        np.testing.assert_array_equal(chain(identity(2)).forward(a)[0], a)
 
     def test_hand_product(self):
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = Tensor([[1.0], [1.0]])
-        np.testing.assert_array_equal(ad.matmul(a, b).data, [[3.0], [7.0]])
+        m = chain((np.array([[1.0], [1.0]]), np.zeros(1)))
+        out, _ = m.forward(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
     def test_shape_mismatch_reports_both_shapes(self):
+        m = chain((np.ones((4, 2)), np.zeros(2)))
+        _, acts = m.forward(np.ones((3, 4)))
         with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 2\)"):
-            ad.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones((3, 2))))
+            ad.backward(m, acts, np.ones((3, 4)))
 
     def test_gradient_of_sum_equals_ones_times_bt(self):
         rng = np.random.default_rng(0)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        ad.backward(total(ad.matmul(a, b)))
-        np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
-        check_grads(lambda: total(ad.matmul(a, b)).item(), [a, b])
+        x = Tensor(rng.normal(size=(3, 4)))
+        m = chain((rng.normal(size=(4, 2)), np.zeros(2)))
+        _, acts = m.forward(x.data)
+        x.grad = ad.backward(m, acts, np.ones((3, 2)), input_grad=True)
+        np.testing.assert_allclose(x.grad, np.ones((3, 2)) @ m.weights[0].data.T)
+        np.testing.assert_allclose(m.weights[0].grad, x.data.T @ np.ones((3, 2)))
+        check_grads(lambda: m.forward(x.data)[0].sum(), [x, *m.parameters()])
 
 
 class TestElementwise:
     def test_relu_values(self):
-        out = ad.relu(Tensor([-1.0, 0.0, 2.0]))
-        np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
+        out, _ = chain(identity(3), identity(3)).forward(np.array([[-1.0, 0.0, 2.0]]))
+        np.testing.assert_array_equal(out, [[0.0, 0.0, 2.0]])
 
     def test_relu_subgradient_zero_at_zero(self):
-        x = Tensor([[-1.0, 0.0, 2.0]], requires_grad=True)
-        ad.backward(total(ad.relu(x)))
-        np.testing.assert_array_equal(x.grad, [[0.0, 0.0, 1.0]])
+        m = chain(identity(3), identity(3))
+        _, acts = m.forward(np.array([[-1.0, 0.0, 2.0]]))
+        dx = ad.backward(m, acts, np.ones((1, 3)), input_grad=True)
+        np.testing.assert_array_equal(dx, [[0.0, 0.0, 1.0]])
 
     def test_add_zero_is_identity(self):
-        x = Tensor([[1.5, -2.0]])
-        out = ad.add_bias(x, Tensor([0.0, 0.0]))
-        np.testing.assert_array_equal(out.data, x.data)
-
-    def test_add_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            ad.add_bias(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+        x = np.array([[1.5, -2.0]])
+        np.testing.assert_array_equal(chain(identity(2)).forward(x)[0], x)
+        shifted = chain((np.eye(2), np.array([1.0, -1.0]))).forward(x)[0]
+        np.testing.assert_array_equal(shifted, [[2.5, -3.0]])
 
 
 class TestL2Normalize:
     def test_three_four_five(self):
-        out = ad.l2_normalize(Tensor([[3.0, 4.0]]))
-        np.testing.assert_allclose(out.data, [[0.6, 0.8]])
+        out, _ = ad.l2_normalize(np.array([[3.0, 4.0]]))
+        np.testing.assert_allclose(out, [[0.6, 0.8]])
 
     def test_unit_row_unchanged(self):
         row = np.array([[1.0 / math.sqrt(2), -1.0 / math.sqrt(2)]])
-        out = ad.l2_normalize(Tensor(row))
-        np.testing.assert_allclose(out.data, row, atol=1e-15)
+        out, _ = ad.l2_normalize(row)
+        np.testing.assert_allclose(out, row, atol=1e-15)
 
     def test_near_zero_row_names_index(self):
         bad = np.ones((3, 2))
         bad[1] = 0.0
         with pytest.raises(DegenerateInputError, match="row 1"):
-            ad.l2_normalize(Tensor(bad))
+            ad.l2_normalize(bad)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(3)
-        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
-        w = Tensor(rng.normal(size=(8, 3)))  # fixed projection, makes loss generic
-
-        def f():
-            return total(ad.matmul(ad.l2_normalize(x), w)).item()
-
-        ad.backward(total(ad.matmul(ad.l2_normalize(x), w)))
-        check_grads(f, [x])
+        x = Tensor(rng.normal(size=(4, 8)))
+        w = rng.normal(size=(8, 3))  # fixed projection, makes the loss generic
+        _, back = ad.l2_normalize(x.data)
+        x.grad = back(np.ones((4, 3)) @ w.T)
+        check_grads(lambda: (ad.l2_normalize(x.data)[0] @ w).sum(), [x])
 
 
 class TestLogsumexpRow:
@@ -142,64 +145,54 @@ class TestLogsumexpRow:
 
 class TestBackward:
     def test_sum_grad_is_ones(self):
-        x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        ad.backward(total(x))
-        np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+        m = chain(identity(3))
+        _, acts = m.forward(np.arange(6.0).reshape(2, 3))
+        dx = ad.backward(m, acts, np.ones((2, 3)), input_grad=True)
+        np.testing.assert_array_equal(dx, np.ones((2, 3)))
+        np.testing.assert_array_equal(m.biases[0].grad, [2.0, 2.0, 2.0])
 
     def test_quadratic_grad_is_2x(self):
+        # loss = (x w)^2 at x = 1 has d/dw = 2 w
         for v in (1.0, -2.0, 3.0):
-            x = Tensor([[v]], requires_grad=True)
-            ad.backward(ad.matmul(x, x))
-            np.testing.assert_allclose(x.grad, [[2 * v]])
+            m = chain((np.array([[v]]), np.zeros(1)))
+            out, acts = m.forward(np.array([[1.0]]))
+            ad.backward(m, acts, 2.0 * out)
+            np.testing.assert_allclose(m.weights[0].grad, [[2 * v]])
 
-    def test_non_scalar_loss_rejected(self):
-        x = Tensor(np.ones((2, 2)), requires_grad=True)
-        with pytest.raises(UsageError):
-            ad.backward(ad.matmul(x, x))
+    def test_repeated_backward_assigns_without_a_reset(self):
+        m = chain((np.array([[3.0], [-1.0]]), np.zeros(1)))
+        _, acts = m.forward(np.array([[1.0, 2.0]]))
+        ad.backward(m, acts, np.ones((1, 1)))
+        first = m.weights[0].grad.copy()
+        ad.backward(m, acts, np.ones((1, 1)))
+        np.testing.assert_array_equal(m.weights[0].grad, first)
 
-    def test_accumulation_without_reset(self):
-        x = Tensor([[1.0, 2.0]], requires_grad=True)
-        w = Tensor([[3.0], [-1.0]])
-        ad.backward(ad.matmul(x, w))
-        first = x.grad.copy()
-        ad.backward(ad.matmul(x, w))
-        np.testing.assert_allclose(x.grad, 2 * first)
-
-    def test_diamond_graph(self):
-        # y = sum(A @ A): A feeds both operands, d/dA = 1 A^T + A^T 1
-        a = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        ad.backward(total(ad.matmul(a, a)))
-        ones = np.ones((2, 2))
-        np.testing.assert_allclose(a.grad, ones @ a.data.T + a.data.T @ ones)
-
-    def test_detach_blocks_gradients(self):
-        # a constant copy of the values (``.data``) carries no gradient
-        x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
-        ad.backward(total(ad.matmul(Tensor(x.data), x)))
-        np.testing.assert_allclose(x.grad, x.data.T @ np.ones((2, 2)))  # only the live branch
+    def test_input_grad_only_when_asked(self):
+        m = chain(identity(2), identity(2))
+        _, acts = m.forward(np.ones((1, 2)))
+        assert ad.backward(m, acts, np.ones((1, 2))) is None
+        assert ad.backward(m, acts, np.ones((1, 2)), input_grad=True).shape == (1, 2)
 
     def test_deterministic_forward(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(5, 5))
-        b = rng.normal(size=(5, 5))
+        m = chain((rng.normal(size=(5, 5)), np.zeros(5)), identity(5))
 
         def run():
-            t = ad.relu(ad.matmul(Tensor(a), Tensor(b)))
-            return ad.logsumexp_row(t.data)[0].tobytes()
+            return ad.logsumexp_row(m.forward(a)[0])[0].tobytes()
 
         assert run() == run()
 
 
 class TestCompositeGradients:
     def test_mlp_with_bias_pick_and_concat(self):
-        """One graph per fused loss over every remaining op, against the fd
-        oracle: cross-entropy picks the label column, InfoNCE concatenates
-        the positive score to the queue scores."""
+        """Both losses over one MLP, their output gradients summed, against
+        the fd oracle: cross-entropy picks the label column, InfoNCE (after
+        l2_normalize) concatenates the positive score to the queue scores."""
         rng = np.random.default_rng(7)
-        w1 = Tensor(rng.normal(size=(6, 5)) * 0.5, requires_grad=True)
-        b1 = Tensor(rng.normal(size=5) * 0.1, requires_grad=True)
-        w2 = Tensor(rng.normal(size=(5, 3)) * 0.5, requires_grad=True)
-        x = Tensor(rng.normal(size=(4, 6)))
+        m = chain((rng.normal(size=(6, 5)) * 0.5, rng.normal(size=5) * 0.1),
+                  (rng.normal(size=(5, 3)) * 0.5, np.zeros(3)))
+        x = rng.normal(size=(4, 6))
         labels = np.array([0, 2, 1, 0])
         unit = rng.normal(size=(10, 3))
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
@@ -207,11 +200,12 @@ class TestCompositeGradients:
         queue.enqueue(unit[4:])
 
         def losses():
-            h = ad.relu(ad.add_bias(ad.matmul(x, w1), b1))
-            out = ad.matmul(h, w2)
-            return (cross_entropy(out, labels),
-                    info_nce(ad.l2_normalize(out), keys, queue, tau=0.5))
+            out, acts = m.forward(x)
+            ce, d_ce = cross_entropy(out, labels)
+            q, back = ad.l2_normalize(out)
+            nce, d_nce = info_nce(q, keys, queue, tau=0.5)
+            return ce + nce, acts, d_ce + back(d_nce)
 
-        for loss in losses():
-            ad.backward(loss)
-        check_grads(lambda: sum(loss.item() for loss in losses()), [w1, b1, w2])
+        _, acts, g = losses()
+        ad.backward(m, acts, g)
+        check_grads(lambda: losses()[0], m.parameters())

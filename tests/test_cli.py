@@ -139,11 +139,22 @@ class TestExitCodes:
         assert main(["gen-data", *args]) == 0
         sidecar = out / "dataset.splits.json"
         splits = json.loads(sidecar.read_text())
+        # keep a valid partition: all but one vision sample go to contrastive
+        splits["contrastive"] += splits["vision"][1:]
         splits["vision"] = splits["vision"][:1]
         sidecar.write_text(json.dumps(splits))
         capsys.readouterr()
         assert main(["pretrain-vision", *args]) == 3
         assert "takes all 1 samples" in self.one_line(capsys)
+
+    def test_empty_vision_split_exits_3(self, tmp_path, capsys):
+        cfg = tmp_path / "novision.yaml"
+        cfg.write_text(TINY_YAML.replace("datagen:\n", "datagen:\n  vision_fraction: 0.0\n"))
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(["gen-data", *args]) == 0
+        capsys.readouterr()
+        assert main(["pretrain-vision", *args]) == 3
+        assert "the vision split is empty" in self.one_line(capsys)
 
     def test_non_integer_xmc_jobs_exits_3(self, workdir, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("XMC_JOBS", "two")
@@ -162,6 +173,54 @@ class TestExitCodes:
                      "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(old)])
         assert code == 3
         assert "unsupported checkpoint version 1" in self.one_line(capsys)
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda s: s["test"].append(160), "'test' index 160 is out of range"),
+        (lambda s: s["contrastive"].append(s["contrastive"][0]), "'contrastive' repeats"),
+        (lambda s: s["train"].append(s["test"][0]), "test and train share"),
+        (lambda s: s["contrastive"].append(s["vision"][0]), "vision and contrastive share"),
+        (lambda s: s["contrastive"].extend(s["test"]), "do not make up train"),
+    ], ids=["out-of-range", "repeated", "test-in-train", "vision-in-contrastive",
+            "test-in-contrastive"])
+    def test_inconsistent_sidecar_exits_3(self, pipeline, workdir, tmp_path, capsys,
+                                          damage, message):
+        data = tmp_path / "d.xmcd"
+        data.write_bytes((pipeline / "dataset.xmcd").read_bytes())
+        splits = json.loads((pipeline / "dataset.splits.json").read_text())
+        damage(splits)
+        (tmp_path / "d.splits.json").write_text(json.dumps(splits))
+        capsys.readouterr()
+        code = main(["pretrain-vision", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(data)])
+        assert code == 3
+        assert message in self.one_line(capsys)
+
+    def test_oversized_dataset_header_exits_3(self, workdir, tmp_path, capsys):
+        data = tmp_path / "d.xmcd"
+        data.write_bytes(b"XMCD" + struct.pack("<H5I", 1, 32, 32, 32, 32, 2**32 - 1))
+        (tmp_path / "d.splits.json").write_text("{}")
+        capsys.readouterr()
+        code = main(["pretrain-vision", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(data)])
+        assert code == 3
+        assert "dataset file truncated" in self.one_line(capsys)
+
+    @pytest.mark.parametrize("command, key, value, message", [
+        ("estimate-mi", ("mi", "n_seeds"), 0, "mi.n_seeds must be an integer >= 1"),
+        ("pretrain", ("contrastive", "lr"), -1.0, "contrastive.lr must be > 0"),
+        ("pretrain", ("contrastive", "normalize"), True,
+         "unknown config key: contrastive.normalize"),
+    ], ids=["no-mi-seeds", "negative-lr", "normalize"])
+    def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
+                                      message):
+        overlay = yaml.safe_load(TINY_YAML)
+        overlay[key[0]][key[1]] = value
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(yaml.safe_dump(overlay))
+        code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert message in self.one_line(capsys)
+        assert not (tmp_path / "o").exists()
 
     def test_overwrite_is_refused_before_inputs_are_loaded(self, pipeline, workdir,
                                                            tmp_path):

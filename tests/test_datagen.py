@@ -2,6 +2,7 @@
 
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from xmc.datagen import (
     render_radar,
     sample_scene,
 )
-from xmc.errors import ConfigError, DomainError, ResampleError
+from xmc.errors import ConfigError, DomainError, FormatError, ResampleError
 from xmc.seeding import rng_for
 
 CFG = SimulatorConfig()
@@ -256,7 +257,6 @@ class TestDatasetFile:
         ds = make_dataset(CFG, 16, seed=13)
         blob = dg.dataset_to_bytes(ds)
         assert blob[:4] == b"XMCD"
-        import struct
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
         assert (version, r, a, h, w, n) == (1, 32, 32, 32, 32, 16)
 
@@ -268,6 +268,37 @@ class TestDatasetFile:
         assert set(sidecar) == {"train", "test", "vision", "contrastive"}
 
     def test_bad_magic_rejected(self):
-        from xmc.errors import FormatError
         with pytest.raises(FormatError):
             dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30, "{}")
+
+    def test_body_is_per_sample_label_heatmap_image(self):
+        ds = make_dataset(CFG, 8, seed=15)
+        expected = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 8)]
+        for i in range(8):
+            expected += [struct.pack("<B", ds.labels[i]),
+                         ds.heatmaps[i].astype("<f8").tobytes(),
+                         ds.images[i].astype("<f8").tobytes()]
+        assert dg.dataset_to_bytes(ds) == b"".join(expected)
+
+    def test_oversized_header_rejected_before_allocating(self):
+        """A 26-byte file whose header claims 2**32 - 1 samples."""
+        blob = b"XMCD" + struct.pack("<H5I", 1, 32, 32, 32, 32, 2**32 - 1)
+        with pytest.raises(FormatError, match="truncated"):
+            dg.dataset_from_bytes(blob, "{}")
+
+    def test_length_must_match_the_header_exactly(self):
+        ds = make_dataset(CFG, 8, seed=16)
+        blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
+        with pytest.raises(FormatError, match="truncated"):
+            dg.dataset_from_bytes(blob[:-1], sidecar)
+        with pytest.raises(FormatError, match="trailing bytes"):
+            dg.dataset_from_bytes(blob + b"\x00", sidecar)
+
+    def test_zero_size_and_bad_class_rejected(self):
+        ds = make_dataset(CFG, 8, seed=17)
+        blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
+        empty = b"XMCD" + struct.pack("<H5I", 1, 0, 32, 32, 32, 8)
+        with pytest.raises(FormatError, match="zero size"):
+            dg.dataset_from_bytes(empty, sidecar)
+        with pytest.raises(FormatError, match="class id"):
+            dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:], sidecar)

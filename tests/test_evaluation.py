@@ -14,7 +14,6 @@ from xmc.evaluation import (
     aggregate_arms,
     ArmResult,
     cluster_separation,
-    extract_features,
     feasible_fractions,
     finetune,
     linear_probe,
@@ -91,17 +90,19 @@ class TestStratifiedSubset:
 
 
 class TestExtractFeatures:
+    """Features are the encoder's forward_numpy output."""
+
     def test_deterministic_and_sized(self):
         enc = init_encoder([12, 8, 6], seed=5)
         x = np.random.default_rng(5).normal(size=(9, 12))
-        a = extract_features(enc, x)
+        a = enc.forward_numpy(x)
         assert a.shape == (9, 6)
-        assert a.tobytes() == extract_features(enc, x).tobytes()
+        assert a.tobytes() == enc.forward_numpy(x).tobytes()
 
     def test_zero_encoder_gives_zero_features(self):
         enc = init_encoder([5, 4], seed=6)
         enc.weights[0].data[:] = 0.0
-        out = extract_features(enc, np.ones((3, 5)))
+        out = enc.forward_numpy(np.ones((3, 5)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
 
@@ -175,8 +176,9 @@ class TestFinetuneAndBaseline:
     def test_softmax_head_rows_sum_to_one(self, tiny_task):
         x = tiny_task.train_inputs[:50]
         head = init_head(x.shape[1], 4)
-        head.weight.data[:] = np.random.default_rng(0).normal(size=head.weight.shape) * 20
-        _, probs = ad.logsumexp_row(head.logits_numpy(x))
+        w = head.weights[0].data
+        w[:] = np.random.default_rng(0).normal(size=w.shape) * 20
+        _, probs = ad.logsumexp_row(head.forward_numpy(x))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 

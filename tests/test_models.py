@@ -9,12 +9,17 @@ import pytest
 from xmc import autodiff as ad
 from xmc.autodiff import Tensor
 from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
-from xmc.errors import ConfigError, DimensionError, DomainError, FormatError, UsageError
+from xmc.errors import (
+    ConfigError,
+    ContractError,
+    DimensionError,
+    DomainError,
+    FormatError,
+    UsageError,
+)
 from xmc.models import (
-    EncoderModel,
     cosine_lr,
     cross_entropy,
-    cross_entropy_numpy,
     init_encoder,
     init_head,
     load_checkpoint_bytes,
@@ -33,37 +38,66 @@ class TestEncoderForward:
         m = init_encoder([6, 4, 3], seed=0)
         for w in m.weights:
             w.data[:] = 0.0
-        out = m.forward(Tensor(np.random.default_rng(0).normal(size=(2, 6))))
-        np.testing.assert_array_equal(out.data, np.zeros((2, 3)))
+        out, _ = m.forward(np.random.default_rng(0).normal(size=(2, 6)))
+        np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
     def test_dim_mismatch(self):
         m = init_encoder([6, 4], seed=0)
         with pytest.raises(DimensionError):
-            m.forward(Tensor(np.ones((2, 5))))
+            m.forward(np.ones((2, 5)))
 
     def test_frozen_model_gets_no_gradients(self):
         m = init_encoder([5, 4, 3], seed=1)
         m.freeze()
-        out = m.forward(Tensor(np.random.default_rng(1).normal(size=(3, 5))))
-        assert not out.requires_grad
-        ad.backward(cross_entropy(out, np.array([0, 1, 2])))
+        out, acts = m.forward(np.random.default_rng(1).normal(size=(3, 5)))
+        _, g = cross_entropy(out, np.array([0, 1, 2]))
+        with pytest.raises(ContractError):
+            ad.backward(m, acts, g)
         assert all(p.grad is None for p in m.parameters())
 
-    def test_gradcheck_through_two_layer_encoder(self):
+    @staticmethod
+    def gradcheck_two_layers(input_grad: bool):
         m = init_encoder([4, 6, 3], seed=2)
         x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
         labels = np.array([2, 0, 2])
 
         def f():
-            return cross_entropy(m.forward(x), labels).item()
+            return cross_entropy(m.forward(x.data)[0], labels)[0]
 
-        ad.backward(cross_entropy(m.forward(x), labels))
-        check_grads(f, m.parameters())
+        out, acts = m.forward(x.data)
+        x.grad = ad.backward(m, acts, cross_entropy(out, labels)[1], input_grad)
+        check_grads(f, m.parameters() + ([x] if input_grad else []))
+
+    def test_gradcheck_through_two_layer_encoder(self):
+        self.gradcheck_two_layers(input_grad=False)
+
+    def test_gradcheck_through_two_layer_encoder_with_input_grad(self):
+        self.gradcheck_two_layers(input_grad=True)
+
+    def test_gradcheck_through_encoder_and_head(self):
+        """The probe/fine-tune chain: the head's input gradient feeds the
+        encoder's backward."""
+        rng = np.random.default_rng(8)
+        enc = init_encoder([5, 6, 4], seed=8)
+        head = init_encoder([4, 3], seed=9)  # random, so the head passes signal back
+        x = Tensor(rng.normal(size=(4, 5)))
+        labels = np.array([0, 2, 1, 2])
+
+        def f():
+            return cross_entropy(head.forward_numpy(enc.forward_numpy(x.data)), labels)[0]
+
+        feats, enc_acts = enc.forward(x.data)
+        logits, head_acts = head.forward(feats)
+        g = ad.backward(head, head_acts, cross_entropy(logits, labels)[1], input_grad=True)
+        x.grad = ad.backward(enc, enc_acts, g, input_grad=True)
+        check_grads(f, head.parameters() + enc.parameters() + [x])
 
     def test_forward_numpy_matches_graph_forward(self):
         m = init_encoder([7, 5, 4], seed=3)
         x = np.random.default_rng(3).normal(size=(6, 7))
-        np.testing.assert_array_equal(m.forward(Tensor(x)).data, m.forward_numpy(x))
+        out, acts = m.forward(x)
+        np.testing.assert_array_equal(out, m.forward_numpy(x))
+        assert [a.shape for a in acts] == [(6, 7), (6, 5)]
 
     def test_init_is_seeded_and_xavier_bounded(self):
         a = init_encoder([10, 8], seed=4)
@@ -76,14 +110,15 @@ class TestEncoderForward:
 
 class TestSgd:
     def test_plain_gradient_descent(self):
-        p = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p = Tensor(np.array([1.0, 2.0]))
         p.grad = np.array([0.5, -0.5])
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.0)
         sgd_step([p], st)
         np.testing.assert_allclose(p.data, [0.95, 2.05])
+        assert p.grad is None  # used once, then cleared
 
     def test_first_momentum_step(self):
-        p = Tensor(np.array([2.0]), requires_grad=True)
+        p = Tensor(np.array([2.0]))
         p.grad = np.array([1.0])
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step([p], st)
@@ -92,7 +127,7 @@ class TestSgd:
 
     def test_two_hand_computed_steps(self):
         # scalar recurrence: v_t = m v_{t-1} + (g + wd p); p -= lr v_t
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         st = make_optimizer([p], lr=0.2, momentum=0.5, weight_decay=0.1)
         p.grad = np.array([0.3])
         sgd_step([p], st)
@@ -105,20 +140,20 @@ class TestSgd:
         np.testing.assert_allclose(p.data, [p1 - 0.2 * v2])
 
     def test_missing_grad_is_usage_error(self):
-        p = Tensor(np.array([1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0]))
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.0)
         with pytest.raises(UsageError):
             sgd_step([p], st)
 
     def test_lr_zero_leaves_params_unchanged(self):
-        p = Tensor(np.array([1.0, -1.0]), requires_grad=True)
+        p = Tensor(np.array([1.0, -1.0]))
         p.grad = np.array([5.0, 5.0])
         st = make_optimizer([p], lr=0.0, momentum=0.9, weight_decay=0.1)
         sgd_step([p], st)
         np.testing.assert_array_equal(p.data, [1.0, -1.0])
 
     def test_pure_weight_decay_shrinkage(self):
-        p = Tensor(np.array([2.0]), requires_grad=True)
+        p = Tensor(np.array([2.0]))
         p.grad = np.array([0.0])
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.05)
         sgd_step([p], st)
@@ -148,25 +183,29 @@ class TestSoftmaxAndCrossEntropy:
         _, s = ad.logsumexp_row(z)
         np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
-    def test_cross_entropy_is_one_node_over_logits(self):
-        logits = Tensor(np.random.default_rng(7).normal(size=(5, 4)), requires_grad=True)
-        loss = cross_entropy(logits, np.array([0, 3, 1, 1, 2]))
-        assert loss.shape == () and loss._parents == (logits,)
+    def test_cross_entropy_gradient_matches_finite_differences(self):
+        rng = np.random.default_rng(7)
+        logits = Tensor(rng.normal(size=(5, 4)))
+        labels = np.array([0, 3, 1, 1, 2])
+        logits.grad = cross_entropy(logits.data, labels)[1]
+        check_grads(lambda: cross_entropy(logits.data, labels)[0], [logits])
 
     def test_cross_entropy_label_shape_mismatch(self):
         with pytest.raises(DimensionError):
-            cross_entropy(Tensor(np.zeros((4, 3))), np.array([0, 1]))
+            cross_entropy(np.zeros((4, 3)), np.array([0, 1]))
 
     def test_cross_entropy_matches_numpy_path(self):
+        """The loss is the mean of -log softmax at the label column."""
         rng = np.random.default_rng(6)
         logits = rng.normal(size=(8, 4))
         labels = rng.integers(0, 4, size=8)
-        graph = cross_entropy(Tensor(logits), labels).item()
-        assert math.isclose(graph, cross_entropy_numpy(logits, labels), rel_tol=1e-12)
+        log_softmax = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        naive = -log_softmax[np.arange(8), labels].mean()
+        assert math.isclose(cross_entropy(logits, labels)[0], naive, rel_tol=1e-12)
 
     def test_uniform_logits_loss_is_log_c(self):
         labels = np.array([0, 1, 2, 3])
-        loss = cross_entropy(Tensor(np.zeros((4, 4))), labels).item()
+        loss, _ = cross_entropy(np.zeros((4, 4)), labels)
         assert math.isclose(loss, math.log(4.0), rel_tol=1e-12)
 
 
@@ -187,8 +226,10 @@ class TestVisionPretrain:
         model = out.model
         assert model.frozen
         before = model.param_bytes()
-        x = Tensor(image_inputs(ds.images[ds.test_idx[:8]]))
-        ad.backward(cross_entropy(model.forward(x), ds.labels[ds.test_idx[:8]].astype(np.int64)))
+        out, acts = model.forward(image_inputs(ds.images[ds.test_idx[:8]]))
+        _, g = cross_entropy(out, ds.labels[ds.test_idx[:8]].astype(np.int64))
+        with pytest.raises(ContractError):
+            ad.backward(model, acts, g)
         assert model.param_bytes() == before
 
     def test_random_frozen_mode_returns_untrained_frozen(self, small_dataset):
@@ -225,7 +266,6 @@ class TestCheckpoints:
         loaded = load_checkpoint_bytes(blob)
         assert loaded.dims == model.dims
         assert not loaded.frozen
-        assert all(p.requires_grad for p in loaded.parameters())
         assert loaded.param_bytes() == model.param_bytes()
         assert save_checkpoint_bytes(loaded) == blob
 
@@ -239,7 +279,6 @@ class TestCheckpoints:
         assert len(blob) == 9 + 4 * 2 + 8 * (3 * 2 + 2)
         loaded = load_checkpoint_bytes(blob)
         assert loaded.frozen
-        assert all(not p.requires_grad for p in loaded.parameters())
 
     def test_truncation_detected(self):
         blob = save_checkpoint_bytes(init_encoder([3, 2], seed=22))
@@ -259,6 +298,18 @@ class TestCheckpoints:
         v1 = blob[:4] + struct.pack("<H", 1) + blob[6:] + b"\x00"
         with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
             load_checkpoint_bytes(v1)
+
+    @pytest.mark.parametrize("header, message", [
+        (struct.pack("<HBH", 2, 2, 1) + struct.pack("<2I", 3, 2), "frozen 2"),
+        (struct.pack("<HBH", 2, 0, 0) + struct.pack("<I", 3), "0 layers"),
+        (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 3, 0), "must be positive"),
+        # 8 * (2**32 - 1)**2 overflows int64: the size must not wrap
+        (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 2**32 - 1, 2**32 - 1),
+         "truncated"),
+    ], ids=["frozen-flag", "no-layers", "zero-dim", "huge-dims"])
+    def test_bad_header_rejected(self, header, message):
+        with pytest.raises(FormatError, match=message):
+            load_checkpoint_bytes(b"XMCK" + header + b"\x00" * 64)
 
     def test_copy_is_independent(self):
         model = init_encoder([4, 3], seed=23)

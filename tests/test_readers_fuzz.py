@@ -1,0 +1,95 @@
+"""Fuzzing of the binary readers: a damaged file is a FormatError or a model
+or dataset, never another exception."""
+
+import json
+import struct
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from xmc.datagen import Dataset, dataset_from_bytes, dataset_to_bytes, splits_to_json
+from xmc.errors import FormatError
+from xmc.models import init_encoder, load_checkpoint_bytes, save_checkpoint_bytes
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow])
+
+
+def small_dataset() -> Dataset:
+    rng = np.random.default_rng(0)
+    return Dataset(heatmaps=rng.normal(size=(8, 3, 2)), images=rng.normal(size=(8, 2, 4)),
+                   labels=np.arange(8, dtype=np.uint8) % 4,
+                   train_idx=np.arange(6), test_idx=np.array([6, 7]),
+                   vision_idx=np.array([0, 1]), contrastive_idx=np.arange(2, 6))
+
+
+DATASET = dataset_to_bytes(small_dataset())
+SIDECAR = splits_to_json(small_dataset())
+CHECKPOINT = save_checkpoint_bytes(init_encoder([3, 4, 2], seed=0))
+
+
+def flip(blob: bytes, at: int, mask: int) -> bytes:
+    at %= len(blob)
+    return blob[:at] + bytes([blob[at] ^ mask]) + blob[at + 1:]
+
+
+def set_field(blob: bytes, at: int, fmt: str, value: int) -> bytes:
+    size = struct.calcsize(fmt)
+    return blob[:at] + struct.pack(fmt, value) + blob[at + size:]
+
+
+def damaged(blob: bytes, fields: list[tuple[int, str]]):
+    """``blob`` cut short, with one byte flipped, or with one of its header
+    ``fields`` (offset, struct format) set to any value."""
+    return st.one_of(
+        st.integers(0, len(blob) - 1).map(lambda cut: blob[:cut]),
+        st.tuples(st.integers(0, len(blob) - 1), st.integers(1, 255)).map(
+            lambda t: flip(blob, *t)),
+        st.sampled_from(fields).flatmap(lambda f: st.integers(
+            0, 256 ** struct.calcsize(f[1]) - 1).map(lambda v: set_field(blob, *f, v))),
+    )
+
+
+# version u16, then R, A, H, W, n as u32
+DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
+# version u16, frozen u8, layer count u16, then the three layer dims as u32
+CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
+
+
+def loads_or_format_error(load, *args):
+    try:
+        load(*args)
+    except FormatError:
+        pass
+
+
+class TestDatasetReader:
+    def test_intact_file_loads(self):
+        assert dataset_from_bytes(DATASET, SIDECAR).n == 8
+
+    @FUZZ
+    @given(damaged(DATASET, DATASET_FIELDS))
+    def test_damaged_file(self, blob):
+        loads_or_format_error(dataset_from_bytes, blob, SIDECAR)
+
+    @FUZZ
+    @given(st.dictionaries(st.sampled_from(["train", "test", "vision", "contrastive", "x"]),
+                           st.lists(st.integers(-2, 9), max_size=10)))
+    def test_damaged_sidecar(self, splits):
+        loads_or_format_error(dataset_from_bytes, DATASET, json.dumps(splits))
+
+    @FUZZ
+    @given(st.binary(max_size=64))
+    def test_sidecar_bytes(self, raw):
+        loads_or_format_error(dataset_from_bytes, DATASET, raw)
+
+
+class TestCheckpointReader:
+    def test_intact_file_loads(self):
+        assert load_checkpoint_bytes(CHECKPOINT).dims == [3, 4, 2]
+
+    @FUZZ
+    @given(damaged(CHECKPOINT, CHECKPOINT_FIELDS))
+    def test_damaged_file(self, blob):
+        loads_or_format_error(load_checkpoint_bytes, blob)
