@@ -6,8 +6,9 @@ two sweeps, the Gaussian MI estimate and the 2-D projection. Each command
 writes its artifacts atomically plus a manifest with the resolved config and
 input/output hashes; nothing is overwritten without --force.
 
-Exit codes: 0 success, 2 missing input file, 3 configuration error,
-4 numeric failure (non-finite loss), 1 anything else.
+Exit codes: 0 success, 2 missing input file, otherwise the ``exit_code`` of
+the ``XmcError`` class raised (3 configuration, input or shape error, 4
+numeric failure, 1 anything else).
 """
 
 from __future__ import annotations
@@ -35,16 +36,7 @@ from .datagen import (
     make_dataset,
     save_dataset,
 )
-from .errors import (
-    ConfigError,
-    ContractError,
-    DomainError,
-    FormatError,
-    NumericError,
-    StratificationError,
-    UsageError,
-    XmcError,
-)
+from .errors import ConfigError, XmcError
 from .mi import MiCriticConfig, estimate_mi_gaussian
 from .models import load_checkpoint, pretrain_vision, save_checkpoint
 from .runio import sha256_file, splits_path, write_csv, write_manifest
@@ -52,7 +44,8 @@ from .seeding import derive_seed
 
 
 class OutputExistsError(XmcError):
-    pass
+    """An output exists and ``--force`` was not given."""
+    exit_code = 1
 
 
 def _from_section(cls, section, **extra):
@@ -266,7 +259,8 @@ def _map_arms(fn, payloads: list[dict], jobs: int | None) -> list:
             raise ConfigError(f"XMC_JOBS must be an integer, got {env!r}") from None
     if jobs <= 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the pool starts all its workers up front, so never more than there are arms
+    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
         return list(pool.map(fn, payloads))
 
 
@@ -385,15 +379,9 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as e:
         print(f"xmc {args.command}: {e}", file=sys.stderr)
         return 2
-    except (ConfigError, FormatError, DomainError, StratificationError) as e:
+    except XmcError as e:
         print(f"xmc {args.command}: {e}", file=sys.stderr)
-        return 3
-    except NumericError as e:
-        print(f"xmc {args.command}: {e}", file=sys.stderr)
-        return 4
-    except (OutputExistsError, UsageError, ContractError) as e:
-        print(f"xmc {args.command}: {e}", file=sys.stderr)
-        return 1
+        return e.exit_code
 
 
 if __name__ == "__main__":

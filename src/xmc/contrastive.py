@@ -15,8 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .datagen import Dataset, heatmap_inputs, image_inputs
-from .errors import ConfigError, ContractError, NumericError, UsageError
-from .models import EncoderModel, cosine_lr, init_encoder, make_optimizer, sgd_step
+from .errors import ConfigError, ContractError, UsageError
+from .models import EncoderModel, fit, init_encoder
 from .seeding import derive_seed, rng_for
 
 UNIT_NORM_TOL = 1e-6
@@ -161,14 +161,26 @@ def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
     return out
 
 
+def warm_start(queue: NegativeQueue, keys: np.ndarray, batch: int) -> int:
+    """Fill the queue from the leading ceil(capacity / batch) batches of
+    ``keys``, so the first losses are measured against a full complement of
+    negatives. A batch larger than the queue enqueues only its newest
+    ``capacity`` keys, the ones FIFO eviction would keep. Returns the number
+    of leading keys used."""
+    used = math.ceil(queue.capacity / batch) * batch
+    for start in range(0, used, batch):
+        queue.enqueue(keys[start:start + batch][-queue.capacity:])
+    return used
+
+
 def pretrain(dataset: Dataset, vision: EncoderModel,
              cfg: ContrastiveConfig) -> PretrainResult:
     """Label-free contrastive pre-training of the radar encoder.
 
     Per epoch: shuffle the contrastive split; per batch: encode and
     normalize queries, compute InfoNCE against the paired keys and the
-    queue, step SGD under a cosine schedule, then enqueue the batch keys.
-    The queue is warm-started with encoded keys before the first step.
+    queue, enqueue the batch keys, then step SGD under a cosine schedule.
+    The queue is warm-started from the first batches of epoch 0.
     """
     if not vision.frozen:
         raise ContractError("the vision encoder must be frozen before pre-training")
@@ -176,46 +188,33 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
     if len(idx) < cfg.queue_size:
         raise ConfigError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
-
-    heat = heatmap_inputs(dataset.heatmaps[idx])
-    keys = encode_keys(vision, image_inputs(dataset.images[idx]))
+    pixels = math.prod(dataset.images.shape[1:])
+    if vision.input_dim != pixels:
+        raise ConfigError(f"vision checkpoint takes {vision.input_dim} inputs, but the "
+                          f"images have {pixels} pixels")
     if vision.embed_dim != cfg.embed_dim:
         raise ConfigError(
             f"vision embed dim {vision.embed_dim} != configured {cfg.embed_dim}")
 
+    heat = heatmap_inputs(dataset.heatmaps[idx])
+    keys = encode_keys(vision, image_inputs(dataset.images[idx]))
     radio = init_encoder([heat.shape[1], *cfg.hidden, cfg.embed_dim],
                          derive_seed(cfg.seed, "radio"))
-    params = radio.parameters()
-    opt = make_optimizer(params, cfg.lr, cfg.momentum, cfg.weight_decay)
     queue = NegativeQueue(cfg.queue_size)
-
-    n = len(idx)
     order_rng = rng_for(cfg.seed, "batch-order")
-    first_order = order_rng.permutation(n)
+    first_order = order_rng.permutation(len(idx))
+    warm_start(queue, keys[first_order], cfg.batch_size)
 
-    # Warm start: fill the queue from the first ceil(K/B) batches of epoch 0
-    # so the first losses are measured against a full complement of negatives.
-    warm_batches = math.ceil(cfg.queue_size / cfg.batch_size)
-    for b in range(warm_batches):
-        sel = first_order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+    def loss(raw: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
+        q, normalize_back = ad.l2_normalize(raw)
+        # info_nce scores against a copy of the queue, so enqueueing the
+        # batch's keys now leaves this step's loss and gradient as they are
+        value, dq = info_nce(q, keys[sel], queue, cfg.tau)
         queue.enqueue(keys[sel])
+        return value, normalize_back(dq)
 
-    history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        order = first_order if epoch == 0 else order_rng.permutation(n)
-        lr = cosine_lr(epoch, cfg.epochs, cfg.lr)
-        total = 0.0
-        for start in range(0, n, cfg.batch_size):
-            sel = order[start:start + cfg.batch_size]
-            raw, acts = radio.forward(heat[sel])
-            q, normalize_back = ad.l2_normalize(raw)
-            value, dq = info_nce(q, keys[sel], queue, cfg.tau)
-            if not math.isfinite(value):
-                raise NumericError(
-                    f"non-finite contrastive loss at epoch {epoch}, sample {start}")
-            ad.backward(radio, acts, normalize_back(dq))
-            sgd_step(params, opt, lr=lr)
-            queue.enqueue(keys[sel])
-            total += value * len(sel)
-        history.append(EpochStats(epoch, lr, total / n))
+    history = [EpochStats(*stats) for stats in fit(
+        [radio], heat, loss, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
+        momentum=cfg.momentum, weight_decay=cfg.weight_decay, order_rng=order_rng,
+        cosine=True, first_order=first_order)]
     return PretrainResult(encoder=radio, history=history)

@@ -133,12 +133,29 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def _result(mode: str, fraction: float, seed: int, accuracy: float,
-            test_losses: list[float]) -> ProbeResult:
-    curve = list(enumerate(test_losses))
-    best = int(np.argmin(test_losses)) if test_losses else 0
+def _train_and_score(mode: str, encoder: EncoderModel | None,
+                     train_inputs: np.ndarray, test_inputs: np.ndarray,
+                     split: TaskSplit, fraction: float, epochs: int,
+                     cfg: HeadConfig, seed: int, train_tag: str) -> ProbeResult:
+    """Train a zero-initialised head, and ``encoder`` with it unless that is
+    None (then the inputs are features), on a stratified label subsample;
+    then score them on the test split."""
+    sel = stratified_label_subset(split.train_labels, fraction,
+                                  derive_seed(seed, "subsample", fraction))
+    head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
+                     N_CLASSES)
+    run = train_classifier(
+        encoder, head, train_inputs[sel], split.train_labels[sel],
+        epochs=epochs, lr=cfg.lr, momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
+        seed=derive_seed(seed, train_tag),
+        test_inputs=test_inputs, test_labels=split.test_labels_for_reporting())
+    feats = test_inputs if encoder is None else encoder.forward_numpy(test_inputs)
+    accuracy = split.test_accuracy(head.forward_numpy(feats).argmax(axis=1))
+    best = int(np.argmin(run.test_loss)) if run.test_loss else 0
     return ProbeResult(label_fraction=fraction, mode=mode, test_accuracy=accuracy,
-                       test_loss_curve=curve, seed=seed, best_epoch=best)
+                       test_loss_curve=list(enumerate(run.test_loss)), seed=seed,
+                       best_epoch=best)
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
@@ -149,21 +166,9 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
     feats_train = encoder.forward_numpy(split.train_inputs)
     feats_test = encoder.forward_numpy(split.test_inputs)
     mu, sd = _standardizer(feats_train)
-    feats_train = (feats_train - mu) / sd
-    feats_test = (feats_test - mu) / sd
-
-    sel = stratified_label_subset(split.train_labels, fraction,
-                                  derive_seed(seed, "subsample", fraction))
-    head = init_head(encoder.embed_dim, N_CLASSES)
-    run = train_classifier(
-        None, head, feats_train[sel], split.train_labels[sel],
-        epochs=cfg.probe_epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, "probe-train"), train_encoder=False,
-        test_inputs=feats_test, test_labels=split.test_labels_for_reporting())
-    preds = head.forward_numpy(feats_test).argmax(axis=1)
-    return _result("linear-probe", fraction, seed,
-                   split.test_accuracy(preds), run.test_loss)
+    return _train_and_score("linear-probe", None, (feats_train - mu) / sd,
+                            (feats_test - mu) / sd, split, fraction,
+                            cfg.probe_epochs, cfg, seed, "probe-train")
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
@@ -171,18 +176,9 @@ def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
     """Same protocol as the probe but the encoder trains too; operates on a
     copy so the pre-trained encoder can be reused across fractions."""
     tuned = encoder.copy(trainable=True)
-    sel = stratified_label_subset(split.train_labels, fraction,
-                                  derive_seed(seed, "subsample", fraction))
-    head = init_head(tuned.embed_dim, N_CLASSES)
-    run = train_classifier(
-        tuned, head, split.train_inputs[sel], split.train_labels[sel],
-        epochs=cfg.finetune_epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, "finetune-train"), train_encoder=True,
-        test_inputs=split.test_inputs, test_labels=split.test_labels_for_reporting())
-    preds = head.forward_numpy(tuned.forward_numpy(split.test_inputs)).argmax(axis=1)
-    result = _result("fine-tune", fraction, seed,
-                     split.test_accuracy(preds), run.test_loss)
+    result = _train_and_score("fine-tune", tuned, split.train_inputs, split.test_inputs,
+                              split, fraction, cfg.finetune_epochs, cfg, seed,
+                              "finetune-train")
     return result, tuned
 
 
@@ -193,18 +189,9 @@ def supervised_baseline(split: TaskSplit, fraction: float, cfg: HeadConfig,
     labeled fraction."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
-    sel = stratified_label_subset(split.train_labels, fraction,
-                                  derive_seed(seed, "subsample", fraction))
-    head = init_head(embed_dim, N_CLASSES)
-    run = train_classifier(
-        encoder, head, split.train_inputs[sel], split.train_labels[sel],
-        epochs=cfg.baseline_epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, "baseline-train"), train_encoder=True,
-        test_inputs=split.test_inputs, test_labels=split.test_labels_for_reporting())
-    preds = head.forward_numpy(encoder.forward_numpy(split.test_inputs)).argmax(axis=1)
-    return _result("supervised-baseline", fraction, seed,
-                   split.test_accuracy(preds), run.test_loss)
+    return _train_and_score("supervised-baseline", encoder, split.train_inputs,
+                            split.test_inputs, split, fraction, cfg.baseline_epochs,
+                            cfg, seed, "baseline-train")
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .contrastive import NegativeQueue, info_nce
+from .contrastive import NegativeQueue, info_nce, warm_start
 from .datagen import GaussianPairConfig, analytic_mi, gen_gaussian_pairs
-from .errors import DomainError, NumericError
-from .models import cosine_lr, init_encoder, make_optimizer, sgd_step
+from .errors import DomainError
+from .models import fit, init_encoder
 from .seeding import derive_seed, rng_for
 
 
@@ -71,12 +70,6 @@ def quadratic_features(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v, v * v], axis=1)
 
 
-def _enqueue_tail(queue: NegativeQueue, keys: np.ndarray) -> None:
-    """Enqueue a batch that may exceed the capacity: only the newest
-    ``capacity`` keys would survive FIFO eviction anyway."""
-    queue.enqueue(keys[-queue.capacity:])
-
-
 def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
                          k: int, epochs: int | None = None) -> MiEstimate:
     """Train a contrastive critic on Gaussian pairs and return the bound.
@@ -85,6 +78,8 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     because the contrastive loss detaches keys. For affine critics this does
     not shrink the reachable score family. Held-out pairs are scored against
     a queue of previously seen held-out keys, mirroring training conditions.
+    A batch larger than the queue enqueues only its newest ``k`` keys, the
+    ones FIFO eviction would keep.
     """
     if k < 1:
         raise DomainError(f"negative count k must be >= 1, got {k}")
@@ -104,38 +99,27 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
                          derive_seed(pair_cfg.seed, "mi-key"), trainable=False)
 
     keys_train = k_enc.forward_numpy(y_train)
-    params = q_enc.parameters()
-    opt = make_optimizer(params, critic.lr, critic.momentum, 0.0)
     queue = NegativeQueue(k, unit_check=False)
-
-    n = len(x_train)
     order_rng = rng_for(pair_cfg.seed, "mi-order")
-    first_order = order_rng.permutation(n)
-    for b in range(math.ceil(k / critic.batch_size)):
-        sel = first_order[b * critic.batch_size:(b + 1) * critic.batch_size]
-        _enqueue_tail(queue, keys_train[sel])
+    first_order = order_rng.permutation(len(x_train))
+    warm_start(queue, keys_train[first_order], critic.batch_size)
 
-    for epoch in range(n_epochs):
-        order = first_order if epoch == 0 else order_rng.permutation(n)
-        lr = cosine_lr(epoch, n_epochs, critic.lr)
-        for start in range(0, n, critic.batch_size):
-            sel = order[start:start + critic.batch_size]
-            q, acts = q_enc.forward(x_train[sel])
-            loss, dq = info_nce(q, keys_train[sel], queue, critic.tau)
-            if not math.isfinite(loss):
-                raise NumericError(f"non-finite critic loss at epoch {epoch}")
-            ad.backward(q_enc, acts, dq)
-            sgd_step(params, opt, lr=lr)
-            _enqueue_tail(queue, keys_train[sel])
+    def critic_loss(q: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
+        value, dq = info_nce(q, keys_train[sel], queue, critic.tau)
+        queue.enqueue(keys_train[sel][-k:])
+        return value, dq
+
+    for _ in fit([q_enc], x_train, critic_loss, epochs=n_epochs, batch_size=critic.batch_size,
+                 lr=critic.lr, momentum=critic.momentum, weight_decay=0.0,
+                 order_rng=order_rng, cosine=True, first_order=first_order):
+        pass
 
     # Held-out evaluation: warm a fresh queue from leading held-out batches,
     # then score the remainder, enqueueing each batch after it is scored.
     keys_hold = k_enc.forward_numpy(y_hold)
     q_hold = q_enc.forward_numpy(x_hold)
     eval_queue = NegativeQueue(k, unit_check=False)
-    warm = math.ceil(k / critic.batch_size) * critic.batch_size
-    for b in range(0, warm, critic.batch_size):
-        _enqueue_tail(eval_queue, keys_hold[b:b + critic.batch_size])
+    warm = warm_start(eval_queue, keys_hold, critic.batch_size)
 
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
@@ -144,7 +128,7 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
         m = q_hold[sel].shape[0]
         total += loss * m
         count += m
-        _enqueue_tail(eval_queue, keys_hold[sel])
+        eval_queue.enqueue(keys_hold[sel][-k:])
     mean_loss = total / count
     return MiEstimate(
         k_negatives=k,

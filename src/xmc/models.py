@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -179,8 +180,49 @@ def cosine_lr(t: int, total: int, base: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# supervised training loop (vision teacher, probes, baselines)
+# the training loop and its supervised use (vision teacher, probes, baselines)
 # ---------------------------------------------------------------------------
+
+def fit(chain: list[EncoderModel], inputs: np.ndarray,
+        loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]], *,
+        epochs: int, batch_size: int, lr: float, momentum: float,
+        weight_decay: float, order_rng: np.random.Generator, cosine: bool,
+        first_order: np.ndarray | None = None
+        ) -> Iterator[tuple[int, float, float]]:
+    """Minibatch SGD through a chain of models, the first fed ``inputs``;
+    yields ``(epoch, lr, mean loss)`` after each epoch.
+
+    ``loss(out, sel)`` gets the chain's output for the samples ``sel`` and
+    returns the mean loss and its gradient with respect to ``out``. Each
+    epoch visits the samples in a fresh ``order_rng`` permutation, except
+    that epoch 0 uses ``first_order`` when it is given. The lr is constant,
+    or follows :func:`cosine_lr` over the epochs when ``cosine``.
+    """
+    if any(model.frozen for model in chain):
+        raise ContractError("cannot train a frozen model")
+    params = [p for model in chain for p in model.parameters()]
+    opt = make_optimizer(params, lr, momentum, weight_decay)
+    n = len(inputs)
+    for epoch in range(epochs):
+        order = (first_order if epoch == 0 and first_order is not None
+                 else order_rng.permutation(n))
+        epoch_lr = cosine_lr(epoch, epochs, lr) if cosine else lr
+        total = 0.0
+        for start in range(0, n, batch_size):
+            sel = order[start:start + batch_size]
+            h, acts = inputs[sel], []
+            for model in chain:
+                h, a = model.forward(h)
+                acts.append(a)
+            value, g = loss(h, sel)
+            if not math.isfinite(value):
+                raise NumericError(f"non-finite loss at epoch {epoch}, sample {start}")
+            for i in reversed(range(len(chain))):
+                g = ad.backward(chain[i], acts[i], g, input_grad=i > 0)
+            sgd_step(params, opt, lr=epoch_lr)
+            total += value * len(sel)
+        yield epoch, epoch_lr, total / n
+
 
 @dataclass
 class ClassifierRun:
@@ -194,51 +236,29 @@ def train_classifier(encoder: EncoderModel | None, head: EncoderModel,
                      inputs: np.ndarray, labels: np.ndarray, *,
                      epochs: int, lr: float, momentum: float,
                      weight_decay: float, batch_size: int, seed: int,
-                     train_encoder: bool,
                      test_inputs: np.ndarray | None = None,
                      test_labels: np.ndarray | None = None) -> ClassifierRun:
-    """Minibatch SGD on softmax cross-entropy.
+    """Minibatch SGD on softmax cross-entropy, training the encoder and the
+    head together.
 
     ``encoder=None`` treats the inputs as ready-made features and trains the
     head alone (linear probing). The per-epoch test loss, when test data is
     given, is never backpropagated, so no gradients ever touch the test
     split.
     """
-    if encoder is None and train_encoder:
-        raise UsageError("train_encoder=True needs an encoder")
-    if train_encoder and encoder.frozen:
-        raise ContractError("cannot train a frozen encoder")
-    params = head.parameters() + (encoder.parameters() if train_encoder else [])
-    opt = make_optimizer(params, lr, momentum, weight_decay)
-    order_rng = rng_for(seed, "classifier-order")
-    n = len(labels)
+    chain = [head] if encoder is None else [encoder, head]
     run = ClassifierRun(train_loss=[], test_loss=[])
-
-    def embed(x: np.ndarray) -> np.ndarray:
-        return x if encoder is None else encoder.forward_numpy(x)
-
-    for epoch in range(epochs):
-        order = order_rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            sel = order[start:start + batch_size]
-            if train_encoder:
-                feats, encoder_acts = encoder.forward(inputs[sel])
-            else:
-                feats = embed(inputs[sel])
-            logits, head_acts = head.forward(feats)
-            value, g = cross_entropy(logits, labels[sel])
-            if not math.isfinite(value):
-                raise NumericError(f"non-finite loss at epoch {epoch}, sample {start}")
-            g = ad.backward(head, head_acts, g, input_grad=train_encoder)
-            if train_encoder:
-                ad.backward(encoder, encoder_acts, g)
-            sgd_step(params, opt)
-            total += value * len(sel)
-        run.train_loss.append(total / n)
+    epochs_run = fit(chain, inputs, lambda logits, sel: cross_entropy(logits, labels[sel]),
+                     epochs=epochs, batch_size=batch_size, lr=lr, momentum=momentum,
+                     weight_decay=weight_decay,
+                     order_rng=rng_for(seed, "classifier-order"), cosine=False)
+    for _, _, train_loss in epochs_run:
+        run.train_loss.append(train_loss)
         if test_inputs is not None and test_labels is not None:
-            test_logits = head.forward_numpy(embed(test_inputs))
-            run.test_loss.append(cross_entropy(test_logits, test_labels)[0])
+            h = test_inputs
+            for model in chain:
+                h = model.forward_numpy(h)
+            run.test_loss.append(cross_entropy(h, test_labels)[0])
     return run
 
 
@@ -277,17 +297,16 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
                           "the teacher on")
     n_hold = max(1, int(round(holdout_fraction * n)))
     order = rng_for(seed, "vision-holdout").permutation(n)
-    hold, fit = order[:n_hold], order[n_hold:]
-    if len(fit) == 0:
+    hold, train = order[:n_hold], order[n_hold:]
+    if len(train) == 0:
         raise ConfigError(f"the vision holdout takes all {n} samples of the "
                           f"vision split; none are left to fit")
 
     head = init_head(embed_dim, n_classes)
     run = train_classifier(
-        model, head, images[fit], labels[fit],
+        model, head, images[train], labels[train],
         epochs=epochs, lr=lr, momentum=momentum, weight_decay=weight_decay,
-        batch_size=batch_size, seed=derive_seed(seed, "vision-train"),
-        train_encoder=True)
+        batch_size=batch_size, seed=derive_seed(seed, "vision-train"))
 
     logits = head.forward_numpy(model.forward_numpy(images[hold]))
     acc = float((logits.argmax(axis=1) == labels[hold]).mean())

@@ -13,7 +13,11 @@ import yaml
 
 from xmc import cli
 from xmc.cli import main
+from xmc.errors import XmcError
+from xmc.models import init_encoder, save_checkpoint
 from xmc.runio import sha256_file
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 TINY_YAML = """
 seed: 5
@@ -232,6 +236,100 @@ class TestExitCodes:
         code = main(["project", "--config", str(workdir / "tiny.yaml"), "--out", str(out),
                      "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(junk)])
         assert code == 1
+
+
+    def test_encoder_of_the_wrong_width_exits_3(self, pipeline, workdir, tmp_path,
+                                                capsys):
+        narrow = tmp_path / "narrow.xmck"
+        save_checkpoint(narrow, init_encoder([100, 8], seed=0))
+        capsys.readouterr()
+        code = main(["probe", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"),
+                     "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(narrow)])
+        assert code == 3
+        assert "encoder expects (B, 100)" in self.one_line(capsys)
+
+    @pytest.mark.parametrize("dims, message", [
+        ([100, 16], "vision checkpoint takes 100 inputs, but the images have 1024"),
+        ([1024, 8], "vision embed dim 8 != configured 16"),
+    ], ids=["input-width", "embed-dim"])
+    def test_mismatched_vision_checkpoint_exits_3_before_encoding_keys(
+            self, pipeline, workdir, tmp_path, capsys, monkeypatch, dims, message):
+        vision = tmp_path / "vision.xmck"
+        save_checkpoint(vision, init_encoder(dims, seed=0, trainable=False))
+
+        def no_encoding(*args, **kwargs):
+            raise AssertionError("keys were encoded before the checkpoint was checked")
+
+        monkeypatch.setattr("xmc.contrastive.encode_keys", no_encoding)
+        capsys.readouterr()
+        code = main(["pretrain", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"),
+                     "--data", str(pipeline / "dataset.xmcd"), "--vision", str(vision)])
+        assert code == 3
+        assert message in self.one_line(capsys)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_loss_exits_4(self, tmp_path, capsys):
+        cfg = tmp_path / "diverge.yaml"
+        cfg.write_text(TINY_YAML.replace("vision:\n", "vision:\n  lr: 1.0e+300\n"))
+        args = ["--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(["gen-data", *args]) == 0
+        capsys.readouterr()
+        assert main(["pretrain-vision", *args]) == 4
+        assert "non-finite loss at epoch 0, sample" in self.one_line(capsys)
+        assert not (tmp_path / "o" / "vision.xmck").exists()
+
+
+def error_classes(cls=XmcError) -> list[type]:
+    """Every subclass of ``cls``, recursively."""
+    return [c for sub in cls.__subclasses__() for c in (sub, *error_classes(sub))]
+
+
+class TestErrorClassExitCodes:
+    def test_every_error_class_has_a_documented_code(self):
+        rows = {line.split("|")[1].strip(): line
+                for line in README.read_text().splitlines() if line.startswith("| ")}
+        classes = [XmcError, *error_classes()]
+        assert cli.OutputExistsError in classes
+        for cls in classes:
+            assert "exit_code" in vars(cls), cls.__name__
+            assert cls.exit_code in (1, 3, 4), cls.__name__
+            assert f"`{cls.__name__}`" in rows[str(cls.exit_code)], cls.__name__
+
+    @pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
+    def test_main_exits_with_the_class_code_and_one_line(self, monkeypatch, capsys, cls):
+        def fail(args, cfg):
+            raise cls("it went wrong")
+
+        monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
+        assert main(["gen-data"]) == cls.exit_code
+        assert capsys.readouterr().err == "xmc gen-data: it went wrong\n"
+
+
+class TestSweepPool:
+    def test_pool_is_capped_at_the_arm_count(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        payloads = [{"x": 1}, {"x": 2}]
+        assert cli._map_arms(lambda p: 10 * p["x"], payloads, 64) == [10, 20]
+        assert cli._map_arms(lambda p: p["x"], payloads * 2, 3) == [1, 2, 1, 2]
+        assert sizes == [2, 3]
 
 
 COMMON_FLAGS = {"--config", "--seed", "--out", "--force"}

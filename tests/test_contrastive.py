@@ -16,6 +16,7 @@ from xmc.contrastive import (
     encode_keys,
     info_nce,
     pretrain,
+    warm_start,
 )
 from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
 from xmc.errors import ConfigError, ContractError, UsageError
@@ -79,6 +80,20 @@ class TestNegativeQueue:
             model.extend(keys)
             assert len(q) <= capacity
             np.testing.assert_array_equal(q.snapshot(), np.array(model))
+
+
+class TestWarmStart:
+    def test_fills_from_the_leading_batches(self):
+        keys = unit_rows(np.random.default_rng(3).normal(size=(10, 3)))
+        q = NegativeQueue(5)
+        assert warm_start(q, keys, 2) == 6  # ceil(5 / 2) batches of 2
+        np.testing.assert_array_equal(q.snapshot(), keys[1:6])
+
+    def test_batch_larger_than_the_queue_keeps_its_newest_keys(self):
+        keys = unit_rows(np.random.default_rng(4).normal(size=(10, 3)))
+        q = NegativeQueue(3)
+        assert warm_start(q, keys, 4) == 4
+        np.testing.assert_array_equal(q.snapshot(), keys[1:4])
 
 
 class TestInfoNce:

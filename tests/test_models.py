@@ -15,11 +15,13 @@ from xmc.errors import (
     DimensionError,
     DomainError,
     FormatError,
+    NumericError,
     UsageError,
 )
 from xmc.models import (
     cosine_lr,
     cross_entropy,
+    fit,
     init_encoder,
     init_head,
     load_checkpoint_bytes,
@@ -207,6 +209,105 @@ class TestSoftmaxAndCrossEntropy:
         labels = np.array([0, 1, 2, 3])
         loss, _ = cross_entropy(np.zeros((4, 4)), labels)
         assert math.isclose(loss, math.log(4.0), rel_tol=1e-12)
+
+
+def zero_loss(out, sel):
+    return 0.0, np.zeros_like(out)
+
+
+FIT_KW = dict(batch_size=2, lr=0.1, momentum=0.9, weight_decay=0.0, cosine=False)
+
+
+class TestFit:
+    def test_non_finite_loss_names_epoch_and_sample_and_skips_the_step(self):
+        enc = init_encoder([3, 4, 2], seed=30)
+        x = np.random.default_rng(30).normal(size=(7, 3))
+        calls = []
+
+        def loss(out, sel):
+            calls.append(enc.param_bytes())
+            # batches start at samples 0, 2, 4 and 6: call 7 is epoch 1's third
+            if len(calls) == 7:
+                return math.nan, np.ones_like(out)
+            return cross_entropy(out, sel % 2)
+
+        with pytest.raises(NumericError, match=r"epoch 1, sample 4"):
+            list(fit([enc], x, loss, epochs=3, order_rng=np.random.default_rng(0),
+                     **FIT_KW))
+        assert calls[0] != calls[-1]  # earlier steps did train
+        assert enc.param_bytes() == calls[-1]
+
+    def test_epoch_0_uses_first_order_and_later_epochs_the_rng(self):
+        enc = init_encoder([3, 2], seed=31)
+        x = np.random.default_rng(31).normal(size=(6, 3))
+        first = np.array([5, 3, 1, 0, 2, 4])
+        seen = []
+
+        def loss(out, sel):
+            seen.append(sel.copy())
+            return zero_loss(out, sel)
+
+        list(fit([enc], x, loss, epochs=3, order_rng=np.random.default_rng(9),
+                 first_order=first, **{**FIT_KW, "batch_size": 6}))
+        rng = np.random.default_rng(9)
+        expected = [first, rng.permutation(6), rng.permutation(6)]
+        assert [s.tolist() for s in seen] == [e.tolist() for e in expected]
+
+        seen.clear()
+        list(fit([enc], x, loss, epochs=1, order_rng=np.random.default_rng(9),
+                 **{**FIT_KW, "batch_size": 6}))
+        assert seen[0].tolist() == np.random.default_rng(9).permutation(6).tolist()
+
+    def test_yields_epoch_lr_and_sample_weighted_mean_loss(self):
+        enc = init_encoder([3, 2], seed=32)
+        x = np.zeros((5, 3))
+
+        def loss(out, sel):  # batches of 2, 2 and 1 samples
+            return float(len(sel)), np.zeros_like(out)
+
+        constant = list(fit([enc], x, loss, epochs=2,
+                            order_rng=np.random.default_rng(0), **FIT_KW))
+        assert constant == [(0, 0.1, 1.8), (1, 0.1, 1.8)]
+        cosine = list(fit([enc], x, loss, epochs=2, order_rng=np.random.default_rng(0),
+                          **{**FIT_KW, "cosine": True}))
+        assert [lr for _, lr, _ in cosine] == [cosine_lr(0, 2, 0.1), cosine_lr(1, 2, 0.1)]
+
+    def test_frozen_model_in_the_chain_raises_before_any_step(self):
+        enc = init_encoder([3, 2], seed=33, trainable=False)
+        head = init_encoder([2, 4], seed=34)
+        before = head.param_bytes() + enc.param_bytes()
+        calls = []
+
+        def loss(out, sel):
+            calls.append(sel)
+            return zero_loss(out, sel)
+
+        with pytest.raises(ContractError):
+            list(fit([enc, head], np.ones((4, 3)), loss, epochs=1,
+                     order_rng=np.random.default_rng(0), **FIT_KW))
+        assert calls == []
+        assert head.param_bytes() + enc.param_bytes() == before
+
+    def test_one_step_through_a_chain_matches_manual_backprop(self):
+        x = np.random.default_rng(35).normal(size=(4, 5))
+        labels = np.array([0, 2, 1, 2])
+        enc, head = init_encoder([5, 6, 4], seed=35), init_encoder([4, 3], seed=36)
+        ref_enc, ref_head = enc.copy(), head.copy()
+
+        list(fit([enc, head], x, lambda out, sel: cross_entropy(out, labels[sel]),
+                 epochs=1, order_rng=np.random.default_rng(0),
+                 **{**FIT_KW, "batch_size": 4, "weight_decay": 0.01}))
+
+        order = np.random.default_rng(0).permutation(4)
+        feats, enc_acts = ref_enc.forward(x[order])
+        logits, head_acts = ref_head.forward(feats)
+        g = ad.backward(ref_head, head_acts, cross_entropy(logits, labels[order])[1],
+                        input_grad=True)
+        ad.backward(ref_enc, enc_acts, g)
+        params = ref_enc.parameters() + ref_head.parameters()
+        sgd_step(params, make_optimizer(params, 0.1, 0.9, 0.01))
+        assert enc.param_bytes() == ref_enc.param_bytes()
+        assert head.param_bytes() == ref_head.param_bytes()
 
 
 @pytest.fixture(scope="module")
