@@ -7,7 +7,7 @@ correlated Gaussians; a linear-probe/fine-tune/baseline evaluation harness
 measures what the representation learned.
 """
 
-from .autodiff import Tensor, backward
+from .autodiff import backward
 from .config import ExperimentConfig, load_config
 from .contrastive import ContrastiveConfig, NegativeQueue, info_nce, pretrain
 from .datagen import (

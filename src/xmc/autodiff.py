@@ -12,48 +12,42 @@ its backward as a closure.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, DimensionError
 
-__all__ = ["Tensor", "backward", "l2_normalize", "logsumexp_row"]
+__all__ = ["backward", "l2_normalize", "logsumexp_row"]
 
 NORM_EPS = 1e-12
 
 
-class Tensor:
-    """A float64 parameter array and the gradient :func:`backward` assigns."""
-
-    __slots__ = ("data", "grad")
-
-    def __init__(self, data):
-        self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-
-
 def backward(model, acts: list[np.ndarray], g: np.ndarray,
              input_grad: bool = False) -> np.ndarray | None:
-    """Assign ``.grad`` on every parameter of ``model``, an ``EncoderModel``
-    whose ``forward`` gave the layer inputs ``acts``, from the loss gradient
-    ``g`` with respect to its output. Each parameter gets exactly one
-    gradient, so it is assigned, not added. Returns the gradient with
-    respect to the model's input iff ``input_grad``."""
+    """Assign ``model.grad``, the gradient of the parameter vector of an
+    ``EncoderModel`` whose ``forward`` gave the layer inputs ``acts``, from
+    the loss gradient ``g`` with respect to its output. The vector is new on
+    each call and assigned, not added to. Returns the gradient with respect
+    to the model's input iff ``input_grad``."""
     if model.frozen:
         raise ContractError("cannot backpropagate into a frozen model")
     if g.shape != (len(acts[0]), model.dims[-1]):
         raise DimensionError(
             f"backward: output gradient {g.shape} vs output "
             f"{(len(acts[0]), model.dims[-1])}")
+    # a model over the new gradient vector lends it the parameters' layout
+    grads = replace(model, data=np.empty_like(model.data))
     for i in reversed(range(len(model.weights))):
         a, w = acts[i], model.weights[i]
-        model.biases[i].grad = g.sum(axis=0)
-        w.grad = a.T @ g
+        g.sum(axis=0, out=grads.biases[i])
+        np.matmul(a.T, g, out=grads.weights[i])
         if i or input_grad:
-            g = g @ w.data.T
+            g = g @ w.T
         if i:
             g *= a > 0.0  # a is the previous layer's relu output
+    model.grad = grads.data
     return g if input_grad else None
 
 

@@ -38,7 +38,7 @@ from .datagen import (
 )
 from .errors import ConfigError, XmcError
 from .mi import MiCriticConfig, estimate_mi_gaussian
-from .models import load_checkpoint, pretrain_vision, save_checkpoint
+from .models import EncoderModel, load_checkpoint, pretrain_vision, save_checkpoint
 from .runio import sha256_file, splits_path, write_csv, write_manifest
 from .seeding import derive_seed
 
@@ -198,12 +198,24 @@ def _write_result(outputs: list, r: ev.ProbeResult, what: str):
     return {"test_accuracy": r.test_accuracy}, f"{what} accuracy {r.test_accuracy:.3f}"
 
 
+def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
+    """The task split of the dataset and the encoder checkpoint, checked to
+    take the dataset's R·A heatmap bins before anything is encoded."""
+    ds = load_dataset(inputs["data"])
+    encoder = load_checkpoint(inputs["encoder"])
+    width = math.prod(ds.heatmaps.shape[1:])
+    if encoder.input_dim != width:
+        raise ConfigError(f"encoder checkpoint {inputs['encoder']} takes "
+                          f"{encoder.input_dim} inputs, but the heatmaps have {width} "
+                          f"(R·A) bins")
+    return ev.make_task_split(ds), encoder
+
+
 @command("probe", inputs=("data", "encoder"),
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    split = ev.make_task_split(load_dataset(inputs["data"]))
-    r = ev.linear_probe(load_checkpoint(inputs["encoder"]), split, args.fraction,
-                        _head_config(cfg), cfg.seed)
+    split, encoder = _split_and_encoder(inputs)
+    r = ev.linear_probe(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
     return _write_result(outputs, r, "linear probe")
 
 
@@ -211,9 +223,8 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("finetune_result.csv", "finetune_curve.csv", "radio_finetuned.xmck"),
          flags=("fraction",))
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    split = ev.make_task_split(load_dataset(inputs["data"]))
-    r, tuned = ev.finetune(load_checkpoint(inputs["encoder"]), split, args.fraction,
-                           _head_config(cfg), cfg.seed)
+    split, encoder = _split_and_encoder(inputs)
+    r, tuned = ev.finetune(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
     save_checkpoint(outputs[2], tuned)
     return _write_result(outputs, r, "fine-tune")
 
@@ -335,8 +346,8 @@ def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("project", inputs=("data", "encoder"), outputs=("projection.csv",))
 def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     (proj_path,) = outputs
-    split = ev.make_task_split(load_dataset(inputs["data"]))
-    feats = load_checkpoint(inputs["encoder"]).forward_numpy(split.test_inputs)
+    split, encoder = _split_and_encoder(inputs)
+    feats = encoder.forward_numpy(split.test_inputs)
     coords = ev.project_2d(feats)
     labels = split.test_labels_for_reporting()
     sep = ev.cluster_separation(coords, labels)
@@ -375,7 +386,10 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
-        return COMMANDS[args.command](args, cfg)
+        # a diverging run overflows on its way to the non-finite loss that
+        # fit reports; that report is its one stderr line
+        with np.errstate(over="ignore", invalid="ignore"):
+            return COMMANDS[args.command](args, cfg)
     except FileNotFoundError as e:
         print(f"xmc {args.command}: {e}", file=sys.stderr)
         return 2

@@ -16,7 +16,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .errors import (
     ConfigError,
     ContractError,
@@ -30,6 +29,7 @@ from .seeding import derive_seed, rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
 CHECKPOINT_VERSION = 2
+SGD_BLOCK = 1 << 15  # elements per sgd_step pass: whole-vector temporaries cost 2 MB of RSS
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -37,14 +37,41 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.nd
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-@dataclass
+def _n_params(dims: list[int]) -> int:
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(dims[:-1], dims[1:]))
+
+
+def _views(dims: list[int], vec: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The per-layer weights and biases of an MLP as views into one flat
+    vector, laid out as the checkpoint body: each layer's (fan_in, fan_out)
+    weight, then its bias."""
+    if vec.shape != (_n_params(dims),):
+        raise DimensionError(f"dims {dims} take {_n_params(dims)} parameters, got {vec.shape}")
+    ws, bs, off = [], [], 0
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        end = off + fan_in * fan_out
+        ws.append(vec[off:end].reshape(fan_in, fan_out))
+        bs.append(vec[end:end + fan_out])
+        off = end + fan_out
+    return ws, bs
+
+
+@dataclass(eq=False)
 class EncoderModel:
-    """An MLP encoder: dims[0] -> ... -> dims[-1], relu between layers."""
+    """An MLP encoder: dims[0] -> ... -> dims[-1], relu between layers. Its
+    parameters are one float64 vector ``data``, with ``weights`` and
+    ``biases`` as views; ``grad``, laid out alike, is what
+    ``autodiff.backward`` assigns and ``sgd_step`` uses once."""
 
     dims: list[int]
-    weights: list[Tensor]
-    biases: list[Tensor]
+    data: np.ndarray
     frozen: bool = False
+    grad: np.ndarray | None = field(default=None, init=False, repr=False)
+    weights: list[np.ndarray] = field(init=False, repr=False)
+    biases: list[np.ndarray] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.weights, self.biases = _views(self.dims, self.data)
 
     @property
     def embed_dim(self) -> int:
@@ -53,13 +80,6 @@ class EncoderModel:
     @property
     def input_dim(self) -> int:
         return self.dims[0]
-
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Embed a (B, input_dim) batch. Also returns each layer's input,
@@ -72,7 +92,7 @@ class EncoderModel:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             acts.append(h)
-            h = h @ w.data + b.data[None, :]
+            h = h @ w + b[None, :]
             if i != last:
                 h = np.maximum(h, 0.0)
         return h, acts
@@ -83,18 +103,15 @@ class EncoderModel:
 
     def freeze(self) -> None:
         self.frozen = True
-        for p in self.parameters():
-            p.grad = None
+        self.grad = None
 
     def copy(self, trainable: bool = True) -> "EncoderModel":
         """Independent deep copy; by default the copy is trainable."""
-        ws = [Tensor(w.data.copy()) for w in self.weights]
-        bs = [Tensor(b.data.copy()) for b in self.biases]
-        return EncoderModel(list(self.dims), ws, bs, frozen=not trainable)
+        return EncoderModel(list(self.dims), self.data.copy(), frozen=not trainable)
 
     def param_bytes(self) -> bytes:
         """Raw little-endian parameter bytes, for freeze-contract checks."""
-        return b"".join(p.data.astype("<f8").tobytes() for p in self.parameters())
+        return self.data.astype("<f8").tobytes()
 
 
 def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderModel:
@@ -102,20 +119,18 @@ def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderM
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise ConfigError(f"encoder dims must be >=2 positive ints, got {dims}")
     rng = rng_for(seed, "encoder-init")
-    ws, bs = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(Tensor(xavier_uniform(rng, fan_in, fan_out)))
-        bs.append(Tensor(np.zeros(fan_out)))
-    return EncoderModel(list(dims), ws, bs, frozen=not trainable)
+    model = EncoderModel(list(dims), np.zeros(_n_params(dims)), frozen=not trainable)
+    for w in model.weights:
+        w[:] = xavier_uniform(rng, *w.shape)
+    return model
 
 
 def init_head(embed_dim: int, n_classes: int) -> EncoderModel:
     """A one-layer model from embeddings to class logits. Heads start at
     zero: at the small head learning rates the learned update direction, not
     a random init, must decide the argmax."""
-    return EncoderModel([embed_dim, n_classes],
-                        [Tensor(np.zeros((embed_dim, n_classes)))],
-                        [Tensor(np.zeros(n_classes))])
+    dims = [embed_dim, n_classes]
+    return EncoderModel(dims, np.zeros(_n_params(dims)))
 
 
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
@@ -146,27 +161,30 @@ class OptimizerState:
     velocities: list[np.ndarray] = field(default_factory=list)
 
 
-def make_optimizer(params: list[Tensor], lr: float, momentum: float,
+def make_optimizer(params: list[EncoderModel], lr: float, momentum: float,
                    weight_decay: float) -> OptimizerState:
     return OptimizerState(
         lr=lr, momentum=momentum, weight_decay=weight_decay,
         velocities=[np.zeros_like(p.data) for p in params])
 
 
-def sgd_step(params: list[Tensor], state: OptimizerState,
+def sgd_step(params: list[EncoderModel], state: OptimizerState,
              lr: float | None = None) -> None:
-    """v <- momentum*v + (g + wd*p); p <- p - lr*v. Each gradient is used
-    once: it is cleared after the step."""
+    """v <- momentum*v + (g + wd*p); p <- p - lr*v on each model's parameter
+    vector, ``SGD_BLOCK`` elements at a time. Each gradient is used once: it
+    is cleared after the step."""
     if len(state.velocities) != len(params):
         raise UsageError("optimizer state does not match the parameter list")
     if lr is not None:
         state.lr = float(lr)
     for p, v in zip(params, state.velocities):
         if p.grad is None:
-            raise UsageError("sgd_step: a trainable parameter has no gradient")
-        v *= state.momentum
-        v += p.grad + state.weight_decay * p.data
-        p.data -= state.lr * v
+            raise UsageError("sgd_step: a trainable model has no gradient")
+        for start in range(0, v.size, SGD_BLOCK):
+            b = slice(start, start + SGD_BLOCK)
+            v[b] *= state.momentum
+            v[b] += p.grad[b] + state.weight_decay * p.data[b]
+            p.data[b] -= state.lr * v[b]
         p.grad = None
 
 
@@ -200,8 +218,7 @@ def fit(chain: list[EncoderModel], inputs: np.ndarray,
     """
     if any(model.frozen for model in chain):
         raise ContractError("cannot train a frozen model")
-    params = [p for model in chain for p in model.parameters()]
-    opt = make_optimizer(params, lr, momentum, weight_decay)
+    opt = make_optimizer(chain, lr, momentum, weight_decay)
     n = len(inputs)
     for epoch in range(epochs):
         order = (first_order if epoch == 0 and first_order is not None
@@ -219,7 +236,7 @@ def fit(chain: list[EncoderModel], inputs: np.ndarray,
                 raise NumericError(f"non-finite loss at epoch {epoch}, sample {start}")
             for i in reversed(range(len(chain))):
                 g = ad.backward(chain[i], acts[i], g, input_grad=i > 0)
-            sgd_step(params, opt, lr=epoch_lr)
+            sgd_step(chain, opt, lr=epoch_lr)
             total += value * len(sel)
         yield epoch, epoch_lr, total / n
 
@@ -319,25 +336,18 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def _pack_array(a: np.ndarray) -> bytes:
-    return a.astype("<f8").tobytes()
-
-
 def save_checkpoint_bytes(model: EncoderModel) -> bytes:
     """Serialize a model to bytes.
 
     Layout: magic, version u16, frozen u8, layer count u16, dims u32 each,
-    then per-layer weight and bias as little-endian f64. Round-trips
-    bit-exactly.
+    then the parameter vector (per layer, weight then bias) as little-endian
+    f64. Round-trips bit-exactly.
     """
-    n_layers = len(model.weights)
-    parts = [CHECKPOINT_MAGIC,
-             struct.pack("<HBH", CHECKPOINT_VERSION, int(model.frozen), n_layers)]
-    parts.append(struct.pack(f"<{len(model.dims)}I", *model.dims))
-    for w, b in zip(model.weights, model.biases):
-        parts.append(_pack_array(w.data))
-        parts.append(_pack_array(b.data))
-    return b"".join(parts)
+    return b"".join([CHECKPOINT_MAGIC,
+                     struct.pack("<HBH", CHECKPOINT_VERSION, int(model.frozen),
+                                 len(model.weights)),
+                     struct.pack(f"<{len(model.dims)}I", *model.dims),
+                     model.data.astype("<f8").tobytes()])
 
 
 def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
@@ -361,18 +371,13 @@ def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
     dims = list(struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1))))
     if min(dims) < 1:
         raise FormatError(f"checkpoint layer dims must be positive, got {dims}")
-
-    def read_array(shape: tuple[int, ...]) -> np.ndarray:
-        count = math.prod(shape)
-        return np.frombuffer(take(8 * count), dtype="<f8").reshape(shape).copy()
-
-    ws, bs = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        ws.append(Tensor(read_array((fan_in, fan_out))))
-        bs.append(Tensor(read_array((fan_out,))))
-    if off != len(blob):
-        raise FormatError("checkpoint has trailing bytes")
-    return EncoderModel(dims, ws, bs, frozen=bool(frozen))
+    count, body = _n_params(dims), len(blob) - off
+    if body != 8 * count:
+        raise FormatError("checkpoint truncated" if body < 8 * count
+                          else "checkpoint has trailing bytes")
+    # read straight from the blob: slicing the body out first would copy it
+    data = np.frombuffer(blob, "<f8", count, off).astype(np.float64)
+    return EncoderModel(dims, data, frozen=bool(frozen))
 
 
 def save_checkpoint(path, model: EncoderModel) -> None:

@@ -6,29 +6,28 @@ from typing import Callable
 
 import numpy as np
 
-from xmc.autodiff import Tensor
+from xmc.models import EncoderModel
 
 
-def finite_diff_grads(f: Callable[[], float], params: list[Tensor],
+def finite_diff_grads(f: Callable[[], float], arrays: list[np.ndarray],
                       h: float = 1e-5) -> list[np.ndarray]:
-    """Central-difference gradients of a scalar function of the params.
+    """Central-difference gradients of a scalar function of the arrays.
 
-    ``f`` must re-run the forward pass from the params' current data; it is
-    evaluated 2x per parameter element.
+    Each array is perturbed in place, one element at a time, so ``f`` must
+    re-run the forward pass from the arrays' current values (a model's
+    ``data``, or an input array); it is evaluated 2x per element.
     """
     grads = []
-    for p in params:
-        g = np.zeros_like(p.data)
-        flat = p.data.ravel()
-        gflat = g.ravel()
-        for i in range(flat.size):
-            keep = flat[i]
-            flat[i] = keep + h
+    for a in arrays:
+        g = np.zeros_like(a)
+        for i in range(a.size):
+            keep = a.flat[i]
+            a.flat[i] = keep + h
             up = f()
-            flat[i] = keep - h
+            a.flat[i] = keep - h
             down = f()
-            flat[i] = keep
-            gflat[i] = (up - down) / (2.0 * h)
+            a.flat[i] = keep
+            g.flat[i] = (up - down) / (2.0 * h)
         grads.append(g)
     return grads
 
@@ -39,13 +38,19 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float((np.abs(analytic - numeric) / denom).max())
 
 
-def check_grads(f: Callable[[], float], params: list[Tensor],
+def check_grads(f: Callable[[], float], pairs: list[tuple[np.ndarray, np.ndarray]],
                 tol: float = 1e-4, h: float = 1e-5) -> float:
-    """Assert analytic grads (already populated) match finite differences."""
-    numeric = finite_diff_grads(f, params, h)
-    worst = 0.0
-    for p, num in zip(params, numeric):
-        assert p.grad is not None, "parameter has no analytic gradient"
-        worst = max(worst, relative_error(p.grad, num))
+    """Assert analytic gradients match finite differences. ``pairs`` holds
+    (array, its analytic gradient), e.g. ``(model.data, model.grad)``."""
+    for _, grad in pairs:
+        assert grad is not None, "an array has no analytic gradient"
+    numeric = finite_diff_grads(f, [a for a, _ in pairs], h)
+    worst = max(relative_error(grad, num) for (_, grad), num in zip(pairs, numeric))
     assert worst < tol, f"gradient mismatch: {worst} >= {tol}"
     return worst
+
+
+def grad_views(model: EncoderModel) -> EncoderModel:
+    """A model over ``model.grad``: its ``weights`` and ``biases`` are the
+    per-layer gradient views."""
+    return EncoderModel(model.dims, model.grad)

@@ -238,16 +238,24 @@ class TestExitCodes:
         assert code == 1
 
 
+    @pytest.mark.parametrize("command", ["probe", "finetune", "project"])
     def test_encoder_of_the_wrong_width_exits_3(self, pipeline, workdir, tmp_path,
-                                                capsys):
+                                                capsys, monkeypatch, command):
         narrow = tmp_path / "narrow.xmck"
         save_checkpoint(narrow, init_encoder([100, 8], seed=0))
+
+        def no_forward(*args, **kwargs):
+            raise AssertionError("the encoder ran before its width was checked")
+
+        monkeypatch.setattr("xmc.models.EncoderModel.forward", no_forward)
         capsys.readouterr()
-        code = main(["probe", "--config", str(workdir / "tiny.yaml"),
+        code = main([command, "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"),
                      "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(narrow)])
         assert code == 3
-        assert "encoder expects (B, 100)" in self.one_line(capsys)
+        line = self.one_line(capsys)
+        assert str(narrow) in line
+        assert "takes 100 inputs, but the heatmaps have 1024" in line
 
     @pytest.mark.parametrize("dims, message", [
         ([100, 16], "vision checkpoint takes 100 inputs, but the images have 1024"),
@@ -269,8 +277,7 @@ class TestExitCodes:
         assert code == 3
         assert message in self.one_line(capsys)
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                                "ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.yaml"
         cfg.write_text(TINY_YAML.replace("vision:\n", "vision:\n  lr: 1.0e+300\n"))

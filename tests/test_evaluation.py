@@ -101,7 +101,7 @@ class TestExtractFeatures:
 
     def test_zero_encoder_gives_zero_features(self):
         enc = init_encoder([5, 4], seed=6)
-        enc.weights[0].data[:] = 0.0
+        enc.weights[0][:] = 0.0
         out = enc.forward_numpy(np.ones((3, 5)))
         np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
@@ -176,7 +176,7 @@ class TestFinetuneAndBaseline:
     def test_softmax_head_rows_sum_to_one(self, tiny_task):
         x = tiny_task.train_inputs[:50]
         head = init_head(x.shape[1], 4)
-        w = head.weights[0].data
+        w = head.weights[0]
         w[:] = np.random.default_rng(0).normal(size=w.shape) * 20
         _, probs = ad.logsumexp_row(head.forward_numpy(x))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from xmc import autodiff as ad
-from xmc.autodiff import Tensor
 from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
 from xmc.errors import (
     ConfigError,
@@ -19,6 +18,8 @@ from xmc.errors import (
     UsageError,
 )
 from xmc.models import (
+    SGD_BLOCK,
+    EncoderModel,
     cosine_lr,
     cross_entropy,
     fit,
@@ -29,17 +30,18 @@ from xmc.models import (
     pretrain_vision,
     save_checkpoint_bytes,
     sgd_step,
+    xavier_uniform,
 )
-from xmc.seeding import derive_seed
+from xmc.seeding import derive_seed, rng_for
 
-from helpers import check_grads
+from helpers import check_grads, grad_views
 
 
 class TestEncoderForward:
     def test_zero_weight_model_embeds_to_zero(self):
         m = init_encoder([6, 4, 3], seed=0)
         for w in m.weights:
-            w.data[:] = 0.0
+            w[:] = 0.0
         out, _ = m.forward(np.random.default_rng(0).normal(size=(2, 6)))
         np.testing.assert_array_equal(out, np.zeros((2, 3)))
 
@@ -55,20 +57,20 @@ class TestEncoderForward:
         _, g = cross_entropy(out, np.array([0, 1, 2]))
         with pytest.raises(ContractError):
             ad.backward(m, acts, g)
-        assert all(p.grad is None for p in m.parameters())
+        assert m.grad is None
 
     @staticmethod
     def gradcheck_two_layers(input_grad: bool):
         m = init_encoder([4, 6, 3], seed=2)
-        x = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
+        x = np.random.default_rng(2).normal(size=(3, 4))
         labels = np.array([2, 0, 2])
 
         def f():
-            return cross_entropy(m.forward(x.data)[0], labels)[0]
+            return cross_entropy(m.forward(x)[0], labels)[0]
 
-        out, acts = m.forward(x.data)
-        x.grad = ad.backward(m, acts, cross_entropy(out, labels)[1], input_grad)
-        check_grads(f, m.parameters() + ([x] if input_grad else []))
+        out, acts = m.forward(x)
+        dx = ad.backward(m, acts, cross_entropy(out, labels)[1], input_grad)
+        check_grads(f, [(m.data, m.grad)] + ([(x, dx)] if input_grad else []))
 
     def test_gradcheck_through_two_layer_encoder(self):
         self.gradcheck_two_layers(input_grad=False)
@@ -82,17 +84,17 @@ class TestEncoderForward:
         rng = np.random.default_rng(8)
         enc = init_encoder([5, 6, 4], seed=8)
         head = init_encoder([4, 3], seed=9)  # random, so the head passes signal back
-        x = Tensor(rng.normal(size=(4, 5)))
+        x = rng.normal(size=(4, 5))
         labels = np.array([0, 2, 1, 2])
 
         def f():
-            return cross_entropy(head.forward_numpy(enc.forward_numpy(x.data)), labels)[0]
+            return cross_entropy(head.forward_numpy(enc.forward_numpy(x)), labels)[0]
 
-        feats, enc_acts = enc.forward(x.data)
+        feats, enc_acts = enc.forward(x)
         logits, head_acts = head.forward(feats)
         g = ad.backward(head, head_acts, cross_entropy(logits, labels)[1], input_grad=True)
-        x.grad = ad.backward(enc, enc_acts, g, input_grad=True)
-        check_grads(f, head.parameters() + enc.parameters() + [x])
+        dx = ad.backward(enc, enc_acts, g, input_grad=True)
+        check_grads(f, [(head.data, head.grad), (enc.data, enc.grad), (x, dx)])
 
     def test_forward_numpy_matches_graph_forward(self):
         m = init_encoder([7, 5, 4], seed=3)
@@ -104,15 +106,20 @@ class TestEncoderForward:
     def test_init_is_seeded_and_xavier_bounded(self):
         a = init_encoder([10, 8], seed=4)
         b = init_encoder([10, 8], seed=4)
-        np.testing.assert_array_equal(a.weights[0].data, b.weights[0].data)
+        np.testing.assert_array_equal(a.weights[0], b.weights[0])
         bound = math.sqrt(6.0 / 18.0)
-        assert np.abs(a.weights[0].data).max() <= bound
-        assert np.all(a.biases[0].data == 0.0)
+        assert np.abs(a.weights[0]).max() <= bound
+        assert np.all(a.biases[0] == 0.0)
+
+
+def unit(w: float, b: float) -> EncoderModel:
+    """A 1 -> 1 layer: its parameter vector is [w, b]."""
+    return EncoderModel([1, 1], np.array([w, b]))
 
 
 class TestSgd:
     def test_plain_gradient_descent(self):
-        p = Tensor(np.array([1.0, 2.0]))
+        p = unit(1.0, 2.0)
         p.grad = np.array([0.5, -0.5])
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.0)
         sgd_step([p], st)
@@ -120,46 +127,68 @@ class TestSgd:
         assert p.grad is None  # used once, then cleared
 
     def test_first_momentum_step(self):
-        p = Tensor(np.array([2.0]))
-        p.grad = np.array([1.0])
+        p = unit(2.0, 0.0)
+        p.grad = np.array([1.0, 0.0])
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step([p], st)
         v = 1.0 + 0.01 * 2.0
-        np.testing.assert_allclose(p.data, [2.0 - 0.1 * v])
+        np.testing.assert_allclose(p.data, [2.0 - 0.1 * v, 0.0])
 
     def test_two_hand_computed_steps(self):
         # scalar recurrence: v_t = m v_{t-1} + (g + wd p); p -= lr v_t
-        p = Tensor(np.array([1.0]))
+        p = unit(1.0, 0.0)
         st = make_optimizer([p], lr=0.2, momentum=0.5, weight_decay=0.1)
-        p.grad = np.array([0.3])
+        p.grad = np.array([0.3, 0.0])
         sgd_step([p], st)
         v1 = 0.3 + 0.1 * 1.0
         p1 = 1.0 - 0.2 * v1
-        np.testing.assert_allclose(p.data, [p1])
-        p.grad = np.array([-0.2])
+        np.testing.assert_allclose(p.data, [p1, 0.0])
+        p.grad = np.array([-0.2, 0.0])
         sgd_step([p], st)
         v2 = 0.5 * v1 + (-0.2 + 0.1 * p1)
-        np.testing.assert_allclose(p.data, [p1 - 0.2 * v2])
+        np.testing.assert_allclose(p.data, [p1 - 0.2 * v2, 0.0])
 
     def test_missing_grad_is_usage_error(self):
-        p = Tensor(np.array([1.0]))
+        p = unit(1.0, 0.0)
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.0)
         with pytest.raises(UsageError):
             sgd_step([p], st)
 
     def test_lr_zero_leaves_params_unchanged(self):
-        p = Tensor(np.array([1.0, -1.0]))
+        p = unit(1.0, -1.0)
         p.grad = np.array([5.0, 5.0])
         st = make_optimizer([p], lr=0.0, momentum=0.9, weight_decay=0.1)
         sgd_step([p], st)
         np.testing.assert_array_equal(p.data, [1.0, -1.0])
 
     def test_pure_weight_decay_shrinkage(self):
-        p = Tensor(np.array([2.0]))
-        p.grad = np.array([0.0])
+        p = unit(2.0, 0.0)
+        p.grad = np.array([0.0, 0.0])
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.05)
         sgd_step([p], st)
-        np.testing.assert_allclose(p.data, [2.0 * (1.0 - 0.1 * 0.05)])
+        np.testing.assert_allclose(p.data, [2.0 * (1.0 - 0.1 * 0.05), 0.0])
+
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_three_steps_of_a_chain_match_the_reference_bytes(self, wd):
+        """Each model of a two-model chain follows v = m*v + (g + wd*p);
+        p = p - lr*v, computed here on fresh arrays, to the byte. The first
+        model spans two blocks of the step."""
+        rng = np.random.default_rng(40)
+        chain = [init_encoder([200, 180, 3], seed=40), init_encoder([3, 2], seed=41)]
+        assert SGD_BLOCK < chain[0].data.size < 2 * SGD_BLOCK
+        ref_p = [m.data.copy() for m in chain]
+        ref_v = [np.zeros_like(p) for p in ref_p]
+        st = make_optimizer(chain, lr=0.1, momentum=0.9, weight_decay=wd)
+        for lr in (0.1, 0.05, 0.025):
+            grads = [rng.normal(size=m.data.shape) for m in chain]
+            for m, g in zip(chain, grads):
+                m.grad = g.copy()
+            sgd_step(chain, st, lr=lr)
+            for j, g in enumerate(grads):
+                ref_v[j] = 0.9 * ref_v[j] + (g + wd * ref_p[j])
+                ref_p[j] = ref_p[j] - lr * ref_v[j]
+            assert [m.data.tobytes() for m in chain] == [p.tobytes() for p in ref_p]
+            assert [v.tobytes() for v in st.velocities] == [v.tobytes() for v in ref_v]
 
 
 class TestCosineSchedule:
@@ -187,10 +216,10 @@ class TestSoftmaxAndCrossEntropy:
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        logits = Tensor(rng.normal(size=(5, 4)))
+        logits = rng.normal(size=(5, 4))
         labels = np.array([0, 3, 1, 1, 2])
-        logits.grad = cross_entropy(logits.data, labels)[1]
-        check_grads(lambda: cross_entropy(logits.data, labels)[0], [logits])
+        grad = cross_entropy(logits, labels)[1]
+        check_grads(lambda: cross_entropy(logits, labels)[0], [(logits, grad)])
 
     def test_cross_entropy_label_shape_mismatch(self):
         with pytest.raises(DimensionError):
@@ -304,8 +333,7 @@ class TestFit:
         g = ad.backward(ref_head, head_acts, cross_entropy(logits, labels[order])[1],
                         input_grad=True)
         ad.backward(ref_enc, enc_acts, g)
-        params = ref_enc.parameters() + ref_head.parameters()
-        sgd_step(params, make_optimizer(params, 0.1, 0.9, 0.01))
+        sgd_step([ref_enc, ref_head], make_optimizer([ref_enc, ref_head], 0.1, 0.9, 0.01))
         assert enc.param_bytes() == ref_enc.param_bytes()
         assert head.param_bytes() == ref_head.param_bytes()
 
@@ -358,11 +386,9 @@ class TestVisionPretrain:
 class TestCheckpoints:
     def test_round_trip_is_bit_exact(self):
         model = init_encoder([9, 7, 5], seed=20)
-        opt = make_optimizer(model.parameters(), lr=0.03, momentum=0.9,
-                             weight_decay=1e-4)
-        for p in model.parameters():
-            p.grad = np.ones_like(p.data)
-        sgd_step(model.parameters(), opt)  # non-zero biases, irregular floats
+        opt = make_optimizer([model], lr=0.03, momentum=0.9, weight_decay=1e-4)
+        model.grad = np.ones_like(model.data)
+        sgd_step([model], opt)  # non-zero biases, irregular floats
         blob = save_checkpoint_bytes(model)
         loaded = load_checkpoint_bytes(blob)
         assert loaded.dims == model.dims
@@ -380,6 +406,33 @@ class TestCheckpoints:
         assert len(blob) == 9 + 4 * 2 + 8 * (3 * 2 + 2)
         loaded = load_checkpoint_bytes(blob)
         assert loaded.frozen
+
+    def test_body_is_per_layer_weight_then_bias(self):
+        model = init_encoder([5, 4, 3], seed=26)
+        rng = rng_for(26, "encoder-init")
+        ws = [xavier_uniform(rng, 5, 4), xavier_uniform(rng, 4, 3)]
+        bs = [np.arange(1.0, 5.0) / 7, -np.arange(1.0, 4.0) / 3]
+        for view, b in zip(model.biases, bs):
+            view[:] = b
+        expected = [b"XMCK", struct.pack("<HBH", 2, 0, 2), struct.pack("<3I", 5, 4, 3)]
+        for w, b in zip(ws, bs):
+            expected += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
+        assert save_checkpoint_bytes(model) == b"".join(expected)
+
+    def test_loaded_parameters_are_writeable_and_own_their_memory(self):
+        loaded = load_checkpoint_bytes(save_checkpoint_bytes(init_encoder([4, 3, 2], seed=27)))
+        assert loaded.data.flags.writeable and loaded.data.flags.owndata
+        assert all(np.shares_memory(v, loaded.data) for v in loaded.weights + loaded.biases)
+
+    def test_a_write_through_a_weight_view_reaches_the_vector_and_the_bytes(self):
+        model = init_encoder([4, 3, 2], seed=28)
+        model.weights[1][2, 1] = 0.5
+        index = 4 * 3 + 3 + 2 * 2 + 1  # after weight 0 and bias 0, row-major
+        value = struct.pack("<d", 0.5)
+        assert model.data[index] == 0.5
+        assert model.param_bytes()[8 * index:8 * index + 8] == value
+        body = 9 + 4 * 3  # magic, header, three dims
+        assert save_checkpoint_bytes(model)[body + 8 * index:body + 8 * index + 8] == value
 
     def test_truncation_detected(self):
         blob = save_checkpoint_bytes(init_encoder([3, 2], seed=22))
@@ -415,5 +468,5 @@ class TestCheckpoints:
     def test_copy_is_independent(self):
         model = init_encoder([4, 3], seed=23)
         clone = model.copy()
-        clone.weights[0].data[:] = 0.0
-        assert model.weights[0].data.any()
+        clone.weights[0][:] = 0.0
+        assert model.weights[0].any()
