@@ -119,6 +119,8 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     """Hash the inputs (exit 2 if one is missing), refuse to overwrite the
     outputs (exit 1), then run the body and write the manifest."""
     spec = SPECS[name]
+    if "jobs" in spec.flags:
+        args.jobs = _jobs(args.jobs)
     out_dir = Path(args.out or cfg.io.out_dir)
     paths = {role: Path(getattr(args, role) or out_dir / INPUTS[role][0])
              for role in spec.inputs}
@@ -259,16 +261,23 @@ def _label_seed_worker(payload: dict) -> list[ev.ArmResult]:
                                payload["seed"])
 
 
-def _map_arms(fn, payloads: list[dict], jobs: int | None) -> list:
-    """``fn`` over the payloads, in a pool of ``jobs`` processes; ``None``
-    means $XMC_JOBS, else 1."""
-    if jobs is None:
-        env = os.environ.get("XMC_JOBS", "1")
+def _jobs(flag: int | None) -> int:
+    """The pool size: ``--jobs``, else $XMC_JOBS, else 1; it must be >= 1."""
+    source, jobs = "--jobs", flag
+    if flag is None:
+        source, env = "XMC_JOBS", os.environ.get("XMC_JOBS", "1")
         try:
             jobs = int(env)
         except ValueError:
             raise ConfigError(f"XMC_JOBS must be an integer, got {env!r}") from None
-    if jobs <= 1 or len(payloads) <= 1:
+    if jobs < 1:
+        raise ConfigError(f"{source} must be at least 1, got {jobs}")
+    return jobs
+
+
+def _map_arms(fn, payloads: list[dict], jobs: int) -> list:
+    """``fn`` over the payloads, in a pool of ``jobs`` processes."""
+    if jobs == 1 or len(payloads) <= 1:
         return [fn(p) for p in payloads]
     # the pool starts all its workers up front, so never more than there are arms
     with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:

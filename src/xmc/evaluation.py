@@ -124,7 +124,8 @@ class ProbeResult:
 
     @property
     def best_test_loss(self) -> float:
-        return self.test_loss_curve[self.best_epoch][1]
+        """NaN when the run kept no test-loss curve."""
+        return self.test_loss_curve[self.best_epoch][1] if self.test_loss_curve else math.nan
 
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -136,10 +137,12 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _train_and_score(mode: str, encoder: EncoderModel | None,
                      train_inputs: np.ndarray, test_inputs: np.ndarray,
                      split: TaskSplit, fraction: float, epochs: int,
-                     cfg: HeadConfig, seed: int, train_tag: str) -> ProbeResult:
+                     cfg: HeadConfig, seed: int, train_tag: str,
+                     curve: bool) -> ProbeResult:
     """Train a zero-initialised head, and ``encoder`` with it unless that is
     None (then the inputs are features), on a stratified label subsample;
-    then score them on the test split."""
+    then score them on the test split. ``curve`` adds a test-split forward
+    pass per epoch for the test-loss curve, which never feeds training."""
     sel = stratified_label_subset(split.train_labels, fraction,
                                   derive_seed(seed, "subsample", fraction))
     head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
@@ -149,7 +152,8 @@ def _train_and_score(mode: str, encoder: EncoderModel | None,
         epochs=epochs, lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
         seed=derive_seed(seed, train_tag),
-        test_inputs=test_inputs, test_labels=split.test_labels_for_reporting())
+        test_inputs=test_inputs if curve else None,
+        test_labels=split.test_labels_for_reporting())
     feats = test_inputs if encoder is None else encoder.forward_numpy(test_inputs)
     accuracy = split.test_accuracy(head.forward_numpy(feats).argmax(axis=1))
     best = int(np.argmin(run.test_loss)) if run.test_loss else 0
@@ -159,7 +163,7 @@ def _train_and_score(mode: str, encoder: EncoderModel | None,
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
-                 cfg: HeadConfig, seed: int) -> ProbeResult:
+                 cfg: HeadConfig, seed: int, *, curve: bool = True) -> ProbeResult:
     """Train only a linear head on frozen features from a stratified label
     subsample; the encoder is never updated. Features are standardized with
     statistics of the (label-free) full train split."""
@@ -168,30 +172,31 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
     mu, sd = _standardizer(feats_train)
     return _train_and_score("linear-probe", None, (feats_train - mu) / sd,
                             (feats_test - mu) / sd, split, fraction,
-                            cfg.probe_epochs, cfg, seed, "probe-train")
+                            cfg.probe_epochs, cfg, seed, "probe-train", curve)
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
-             cfg: HeadConfig, seed: int) -> tuple[ProbeResult, EncoderModel]:
+             cfg: HeadConfig, seed: int, *,
+             curve: bool = True) -> tuple[ProbeResult, EncoderModel]:
     """Same protocol as the probe but the encoder trains too; operates on a
     copy so the pre-trained encoder can be reused across fractions."""
     tuned = encoder.copy(trainable=True)
     result = _train_and_score("fine-tune", tuned, split.train_inputs, split.test_inputs,
                               split, fraction, cfg.finetune_epochs, cfg, seed,
-                              "finetune-train")
+                              "finetune-train", curve)
     return result, tuned
 
 
 def supervised_baseline(split: TaskSplit, fraction: float, cfg: HeadConfig,
                         seed: int, hidden: tuple[int, ...] = (256, 256),
-                        embed_dim: int = 128) -> ProbeResult:
+                        embed_dim: int = 128, *, curve: bool = True) -> ProbeResult:
     """End-to-end supervised training of a fresh encoder plus head on the
     labeled fraction."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
     return _train_and_score("supervised-baseline", encoder, split.train_inputs,
                             split.test_inputs, split, fraction, cfg.baseline_epochs,
-                            cfg, seed, "baseline-train")
+                            cfg, seed, "baseline-train", curve)
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +251,16 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel,
                      fractions: list[float], seed: int) -> list[ArmResult]:
     """One seed of the label sweep: pre-train once, then run the fine-tune
     and supervised arms at every fraction, sharing each fraction's label
-    subsample between the two arms."""
+    subsample between the two arms. Only the accuracies are kept, so the
+    arms train without test-loss curves."""
     split = make_task_split(dataset)
     cfg = ContrastiveConfig(**{**base_cfg.__dict__, "seed": seed})
     pre = pretrain(dataset, vision, cfg)
     out: list[ArmResult] = []
     for fraction in fractions:
-        ft, _ = finetune(pre.encoder, split, fraction, head_cfg, seed)
-        sup = supervised_baseline(split, fraction, head_cfg, seed,
-                                  hidden=cfg.hidden, embed_dim=cfg.embed_dim)
+        ft, _ = finetune(pre.encoder, split, fraction, head_cfg, seed, curve=False)
+        sup = supervised_baseline(split, fraction, head_cfg, seed, hidden=cfg.hidden,
+                                  embed_dim=cfg.embed_dim, curve=False)
         out.append(ArmResult(fraction, "fine-tune", seed, ft.test_accuracy))
         out.append(ArmResult(fraction, "supervised", seed, sup.test_accuracy))
     return out
@@ -263,15 +269,15 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel,
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel,
                     base_cfg: ContrastiveConfig, head_cfg: HeadConfig,
                     k: int, seed: int) -> ArmResult:
-    """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe.
-    Arms with K below the batch size shrink the batch to K so the queue can
-    always hold one batch."""
+    """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
+    scored by accuracy alone (no test-loss curve). Arms with K below the
+    batch size shrink the batch to K so the queue can always hold one batch."""
     split = make_task_split(dataset)
     cfg = ContrastiveConfig(**{**base_cfg.__dict__, "seed": seed,
                                "queue_size": k,
                                "batch_size": min(base_cfg.batch_size, k)})
     pre = pretrain(dataset, vision, cfg)
-    probe = linear_probe(pre.encoder, split, 1.0, head_cfg, seed)
+    probe = linear_probe(pre.encoder, split, 1.0, head_cfg, seed, curve=False)
     return ArmResult(float(k), "linear-probe", seed, probe.test_accuracy)
 
 

@@ -171,8 +171,10 @@ def make_optimizer(params: list[EncoderModel], lr: float, momentum: float,
 def sgd_step(params: list[EncoderModel], state: OptimizerState,
              lr: float | None = None) -> None:
     """v <- momentum*v + (g + wd*p); p <- p - lr*v on each model's parameter
-    vector, ``SGD_BLOCK`` elements at a time. Each gradient is used once: it
-    is cleared after the step."""
+    vector, ``SGD_BLOCK`` elements at a time. Each gradient is used once: the
+    step overwrites it as its scratch (``g + wd*p``, then ``lr*v``) and then
+    clears it, so with wd = 0 it runs four in-place passes and allocates
+    nothing."""
     if len(state.velocities) != len(params):
         raise UsageError("optimizer state does not match the parameter list")
     if lr is not None:
@@ -182,9 +184,13 @@ def sgd_step(params: list[EncoderModel], state: OptimizerState,
             raise UsageError("sgd_step: a trainable model has no gradient")
         for start in range(0, v.size, SGD_BLOCK):
             b = slice(start, start + SGD_BLOCK)
-            v[b] *= state.momentum
-            v[b] += p.grad[b] + state.weight_decay * p.data[b]
-            p.data[b] -= state.lr * v[b]
+            g, vb, pb = p.grad[b], v[b], p.data[b]
+            if state.weight_decay:
+                g += state.weight_decay * pb
+            vb *= state.momentum
+            vb += g
+            np.multiply(vb, state.lr, out=g)
+            pb -= g
         p.grad = None
 
 

@@ -167,6 +167,29 @@ class TestExitCodes:
         assert code == 3
         assert "XMC_JOBS" in self.one_line(capsys)
 
+    @pytest.mark.parametrize("flag, env, source", [("0", None, "--jobs"),
+                                                   ("-2", None, "--jobs"),
+                                                   (None, "0", "XMC_JOBS")],
+                             ids=["flag-0", "flag-negative", "env-0"])
+    def test_jobs_below_one_exits_3(self, pipeline, workdir, tmp_path, capsys,
+                                    monkeypatch, flag, env, source):
+        """A pool of fewer than one process is refused before any input is
+        read, rather than silently run serially."""
+        monkeypatch.delenv("XMC_JOBS", raising=False)
+        if env is not None:
+            monkeypatch.setenv("XMC_JOBS", env)
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
+        jobs = [] if flag is None else ["--jobs", flag]
+        inputs = ["--data", str(pipeline / "dataset.xmcd"),
+                  "--vision", str(pipeline / "vision.xmck")]
+        for command, args in (("sweep-labels", inputs), ("sweep-k", inputs),
+                              ("estimate-mi", [])):
+            out = tmp_path / command
+            assert main([command, "--config", str(workdir / "tiny.yaml"),
+                         "--out", str(out), *args, *jobs]) == 3
+            assert f"{source} must be at least 1" in self.one_line(capsys)
+            assert not out.exists()
+
     def test_version_1_checkpoint_exits_3(self, pipeline, workdir, tmp_path, capsys):
         blob = (pipeline / "radio.xmck").read_bytes()
         old = tmp_path / "old.xmck"
@@ -448,11 +471,18 @@ class TestSweepCommands:
         assert len(rows) == 1 + 2 * 2
 
     def test_parallel_jobs_give_identical_csv(self, pipeline, workdir, tmp_path):
-        serial = (pipeline / "mi_estimates.csv").read_bytes()
-        out2 = tmp_path / "par"
-        assert main(["estimate-mi", "--config", str(workdir / "tiny.yaml"),
-                     "--out", str(out2), "--jobs", "2"]) == 0
-        assert (out2 / "mi_estimates.csv").read_bytes() == serial
+        inputs = ["--data", str(pipeline / "dataset.xmcd"),
+                  "--vision", str(pipeline / "vision.xmck")]
+        for command, args, csvs in (
+                ("sweep-labels", inputs, ("sweep_labels.csv", "sweep_labels_summary.csv")),
+                ("sweep-k", inputs, ("sweep_k.csv", "sweep_k_summary.csv")),
+                ("estimate-mi", [], ("mi_estimates.csv",))):
+            outs = {jobs: tmp_path / f"{command}-{jobs}" for jobs in ("1", "2")}
+            for jobs, out in outs.items():
+                assert main([command, "--config", str(workdir / "tiny.yaml"),
+                             "--out", str(out), *args, "--jobs", jobs]) == 0
+            for name in csvs:
+                assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
 
 
 class TestConsoleEntryPoint:

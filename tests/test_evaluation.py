@@ -1,11 +1,14 @@
 """Probe protocol, sweeps bookkeeping, and the 2-D projection."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from xmc import autodiff as ad
+from xmc import evaluation as ev
+from xmc.contrastive import ContrastiveConfig
 from xmc.datagen import SimulatorConfig, make_dataset
 from xmc.errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from xmc.evaluation import (
@@ -22,7 +25,7 @@ from xmc.evaluation import (
     stratified_label_subset,
     supervised_baseline,
 )
-from xmc.models import init_encoder, init_head
+from xmc.models import EncoderModel, init_encoder, init_head
 
 FAST_HEAD = HeadConfig(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
                        batch_size=8)
@@ -140,9 +143,13 @@ class TestLinearProbe:
 
 
 @pytest.fixture(scope="module")
-def tiny_task():
-    ds = make_dataset(SimulatorConfig(), 240, seed=20)
-    return make_task_split(ds)
+def tiny_dataset():
+    return make_dataset(SimulatorConfig(), 240, seed=20)
+
+
+@pytest.fixture(scope="module")
+def tiny_task(tiny_dataset):
+    return make_task_split(tiny_dataset)
 
 
 class TestFinetuneAndBaseline:
@@ -180,6 +187,49 @@ class TestFinetuneAndBaseline:
         w[:] = np.random.default_rng(0).normal(size=w.shape) * 20
         _, probs = ad.logsumexp_row(head.forward_numpy(x))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestCurveFreeArms:
+    """Sweep arms keep only the accuracy, so they train without the
+    per-epoch test-loss curve; leaving it out changes nothing they keep."""
+
+    def test_curve_free_arms_match_curve_on_arms(self, tiny_task):
+        enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=24)
+        on, tuned_on = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24)
+        off, tuned_off = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24, curve=False)
+        assert len(on.test_loss_curve) == FAST_HEAD.finetune_epochs
+        assert off.test_loss_curve == [] and math.isnan(off.best_test_loss)
+        assert off.test_accuracy == on.test_accuracy
+        assert tuned_off.param_bytes() == tuned_on.param_bytes()
+        shape = dict(hidden=(32,), embed_dim=16)
+        assert (supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape,
+                                    curve=False).test_accuracy
+                == supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape).test_accuracy)
+        assert (linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26, curve=False).test_accuracy
+                == linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26).test_accuracy)
+
+    def test_sweep_arms_run_one_test_forward_pass_each(self, tiny_dataset, monkeypatch):
+        """Each fine-tune, baseline and probe arm of a sweep passes the test
+        split through its encoder once: the final accuracy pass."""
+        test_inputs = make_task_split(tiny_dataset).test_inputs
+        width = test_inputs.shape[1]
+        monkeypatch.setattr(ev, "pretrain", lambda ds, vision, cfg: SimpleNamespace(
+            encoder=init_encoder([width, *cfg.hidden, cfg.embed_dim], seed=cfg.seed)))
+        passes = []
+        forward = EncoderModel.forward
+
+        def counting_forward(model, x):
+            if x.shape == test_inputs.shape and np.array_equal(x, test_inputs):
+                passes.append(len(x))
+            return forward(model, x)
+
+        monkeypatch.setattr(EncoderModel, "forward", counting_forward)
+        cfg = ContrastiveConfig(hidden=(32,), embed_dim=16)
+        arms = ev.label_sweep_seed(tiny_dataset, None, cfg, FAST_HEAD, [0.5, 1.0], seed=27)
+        assert len(arms) == 4 and len(passes) == 4
+        passes.clear()
+        ev.queue_sweep_arm(tiny_dataset, None, cfg, FAST_HEAD, k=256, seed=27)
+        assert len(passes) == 1
 
 
 class TestSweepPlumbing:

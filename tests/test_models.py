@@ -190,6 +190,22 @@ class TestSgd:
             assert [m.data.tobytes() for m in chain] == [p.tobytes() for p in ref_p]
             assert [v.tobytes() for v in st.velocities] == [v.tobytes() for v in ref_v]
 
+    @pytest.mark.parametrize("wd", [0.0, 0.01])
+    def test_step_consumes_the_gradient(self, wd):
+        """The step may use the spent gradient as scratch, but neither the
+        parameters nor the velocity may keep a reference to it."""
+        model = init_encoder([200, 180, 3], seed=42)
+        assert model.data.size > SGD_BLOCK
+        st = make_optimizer([model], lr=0.1, momentum=0.9, weight_decay=wd)
+        g = np.random.default_rng(42).normal(size=model.data.shape)
+        model.grad = g
+        sgd_step([model], st)
+        assert model.grad is None
+        data, velocity = model.data.copy(), st.velocities[0].copy()
+        g[:] = 1e6
+        np.testing.assert_array_equal(model.data, data)
+        np.testing.assert_array_equal(st.velocities[0], velocity)
+
 
 class TestCosineSchedule:
     def test_endpoints_and_midpoint(self):
