@@ -1,0 +1,104 @@
+#!/usr/bin/env python3
+"""Time xmc CLI commands end to end, one child process each.
+
+Runs the named commands in order (by default all ten, gen-data through
+estimate-mi) into one output directory, with one BLAS/OpenMP thread and
+XMC_JOBS unset. Each command's wall time comes from the parent's clock; its
+CPU time (user + system), peak RSS and minor page faults come from
+``os.wait4`` on that child, so they include any pool workers it reaped.
+Prints one JSON object to stdout. Stops at the first command that fails,
+since later commands read its outputs, and then exits 1.
+
+Usage:
+  python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
+                                   [COMMAND ...]
+
+--tree is the source tree whose src/ is run (default: this checkout).
+--out defaults to a new temporary directory, removed at the end; outputs
+already in --out are overwritten (--force).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+COMMANDS = ("gen-data", "pretrain-vision", "pretrain", "probe", "finetune", "baseline",
+            "project", "sweep-k", "sweep-labels", "estimate-mi")
+
+
+def src_sha256(tree: Path) -> str:
+    """The sha256 of src/**/*.py, computed as perfbench/run.py reports it."""
+    h = hashlib.sha256()
+    for p in sorted((tree / "src").rglob("*.py")):
+        h.update(p.relative_to(tree).as_posix().encode() + b"\0" + p.read_bytes())
+    return h.hexdigest()
+
+
+def time_command(argv: list[str], env: dict) -> dict:
+    with tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL, stderr=err)
+        _, status, ru = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        err.seek(0)
+        stderr = err.read().decode(errors="replace").strip()
+    run = {"rc": os.waitstatus_to_exitcode(status),
+           "wall_s": round(wall, 4),
+           "cpu_s": round(ru.ru_utime + ru.ru_stime, 4),
+           "sys_s": round(ru.ru_stime, 4),
+           "peak_rss_mb": round(ru.ru_maxrss / 1024.0, 2),
+           "minflt": ru.ru_minflt}
+    return {**run, "stderr": stderr} if run["rc"] else run
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("commands", nargs="*", metavar="COMMAND",
+                        help="commands to run (default: all ten)")
+    parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
+    parser.add_argument("--config", default=None, help="YAML config (default: the defaults)")
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args()
+    unknown = [c for c in args.commands if c not in COMMANDS]
+    if unknown:
+        parser.error(f"unknown command {unknown[0]!r}; choose from {', '.join(COMMANDS)}")
+
+    tree = args.tree.resolve()
+    out = args.out or Path(tempfile.mkdtemp(prefix="xmc-time-"))
+    env = {k: v for k, v in os.environ.items() if k != "XMC_JOBS"}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    extra = ["--out", str(out), "--force"]
+    extra += ["--config", str(Path(args.config).resolve())] if args.config else []
+
+    report = {"tree": str(tree), "src_sha256": src_sha256(tree),
+              "config": args.config,
+              "python": platform.python_version(), "nproc": os.cpu_count(),
+              "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "commands": []}
+    try:
+        for name in args.commands or COMMANDS:
+            run = time_command([sys.executable, "-m", "xmc.cli", name, *extra], env)
+            report["commands"].append({"command": name, **run})
+            if run["rc"] != 0:
+                break
+    finally:
+        if args.out is None:
+            shutil.rmtree(out, ignore_errors=True)
+    report["total_wall_s"] = round(sum(c["wall_s"] for c in report["commands"]), 4)
+    json.dump(report, sys.stdout, indent=1)
+    print()
+    return 0 if all(c["rc"] == 0 for c in report["commands"]) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -52,14 +52,19 @@ def backward(model, acts: list[np.ndarray], g: np.ndarray,
 
 
 def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise log(sum(exp(x))) of an (M, N) array, stabilized by subtracting
-    the row max, and the row softmax, which is its gradient."""
+    """Row-wise log(sum(exp(x))) of an (M, N) float array, stabilized by
+    subtracting the row max, and the row softmax, which is its gradient.
+
+    The softmax is computed in place: ``x`` is overwritten and returned as
+    the softmax, so a caller that still needs its scores passes a copy."""
     if x.ndim != 2:
         raise DimensionError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
     mx = x.max(axis=1, keepdims=True)
-    ex = np.exp(x - mx)
-    sums = ex.sum(axis=1, keepdims=True)
-    return (mx + np.log(sums)).reshape(-1), ex / sums
+    x -= mx
+    np.exp(x, out=x)
+    sums = x.sum(axis=1, keepdims=True)
+    x /= sums
+    return (mx + np.log(sums)).reshape(-1), x
 
 
 def l2_normalize(m: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

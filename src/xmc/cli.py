@@ -33,6 +33,7 @@ from .datagen import (
     SimulatorConfig,
     image_inputs,
     load_dataset,
+    load_splits,
     make_dataset,
     save_dataset,
 )
@@ -308,7 +309,7 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     detail_path, summary_path = outputs
     fractions = ev.feasible_fractions(cfg.eval.fractions,
-                                      len(load_dataset(inputs["data"]).contrastive_idx))
+                                      len(load_splits(inputs["data"])["contrastive"]))
     payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
                  "config": config_to_dict(cfg), "fractions": fractions, "seed": s}
                 for s in _seeds(cfg, "eval-seed", cfg.eval.n_seeds)]

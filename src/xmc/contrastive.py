@@ -101,7 +101,11 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
 
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
-    scores = np.concatenate([pos[:, None], q @ negatives.T], axis=1) * inv_tau
+    # one (B, K+1) buffer holds the scores, then logsumexp_row's softmax
+    scores = np.empty((len(pos), len(negatives) + 1))
+    scores[:, 0] = pos
+    np.matmul(q, negatives.T, out=scores[:, 1:])
+    scores *= inv_tau
     lse, d = ad.logsumexp_row(scores)
     c = 1.0 / len(pos)
     d *= c

@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -404,10 +405,12 @@ def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
     return out
 
 
-def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
-    if len(blob) < _HEADER.size:
+def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
+    """R, A, H, W, n from the leading bytes of a dataset file of ``size``
+    bytes, checked against that size before anything is allocated."""
+    if size < _HEADER.size:
         raise FormatError("dataset file truncated")
-    magic, version, r, a, h, w, n = _HEADER.unpack_from(blob)
+    magic, version, r, a, h, w, n = _HEADER.unpack_from(head)
     if magic != DATASET_MAGIC:
         raise FormatError("not a dataset file (bad magic)")
     if version != DATASET_VERSION:
@@ -415,13 +418,17 @@ def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
     if min(r, a, h, w, n) < 1:
         raise FormatError(f"dataset header has a zero size: R, A, H, W, n = "
                           f"{r}, {a}, {h}, {w}, {n}")
-    # the exact length is checked before anything is allocated from the header
     expected = _HEADER.size + n * (1 + 8 * r * a + 8 * h * w)
-    if len(blob) < expected:
-        raise FormatError(f"dataset file truncated: {len(blob)} bytes, the header "
+    if size < expected:
+        raise FormatError(f"dataset file truncated: {size} bytes, the header "
                           f"implies {expected}")
-    if len(blob) > expected:
+    if size > expected:
         raise FormatError("dataset file has trailing bytes")
+    return r, a, h, w, n
+
+
+def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
+    r, a, h, w, n = _checked_header(blob, len(blob))
     body = np.frombuffer(blob, dtype=_record_dtype(r, a, h, w), offset=_HEADER.size)
     if body["label"].max() >= N_CLASSES:
         raise FormatError(f"dataset file has a class id above {N_CLASSES - 1}")
@@ -443,3 +450,13 @@ def load_dataset(path) -> Dataset:
         blob = f.read()
     with open(splits_path(path), "rb") as f:
         return dataset_from_bytes(blob, f.read())
+
+
+def load_splits(path) -> dict[str, np.ndarray]:
+    """The split indices of a dataset file, checked against its header and
+    length as ``load_dataset`` checks them, without reading the samples."""
+    from .runio import splits_path
+    with open(path, "rb") as f:
+        n = _checked_header(f.read(_HEADER.size), os.fstat(f.fileno()).st_size)[-1]
+    with open(splits_path(path), "rb") as f:
+        return _split_indices(f.read(), n)

@@ -232,6 +232,28 @@ class TestExitCodes:
         assert code == 3
         assert "dataset file truncated" in self.one_line(capsys)
 
+    @pytest.mark.parametrize("damage, message", [
+        (lambda blob, splits: (b"NOPE" + blob[4:], splits), "bad magic"),
+        (lambda blob, splits: (blob[:-1], splits), "dataset file truncated"),
+        (lambda blob, splits: (blob + b"\x00", splits), "trailing bytes"),
+        (lambda blob, splits: (blob, b"{not json"), "splits sidecar is not JSON"),
+        (lambda blob, splits: (blob, splits.replace(b"[", b"[160, ", 1)),
+         "index 160 is out of range"),
+    ], ids=["magic", "truncated", "trailing", "sidecar-json", "sidecar-range"])
+    def test_sweep_labels_checks_header_and_sidecar_before_the_pool(
+            self, pipeline, workdir, tmp_path, capsys, monkeypatch, damage, message):
+        blob, splits = damage((pipeline / "dataset.xmcd").read_bytes(),
+                              (pipeline / "dataset.splits.json").read_bytes())
+        (tmp_path / "d.xmcd").write_bytes(blob)
+        (tmp_path / "d.splits.json").write_bytes(splits)
+        monkeypatch.setattr(cli, "_map_arms", lambda *a: pytest.fail("pool started"))
+        capsys.readouterr()
+        code = main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(tmp_path / "d.xmcd"),
+                     "--vision", str(pipeline / "vision.xmck")])
+        assert code == 3
+        assert message in self.one_line(capsys)
+
     @pytest.mark.parametrize("command, key, value, message", [
         ("estimate-mi", ("mi", "n_seeds"), 0, "mi.n_seeds must be an integer >= 1"),
         ("pretrain", ("contrastive", "lr"), -1.0, "contrastive.lr must be > 0"),
@@ -470,6 +492,19 @@ class TestSweepCommands:
         assert rows[0] == "rho,dim,K,seed,mean_loss,mi_lower_bound,true_mi"
         assert len(rows) == 1 + 2 * 2
 
+    def test_sweep_labels_loads_the_dataset_once_per_arm(self, pipeline, workdir,
+                                                          tmp_path, monkeypatch):
+        """The parent process counts the contrastive split from the header and
+        the sidecar; only the arms read the samples."""
+        loads = []
+        real = cli.load_dataset
+        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or real(path))
+        data = str(pipeline / "dataset.xmcd")
+        assert main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", data,
+                     "--vision", str(pipeline / "vision.xmck"), "--jobs", "1"]) == 0
+        assert loads == [data, data]  # eval.n_seeds = 2 arms
+
     def test_parallel_jobs_give_identical_csv(self, pipeline, workdir, tmp_path):
         inputs = ["--data", str(pipeline / "dataset.xmcd"),
                   "--vision", str(pipeline / "vision.xmck")]
@@ -491,3 +526,19 @@ class TestConsoleEntryPoint:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
+
+
+class TestTimePipeline:
+    def test_reports_each_command_and_stops_at_the_first_failure(self, workdir, tmp_path):
+        script = README.parent / "scripts" / "time_pipeline.py"
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, str(script), "--config",
+                               str(workdir / "tiny.yaml"), "--out", str(out),
+                               "estimate-mi", "probe", "project"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        ran = json.loads(proc.stdout)["commands"]
+        assert [c["command"] for c in ran] == ["estimate-mi", "probe"]
+        assert ran[0]["rc"] == 0 and ran[0]["minflt"] > 0 and ran[0]["peak_rss_mb"] > 0
+        assert ran[1]["rc"] == 2 and "required input not found" in ran[1]["stderr"]
+        assert (out / "mi_estimates.csv").is_file()

@@ -1,6 +1,7 @@
 """Queue semantics, loss identities and pre-training behaviour."""
 
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -28,10 +29,40 @@ def unit_rows(arr: np.ndarray) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
 
 
-def fill_queue(vectors: np.ndarray, capacity: int | None = None) -> NegativeQueue:
-    q = NegativeQueue(capacity or len(vectors))
+def fill_queue(vectors: np.ndarray, capacity: int | None = None,
+               unit_check: bool = True) -> NegativeQueue:
+    q = NegativeQueue(capacity or len(vectors), unit_check=unit_check)
     q.enqueue(vectors)
     return q
+
+
+def reference_info_nce(q, k_plus, negatives, tau):
+    """InfoNCE evaluated out of place, in the float operations and order of
+    ``info_nce``: concatenated scores, a scaled copy and a fresh softmax."""
+    inv_tau = 1.0 / tau
+    pos = (q * k_plus).sum(axis=1)
+    scores = np.concatenate([pos[:, None], q @ negatives.T], axis=1) * inv_tau
+    mx = scores.max(axis=1, keepdims=True)
+    ex = np.exp(scores - mx)
+    sums = ex.sum(axis=1, keepdims=True)
+    lse = (mx + np.log(sums)).reshape(-1)
+    d = ex / sums
+    c = 1.0 / len(pos)
+    d *= c
+    d *= inv_tau
+    d[:, 0] -= c * inv_tau
+    return (float((lse - pos * inv_tau).mean()),
+            d[:, 1:] @ negatives + d[:, :1] * k_plus)
+
+
+def critic_batch(tau: float):
+    """B = 128 queries against K = 256 keys of width 8, the MI critic's
+    shapes: raw rows at tau = 1, else unit-norm rows."""
+    rng = np.random.default_rng(int(tau * 100))
+    q, k_plus, keys = (rng.normal(size=(n, 8)) for n in (128, 128, 256))
+    if tau != 1.0:
+        q, k_plus, keys = unit_rows(q), unit_rows(k_plus), unit_rows(keys)
+    return q, k_plus, fill_queue(keys, unit_check=tau != 1.0)
 
 
 class TestNegativeQueue:
@@ -200,6 +231,32 @@ class TestInfoNce:
         q, back = ad.l2_normalize(raw)
         grad = back(info_nce(q, k_plus, queue, tau=0.3)[1])
         check_grads(loss, [(raw, grad)])
+
+    @pytest.mark.parametrize("tau", [1.0, 0.07], ids=["raw-tau-1", "unit-tau-0.07"])
+    def test_matches_the_out_of_place_reference_bytes(self, tau):
+        """The one score buffer changes no rounding: loss and gradient equal
+        the out-of-place evaluation to the byte, and no input changes."""
+        q, k_plus, queue = critic_batch(tau)
+        before = (q.copy(), k_plus.copy(), queue.snapshot())
+        loss, dq = info_nce(q, k_plus, queue, tau)
+        ref_loss, ref_dq = reference_info_nce(*before, tau)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert dq.tobytes() == ref_dq.tobytes()
+        for was, now in zip(before, (q, k_plus, queue.snapshot())):
+            assert was.tobytes() == now.tobytes()
+
+    def test_one_score_buffer_per_call(self):
+        """At the MI critic's B = 128, K = 256, D = 8, one call peaks at
+        little more than its one (B, K+1) float64 score buffer."""
+        q, k_plus, queue = critic_batch(1.0)
+        info_nce(q, k_plus, queue, tau=1.0)  # warm any first-call allocations
+        tracemalloc.start()
+        try:
+            info_nce(q, k_plus, queue, tau=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 128 * 257 * 8
 
     def test_raw_scores_skip_the_unit_check(self):
         # the MI critic's queue holds raw keys; q and k+ then need not be unit

@@ -253,6 +253,21 @@ class TestDatasetFile:
         loaded = dg.load_dataset(path)
         assert loaded.content_hash() == ds.content_hash()
 
+    def test_load_splits_reads_the_sidecar_without_the_samples(self, tmp_path):
+        ds = make_dataset(CFG, 40, seed=12)
+        path = tmp_path / "toy.xmcd"
+        dg.save_dataset(path, ds)
+        splits = dg.load_splits(path)
+        for key in ("train", "test", "vision", "contrastive"):
+            np.testing.assert_array_equal(splits[key], getattr(ds, f"{key}_idx"))
+        # a damaged body that keeps its length is left for load_dataset to find
+        blob = bytearray(path.read_bytes())
+        blob[26] = 255  # the first sample's class id
+        path.write_bytes(bytes(blob))
+        assert len(dg.load_splits(path)["contrastive"]) == len(ds.contrastive_idx)
+        with pytest.raises(FormatError, match="class id"):
+            dg.load_dataset(path)
+
     def test_header_layout(self, tmp_path):
         ds = make_dataset(CFG, 16, seed=13)
         blob = dg.dataset_to_bytes(ds)

@@ -237,6 +237,12 @@ class TestSoftmaxAndCrossEntropy:
         grad = cross_entropy(logits, labels)[1]
         check_grads(lambda: cross_entropy(logits, labels)[0], [(logits, grad)])
 
+    def test_cross_entropy_leaves_its_logits_unchanged(self):
+        logits = np.random.default_rng(8).normal(size=(8, 4))
+        before = logits.copy()
+        cross_entropy(logits, np.array([0, 1, 2, 3, 3, 2, 1, 0]))
+        assert logits.tobytes() == before.tobytes()
+
     def test_cross_entropy_label_shape_mismatch(self):
         with pytest.raises(DimensionError):
             cross_entropy(np.zeros((4, 3)), np.array([0, 1]))
