@@ -9,7 +9,7 @@ measures what the representation learned.
 
 from .autodiff import backward
 from .config import ExperimentConfig, load_config
-from .contrastive import ContrastiveConfig, NegativeQueue, info_nce, pretrain
+from .contrastive import NegativeQueue, info_nce, pretrain
 from .datagen import (
     Dataset,
     GaussianPairConfig,
@@ -23,16 +23,14 @@ from .datagen import (
     sample_scene,
 )
 from .evaluation import (
-    HeadConfig,
     ProbeResult,
-    SweepTable,
     cluster_separation,
     finetune,
     linear_probe,
     project_2d,
     supervised_baseline,
 )
-from .mi import MiCriticConfig, MiEstimate, estimate_mi_gaussian, mi_lower_bound
+from .mi import MiEstimate, estimate_mi_gaussian, mi_lower_bound
 from .models import (
     EncoderModel,
     OptimizerState,

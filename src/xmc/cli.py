@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import evaluation as ev
 from .config import ExperimentConfig, config_to_dict, load_config
-from .contrastive import ContrastiveConfig, pretrain
+from .contrastive import pretrain
 from .datagen import (
     CLASS_NAMES,
     GaussianPairConfig,
@@ -38,7 +38,7 @@ from .datagen import (
     save_dataset,
 )
 from .errors import ConfigError, XmcError
-from .mi import MiCriticConfig, estimate_mi_gaussian
+from .mi import estimate_mi_gaussian
 from .models import EncoderModel, load_checkpoint, pretrain_vision, save_checkpoint
 from .runio import sha256_file, splits_path, write_csv, write_manifest
 from .seeding import derive_seed
@@ -47,22 +47,6 @@ from .seeding import derive_seed
 class OutputExistsError(XmcError):
     """An output exists and ``--force`` was not given."""
     exit_code = 1
-
-
-def _from_section(cls, section, **extra):
-    """A ``cls`` settings object filled from the fields it shares with a
-    config section, plus ``extra``."""
-    shared = {f.name for f in fields(cls)} & {f.name for f in fields(section)}
-    return cls(**{name: getattr(section, name) for name in shared}, **extra)
-
-
-def _contrastive_config(cfg: ExperimentConfig) -> ContrastiveConfig:
-    return _from_section(ContrastiveConfig, cfg.contrastive, seed=cfg.seed,
-                         hidden=tuple(cfg.encoder_hidden), embed_dim=cfg.embed_dim)
-
-
-def _head_config(cfg: ExperimentConfig) -> ev.HeadConfig:
-    return _from_section(ev.HeadConfig, cfg.eval)
 
 
 def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
@@ -150,9 +134,12 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 @command("gen-data", outputs=("dataset.xmcd", "dataset.splits.json"))
 def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    ds = make_dataset(_from_section(SimulatorConfig, cfg.datagen), cfg.datagen.n,
-                      derive_seed(cfg.seed, "datagen"),
-                      vision_fraction=cfg.datagen.vision_fraction)
+    d = cfg.datagen
+    sim = SimulatorConfig(range_bins=d.range_bins, azimuth_bins=d.azimuth_bins,
+                          image_height=d.image_height, image_width=d.image_width,
+                          sigma_radar=d.sigma_radar, sigma_image=d.sigma_image)
+    ds = make_dataset(sim, d.n, derive_seed(cfg.seed, "datagen"),
+                      vision_fraction=d.vision_fraction)
     save_dataset(outputs[0], ds)
     return ({"n": ds.n, "content_hash": ds.content_hash()},
             f"wrote {outputs[0]} ({ds.n} samples)")
@@ -181,7 +168,7 @@ def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     ckpt, metrics_path = outputs
     result = pretrain(load_dataset(inputs["data"]), load_checkpoint(inputs["vision"]),
-                      _contrastive_config(cfg))
+                      cfg.contrastive, cfg.seed, cfg.encoder_hidden, cfg.embed_dim)
     save_checkpoint(ckpt, result.encoder)
     write_csv(metrics_path, ["epoch", "lr", "mean_loss"],
               [[h.epoch, h.lr, h.mean_loss] for h in result.history])
@@ -218,7 +205,7 @@ def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split, encoder = _split_and_encoder(inputs)
-    r = ev.linear_probe(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
+    r = ev.linear_probe(encoder, split, args.fraction, cfg.eval, cfg.seed)
     return _write_result(outputs, r, "linear probe")
 
 
@@ -227,7 +214,7 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          flags=("fraction",))
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split, encoder = _split_and_encoder(inputs)
-    r, tuned = ev.finetune(encoder, split, args.fraction, _head_config(cfg), cfg.seed)
+    r, tuned = ev.finetune(encoder, split, args.fraction, cfg.eval, cfg.seed)
     save_checkpoint(outputs[2], tuned)
     return _write_result(outputs, r, "fine-tune")
 
@@ -236,30 +223,21 @@ def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("baseline_result.csv", "baseline_curve.csv"), flags=("fraction",))
 def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split = ev.make_task_split(load_dataset(inputs["data"]))
-    r = ev.supervised_baseline(split, args.fraction, _head_config(cfg), cfg.seed,
-                               hidden=tuple(cfg.encoder_hidden),
-                               embed_dim=cfg.embed_dim)
+    r = ev.supervised_baseline(split, args.fraction, cfg.eval, cfg.seed,
+                               hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim)
     return _write_result(outputs, r, "supervised baseline")
 
 
 # -- sweeps (optionally parallel over arms) ---------------------------------
 
-def _arm_inputs(payload: dict):
-    return (load_dataset(payload["data"]), load_checkpoint(payload["vision"]),
-            load_config(None, payload["config"]))
+def _queue_arm_worker(p: dict) -> ev.ArmResult:
+    return ev.queue_sweep_arm(load_dataset(p["data"]), load_checkpoint(p["vision"]),
+                              p["config"], p["k"], p["seed"])
 
 
-def _queue_arm_worker(payload: dict) -> ev.ArmResult:
-    ds, vision, cfg = _arm_inputs(payload)
-    return ev.queue_sweep_arm(ds, vision, _contrastive_config(cfg),
-                              _head_config(cfg), payload["k"], payload["seed"])
-
-
-def _label_seed_worker(payload: dict) -> list[ev.ArmResult]:
-    ds, vision, cfg = _arm_inputs(payload)
-    return ev.label_sweep_seed(ds, vision, _contrastive_config(cfg),
-                               _head_config(cfg), payload["fractions"],
-                               payload["seed"])
+def _label_seed_worker(p: dict) -> list[ev.ArmResult]:
+    return ev.label_sweep_seed(load_dataset(p["data"]), load_checkpoint(p["vision"]),
+                               p["config"], p["fractions"], p["seed"])
 
 
 def _jobs(flag: int | None) -> int:
@@ -291,16 +269,15 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     detail_path, summary_path = outputs
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
-                 "config": config_to_dict(cfg), "k": k, "seed": s}
+                 "config": cfg, "k": k, "seed": s}
                 for k in cfg.eval.queue_sizes for s in seeds]
     details = sorted(_map_arms(_queue_arm_worker, payloads, args.jobs),
                      key=lambda d: (d.axis_value, d.seed, d.accuracy))
-    table = ev.aggregate_arms("K", "linear-probe", details)
     write_csv(detail_path, ["K", "seed", "test_accuracy"],
               [[int(d.axis_value), d.seed, d.accuracy] for d in details])
     write_csv(summary_path, ["K", "mean_accuracy", "std_accuracy", "n_seeds"],
               [[int(r.value), r.mean_accuracy, r.std_accuracy, r.n_seeds]
-               for r in table.rows])
+               for r in ev.aggregate_arms(details)])
     return None, f"wrote {summary_path}"
 
 
@@ -311,7 +288,7 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     fractions = ev.feasible_fractions(cfg.eval.fractions,
                                       len(load_splits(inputs["data"])["contrastive"]))
     payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
-                 "config": config_to_dict(cfg), "fractions": fractions, "seed": s}
+                 "config": cfg, "fractions": fractions, "seed": s}
                 for s in _seeds(cfg, "eval-seed", cfg.eval.n_seeds)]
     per_seed = _map_arms(_label_seed_worker, payloads, args.jobs)
     details = sorted((d for chunk in per_seed for d in chunk),
@@ -320,10 +297,8 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
               [[d.axis_value, d.arm, d.seed, d.accuracy] for d in details])
     rows = []
     for arm in ("fine-tune", "supervised"):
-        table = ev.aggregate_arms("label_fraction", arm,
-                                  [d for d in details if d.arm == arm])
         rows.extend([[r.value, arm, r.mean_accuracy, r.std_accuracy, r.n_seeds]
-                     for r in table.rows])
+                     for r in ev.aggregate_arms([d for d in details if d.arm == arm])])
     write_csv(summary_path,
               ["label_fraction", "arm", "mean_accuracy", "std_accuracy", "n_seeds"],
               rows)
@@ -331,10 +306,10 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 
 def _mi_arm_worker(payload: dict) -> tuple[float, int, float, float, float]:
-    m = load_config(None, payload["config"]).mi
+    m = payload["config"].mi
     pair_cfg = GaussianPairConfig(dim=m.dim, rho=payload["rho"],
                                   count=m.pair_count, seed=payload["seed"])
-    est = estimate_mi_gaussian(pair_cfg, _from_section(MiCriticConfig, m), m.queue_size)
+    est = estimate_mi_gaussian(pair_cfg, m)
     return (payload["rho"], payload["seed"], est.mean_loss,
             est.mi_lower_bound, est.true_mi)
 
@@ -343,7 +318,7 @@ def _mi_arm_worker(payload: dict) -> tuple[float, int, float, float, float]:
 def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     (csv_path,) = outputs
     seeds = _seeds(cfg, "mi-seed", cfg.mi.n_seeds)
-    payloads = [{"config": config_to_dict(cfg), "rho": rho, "seed": s}
+    payloads = [{"config": cfg, "rho": rho, "seed": s}
                 for rho in cfg.mi.rhos for s in seeds]
     results = sorted(_map_arms(_mi_arm_worker, payloads, args.jobs))
     write_csv(csv_path,

@@ -136,7 +136,9 @@ def _apply(obj, mapping: dict, path: str) -> None:
 
 
 # Field name -> (range test, its description). Every other field annotated
-# as an integer or a list of integers, but the seed, is a count.
+# as an integer or a list of integers, but the seed, is a count. Every list
+# but encoder_hidden (empty: a linear encoder) is a sweep axis, so it must
+# not be empty.
 _RANGES = {
     "lr": (lambda v: v > 0.0, "> 0"),
     "tau": (lambda v: v > 0.0, "> 0"),
@@ -158,6 +160,8 @@ def _check_ranges(obj, path: str = "") -> None:
         if dataclasses.is_dataclass(value):
             _check_ranges(value, where)
             continue
+        if value == [] and f.name != "encoder_hidden":
+            raise ConfigError(f"{where} must not be empty")
         if f.name in _RANGES:
             kinds, (test, rule) = (int, float), _RANGES[f.name]
         elif f.type in ("int", "list[int]") and f.name != "seed":

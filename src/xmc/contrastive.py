@@ -9,11 +9,13 @@ from the batch size.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
+from .config import ContrastiveSection
 from .datagen import Dataset, heatmap_inputs, image_inputs
 from .errors import ConfigError, ContractError, UsageError
 from .models import EncoderModel, fit, init_encoder
@@ -115,31 +117,6 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
             d[:, 1:] @ negatives + d[:, :1] * k_plus)
 
 
-@dataclass(frozen=True)
-class ContrastiveConfig:
-    """Hyper-parameters of contrastive pre-training."""
-
-    tau: float = 0.07
-    queue_size: int = 256
-    batch_size: int = 64
-    epochs: int = 200
-    lr: float = 0.03
-    momentum: float = 0.9
-    weight_decay: float = 1e-4
-    seed: int = 0
-    hidden: tuple[int, ...] = (256, 256)
-    embed_dim: int = 128
-
-    def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ConfigError(f"tau must be > 0, got {self.tau}")
-        if self.queue_size < self.batch_size:
-            raise ConfigError(
-                f"queue size {self.queue_size} must be >= batch size {self.batch_size}")
-        if min(self.batch_size, self.epochs, self.embed_dim) < 1:
-            raise ConfigError("batch_size, epochs and embed_dim must be positive")
-
-
 @dataclass
 class EpochStats:
     epoch: int
@@ -177,9 +154,10 @@ def warm_start(queue: NegativeQueue, keys: np.ndarray, batch: int) -> int:
     return used
 
 
-def pretrain(dataset: Dataset, vision: EncoderModel,
-             cfg: ContrastiveConfig) -> PretrainResult:
-    """Label-free contrastive pre-training of the radar encoder.
+def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
+             seed: int, hidden: Sequence[int], embed_dim: int) -> PretrainResult:
+    """Label-free contrastive pre-training of a radar encoder with ``hidden``
+    layers and ``embed_dim`` outputs, seeded by ``seed``.
 
     Per epoch: shuffle the contrastive split; per batch: encode and
     normalize queries, compute InfoNCE against the paired keys and the
@@ -189,6 +167,9 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
     if not vision.frozen:
         raise ContractError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
+    if cfg.queue_size < cfg.batch_size:
+        raise ConfigError(
+            f"queue size {cfg.queue_size} must be >= batch size {cfg.batch_size}")
     if len(idx) < cfg.queue_size:
         raise ConfigError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
@@ -196,16 +177,14 @@ def pretrain(dataset: Dataset, vision: EncoderModel,
     if vision.input_dim != pixels:
         raise ConfigError(f"vision checkpoint takes {vision.input_dim} inputs, but the "
                           f"images have {pixels} pixels")
-    if vision.embed_dim != cfg.embed_dim:
-        raise ConfigError(
-            f"vision embed dim {vision.embed_dim} != configured {cfg.embed_dim}")
+    if vision.embed_dim != embed_dim:
+        raise ConfigError(f"vision embed dim {vision.embed_dim} != configured {embed_dim}")
 
     heat = heatmap_inputs(dataset.heatmaps[idx])
     keys = encode_keys(vision, image_inputs(dataset.images[idx]))
-    radio = init_encoder([heat.shape[1], *cfg.hidden, cfg.embed_dim],
-                         derive_seed(cfg.seed, "radio"))
+    radio = init_encoder([heat.shape[1], *hidden, embed_dim], derive_seed(seed, "radio"))
     queue = NegativeQueue(cfg.queue_size)
-    order_rng = rng_for(cfg.seed, "batch-order")
+    order_rng = rng_for(seed, "batch-order")
     first_order = order_rng.permutation(len(idx))
     warm_start(queue, keys[first_order], cfg.batch_size)
 

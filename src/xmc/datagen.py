@@ -128,10 +128,11 @@ class SimulatorConfig:
             raise ConfigError("all grid dimensions must be >= 2")
         if not 0.0 < self.range_min < self.range_max:
             raise ConfigError("need 0 < range_min < range_max")
-        if self.sigma_radar is not None and self.sigma_radar < 0.0:
-            raise ConfigError("sigma_radar must be >= 0")
-        if self.sigma_image < 0.0:
-            raise ConfigError("sigma_image must be >= 0")
+        # NaN fails every comparison, so test for the range, not against it
+        if self.sigma_radar is not None and not 0.0 <= self.sigma_radar < math.inf:
+            raise ConfigError(f"sigma_radar must be finite and >= 0, got {self.sigma_radar}")
+        if not 0.0 <= self.sigma_image < math.inf:
+            raise ConfigError(f"sigma_image must be finite and >= 0, got {self.sigma_image}")
 
     @property
     def radar_noise_sigma(self) -> float:

@@ -12,12 +12,15 @@ and no test-side forward pass is ever backpropagated.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .contrastive import ContrastiveConfig, pretrain
+from .config import EvalSection, ExperimentConfig
+from .contrastive import pretrain
 from .datagen import Dataset, N_CLASSES, heatmap_inputs
 from .errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from .models import (
@@ -100,19 +103,6 @@ def stratified_label_subset(labels: np.ndarray, fraction: float,
 # probes and baselines
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HeadConfig:
-    """Classifier-training settings shared by probe, fine-tune and baseline."""
-
-    probe_epochs: int = 32
-    finetune_epochs: int = 32
-    baseline_epochs: int = 128
-    lr: float = 1e-4
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    batch_size: int = 8
-
-
 @dataclass
 class ProbeResult:
     label_fraction: float
@@ -137,7 +127,7 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _train_and_score(mode: str, encoder: EncoderModel | None,
                      train_inputs: np.ndarray, test_inputs: np.ndarray,
                      split: TaskSplit, fraction: float, epochs: int,
-                     cfg: HeadConfig, seed: int, train_tag: str,
+                     cfg: EvalSection, seed: int, train_tag: str,
                      curve: bool) -> ProbeResult:
     """Train a zero-initialised head, and ``encoder`` with it unless that is
     None (then the inputs are features), on a stratified label subsample;
@@ -163,7 +153,7 @@ def _train_and_score(mode: str, encoder: EncoderModel | None,
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
-                 cfg: HeadConfig, seed: int, *, curve: bool = True) -> ProbeResult:
+                 cfg: EvalSection, seed: int, *, curve: bool = True) -> ProbeResult:
     """Train only a linear head on frozen features from a stratified label
     subsample; the encoder is never updated. Features are standardized with
     statistics of the (label-free) full train split."""
@@ -176,7 +166,7 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
-             cfg: HeadConfig, seed: int, *,
+             cfg: EvalSection, seed: int, *,
              curve: bool = True) -> tuple[ProbeResult, EncoderModel]:
     """Same protocol as the probe but the encoder trains too; operates on a
     copy so the pre-trained encoder can be reused across fractions."""
@@ -187,11 +177,11 @@ def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
     return result, tuned
 
 
-def supervised_baseline(split: TaskSplit, fraction: float, cfg: HeadConfig,
-                        seed: int, hidden: tuple[int, ...] = (256, 256),
-                        embed_dim: int = 128, *, curve: bool = True) -> ProbeResult:
-    """End-to-end supervised training of a fresh encoder plus head on the
-    labeled fraction."""
+def supervised_baseline(split: TaskSplit, fraction: float, cfg: EvalSection,
+                        seed: int, hidden: Sequence[int], embed_dim: int, *,
+                        curve: bool = True) -> ProbeResult:
+    """End-to-end supervised training of a fresh encoder, with ``hidden``
+    layers and ``embed_dim`` outputs, plus a head on the labeled fraction."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
     return _train_and_score("supervised-baseline", encoder, split.train_inputs,
@@ -212,13 +202,6 @@ class SweepRow:
 
 
 @dataclass
-class SweepTable:
-    axis: str          # "K" or "label_fraction"
-    arm: str
-    rows: list[SweepRow] = field(default_factory=list)
-
-
-@dataclass
 class ArmResult:
     axis_value: float
     arm: str
@@ -226,15 +209,15 @@ class ArmResult:
     accuracy: float
 
 
-def aggregate_arms(axis: str, arm: str, details: list[ArmResult]) -> SweepTable:
-    table = SweepTable(axis=axis, arm=arm)
+def aggregate_arms(details: list[ArmResult]) -> list[SweepRow]:
+    """One row per axis value, in increasing order: the mean and standard
+    deviation of its accuracies over seeds."""
+    rows = []
     for value in sorted({d.axis_value for d in details}):
         accs = [d.accuracy for d in details if d.axis_value == value]
-        table.rows.append(SweepRow(value=value,
-                                   mean_accuracy=float(np.mean(accs)),
-                                   std_accuracy=float(np.std(accs)),
-                                   n_seeds=len(accs)))
-    return table
+        rows.append(SweepRow(value=value, mean_accuracy=float(np.mean(accs)),
+                             std_accuracy=float(np.std(accs)), n_seeds=len(accs)))
+    return rows
 
 
 def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
@@ -246,38 +229,36 @@ def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
     return kept
 
 
-def label_sweep_seed(dataset: Dataset, vision: EncoderModel,
-                     base_cfg: ContrastiveConfig, head_cfg: HeadConfig,
+def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
                      fractions: list[float], seed: int) -> list[ArmResult]:
     """One seed of the label sweep: pre-train once, then run the fine-tune
     and supervised arms at every fraction, sharing each fraction's label
     subsample between the two arms. Only the accuracies are kept, so the
-    arms train without test-loss curves."""
+    arms train without test-loss curves. The task split is built after
+    pre-training, so its inputs are not held beside pre-training's own."""
+    pre = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
     split = make_task_split(dataset)
-    cfg = ContrastiveConfig(**{**base_cfg.__dict__, "seed": seed})
-    pre = pretrain(dataset, vision, cfg)
     out: list[ArmResult] = []
     for fraction in fractions:
-        ft, _ = finetune(pre.encoder, split, fraction, head_cfg, seed, curve=False)
-        sup = supervised_baseline(split, fraction, head_cfg, seed, hidden=cfg.hidden,
+        ft, _ = finetune(pre.encoder, split, fraction, cfg.eval, seed, curve=False)
+        sup = supervised_baseline(split, fraction, cfg.eval, seed, hidden=cfg.encoder_hidden,
                                   embed_dim=cfg.embed_dim, curve=False)
         out.append(ArmResult(fraction, "fine-tune", seed, ft.test_accuracy))
         out.append(ArmResult(fraction, "supervised", seed, sup.test_accuracy))
     return out
 
 
-def queue_sweep_arm(dataset: Dataset, vision: EncoderModel,
-                    base_cfg: ContrastiveConfig, head_cfg: HeadConfig,
+def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
                     k: int, seed: int) -> ArmResult:
     """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
     scored by accuracy alone (no test-loss curve). Arms with K below the
-    batch size shrink the batch to K so the queue can always hold one batch."""
-    split = make_task_split(dataset)
-    cfg = ContrastiveConfig(**{**base_cfg.__dict__, "seed": seed,
-                               "queue_size": k,
-                               "batch_size": min(base_cfg.batch_size, k)})
-    pre = pretrain(dataset, vision, cfg)
-    probe = linear_probe(pre.encoder, split, 1.0, head_cfg, seed, curve=False)
+    batch size shrink the batch to K so the queue can always hold one batch.
+    As in the label sweep, the task split is built after pre-training."""
+    contrastive = dataclasses.replace(cfg.contrastive, queue_size=k,
+                                      batch_size=min(cfg.contrastive.batch_size, k))
+    pre = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
+    probe = linear_probe(pre.encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
+                         curve=False)
     return ArmResult(float(k), "linear-probe", seed, probe.test_accuracy)
 
 

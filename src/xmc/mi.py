@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MiSection
 from .contrastive import NegativeQueue, info_nce, warm_start
 from .datagen import GaussianPairConfig, analytic_mi, gen_gaussian_pairs
 from .errors import DomainError
@@ -30,24 +31,13 @@ def mi_lower_bound(mean_loss: float, k: int) -> float:
     return math.log(k) - mean_loss
 
 
-@dataclass(frozen=True)
-class MiCriticConfig:
-    """Critic and training settings for the Gaussian-pair estimator.
-
-    Critics are affine maps over [v, v^2] features (no relu): the Gaussian
-    log density ratio is a quadratic form, so the optimal critic lies inside
-    this family exactly, while a purely bilinear critic caps well below the
-    true MI at high correlation. Scores are raw dot products (tau = 1, no
-    normalization); a temperature would be absorbed into the weights anyway.
-    """
-
-    embed_dim: int = 8
-    batch_size: int = 128
-    epochs: int = 40
-    lr: float = 0.05
-    momentum: float = 0.9
-    holdout_fraction: float = 1.0 / 3.0
-    tau: float = 1.0
+# Critics are affine maps over [v, v^2] features (no relu): the Gaussian
+# log density ratio is a quadratic form, so the optimal critic lies inside
+# this family exactly, while a purely bilinear critic caps well below the
+# true MI at high correlation. Scores are raw dot products (TAU = 1, no
+# normalization); a temperature would be absorbed into the weights anyway.
+TAU = 1.0
+HOLDOUT_FRACTION = 1.0 / 3.0  # of the pairs, held out to score the bound
 
 
 @dataclass(frozen=True)
@@ -70,9 +60,9 @@ def quadratic_features(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v, v * v], axis=1)
 
 
-def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
-                         k: int, epochs: int | None = None) -> MiEstimate:
-    """Train a contrastive critic on Gaussian pairs and return the bound.
+def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiSection) -> MiEstimate:
+    """Train a contrastive critic on Gaussian pairs against a queue of
+    K = ``critic.queue_size`` negatives and return the bound.
 
     The query encoder is trained; the key encoder stays at its random init
     because the contrastive loss detaches keys. For affine critics this does
@@ -81,12 +71,10 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     A batch larger than the queue enqueues only its newest ``k`` keys, the
     ones FIFO eviction would keep.
     """
-    if k < 1:
-        raise DomainError(f"negative count k must be >= 1, got {k}")
-    n_epochs = critic.epochs if epochs is None else int(epochs)
+    k = critic.queue_size
     x, y = gen_gaussian_pairs(pair_cfg)
     x, y = quadratic_features(x), quadratic_features(y)
-    n_hold = max(k + critic.batch_size, int(round(critic.holdout_fraction * pair_cfg.count)))
+    n_hold = max(k + critic.batch_size, int(round(HOLDOUT_FRACTION * pair_cfg.count)))
     if n_hold + k + critic.batch_size > pair_cfg.count:
         raise DomainError(
             f"count {pair_cfg.count} too small for queue {k} plus holdout {n_hold}")
@@ -105,13 +93,13 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     warm_start(queue, keys_train[first_order], critic.batch_size)
 
     def critic_loss(q: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
-        value, dq = info_nce(q, keys_train[sel], queue, critic.tau)
+        value, dq = info_nce(q, keys_train[sel], queue, TAU)
         queue.enqueue(keys_train[sel][-k:])
         return value, dq
 
-    for _ in fit([q_enc], x_train, critic_loss, epochs=n_epochs, batch_size=critic.batch_size,
-                 lr=critic.lr, momentum=critic.momentum, weight_decay=0.0,
-                 order_rng=order_rng, cosine=True, first_order=first_order):
+    for _ in fit([q_enc], x_train, critic_loss, epochs=critic.epochs,
+                 batch_size=critic.batch_size, lr=critic.lr, momentum=critic.momentum,
+                 weight_decay=0.0, order_rng=order_rng, cosine=True, first_order=first_order):
         pass
 
     # Held-out evaluation: warm a fresh queue from leading held-out batches,
@@ -124,7 +112,7 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiCriticConfig,
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
         sel = slice(start, min(start + critic.batch_size, n_hold))
-        loss, _ = info_nce(q_hold[sel], keys_hold[sel], eval_queue, critic.tau)
+        loss, _ = info_nce(q_hold[sel], keys_hold[sel], eval_queue, TAU)
         m = q_hold[sel].shape[0]
         total += loss * m
         count += m

@@ -259,7 +259,20 @@ class TestExitCodes:
         ("pretrain", ("contrastive", "lr"), -1.0, "contrastive.lr must be > 0"),
         ("pretrain", ("contrastive", "normalize"), True,
          "unknown config key: contrastive.normalize"),
-    ], ids=["no-mi-seeds", "negative-lr", "normalize"])
+        ("gen-data", ("datagen", "sigma_image"), float("nan"),
+         "sigma_image must be finite and >= 0, got nan"),
+        ("gen-data", ("datagen", "sigma_radar"), float("nan"),
+         "sigma_radar must be finite and >= 0, got nan"),
+        ("gen-data", ("datagen", "sigma_image"), float("inf"),
+         "sigma_image must be finite and >= 0, got inf"),
+        ("gen-data", ("datagen", "sigma_radar"), float("inf"),
+         "sigma_radar must be finite and >= 0, got inf"),
+        ("sweep-k", ("eval", "queue_sizes"), [], "eval.queue_sizes must not be empty"),
+        ("sweep-labels", ("eval", "fractions"), [], "eval.fractions must not be empty"),
+        ("estimate-mi", ("mi", "rhos"), [], "mi.rhos must not be empty"),
+    ], ids=["no-mi-seeds", "negative-lr", "normalize", "nan-sigma-image", "nan-sigma-radar",
+            "inf-sigma-image", "inf-sigma-radar", "no-queue-sizes", "no-fractions",
+            "no-rhos"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
                                       message):
         overlay = yaml.safe_load(TINY_YAML)

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import deque
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc import autodiff as ad
+from xmc.config import ContrastiveSection
 from xmc.contrastive import (
-    ContrastiveConfig,
     NegativeQueue,
     encode_keys,
     info_nce,
@@ -268,13 +269,13 @@ class TestInfoNce:
 
 
 class TestContrastiveConfig:
-    def test_queue_must_cover_batch(self):
-        with pytest.raises(ConfigError):
-            ContrastiveConfig(queue_size=16, batch_size=64)
+    def test_queue_must_cover_batch(self, toy_setup):
+        with pytest.raises(ConfigError, match="queue size 16 must be >= batch size 64"):
+            toy_pretrain(*toy_setup, seed=0, queue_size=16, batch_size=64)
 
-    def test_tau_positive(self):
-        with pytest.raises(ConfigError):
-            ContrastiveConfig(tau=0.0)
+    def test_tau_positive(self, toy_setup):
+        with pytest.raises(ConfigError, match="temperature must be > 0"):
+            toy_pretrain(*toy_setup, seed=0, tau=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -290,8 +291,14 @@ def toy_setup():
     return ds, teacher
 
 
-TOY_CFG = dict(tau=0.07, queue_size=64, batch_size=16, epochs=8, lr=0.03,
-               momentum=0.9, weight_decay=1e-4, hidden=(64,), embed_dim=32)
+TOY_CFG = ContrastiveSection(tau=0.07, queue_size=64, batch_size=16, epochs=8, lr=0.03,
+                             momentum=0.9, weight_decay=1e-4)
+
+
+def toy_pretrain(ds, vision, seed, **changes):
+    """``pretrain`` of a 64-unit, 32-dim radar encoder under TOY_CFG with
+    ``changes``."""
+    return pretrain(ds, vision, replace(TOY_CFG, **changes), seed, hidden=(64,), embed_dim=32)
 
 
 class TestPretrain:
@@ -299,13 +306,12 @@ class TestPretrain:
         ds, _ = toy_setup
         live = init_encoder([ds.images.shape[1] * ds.images.shape[2], 64, 32], seed=1)
         with pytest.raises(ContractError):
-            pretrain(ds, live, ContrastiveConfig(seed=0, **TOY_CFG))
+            toy_pretrain(ds, live, seed=0)
 
     def test_queue_larger_than_split_rejected(self, toy_setup):
         ds, teacher = toy_setup
-        big = dict(TOY_CFG, queue_size=4096, batch_size=16)
         with pytest.raises(ConfigError):
-            pretrain(ds, teacher, ContrastiveConfig(seed=0, **big))
+            toy_pretrain(ds, teacher, seed=0, queue_size=4096, batch_size=16)
 
     def test_first_epoch_near_uniform_and_learning_happens(self, toy_setup):
         """Epoch 0 starts at the untrained encoder's loss; training ends below ln(K+1).
@@ -323,10 +329,9 @@ class TestPretrain:
         the same batches and queue, and its encoder never moves.
         """
         ds, teacher = toy_setup
-        result = pretrain(ds, teacher, ContrastiveConfig(seed=0, **TOY_CFG))
-        frozen = dict(TOY_CFG, epochs=1, lr=0.0)
-        untrained = pretrain(ds, teacher, ContrastiveConfig(seed=0, **frozen))
-        uniform = math.log(TOY_CFG["queue_size"] + 1)
+        result = toy_pretrain(ds, teacher, seed=0)
+        untrained = toy_pretrain(ds, teacher, seed=0, epochs=1, lr=0.0)
+        uniform = math.log(TOY_CFG.queue_size + 1)
         start = untrained.history[0].mean_loss
         assert uniform <= start
         assert result.history[0].mean_loss <= 1.10 * start
@@ -335,23 +340,22 @@ class TestPretrain:
 
     def test_same_seed_identical_history(self, toy_setup):
         ds, teacher = toy_setup
-        cfg = ContrastiveConfig(seed=5, **TOY_CFG)
-        a = pretrain(ds, teacher, cfg)
-        b = pretrain(ds, teacher, cfg)
+        a = toy_pretrain(ds, teacher, seed=5)
+        b = toy_pretrain(ds, teacher, seed=5)
         assert [h.mean_loss for h in a.history] == [h.mean_loss for h in b.history]
         assert a.encoder.param_bytes() == b.encoder.param_bytes()
 
     def test_vision_params_untouched(self, toy_setup):
         ds, teacher = toy_setup
         before = teacher.param_bytes()
-        pretrain(ds, teacher, ContrastiveConfig(seed=2, **TOY_CFG))
+        toy_pretrain(ds, teacher, seed=2)
         assert teacher.param_bytes() == before
 
     def test_history_lr_follows_cosine(self, toy_setup):
         ds, teacher = toy_setup
-        result = pretrain(ds, teacher, ContrastiveConfig(seed=3, **TOY_CFG))
+        result = toy_pretrain(ds, teacher, seed=3)
         lrs = [h.lr for h in result.history]
-        assert lrs[0] == TOY_CFG["lr"]
+        assert lrs[0] == TOY_CFG.lr
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
 

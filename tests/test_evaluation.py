@@ -8,11 +8,10 @@ import pytest
 
 from xmc import autodiff as ad
 from xmc import evaluation as ev
-from xmc.contrastive import ContrastiveConfig
+from xmc.config import EvalSection, ExperimentConfig
 from xmc.datagen import SimulatorConfig, make_dataset
 from xmc.errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from xmc.evaluation import (
-    HeadConfig,
     TaskSplit,
     aggregate_arms,
     ArmResult,
@@ -27,8 +26,8 @@ from xmc.evaluation import (
 )
 from xmc.models import EncoderModel, init_encoder, init_head
 
-FAST_HEAD = HeadConfig(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
-                       batch_size=8)
+FAST_HEAD = EvalSection(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
+                        batch_size=8)
 
 
 def separable_split(n_per_class: int = 40, d: int = 16, seed: int = 0,
@@ -173,7 +172,7 @@ class TestFinetuneAndBaseline:
         # 4 labels total vs all labels: sanity direction
         ds = make_dataset(SimulatorConfig(), 400, seed=20)
         split = make_task_split(ds)
-        cfg = HeadConfig(baseline_epochs=128, batch_size=4)
+        cfg = EvalSection(baseline_epochs=128, batch_size=4)
         lo = supervised_baseline(split, 4 / len(split.train_labels),
                                  cfg, seed=23, hidden=(64,), embed_dim=32)
         hi = supervised_baseline(split, 1.0, cfg, seed=23,
@@ -210,11 +209,19 @@ class TestCurveFreeArms:
 
     def test_sweep_arms_run_one_test_forward_pass_each(self, tiny_dataset, monkeypatch):
         """Each fine-tune, baseline and probe arm of a sweep passes the test
-        split through its encoder once: the final accuracy pass."""
+        split through its encoder once: the final accuracy pass. Each sweep
+        builds its task split only after pre-training has returned."""
         test_inputs = make_task_split(tiny_dataset).test_inputs
         width = test_inputs.shape[1]
-        monkeypatch.setattr(ev, "pretrain", lambda ds, vision, cfg: SimpleNamespace(
-            encoder=init_encoder([width, *cfg.hidden, cfg.embed_dim], seed=cfg.seed)))
+        events = []
+
+        def stub_pretrain(ds, vision, cfg, seed, hidden, embed_dim):
+            events.append("pretrain")
+            return SimpleNamespace(encoder=init_encoder([width, *hidden, embed_dim], seed=seed))
+
+        monkeypatch.setattr(ev, "pretrain", stub_pretrain)
+        monkeypatch.setattr(ev, "make_task_split",
+                            lambda ds: events.append("split") or make_task_split(ds))
         passes = []
         forward = EncoderModel.forward
 
@@ -224,12 +231,15 @@ class TestCurveFreeArms:
             return forward(model, x)
 
         monkeypatch.setattr(EncoderModel, "forward", counting_forward)
-        cfg = ContrastiveConfig(hidden=(32,), embed_dim=16)
-        arms = ev.label_sweep_seed(tiny_dataset, None, cfg, FAST_HEAD, [0.5, 1.0], seed=27)
+        cfg = ExperimentConfig(encoder_hidden=[32], embed_dim=16, eval=FAST_HEAD)
+        arms = ev.label_sweep_seed(tiny_dataset, None, cfg, [0.5, 1.0], seed=27)
         assert len(arms) == 4 and len(passes) == 4
+        assert events == ["pretrain", "split"]
         passes.clear()
-        ev.queue_sweep_arm(tiny_dataset, None, cfg, FAST_HEAD, k=256, seed=27)
+        events.clear()
+        ev.queue_sweep_arm(tiny_dataset, None, cfg, k=256, seed=27)
         assert len(passes) == 1
+        assert events == ["pretrain", "split"]
 
 
 class TestSweepPlumbing:
@@ -238,11 +248,11 @@ class TestSweepPlumbing:
                    for s, a in [(0, 0.5), (1, 0.7), (2, 0.6)]]
         details += [ArmResult(32.0, "x", s, a)
                     for s, a in [(0, 0.8), (1, 0.8), (2, 0.8)]]
-        table = aggregate_arms("K", "x", details)
-        assert [r.value for r in table.rows] == [8.0, 32.0]
-        assert math.isclose(table.rows[0].mean_accuracy, 0.6)
-        assert math.isclose(table.rows[1].std_accuracy, 0.0, abs_tol=1e-12)
-        assert all(r.n_seeds == 3 for r in table.rows)
+        rows = aggregate_arms(details)
+        assert [r.value for r in rows] == [8.0, 32.0]
+        assert math.isclose(rows[0].mean_accuracy, 0.6)
+        assert math.isclose(rows[1].std_accuracy, 0.0, abs_tol=1e-12)
+        assert all(r.n_seeds == 3 for r in rows)
 
 
 class TestProjection:
