@@ -12,9 +12,7 @@ from .config import ExperimentConfig, load_config
 from .contrastive import NegativeQueue, info_nce, pretrain
 from .datagen import (
     Dataset,
-    GaussianPairConfig,
     SceneLatent,
-    SimulatorConfig,
     analytic_mi,
     gen_gaussian_pairs,
     make_dataset,

@@ -6,9 +6,9 @@ two sweeps, the Gaussian MI estimate and the 2-D projection. Each command
 writes its artifacts atomically plus a manifest with the resolved config and
 input/output hashes; nothing is overwritten without --force.
 
-Exit codes: 0 success, 2 missing input file, otherwise the ``exit_code`` of
-the ``XmcError`` class raised (3 configuration, input or shape error, 4
-numeric failure, 1 anything else).
+Exit codes: 0 success, 2 an input that is not a readable file, otherwise
+the ``exit_code`` of the ``XmcError`` class raised (3 configuration, input
+or shape error, 4 numeric failure, 1 anything else).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -29,8 +29,6 @@ from .config import ExperimentConfig, config_to_dict, load_config
 from .contrastive import pretrain
 from .datagen import (
     CLASS_NAMES,
-    GaussianPairConfig,
-    SimulatorConfig,
     image_inputs,
     load_dataset,
     load_splits,
@@ -45,7 +43,8 @@ from .seeding import derive_seed
 
 
 class OutputExistsError(XmcError):
-    """An output exists and ``--force`` was not given."""
+    """An output exists and ``--force`` was not given, or a file stands where
+    the output directory would be."""
     exit_code = 1
 
 
@@ -100,9 +99,17 @@ def command(name: str, inputs: tuple[str, ...] = (), outputs: tuple[str, ...] = 
     return register
 
 
+def _check_input(path: Path) -> None:
+    """Exit 2 unless ``path`` is a readable regular file."""
+    if not (path.is_file() and os.access(path, os.R_OK)):
+        what = "is not a readable file" if path.exists() else "not found"
+        raise FileNotFoundError(f"required input {what}: {path}")
+
+
 def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    """Hash the inputs (exit 2 if one is missing), refuse to overwrite the
-    outputs (exit 1), then run the body and write the manifest."""
+    """Hash the inputs (exit 2 if one is not a readable file), check the
+    output directory and refuse to overwrite the outputs (exit 1), then run
+    the body and write the manifest."""
     spec = SPECS[name]
     if "jobs" in spec.flags:
         args.jobs = _jobs(args.jobs)
@@ -112,9 +119,11 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     inputs = {}
     for role, path in paths.items():
         for p in (path, splits_path(path)) if role == "data" else (path,):
-            if not p.exists():
-                raise FileNotFoundError(f"required input not found: {p}")
+            _check_input(p)
             inputs[str(p)] = sha256_file(p)
+    base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not base.is_dir():
+        raise OutputExistsError(f"output directory {out_dir}: {base} is not a directory")
     outputs = [out_dir / file for file in spec.outputs]
     clashes = [str(p) for p in outputs if p.exists()]
     if clashes and not args.force:
@@ -134,12 +143,7 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 @command("gen-data", outputs=("dataset.xmcd", "dataset.splits.json"))
 def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    d = cfg.datagen
-    sim = SimulatorConfig(range_bins=d.range_bins, azimuth_bins=d.azimuth_bins,
-                          image_height=d.image_height, image_width=d.image_width,
-                          sigma_radar=d.sigma_radar, sigma_image=d.sigma_image)
-    ds = make_dataset(sim, d.n, derive_seed(cfg.seed, "datagen"),
-                      vision_fraction=d.vision_fraction)
+    ds = make_dataset(cfg.datagen, derive_seed(cfg.seed, "datagen"))
     save_dataset(outputs[0], ds)
     return ({"n": ds.n, "content_hash": ds.content_hash()},
             f"wrote {outputs[0]} ({ds.n} samples)")
@@ -150,13 +154,10 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     ckpt, curve = outputs
     ds = load_dataset(inputs["data"])
-    # the vision section holds exactly pretrain_vision's training keywords
     outcome = pretrain_vision(
-        image_inputs(ds.images[ds.vision_idx]),
-        ds.labels[ds.vision_idx].astype(np.int64),
-        hidden=list(cfg.encoder_hidden), embed_dim=cfg.embed_dim,
-        n_classes=len(CLASS_NAMES), seed=derive_seed(cfg.seed, "vision"),
-        **asdict(cfg.vision))
+        image_inputs(ds.images[ds.vision_idx]), ds.labels[ds.vision_idx].astype(np.int64),
+        cfg.vision, hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
+        n_classes=len(CLASS_NAMES), seed=derive_seed(cfg.seed, "vision"))
     save_checkpoint(ckpt, outcome.model)
     write_csv(curve, ["epoch", "train_loss"], enumerate(outcome.train_loss))
     return ({"holdout_accuracy": outcome.holdout_accuracy},
@@ -306,10 +307,7 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 
 def _mi_arm_worker(payload: dict) -> tuple[float, int, float, float, float]:
-    m = payload["config"].mi
-    pair_cfg = GaussianPairConfig(dim=m.dim, rho=payload["rho"],
-                                  count=m.pair_count, seed=payload["seed"])
-    est = estimate_mi_gaussian(pair_cfg, m)
+    est = estimate_mi_gaussian(payload["config"].mi, payload["rho"], payload["seed"])
     return (payload["rho"], payload["seed"], est.mean_loss,
             est.mi_lower_bound, est.true_mi)
 
@@ -368,6 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.config is not None:
+            _check_input(Path(args.config))
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed

@@ -9,6 +9,7 @@ with the code version, a resolved config fully determines a run.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -138,15 +139,20 @@ def _apply(obj, mapping: dict, path: str) -> None:
 # Field name -> (range test, its description). Every other field annotated
 # as an integer or a list of integers, but the seed, is a count. Every list
 # but encoder_hidden (empty: a linear encoder) is a sweep axis, so it must
-# not be empty.
+# not be empty; a field annotated "float | None" may be None. Every float
+# must also be finite: NaN fails the tests below, but inf passes "> 0".
 _RANGES = {
-    "lr": (lambda v: v > 0.0, "> 0"),
-    "tau": (lambda v: v > 0.0, "> 0"),
+    **dict.fromkeys(("lr", "tau"), (lambda v: v > 0.0, "> 0")),
+    **dict.fromkeys(("weight_decay", "sigma_radar", "sigma_image"),
+                    (lambda v: v >= 0.0, ">= 0")),
     "momentum": (lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
-    "weight_decay": (lambda v: v >= 0.0, ">= 0"),
     "holdout_fraction": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rhos": (lambda v: -1.0 < v < 1.0, "in (-1, 1)"),
+    "vision_fraction": (lambda v: 0.0 <= v < 0.8, "in [0, 0.8)"),
+    "n": (lambda v: v >= 8, "an integer >= 8"),
+    **dict.fromkeys(("range_bins", "azimuth_bins", "image_height", "image_width"),
+                    (lambda v: v >= 2, "an integer >= 2")),
 }
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
 
@@ -162,6 +168,8 @@ def _check_ranges(obj, path: str = "") -> None:
             continue
         if value == [] and f.name != "encoder_hidden":
             raise ConfigError(f"{where} must not be empty")
+        if value is None and f.type == "float | None":
+            continue
         if f.name in _RANGES:
             kinds, (test, rule) = (int, float), _RANGES[f.name]
         elif f.type in ("int", "list[int]") and f.name != "seed":
@@ -169,8 +177,10 @@ def _check_ranges(obj, path: str = "") -> None:
         else:
             continue
         for v in value if isinstance(value, list) else [value]:
-            if isinstance(v, bool) or not isinstance(v, kinds) or not test(v):
-                raise ConfigError(f"{where} must be {rule}, got {v!r}")
+            finite = not isinstance(v, float) or math.isfinite(v)
+            if isinstance(v, bool) or not isinstance(v, kinds) or not (finite and test(v)):
+                must = rule if finite else f"finite and {rule}"
+                raise ConfigError(f"{where} must be {must}, got {v!r}")
 
 
 def load_config(path: str | Path | None = None,

@@ -15,10 +15,11 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .config import DatagenSection
 from .errors import ConfigError, DomainError, FormatError, ResampleError
 from .seeding import rng_for
 
@@ -33,31 +34,17 @@ DATASET_VERSION = 1
 # correlated Gaussian pairs with known mutual information
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GaussianPairConfig:
-    """Per-coordinate bivariate normal pairs: zero mean, unit variance,
-    correlation ``rho``, independent across coordinates and samples."""
-
-    dim: int
-    rho: float
-    count: int
-    seed: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"dim must be positive, got {self.dim}")
-        if self.count < 1:
-            raise ConfigError(f"count must be positive, got {self.count}")
-        if not abs(self.rho) < 1.0:
-            raise ConfigError(f"|rho| must be < 1, got {self.rho}")
-
-
-def gen_gaussian_pairs(cfg: GaussianPairConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (count, dim) arrays x, y with corr(x_ij, y_ij) = rho."""
-    rng = rng_for(cfg.seed, "gaussian-pairs")
-    x = rng.standard_normal((cfg.count, cfg.dim))
-    noise = rng.standard_normal((cfg.count, cfg.dim))
-    y = cfg.rho * x + math.sqrt(1.0 - cfg.rho**2) * noise
+def gen_gaussian_pairs(dim: int, rho: float, count: int,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (count, dim) arrays x, y of per-coordinate bivariate normal
+    pairs: zero mean, unit variance, corr(x_ij, y_ij) = rho, independent
+    across coordinates and samples."""
+    if not abs(rho) < 1.0:
+        raise ConfigError(f"|rho| must be < 1, got {rho}")
+    rng = rng_for(seed, "gaussian-pairs")
+    x = rng.standard_normal((count, dim))
+    noise = rng.standard_normal((count, dim))
+    y = rho * x + math.sqrt(1.0 - rho**2) * noise
     return x, y
 
 
@@ -105,47 +92,22 @@ class SceneLatent:
         return CLASS_NAMES.index(self.class_id)
 
 
-@dataclass(frozen=True)
-class SimulatorConfig:
-    """Geometry, grid sizes and noise levels of the paired-sensor simulator."""
-
-    range_bins: int = 32
-    azimuth_bins: int = 32
-    image_height: int = 32
-    image_width: int = 32
-    range_min: float = 1.0
-    range_max: float = 25.0
-    azimuth_max: float = math.pi / 3.0
-    sigma_radar: float | None = None   # None -> 5% of the weakest car peak
-    sigma_image: float = 0.05
-    patch_scale: float = 5.0           # patch size = scale*extent/range**patch_power
-    patch_power: float = 0.25          # weak size falloff keeps far shapes legible
-    pixel_psf: float = 0.7             # camera blur floor, pixels
-
-    def __post_init__(self):
-        if min(self.range_bins, self.azimuth_bins,
-               self.image_height, self.image_width) < 2:
-            raise ConfigError("all grid dimensions must be >= 2")
-        if not 0.0 < self.range_min < self.range_max:
-            raise ConfigError("need 0 < range_min < range_max")
-        # NaN fails every comparison, so test for the range, not against it
-        if self.sigma_radar is not None and not 0.0 <= self.sigma_radar < math.inf:
-            raise ConfigError(f"sigma_radar must be finite and >= 0, got {self.sigma_radar}")
-        if not 0.0 <= self.sigma_image < math.inf:
-            raise ConfigError(f"sigma_image must be finite and >= 0, got {self.sigma_image}")
-
-    @property
-    def radar_noise_sigma(self) -> float:
-        """Radar noise level: 5% of the peak of the brightest car rendered at
-        the far edge of the field, so every car clears the noise by 20x while
-        distant pedestrians stay genuinely ambiguous."""
-        if self.sigma_radar is not None:
-            return self.sigma_radar
-        return 0.05 * CLASS_TABLE["car"].reflectivity[1] / self.range_max**2
+# The field of view and the camera's optics. No config key sets them: a run
+# varies the grid sizes and noise levels (DatagenSection), not the geometry
+# they sample.
+RANGE_MIN = 1.0                # metres
+RANGE_MAX = 25.0
+AZIMUTH_MAX = math.pi / 3.0    # radians either side of boresight
+PATCH_SCALE = 5.0              # patch size = scale*extent/range**PATCH_POWER
+PATCH_POWER = 0.25             # weak size falloff keeps far shapes legible
+PIXEL_PSF = 0.7                # camera blur floor, pixels
+# The radar noise level when sigma_radar is None: 5% of the peak of the
+# brightest car at the far edge of the field, so every car clears the noise
+# by 20x while distant pedestrians stay genuinely ambiguous.
+_DEFAULT_SIGMA_RADAR = 0.05 * CLASS_TABLE["car"].reflectivity[1] / RANGE_MAX**2
 
 
-def sample_scene(class_id: str, rng: np.random.Generator,
-                 cfg: SimulatorConfig) -> SceneLatent:
+def sample_scene(class_id: str, rng: np.random.Generator) -> SceneLatent:
     """Draw one latent: uniform position, class-conditional extent and
     reflectivity. Empty scenes carry no target."""
     if class_id not in CLASS_NAMES:
@@ -155,30 +117,30 @@ def sample_scene(class_id: str, rng: np.random.Generator,
     sig = CLASS_TABLE[class_id]
     return SceneLatent(
         class_id,
-        range_m=rng.uniform(cfg.range_min, cfg.range_max),
-        azimuth_rad=rng.uniform(-cfg.azimuth_max, cfg.azimuth_max),
+        range_m=rng.uniform(RANGE_MIN, RANGE_MAX),
+        azimuth_rad=rng.uniform(-AZIMUTH_MAX, AZIMUTH_MAX),
         extent_m=rng.uniform(*sig.extent),
         reflectivity=rng.uniform(*sig.reflectivity),
     )
 
 
-def render_radar(scene: SceneLatent, cfg: SimulatorConfig,
+def render_radar(scene: SceneLatent, cfg: DatagenSection,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Range-azimuth heatmap: an isotropic Gaussian blob at the target cell
     with peak ~ reflectivity/range^2 and spread ~ extent, plus folded
     (absolute-value) Gaussian noise. Values are always >= 0."""
     grid = np.zeros((cfg.range_bins, cfg.azimuth_bins))
     if scene.class_id != "empty":
-        d_range = (cfg.range_max - cfg.range_min) / cfg.range_bins
-        d_az = 2.0 * cfg.azimuth_max / cfg.azimuth_bins
-        ci = (scene.range_m - cfg.range_min) / d_range - 0.5
-        cj = (scene.azimuth_rad + cfg.azimuth_max) / d_az - 0.5
+        d_range = (RANGE_MAX - RANGE_MIN) / cfg.range_bins
+        d_az = 2.0 * AZIMUTH_MAX / cfg.azimuth_bins
+        ci = (scene.range_m - RANGE_MIN) / d_range - 0.5
+        cj = (scene.azimuth_rad + AZIMUTH_MAX) / d_az - 0.5
         amp = scene.reflectivity / scene.range_m**2
         sigma = max(scene.extent_m / d_range, 1e-6)
         ii = np.arange(cfg.range_bins)[:, None]
         jj = np.arange(cfg.azimuth_bins)[None, :]
         grid += amp * np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / (2.0 * sigma**2))
-    noise = cfg.radar_noise_sigma
+    noise = _DEFAULT_SIGMA_RADAR if cfg.sigma_radar is None else cfg.sigma_radar
     if noise > 0.0:
         if rng is None:
             raise ConfigError("render_radar needs an rng when noise is enabled")
@@ -186,15 +148,15 @@ def render_radar(scene: SceneLatent, cfg: SimulatorConfig,
     return grid
 
 
-def project_to_image(scene: SceneLatent, cfg: SimulatorConfig) -> tuple[float, float]:
+def project_to_image(scene: SceneLatent, cfg: DatagenSection) -> tuple[float, float]:
     """Pinhole mapping of the target: column ~ tan(azimuth), row ~ 1/range.
 
     Raises :class:`ResampleError` when the projection misses the frame.
     """
     col = (cfg.image_width - 1) * 0.5 * (
-        1.0 + math.tan(scene.azimuth_rad) / math.tan(cfg.azimuth_max))
-    inv_span = 1.0 / cfg.range_min - 1.0 / cfg.range_max
-    u = (1.0 / scene.range_m - 1.0 / cfg.range_max) / inv_span
+        1.0 + math.tan(scene.azimuth_rad) / math.tan(AZIMUTH_MAX))
+    inv_span = 1.0 / RANGE_MIN - 1.0 / RANGE_MAX
+    u = (1.0 / scene.range_m - 1.0 / RANGE_MAX) / inv_span
     row = (cfg.image_height - 1) * u
     if not (0.0 <= col <= cfg.image_width - 1 and 0.0 <= row <= cfg.image_height - 1):
         raise ResampleError(
@@ -202,15 +164,15 @@ def project_to_image(scene: SceneLatent, cfg: SimulatorConfig) -> tuple[float, f
     return row, col
 
 
-def render_image(scene: SceneLatent, cfg: SimulatorConfig,
+def render_image(scene: SceneLatent, cfg: DatagenSection,
                  rng: np.random.Generator | None = None) -> np.ndarray:
     """Camera image: a class-shaped unit-intensity patch at the projected
     position (larger when nearer), plus Gaussian pixel noise."""
     img = np.zeros((cfg.image_height, cfg.image_width))
     if scene.class_id != "empty":
         row, col = project_to_image(scene, cfg)
-        s = cfg.patch_scale * scene.extent_m / scene.range_m**cfg.patch_power
-        psf2 = cfg.pixel_psf**2
+        s = PATCH_SCALE * scene.extent_m / scene.range_m**PATCH_POWER
+        psf2 = PIXEL_PSF**2
         ii = np.arange(cfg.image_height)[:, None] - row
         jj = np.arange(cfg.image_width)[None, :] - col
         patch = CLASS_TABLE[scene.class_id].patch
@@ -284,19 +246,15 @@ def _stratified_split(labels: np.ndarray, indices: np.ndarray, frac: float,
     return np.sort(np.array(first, dtype=np.int64)), np.sort(np.array(second, dtype=np.int64))
 
 
-def make_dataset(cfg: SimulatorConfig, n: int, seed: int,
-                 vision_fraction: float = 0.2) -> Dataset:
-    """Generate n paired samples with balanced classes and an 80/20 split.
+def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
+    """Generate ``cfg.n`` paired samples with balanced classes, an 80/20
+    split, and ``cfg.vision_fraction`` of all samples in the vision slice.
 
     Classes are assigned round-robin so per-class counts differ by at most
     one; each sample is rendered from its own counter-based RNG stream keyed
     by (seed, index), so generation order cannot change the result.
     """
-    if n < 8:
-        raise ConfigError(f"need at least 8 samples, got {n}")
-    if not 0.0 <= vision_fraction < 0.8:
-        raise ConfigError(f"vision_fraction must be in [0, 0.8), got {vision_fraction}")
-
+    n = cfg.n
     heatmaps = np.empty((n, cfg.range_bins, cfg.azimuth_bins))
     images = np.empty((n, cfg.image_height, cfg.image_width))
     labels = np.empty(n, dtype=np.uint8)
@@ -304,7 +262,7 @@ def make_dataset(cfg: SimulatorConfig, n: int, seed: int,
         class_id = CLASS_NAMES[i % N_CLASSES]
         rng = rng_for(seed, "sample", i)
         for _ in range(64):
-            scene = sample_scene(class_id, rng, cfg)
+            scene = sample_scene(class_id, rng)
             try:
                 images[i] = render_image(scene, cfg, rng)
             except ResampleError:
@@ -318,7 +276,7 @@ def make_dataset(cfg: SimulatorConfig, n: int, seed: int,
 
     all_idx = np.arange(n, dtype=np.int64)
     train_idx, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
-    train_frac = vision_fraction / 0.8  # fraction of *train* reserved for vision
+    train_frac = cfg.vision_fraction / 0.8  # fraction of *train* reserved for vision
     contrastive_idx, vision_idx = _stratified_split(
         labels, train_idx, train_frac, rng_for(seed, "vision-split"))
     return Dataset(heatmaps, images, labels,

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import MiSection
 from .contrastive import NegativeQueue, info_nce, warm_start
-from .datagen import GaussianPairConfig, analytic_mi, gen_gaussian_pairs
+from .datagen import analytic_mi, gen_gaussian_pairs
 from .errors import DomainError
 from .models import fit, init_encoder
 from .seeding import derive_seed, rng_for
@@ -60,9 +60,10 @@ def quadratic_features(v: np.ndarray) -> np.ndarray:
     return np.concatenate([v, v * v], axis=1)
 
 
-def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiSection) -> MiEstimate:
-    """Train a contrastive critic on Gaussian pairs against a queue of
-    K = ``critic.queue_size`` negatives and return the bound.
+def estimate_mi_gaussian(critic: MiSection, rho: float, seed: int) -> MiEstimate:
+    """Train a contrastive critic on ``critic.pair_count`` Gaussian pairs of
+    ``critic.dim`` coordinates at correlation ``rho``, against a queue of
+    K = ``critic.queue_size`` negatives, and return the bound.
 
     The query encoder is trained; the key encoder stays at its random init
     because the contrastive loss detaches keys. For affine critics this does
@@ -72,23 +73,22 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiSection) -> MiE
     ones FIFO eviction would keep.
     """
     k = critic.queue_size
-    x, y = gen_gaussian_pairs(pair_cfg)
+    x, y = gen_gaussian_pairs(critic.dim, rho, critic.pair_count, seed)
     x, y = quadratic_features(x), quadratic_features(y)
-    n_hold = max(k + critic.batch_size, int(round(HOLDOUT_FRACTION * pair_cfg.count)))
-    if n_hold + k + critic.batch_size > pair_cfg.count:
+    n_hold = max(k + critic.batch_size, int(round(HOLDOUT_FRACTION * critic.pair_count)))
+    if n_hold + k + critic.batch_size > critic.pair_count:
         raise DomainError(
-            f"count {pair_cfg.count} too small for queue {k} plus holdout {n_hold}")
+            f"count {critic.pair_count} too small for queue {k} plus holdout {n_hold}")
     x_train, y_train = x[:-n_hold], y[:-n_hold]
     x_hold, y_hold = x[-n_hold:], y[-n_hold:]
 
-    q_enc = init_encoder([x.shape[1], critic.embed_dim],
-                         derive_seed(pair_cfg.seed, "mi-query"))
+    q_enc = init_encoder([x.shape[1], critic.embed_dim], derive_seed(seed, "mi-query"))
     k_enc = init_encoder([y.shape[1], critic.embed_dim],
-                         derive_seed(pair_cfg.seed, "mi-key"), trainable=False)
+                         derive_seed(seed, "mi-key"), trainable=False)
 
     keys_train = k_enc.forward_numpy(y_train)
     queue = NegativeQueue(k, unit_check=False)
-    order_rng = rng_for(pair_cfg.seed, "mi-order")
+    order_rng = rng_for(seed, "mi-order")
     first_order = order_rng.permutation(len(x_train))
     warm_start(queue, keys_train[first_order], critic.batch_size)
 
@@ -122,5 +122,5 @@ def estimate_mi_gaussian(pair_cfg: GaussianPairConfig, critic: MiSection) -> MiE
         k_negatives=k,
         mean_loss=mean_loss,
         mi_lower_bound=mi_lower_bound(mean_loss, k),
-        true_mi=analytic_mi(pair_cfg.rho, pair_cfg.dim),
+        true_mi=analytic_mi(rho, critic.dim),
     )

@@ -16,6 +16,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import autodiff as ad
+from .config import VisionSection
 from .errors import (
     ConfigError,
     ContractError,
@@ -294,31 +295,28 @@ class VisionPretrainOutcome:
     train_loss: list[float]
 
 
-def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
+def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, *,
                     hidden: list[int], embed_dim: int, n_classes: int,
-                    epochs: int, lr: float, momentum: float,
-                    weight_decay: float, batch_size: int,
-                    holdout_fraction: float, seed: int,
-                    mode: str = "supervised") -> VisionPretrainOutcome:
+                    seed: int) -> VisionPretrainOutcome:
     """Train the vision teacher on image->class, then freeze it.
 
-    ``mode="random-frozen"`` skips training and freezes the fresh init, as a
-    no-signal ablation teacher. The holdout is carved from the given slice
-    itself; downstream splits never see these samples.
+    ``cfg.mode`` "random-frozen" skips training and freezes the fresh init,
+    as a no-signal ablation teacher. The holdout is carved from the given
+    slice itself; downstream splits never see these samples.
     """
     dims = [images.shape[1], *hidden, embed_dim]
     model = init_encoder(dims, derive_seed(seed, "vision-encoder"))
-    if mode == "random-frozen":
+    if cfg.mode == "random-frozen":
         model.freeze()
         return VisionPretrainOutcome(model=model, holdout_accuracy=0.0, train_loss=[])
-    if mode != "supervised":
-        raise ConfigError(f"unknown vision pretrain mode: {mode!r}")
+    if cfg.mode != "supervised":
+        raise ConfigError(f"unknown vision pretrain mode: {cfg.mode!r}")
 
     n = len(labels)
     if n == 0:
         raise ConfigError("the vision split is empty; there is nothing to train "
                           "the teacher on")
-    n_hold = max(1, int(round(holdout_fraction * n)))
+    n_hold = max(1, int(round(cfg.holdout_fraction * n)))
     order = rng_for(seed, "vision-holdout").permutation(n)
     hold, train = order[:n_hold], order[n_hold:]
     if len(train) == 0:
@@ -328,8 +326,9 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, *,
     head = init_head(embed_dim, n_classes)
     run = train_classifier(
         model, head, images[train], labels[train],
-        epochs=epochs, lr=lr, momentum=momentum, weight_decay=weight_decay,
-        batch_size=batch_size, seed=derive_seed(seed, "vision-train"))
+        epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
+        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
+        seed=derive_seed(seed, "vision-train"))
 
     logits = head.forward_numpy(model.forward_numpy(images[hold]))
     acc = float((logits.argmax(axis=1) == labels[hold]).mean())

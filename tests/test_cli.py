@@ -270,9 +270,15 @@ class TestExitCodes:
         ("sweep-k", ("eval", "queue_sizes"), [], "eval.queue_sizes must not be empty"),
         ("sweep-labels", ("eval", "fractions"), [], "eval.fractions must not be empty"),
         ("estimate-mi", ("mi", "rhos"), [], "mi.rhos must not be empty"),
+        ("pretrain", ("contrastive", "tau"), float("inf"),
+         "contrastive.tau must be finite and > 0, got inf"),
+        ("pretrain", ("contrastive", "lr"), float("inf"),
+         "contrastive.lr must be finite and > 0, got inf"),
+        ("probe", ("eval", "weight_decay"), float("inf"),
+         "eval.weight_decay must be finite and >= 0, got inf"),
     ], ids=["no-mi-seeds", "negative-lr", "normalize", "nan-sigma-image", "nan-sigma-radar",
             "inf-sigma-image", "inf-sigma-radar", "no-queue-sizes", "no-fractions",
-            "no-rhos"])
+            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
                                       message):
         overlay = yaml.safe_load(TINY_YAML)
@@ -283,6 +289,32 @@ class TestExitCodes:
         assert code == 3
         assert message in self.one_line(capsys)
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("pretrain-vision", "--data"), ("pretrain", "--vision"), ("probe", "--encoder"),
+        ("gen-data", "--config")])
+    def test_directory_as_input_exits_2(self, pipeline, workdir, tmp_path, capsys,
+                                        command, flag):
+        argv = [command, "--config", str(workdir / "tiny.yaml"), "--out", str(tmp_path / "o")]
+        if command != "gen-data":
+            argv += ["--data", str(pipeline / "dataset.xmcd")]
+        argv += [flag, str(tmp_path)]  # the last of a repeated flag wins
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"required input is not a readable file: {tmp_path}" in self.one_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_is_not_a_directory_exits_1_before_the_body(
+            self, workdir, tmp_path, capsys, monkeypatch, below):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        monkeypatch.setattr(cli, "_map_arms", lambda *a: pytest.fail("body ran"))
+        out = taken / "o" if below else taken
+        capsys.readouterr()
+        assert main(["estimate-mi", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(out)]) == 1
+        assert f"{taken} is not a directory" in self.one_line(capsys)
 
     def test_overwrite_is_refused_before_inputs_are_loaded(self, pipeline, workdir,
                                                            tmp_path):

@@ -1,8 +1,11 @@
 """Config overlay: unknown keys and value ranges."""
 
+import dataclasses
+import math
+
 import pytest
 
-from xmc.config import load_config
+from xmc.config import ExperimentConfig, load_config
 from xmc.errors import ConfigError
 
 
@@ -26,9 +29,17 @@ def test_defaults_are_in_range():
     ({"eval": {"fractions": []}}, "eval.fractions must not be empty"),
     ({"eval": {"queue_sizes": []}}, "eval.queue_sizes must not be empty"),
     ({"mi": {"rhos": []}}, "mi.rhos must not be empty"),
+    ({"contrastive": {"tau": math.inf}}, "contrastive.tau must be finite and > 0, got inf"),
+    ({"datagen": {"n": 7}}, "datagen.n must be an integer >= 8, got 7"),
+    ({"datagen": {"azimuth_bins": 1}}, "datagen.azimuth_bins must be an integer >= 2, got 1"),
+    ({"datagen": {"vision_fraction": 0.8}}, "datagen.vision_fraction must be in [0, 0.8)"),
+    ({"datagen": {"sigma_image": -0.1}}, "datagen.sigma_image must be >= 0, got -0.1"),
+    ({"datagen": {"sigma_image": None}}, "datagen.sigma_image must be >= 0, got None"),
 ], ids=["negative-lr", "zero-lr", "zero-tau", "no-seeds", "zero-queue", "float-width",
         "zero-fraction", "fraction-above-1", "zero-holdout", "momentum-1",
-        "negative-decay", "string-rho", "no-fractions", "no-queue-sizes", "no-rhos"])
+        "negative-decay", "string-rho", "no-fractions", "no-queue-sizes", "no-rhos",
+        "inf-tau", "n-7", "one-azimuth-bin", "vision-fraction-0.8", "negative-sigma",
+        "null-sigma-image"])
 def test_out_of_range_values_rejected(overrides, message):
     with pytest.raises(ConfigError) as err:
         load_config(None, overrides)
@@ -39,8 +50,36 @@ def test_edges_of_the_ranges_are_accepted():
     load_config(None, {"vision": {"holdout_fraction": 1.0, "momentum": 0.0},
                        "eval": {"fractions": [1.0], "weight_decay": 0.0},
                        "mi": {"n_seeds": 1}, "seed": -1, "encoder_hidden": []})
+    load_config(None, {"datagen": {"n": 8, "range_bins": 2, "image_width": 2,
+                                   "vision_fraction": 0.0, "sigma_radar": None,
+                                   "sigma_image": 0.0}})
 
 
 def test_normalize_is_an_unknown_key():
     with pytest.raises(ConfigError, match="unknown config key: contrastive.normalize"):
         load_config(None, {"contrastive": {"normalize": True}})
+
+
+def float_settings(obj=ExperimentConfig(), path=()):
+    """(key path, is a list) of every float and list-of-float setting."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from float_settings(value, (*path, f.name))
+        elif f.type in ("float", "float | None", "list[float]"):
+            yield (*path, f.name), f.type == "list[float]"
+
+
+FLOAT_SETTINGS = list(float_settings())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("setting", FLOAT_SETTINGS,
+                         ids=[".".join(path) for path, _ in FLOAT_SETTINGS])
+def test_every_float_setting_rejects_nan_and_infinities(setting, value):
+    path, is_list = setting
+    overlay = [value] if is_list else value
+    for key in reversed(path):
+        overlay = {key: overlay}
+    with pytest.raises(ConfigError, match="must be finite and"):
+        load_config(None, overlay)

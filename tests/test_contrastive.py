@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc import autodiff as ad
-from xmc.config import ContrastiveSection
+from xmc.config import ContrastiveSection, DatagenSection, VisionSection
 from xmc.contrastive import (
     NegativeQueue,
     encode_keys,
@@ -19,7 +19,7 @@ from xmc.contrastive import (
     pretrain,
     warm_start,
 )
-from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
+from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import ConfigError, ContractError, UsageError
 from xmc.models import init_encoder, pretrain_vision
 
@@ -281,13 +281,13 @@ class TestContrastiveConfig:
 @pytest.fixture(scope="module")
 def toy_setup():
     """Small dataset plus frozen teacher for fast pre-training runs."""
-    ds = make_dataset(SimulatorConfig(), 320, seed=31)
+    ds = make_dataset(DatagenSection(n=320), seed=31)
     teacher = pretrain_vision(
         image_inputs(ds.images[ds.vision_idx]),
         ds.labels[ds.vision_idx].astype(np.int64),
-        hidden=[64], embed_dim=32, n_classes=4, epochs=30, lr=0.01,
-        momentum=0.9, weight_decay=1e-4, batch_size=16, holdout_fraction=0.2,
-        seed=31).model
+        VisionSection(epochs=30, lr=0.01, momentum=0.9, weight_decay=1e-4,
+                      batch_size=16, holdout_fraction=0.2),
+        hidden=[64], embed_dim=32, n_classes=4, seed=31).model
     return ds, teacher
 
 

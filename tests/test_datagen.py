@@ -1,5 +1,6 @@
 """Data generation tests: Gaussian pairs, scene rendering, dataset assembly."""
 
+import hashlib
 import json
 import math
 import struct
@@ -9,11 +10,13 @@ import pytest
 from scipy import integrate
 
 from xmc import datagen as dg
+from xmc.config import DatagenSection, load_config
 from xmc.datagen import (
+    AZIMUTH_MAX,
     CLASS_TABLE,
-    GaussianPairConfig,
+    RANGE_MAX,
+    RANGE_MIN,
     SceneLatent,
-    SimulatorConfig,
     analytic_mi,
     gen_gaussian_pairs,
     make_dataset,
@@ -24,8 +27,8 @@ from xmc.datagen import (
 from xmc.errors import ConfigError, DomainError, FormatError, ResampleError
 from xmc.seeding import rng_for
 
-CFG = SimulatorConfig()
-NOISELESS = SimulatorConfig(sigma_radar=0.0, sigma_image=0.0)
+CFG = DatagenSection()
+NOISELESS = DatagenSection(sigma_radar=0.0, sigma_image=0.0)
 
 
 def mi_by_quadrature(rho: float, n: int = 2001, lim: float = 8.0) -> float:
@@ -43,30 +46,35 @@ def mi_by_quadrature(rho: float, n: int = 2001, lim: float = 8.0) -> float:
 
 class TestGaussianPairs:
     def test_zero_rho_gives_near_zero_sample_correlation(self):
-        x, y = gen_gaussian_pairs(GaussianPairConfig(dim=1, rho=0.0, count=100_000, seed=1))
+        x, y = gen_gaussian_pairs(1, 0.0, 100_000, 1)
         r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
         assert abs(r) < 0.02
 
     def test_high_rho_sample_correlation(self):
-        x, y = gen_gaussian_pairs(GaussianPairConfig(dim=1, rho=0.9, count=100_000, seed=2))
+        x, y = gen_gaussian_pairs(1, 0.9, 100_000, 2)
         r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
         assert abs(r - 0.9) < 0.02
 
     def test_coordinates_are_standardized(self):
-        x, y = gen_gaussian_pairs(GaussianPairConfig(dim=3, rho=0.5, count=100_000, seed=3))
+        x, y = gen_gaussian_pairs(3, 0.5, 100_000, 3)
         for arr in (x, y):
             assert np.abs(arr.mean(axis=0)).max() < 0.02
             assert np.abs(arr.std(axis=0) - 1.0).max() < 0.02
 
     def test_same_seed_bit_identical(self):
-        cfg = GaussianPairConfig(dim=2, rho=0.4, count=100, seed=9)
-        x1, y1 = gen_gaussian_pairs(cfg)
-        x2, y2 = gen_gaussian_pairs(cfg)
+        x1, y1 = gen_gaussian_pairs(2, 0.4, 100, 9)
+        x2, y2 = gen_gaussian_pairs(2, 0.4, 100, 9)
         assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
+
+    def test_frozen_bytes(self):
+        """Pins the pair generator: any change to its draws fails here."""
+        x, y = gen_gaussian_pairs(2, 0.4, 100, 9)
+        digest = hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+        assert digest == "5a5852a6832275f026082291b9c8e64abf87dd26861559e867676299294a31af"
 
     def test_rho_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            GaussianPairConfig(dim=1, rho=1.0, count=10, seed=0)
+            gen_gaussian_pairs(1, 1.0, 10, 0)
 
 
 class TestAnalyticMi:
@@ -90,33 +98,33 @@ class TestAnalyticMi:
 
 class TestScenes:
     def test_empty_scene_has_no_target(self):
-        scene = sample_scene("empty", rng_for(0, "s"), CFG)
+        scene = sample_scene("empty", rng_for(0, "s"))
         assert scene.range_m is None and scene.reflectivity is None
 
     def test_car_extent_range(self):
         rng = rng_for(1, "s")
         for _ in range(100):
-            scene = sample_scene("car", rng, CFG)
+            scene = sample_scene("car", rng)
             assert 1.5 <= scene.extent_m <= 2.5
 
     def test_pedestrian_extent_monte_carlo_mean(self):
         rng = rng_for(2, "s")
-        draws = [sample_scene("pedestrian", rng, CFG).extent_m for _ in range(10_000)]
+        draws = [sample_scene("pedestrian", rng).extent_m for _ in range(10_000)]
         expected = sum(CLASS_TABLE["pedestrian"].extent) / 2
         assert abs(np.mean(draws) - expected) < 0.05 * expected
 
     def test_unknown_class_rejected(self):
         with pytest.raises(ConfigError):
-            sample_scene("drone", rng_for(0, "s"), CFG)
+            sample_scene("drone", rng_for(0, "s"))
 
 
 class TestRenderRadar:
     def test_argmax_at_target_cell(self):
         # place the target exactly at a cell center
-        d_range = (CFG.range_max - CFG.range_min) / CFG.range_bins
-        d_az = 2 * CFG.azimuth_max / CFG.azimuth_bins
-        scene = SceneLatent("car", range_m=CFG.range_min + 10.5 * d_range,
-                            azimuth_rad=-CFG.azimuth_max + 20.5 * d_az,
+        d_range = (RANGE_MAX - RANGE_MIN) / CFG.range_bins
+        d_az = 2 * AZIMUTH_MAX / CFG.azimuth_bins
+        scene = SceneLatent("car", range_m=RANGE_MIN + 10.5 * d_range,
+                            azimuth_rad=-AZIMUTH_MAX + 20.5 * d_az,
                             extent_m=2.0, reflectivity=4.0)
         heat = render_radar(scene, NOISELESS)
         assert np.unravel_index(heat.argmax(), heat.shape) == (10, 20)
@@ -160,12 +168,10 @@ class TestRenderImage:
         assert np.all(img == 0.0)
 
     def test_out_of_frame_projection_raises(self):
-        narrow = SimulatorConfig(range_min=2.0, range_max=10.0,
-                                 sigma_radar=0.0, sigma_image=0.0)
-        scene = SceneLatent("car", range_m=1.0, azimuth_rad=0.0,
-                            extent_m=2.0, reflectivity=4.0)  # nearer than range_min
+        scene = SceneLatent("car", range_m=0.5 * RANGE_MIN, azimuth_rad=0.0,
+                            extent_m=2.0, reflectivity=4.0)  # nearer than RANGE_MIN
         with pytest.raises(ResampleError):
-            render_image(scene, narrow)
+            render_image(scene, NOISELESS)
 
     def test_patch_shapes_differ_by_class(self):
         imgs = {}
@@ -186,14 +192,14 @@ class TestCrossModalGeometry:
         position up to grid quantization, with noise off."""
         rng = rng_for(11, "geom")
         for _ in range(25):
-            scene = sample_scene("car", rng, NOISELESS)
+            scene = sample_scene("car", rng)
             heat = render_radar(scene, NOISELESS)
             img = render_image(scene, NOISELESS)
             ri, aj = np.unravel_index(heat.argmax(), heat.shape)
-            d_range = (CFG.range_max - CFG.range_min) / CFG.range_bins
-            d_az = 2 * CFG.azimuth_max / CFG.azimuth_bins
-            cell_range = CFG.range_min + (ri + 0.5) * d_range
-            cell_az = -CFG.azimuth_max + (aj + 0.5) * d_az
+            d_range = (RANGE_MAX - RANGE_MIN) / CFG.range_bins
+            d_az = 2 * AZIMUTH_MAX / CFG.azimuth_bins
+            cell_range = RANGE_MIN + (ri + 0.5) * d_range
+            cell_az = -AZIMUTH_MAX + (aj + 0.5) * d_az
             decoded = SceneLatent("car", range_m=cell_range, azimuth_rad=cell_az,
                                   extent_m=scene.extent_m,
                                   reflectivity=scene.reflectivity)
@@ -206,55 +212,62 @@ class TestCrossModalGeometry:
 
 class TestMakeDataset:
     def test_exact_balance_at_400(self):
-        ds = make_dataset(CFG, 400, seed=5)
+        ds = make_dataset(DatagenSection(n=400), seed=5)
         counts = np.bincount(ds.labels, minlength=4)
         assert list(counts) == [100, 100, 100, 100]
 
     def test_balance_within_one_at_402(self):
-        ds = make_dataset(CFG, 402, seed=5)
+        ds = make_dataset(DatagenSection(n=402), seed=5)
         counts = np.bincount(ds.labels, minlength=4)
         assert set(counts) <= {100, 101}
 
     def test_split_is_disjoint_and_covers(self):
-        ds = make_dataset(CFG, 120, seed=6)
+        ds = make_dataset(DatagenSection(n=120), seed=6)
         union = np.sort(np.concatenate([ds.train_idx, ds.test_idx]))
         np.testing.assert_array_equal(union, np.arange(120))
         assert len(np.intersect1d(ds.train_idx, ds.test_idx)) == 0
 
     def test_split_balance_within_one(self):
-        ds = make_dataset(CFG, 402, seed=7)
+        ds = make_dataset(DatagenSection(n=402), seed=7)
         for idx in (ds.train_idx, ds.test_idx):
             counts = np.bincount(ds.labels[idx], minlength=4)
             assert counts.max() - counts.min() <= 1
 
     def test_vision_and_contrastive_partition_train(self):
-        ds = make_dataset(CFG, 200, seed=8)
+        ds = make_dataset(DatagenSection(n=200), seed=8)
         union = np.sort(np.concatenate([ds.vision_idx, ds.contrastive_idx]))
         np.testing.assert_array_equal(union, ds.train_idx)
         assert len(np.intersect1d(ds.vision_idx, ds.test_idx)) == 0
 
     def test_same_seed_identical_hash(self):
-        a = make_dataset(CFG, 60, seed=9)
-        b = make_dataset(CFG, 60, seed=9)
+        a = make_dataset(DatagenSection(n=60), seed=9)
+        b = make_dataset(DatagenSection(n=60), seed=9)
         assert a.content_hash() == b.content_hash()
-        c = make_dataset(CFG, 60, seed=10)
+        c = make_dataset(DatagenSection(n=60), seed=10)
         assert a.content_hash() != c.content_hash()
 
+    def test_frozen_content_hash(self):
+        """Pins the simulator: a change to one sample byte or one split index,
+        by any refactor, fails here."""
+        ds = make_dataset(DatagenSection(n=40), seed=12)
+        assert ds.content_hash() == (
+            "c3463fda82e48e03da78a35242550aacc1360400ccac2942acce5df54f26a4fe")
+
     def test_too_small_rejected(self):
-        with pytest.raises(ConfigError):
-            make_dataset(CFG, 4, seed=0)
+        with pytest.raises(ConfigError, match="datagen.n must be an integer >= 8, got 4"):
+            load_config(None, {"datagen": {"n": 4}})
 
 
 class TestDatasetFile:
     def test_round_trip_preserves_everything(self, tmp_path):
-        ds = make_dataset(CFG, 40, seed=12)
+        ds = make_dataset(DatagenSection(n=40), seed=12)
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, ds)
         loaded = dg.load_dataset(path)
         assert loaded.content_hash() == ds.content_hash()
 
     def test_load_splits_reads_the_sidecar_without_the_samples(self, tmp_path):
-        ds = make_dataset(CFG, 40, seed=12)
+        ds = make_dataset(DatagenSection(n=40), seed=12)
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, ds)
         splits = dg.load_splits(path)
@@ -269,14 +282,14 @@ class TestDatasetFile:
             dg.load_dataset(path)
 
     def test_header_layout(self, tmp_path):
-        ds = make_dataset(CFG, 16, seed=13)
+        ds = make_dataset(DatagenSection(n=16), seed=13)
         blob = dg.dataset_to_bytes(ds)
         assert blob[:4] == b"XMCD"
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
         assert (version, r, a, h, w, n) == (1, 32, 32, 32, 32, 16)
 
     def test_sidecar_is_json(self, tmp_path):
-        ds = make_dataset(CFG, 16, seed=14)
+        ds = make_dataset(DatagenSection(n=16), seed=14)
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, ds)
         sidecar = json.loads((tmp_path / "toy.splits.json").read_text())
@@ -287,7 +300,7 @@ class TestDatasetFile:
             dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30, "{}")
 
     def test_body_is_per_sample_label_heatmap_image(self):
-        ds = make_dataset(CFG, 8, seed=15)
+        ds = make_dataset(DatagenSection(n=8), seed=15)
         expected = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 8)]
         for i in range(8):
             expected += [struct.pack("<B", ds.labels[i]),
@@ -302,7 +315,7 @@ class TestDatasetFile:
             dg.dataset_from_bytes(blob, "{}")
 
     def test_length_must_match_the_header_exactly(self):
-        ds = make_dataset(CFG, 8, seed=16)
+        ds = make_dataset(DatagenSection(n=8), seed=16)
         blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
         with pytest.raises(FormatError, match="truncated"):
             dg.dataset_from_bytes(blob[:-1], sidecar)
@@ -310,7 +323,7 @@ class TestDatasetFile:
             dg.dataset_from_bytes(blob + b"\x00", sidecar)
 
     def test_zero_size_and_bad_class_rejected(self):
-        ds = make_dataset(CFG, 8, seed=17)
+        ds = make_dataset(DatagenSection(n=8), seed=17)
         blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
         empty = b"XMCD" + struct.pack("<H5I", 1, 0, 32, 32, 32, 8)
         with pytest.raises(FormatError, match="zero size"):

@@ -8,8 +8,8 @@ import pytest
 
 from xmc import autodiff as ad
 from xmc import evaluation as ev
-from xmc.config import EvalSection, ExperimentConfig
-from xmc.datagen import SimulatorConfig, make_dataset
+from xmc.config import DatagenSection, EvalSection, ExperimentConfig
+from xmc.datagen import make_dataset
 from xmc.errors import ConfigError, DegenerateInputError, StratificationError, UsageError
 from xmc.evaluation import (
     TaskSplit,
@@ -143,7 +143,7 @@ class TestLinearProbe:
 
 @pytest.fixture(scope="module")
 def tiny_dataset():
-    return make_dataset(SimulatorConfig(), 240, seed=20)
+    return make_dataset(DatagenSection(n=240), seed=20)
 
 
 @pytest.fixture(scope="module")
@@ -170,7 +170,7 @@ class TestFinetuneAndBaseline:
 
     def test_tiny_fraction_uses_few_labels_and_underperforms(self):
         # 4 labels total vs all labels: sanity direction
-        ds = make_dataset(SimulatorConfig(), 400, seed=20)
+        ds = make_dataset(DatagenSection(n=400), seed=20)
         split = make_task_split(ds)
         cfg = EvalSection(baseline_epochs=128, batch_size=4)
         lo = supervised_baseline(split, 4 / len(split.train_labels),

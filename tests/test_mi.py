@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from xmc.config import MiSection
-from xmc.datagen import GaussianPairConfig, analytic_mi
+from xmc.datagen import analytic_mi
 from xmc.errors import DomainError
 from xmc.mi import (
     MiEstimate,
@@ -15,12 +15,10 @@ from xmc.mi import (
     quadratic_features,
 )
 
-FAST_PAIRS = dict(count=6144, dim=1)
-
-
-def fast_critic(k: int) -> MiSection:
-    """The default critic at 15 epochs, against ``k`` negatives."""
-    return MiSection(epochs=15, queue_size=k)
+def fast_critic(k: int, pair_count: int = 6144) -> MiSection:
+    """The default critic at 15 epochs on ``pair_count`` one-dimensional
+    pairs, against ``k`` negatives."""
+    return MiSection(dim=1, epochs=15, queue_size=k, pair_count=pair_count)
 
 
 class TestBoundArithmetic:
@@ -58,42 +56,35 @@ class TestQuadraticFeatures:
 
 class TestGaussianEstimator:
     def test_independent_pairs_estimate_near_zero(self):
-        est = estimate_mi_gaussian(
-            GaussianPairConfig(rho=0.0, seed=11, **FAST_PAIRS), fast_critic(128))
+        est = estimate_mi_gaussian(fast_critic(128), 0.0, 11)
         assert abs(est.mi_lower_bound) < 0.05
         assert est.true_mi == 0.0
 
     def test_correlated_pairs_capture_most_mi(self):
-        est = estimate_mi_gaussian(
-            GaussianPairConfig(rho=0.9, seed=12, **FAST_PAIRS), fast_critic(128))
+        est = estimate_mi_gaussian(fast_critic(128), 0.9, 12)
         assert 0.5 < est.mi_lower_bound < est.true_mi + 0.1
         assert math.isclose(est.true_mi, analytic_mi(0.9, 1), rel_tol=1e-12)
 
     def test_estimates_increase_with_rho(self):
-        bounds = [estimate_mi_gaussian(
-            GaussianPairConfig(rho=rho, seed=13, **FAST_PAIRS), fast_critic(128)
-        ).mi_lower_bound for rho in (0.3, 0.6, 0.9)]
+        bounds = [estimate_mi_gaussian(fast_critic(128), rho, 13).mi_lower_bound
+                  for rho in (0.3, 0.6, 0.9)]
         assert bounds[0] < bounds[1] < bounds[2]
 
     def test_bound_never_exceeds_log_k(self):
-        est = estimate_mi_gaussian(
-            GaussianPairConfig(rho=0.6, seed=14, **FAST_PAIRS), fast_critic(64))
+        est = estimate_mi_gaussian(fast_critic(64), 0.6, 14)
         assert est.mi_lower_bound <= math.log(64)
         assert est.mean_loss >= 0.0
 
     def test_small_queue_with_large_batch_works(self):
         # batch exceeds queue capacity; only the newest keys are retained
-        est = estimate_mi_gaussian(
-            GaussianPairConfig(rho=0.6, seed=15, **FAST_PAIRS), fast_critic(32))
+        est = estimate_mi_gaussian(fast_critic(32), 0.6, 15)
         assert math.isfinite(est.mi_lower_bound)
 
     def test_deterministic_given_seed(self):
-        cfg = GaussianPairConfig(rho=0.5, seed=16, **FAST_PAIRS)
-        a = estimate_mi_gaussian(cfg, fast_critic(64))
-        b = estimate_mi_gaussian(cfg, fast_critic(64))
+        a = estimate_mi_gaussian(fast_critic(64), 0.5, 16)
+        b = estimate_mi_gaussian(fast_critic(64), 0.5, 16)
         assert a.mean_loss == b.mean_loss
 
     def test_count_too_small_rejected(self):
         with pytest.raises(DomainError):
-            estimate_mi_gaussian(GaussianPairConfig(dim=1, rho=0.5, count=300, seed=17),
-                                 fast_critic(256))
+            estimate_mi_gaussian(fast_critic(256, pair_count=300), 0.5, 17)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from xmc import autodiff as ad
-from xmc.datagen import SimulatorConfig, image_inputs, make_dataset
+from xmc.config import DatagenSection, VisionSection
+from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import (
     ConfigError,
     ContractError,
@@ -362,7 +363,7 @@ class TestFit:
 
 @pytest.fixture(scope="module")
 def small_dataset():
-    return make_dataset(SimulatorConfig(), 400, seed=17)
+    return make_dataset(DatagenSection(n=400), seed=17)
 
 
 class TestVisionPretrain:
@@ -371,9 +372,9 @@ class TestVisionPretrain:
         out = pretrain_vision(
             image_inputs(ds.images[ds.vision_idx]),
             ds.labels[ds.vision_idx].astype(np.int64),
-            hidden=[32], embed_dim=16, n_classes=4, epochs=2, lr=0.01,
-            momentum=0.9, weight_decay=1e-4, batch_size=32,
-            holdout_fraction=0.2, seed=1)
+            VisionSection(epochs=2, lr=0.01, momentum=0.9, weight_decay=1e-4,
+                          batch_size=32, holdout_fraction=0.2),
+            hidden=[32], embed_dim=16, n_classes=4, seed=1)
         model = out.model
         assert model.frozen
         before = model.param_bytes()
@@ -387,10 +388,10 @@ class TestVisionPretrain:
         ds = small_dataset
         imgs = image_inputs(ds.images[ds.vision_idx])
         labels = ds.labels[ds.vision_idx].astype(np.int64)
-        kwargs = dict(hidden=[32], embed_dim=16, n_classes=4, epochs=5, lr=0.01,
-                      momentum=0.9, weight_decay=0.0, batch_size=32,
-                      holdout_fraction=0.2, seed=2)
-        frozen = pretrain_vision(imgs, labels, mode="random-frozen", **kwargs)
+        cfg = VisionSection(mode="random-frozen", epochs=5, lr=0.01, momentum=0.9,
+                            weight_decay=0.0, batch_size=32, holdout_fraction=0.2)
+        frozen = pretrain_vision(imgs, labels, cfg, hidden=[32], embed_dim=16,
+                                 n_classes=4, seed=2)
         fresh = init_encoder([imgs.shape[1], 32, 16], derive_seed(2, "vision-encoder"))
         assert frozen.model.frozen
         assert frozen.model.param_bytes() == fresh.param_bytes()
@@ -400,9 +401,9 @@ class TestVisionPretrain:
         with pytest.raises(ConfigError):
             pretrain_vision(
                 image_inputs(ds.images[:8]), ds.labels[:8].astype(np.int64),
-                hidden=[8], embed_dim=4, n_classes=4, epochs=1, lr=0.01,
-                momentum=0.9, weight_decay=0.0, batch_size=4,
-                holdout_fraction=0.2, seed=3, mode="imagenet")
+                VisionSection(mode="imagenet", epochs=1, lr=0.01, momentum=0.9,
+                              weight_decay=0.0, batch_size=4, holdout_fraction=0.2),
+                hidden=[8], embed_dim=4, n_classes=4, seed=3)
 
 
 class TestCheckpoints:
