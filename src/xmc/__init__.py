@@ -21,7 +21,6 @@ from .datagen import (
     sample_scene,
 )
 from .evaluation import (
-    ProbeResult,
     cluster_separation,
     finetune,
     linear_probe,

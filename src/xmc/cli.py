@@ -19,13 +19,14 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import evaluation as ev
-from .config import ExperimentConfig, config_to_dict, load_config
+from .config import ExperimentConfig, MiSection, config_to_dict, load_config
 from .contrastive import pretrain
 from .datagen import (
     CLASS_NAMES,
@@ -177,16 +178,17 @@ def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     return {"final_loss": final_loss}, f"wrote {ckpt} (final loss {final_loss:.4f})"
 
 
-def _write_result(outputs: list, r: ev.ProbeResult, what: str):
-    """Write a probe, fine-tune or baseline result row and test-loss curve."""
+def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: int,
+                  accuracy: float, losses: list[float]):
+    """Write a probe, fine-tune or baseline result row and test-loss curve;
+    the best epoch is the one with the least test loss."""
     result_path, curve_path = outputs[:2]
-    final_loss = r.test_loss_curve[-1][1] if r.test_loss_curve else math.nan
+    best = int(np.argmin(losses))
     write_csv(result_path, ["mode", "label_fraction", "seed", "test_accuracy",
                             "best_epoch", "best_test_loss", "final_test_loss"],
-              [[r.mode, r.label_fraction, r.seed, r.test_accuracy,
-                r.best_epoch, r.best_test_loss, final_loss]])
-    write_csv(curve_path, ["epoch", "test_loss"], r.test_loss_curve)
-    return {"test_accuracy": r.test_accuracy}, f"{what} accuracy {r.test_accuracy:.3f}"
+              [[mode, fraction, seed, accuracy, best, losses[best], losses[-1]]])
+    write_csv(curve_path, ["epoch", "test_loss"], enumerate(losses))
+    return {"test_accuracy": accuracy}, f"{what} accuracy {accuracy:.3f}"
 
 
 def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
@@ -206,8 +208,9 @@ def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split, encoder = _split_and_encoder(inputs)
-    r = ev.linear_probe(encoder, split, args.fraction, cfg.eval, cfg.seed)
-    return _write_result(outputs, r, "linear probe")
+    accuracy, losses = ev.linear_probe(encoder, split, args.fraction, cfg.eval, cfg.seed)
+    return _write_result(outputs, "linear probe", "linear-probe", args.fraction, cfg.seed,
+                         accuracy, losses)
 
 
 @command("finetune", inputs=("data", "encoder"),
@@ -215,31 +218,24 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          flags=("fraction",))
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split, encoder = _split_and_encoder(inputs)
-    r, tuned = ev.finetune(encoder, split, args.fraction, cfg.eval, cfg.seed)
+    accuracy, losses, tuned = ev.finetune(encoder, split, args.fraction, cfg.eval, cfg.seed)
     save_checkpoint(outputs[2], tuned)
-    return _write_result(outputs, r, "fine-tune")
+    return _write_result(outputs, "fine-tune", "fine-tune", args.fraction, cfg.seed,
+                         accuracy, losses)
 
 
 @command("baseline", inputs=("data",),
          outputs=("baseline_result.csv", "baseline_curve.csv"), flags=("fraction",))
 def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     split = ev.make_task_split(load_dataset(inputs["data"]))
-    r = ev.supervised_baseline(split, args.fraction, cfg.eval, cfg.seed,
-                               hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim)
-    return _write_result(outputs, r, "supervised baseline")
+    accuracy, losses = ev.supervised_baseline(split, args.fraction, cfg.eval, cfg.seed,
+                                              hidden=cfg.encoder_hidden,
+                                              embed_dim=cfg.embed_dim)
+    return _write_result(outputs, "supervised baseline", "supervised-baseline",
+                         args.fraction, cfg.seed, accuracy, losses)
 
 
 # -- sweeps (optionally parallel over arms) ---------------------------------
-
-def _queue_arm_worker(p: dict) -> ev.ArmResult:
-    return ev.queue_sweep_arm(load_dataset(p["data"]), load_checkpoint(p["vision"]),
-                              p["config"], p["k"], p["seed"])
-
-
-def _label_seed_worker(p: dict) -> list[ev.ArmResult]:
-    return ev.label_sweep_seed(load_dataset(p["data"]), load_checkpoint(p["vision"]),
-                               p["config"], p["fractions"], p["seed"])
-
 
 def _jobs(flag: int | None) -> int:
     """The pool size: ``--jobs``, else $XMC_JOBS, else 1; it must be >= 1."""
@@ -255,74 +251,73 @@ def _jobs(flag: int | None) -> int:
     return jobs
 
 
-def _map_arms(fn, payloads: list[dict], jobs: int) -> list:
-    """``fn`` over the payloads, in a pool of ``jobs`` processes."""
-    if jobs == 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
+def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
+    """``fn(*arm)`` for each arm, in a pool of ``jobs`` processes."""
+    if jobs == 1 or len(arms) <= 1:
+        return [fn(*arm) for arm in arms]
     # the pool starts all its workers up front, so never more than there are arms
-    with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
-        return list(pool.map(fn, payloads))
+    with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
+        return list(pool.map(fn, *zip(*arms)))
+
+
+def _loaded_arm(arm_fn: Callable, data: str, vision: str, cfg: ExperimentConfig, *axis):
+    """``arm_fn`` on the dataset and vision checkpoint, each loaded in the
+    process that runs the arm, at the arm's axis values."""
+    return arm_fn(load_dataset(data), load_checkpoint(vision), cfg, *axis)
+
+
+def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
+    """Write a sweep's (axis, arm, seed, accuracy) rows in that order, and
+    one summary row per (arm, axis); the arm column only ``with_arm``."""
+    detail_path, summary_path = outputs
+    keep = (lambda row: row) if with_arm else (lambda row: (row[0], *row[2:]))
+    rows = sorted(rows)
+    summary = [(value, arm, *stats) for arm, value, *stats in ev.aggregate_arms(rows)]
+    write_csv(detail_path, keep([axis, "arm", "seed", "test_accuracy"]), map(keep, rows))
+    write_csv(summary_path, keep([axis, "arm", "mean_accuracy", "std_accuracy", "n_seeds"]),
+              map(keep, summary))
+    return None, f"wrote {summary_path}"
 
 
 @command("sweep-k", inputs=("data", "vision"),
          outputs=("sweep_k.csv", "sweep_k_summary.csv"), flags=("jobs",))
 def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    detail_path, summary_path = outputs
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
-    payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
-                 "config": cfg, "k": k, "seed": s}
-                for k in cfg.eval.queue_sizes for s in seeds]
-    details = sorted(_map_arms(_queue_arm_worker, payloads, args.jobs),
-                     key=lambda d: (d.axis_value, d.seed, d.accuracy))
-    write_csv(detail_path, ["K", "seed", "test_accuracy"],
-              [[int(d.axis_value), d.seed, d.accuracy] for d in details])
-    write_csv(summary_path, ["K", "mean_accuracy", "std_accuracy", "n_seeds"],
-              [[int(r.value), r.mean_accuracy, r.std_accuracy, r.n_seeds]
-               for r in ev.aggregate_arms(details)])
-    return None, f"wrote {summary_path}"
+    arm = partial(_loaded_arm, ev.queue_sweep_arm, str(inputs["data"]),
+                  str(inputs["vision"]), cfg)
+    rows = _map_arms(arm, [(k, s) for k in cfg.eval.queue_sizes for s in seeds], args.jobs)
+    return _sweep(outputs, "K", rows, with_arm=False)
 
 
 @command("sweep-labels", inputs=("data", "vision"),
          outputs=("sweep_labels.csv", "sweep_labels_summary.csv"), flags=("jobs",))
 def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    detail_path, summary_path = outputs
     fractions = ev.feasible_fractions(cfg.eval.fractions,
                                       len(load_splits(inputs["data"])["contrastive"]))
-    payloads = [{"data": str(inputs["data"]), "vision": str(inputs["vision"]),
-                 "config": cfg, "fractions": fractions, "seed": s}
-                for s in _seeds(cfg, "eval-seed", cfg.eval.n_seeds)]
-    per_seed = _map_arms(_label_seed_worker, payloads, args.jobs)
-    details = sorted((d for chunk in per_seed for d in chunk),
-                     key=lambda d: (d.axis_value, d.arm, d.seed))
-    write_csv(detail_path, ["label_fraction", "arm", "seed", "test_accuracy"],
-              [[d.axis_value, d.arm, d.seed, d.accuracy] for d in details])
-    rows = []
-    for arm in ("fine-tune", "supervised"):
-        rows.extend([[r.value, arm, r.mean_accuracy, r.std_accuracy, r.n_seeds]
-                     for r in ev.aggregate_arms([d for d in details if d.arm == arm])])
-    write_csv(summary_path,
-              ["label_fraction", "arm", "mean_accuracy", "std_accuracy", "n_seeds"],
-              rows)
-    return None, f"wrote {summary_path}"
+    seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
+    arm = partial(_loaded_arm, ev.label_sweep_seed, str(inputs["data"]),
+                  str(inputs["vision"]), cfg)
+    per_seed = _map_arms(arm, [(fractions, s) for s in seeds], args.jobs)
+    return _sweep(outputs, "label_fraction", [r for rows in per_seed for r in rows],
+                  with_arm=True)
 
 
-def _mi_arm_worker(payload: dict) -> tuple[float, int, float, float, float]:
-    est = estimate_mi_gaussian(payload["config"].mi, payload["rho"], payload["seed"])
-    return (payload["rho"], payload["seed"], est.mean_loss,
-            est.mi_lower_bound, est.true_mi)
+def _mi_arm(mi: MiSection, rho: float, seed: int) -> tuple:
+    """One (rho, seed) arm of the MI estimate, as its CSV row."""
+    est = estimate_mi_gaussian(mi, rho, seed)
+    return (rho, mi.dim, mi.queue_size, seed, est.mean_loss, est.mi_lower_bound,
+            est.true_mi)
 
 
 @command("estimate-mi", outputs=("mi_estimates.csv",), flags=("jobs",))
 def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     (csv_path,) = outputs
     seeds = _seeds(cfg, "mi-seed", cfg.mi.n_seeds)
-    payloads = [{"config": cfg, "rho": rho, "seed": s}
-                for rho in cfg.mi.rhos for s in seeds]
-    results = sorted(_map_arms(_mi_arm_worker, payloads, args.jobs))
+    rows = _map_arms(partial(_mi_arm, cfg.mi),
+                     [(rho, s) for rho in cfg.mi.rhos for s in seeds], args.jobs)
     write_csv(csv_path,
               ["rho", "dim", "K", "seed", "mean_loss", "mi_lower_bound", "true_mi"],
-              [[rho, cfg.mi.dim, cfg.mi.queue_size, seed, loss, bound, true]
-               for rho, seed, loss, bound, true in results])
+              sorted(rows))
     return None, f"wrote {csv_path}"
 
 

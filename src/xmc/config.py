@@ -98,9 +98,6 @@ class ExperimentConfig:
     io: IoSection = field(default_factory=IoSection)
 
 
-_SCALARS = (int, float, str, bool, type(None))
-
-
 def _apply(obj, mapping: dict, path: str) -> None:
     fields = {f.name: f for f in dataclasses.fields(obj)}
     for key, value in mapping.items():
@@ -116,11 +113,7 @@ def _apply(obj, mapping: dict, path: str) -> None:
             if not isinstance(value, list):
                 raise ConfigError(f"{where} must be a list")
             setattr(obj, key, list(value))
-        elif isinstance(current, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{where} must be a boolean")
-            setattr(obj, key, value)
-        elif isinstance(current, int) and not isinstance(current, bool):
+        elif isinstance(current, int):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ConfigError(f"{where} must be an integer")
             setattr(obj, key, value)
@@ -136,11 +129,11 @@ def _apply(obj, mapping: dict, path: str) -> None:
             raise ConfigError(f"cannot assign {where}")
 
 
-# Field name -> (range test, its description). Every other field annotated
-# as an integer or a list of integers, but the seed, is a count. Every list
-# but encoder_hidden (empty: a linear encoder) is a sweep axis, so it must
-# not be empty; a field annotated "float | None" may be None. Every float
-# must also be finite: NaN fails the tests below, but inf passes "> 0".
+# Field name -> (range or choice test, its description). Every other field
+# annotated as an integer or a list of integers, but the seed, is a count.
+# Every list but encoder_hidden (empty: a linear encoder) is a sweep axis, so
+# it must not be empty; a field annotated "float | None" may be None. Every
+# float must also be finite: NaN fails the tests below, but inf passes "> 0".
 _RANGES = {
     **dict.fromkeys(("lr", "tau"), (lambda v: v > 0.0, "> 0")),
     **dict.fromkeys(("weight_decay", "sigma_radar", "sigma_image"),
@@ -150,6 +143,8 @@ _RANGES = {
     "fractions": (lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     "rhos": (lambda v: -1.0 < v < 1.0, "in (-1, 1)"),
     "vision_fraction": (lambda v: 0.0 <= v < 0.8, "in [0, 0.8)"),
+    "mode": (lambda v: v in ("supervised", "random-frozen"),
+             "'supervised' or 'random-frozen'"),
     "n": (lambda v: v >= 8, "an integer >= 8"),
     **dict.fromkeys(("range_bins", "azimuth_bins", "image_height", "image_width"),
                     (lambda v: v >= 2, "an integer >= 2")),
@@ -171,7 +166,8 @@ def _check_ranges(obj, path: str = "") -> None:
         if value is None and f.type == "float | None":
             continue
         if f.name in _RANGES:
-            kinds, (test, rule) = (int, float), _RANGES[f.name]
+            kinds = str if f.type == "str" else (int, float)
+            test, rule = _RANGES[f.name]
         elif f.type in ("int", "list[int]") and f.name != "seed":
             kinds, (test, rule) = int, _COUNT
         else:

@@ -103,36 +103,22 @@ def stratified_label_subset(labels: np.ndarray, fraction: float,
 # probes and baselines
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProbeResult:
-    label_fraction: float
-    mode: str                        # linear-probe | fine-tune | supervised-baseline
-    test_accuracy: float
-    test_loss_curve: list[tuple[int, float]]
-    seed: int
-    best_epoch: int                  # epoch with minimum test loss (early-stop report)
-
-    @property
-    def best_test_loss(self) -> float:
-        """NaN when the run kept no test-loss curve."""
-        return self.test_loss_curve[self.best_epoch][1] if self.test_loss_curve else math.nan
-
-
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = features.mean(axis=0)
     sd = np.maximum(features.std(axis=0), 1e-8)
     return mu, sd
 
 
-def _train_and_score(mode: str, encoder: EncoderModel | None,
+def _train_and_score(encoder: EncoderModel | None,
                      train_inputs: np.ndarray, test_inputs: np.ndarray,
                      split: TaskSplit, fraction: float, epochs: int,
                      cfg: EvalSection, seed: int, train_tag: str,
-                     curve: bool) -> ProbeResult:
+                     curve: bool) -> tuple[float, list[float]]:
     """Train a zero-initialised head, and ``encoder`` with it unless that is
     None (then the inputs are features), on a stratified label subsample;
-    then score them on the test split. ``curve`` adds a test-split forward
-    pass per epoch for the test-loss curve, which never feeds training."""
+    then score them on the test split. Returns the test accuracy and the
+    per-epoch test losses: ``curve`` adds a test-split forward pass per
+    epoch for them, which never feeds training; without it they are empty."""
     sel = stratified_label_subset(split.train_labels, fraction,
                                   derive_seed(seed, "subsample", fraction))
     head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
@@ -145,79 +131,63 @@ def _train_and_score(mode: str, encoder: EncoderModel | None,
         test_inputs=test_inputs if curve else None,
         test_labels=split.test_labels_for_reporting())
     feats = test_inputs if encoder is None else encoder.forward_numpy(test_inputs)
-    accuracy = split.test_accuracy(head.forward_numpy(feats).argmax(axis=1))
-    best = int(np.argmin(run.test_loss)) if run.test_loss else 0
-    return ProbeResult(label_fraction=fraction, mode=mode, test_accuracy=accuracy,
-                       test_loss_curve=list(enumerate(run.test_loss)), seed=seed,
-                       best_epoch=best)
+    return split.test_accuracy(head.forward_numpy(feats).argmax(axis=1)), run.test_loss
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
-                 cfg: EvalSection, seed: int, *, curve: bool = True) -> ProbeResult:
+                 cfg: EvalSection, seed: int, *,
+                 curve: bool = True) -> tuple[float, list[float]]:
     """Train only a linear head on frozen features from a stratified label
     subsample; the encoder is never updated. Features are standardized with
-    statistics of the (label-free) full train split."""
+    statistics of the (label-free) full train split. Returns the test
+    accuracy and the per-epoch test losses."""
     feats_train = encoder.forward_numpy(split.train_inputs)
     feats_test = encoder.forward_numpy(split.test_inputs)
     mu, sd = _standardizer(feats_train)
-    return _train_and_score("linear-probe", None, (feats_train - mu) / sd,
-                            (feats_test - mu) / sd, split, fraction,
-                            cfg.probe_epochs, cfg, seed, "probe-train", curve)
+    return _train_and_score(None, (feats_train - mu) / sd, (feats_test - mu) / sd,
+                            split, fraction, cfg.probe_epochs, cfg, seed,
+                            "probe-train", curve)
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
              cfg: EvalSection, seed: int, *,
-             curve: bool = True) -> tuple[ProbeResult, EncoderModel]:
+             curve: bool = True) -> tuple[float, list[float], EncoderModel]:
     """Same protocol as the probe but the encoder trains too; operates on a
-    copy so the pre-trained encoder can be reused across fractions."""
+    copy so the pre-trained encoder can be reused across fractions. Returns
+    the test accuracy, the per-epoch test losses and the tuned copy."""
     tuned = encoder.copy(trainable=True)
-    result = _train_and_score("fine-tune", tuned, split.train_inputs, split.test_inputs,
-                              split, fraction, cfg.finetune_epochs, cfg, seed,
-                              "finetune-train", curve)
-    return result, tuned
+    return (*_train_and_score(tuned, split.train_inputs, split.test_inputs, split,
+                              fraction, cfg.finetune_epochs, cfg, seed,
+                              "finetune-train", curve), tuned)
 
 
 def supervised_baseline(split: TaskSplit, fraction: float, cfg: EvalSection,
                         seed: int, hidden: Sequence[int], embed_dim: int, *,
-                        curve: bool = True) -> ProbeResult:
+                        curve: bool = True) -> tuple[float, list[float]]:
     """End-to-end supervised training of a fresh encoder, with ``hidden``
-    layers and ``embed_dim`` outputs, plus a head on the labeled fraction."""
+    layers and ``embed_dim`` outputs, plus a head on the labeled fraction.
+    Returns the test accuracy and the per-epoch test losses."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
-    return _train_and_score("supervised-baseline", encoder, split.train_inputs,
-                            split.test_inputs, split, fraction, cfg.baseline_epochs,
-                            cfg, seed, "baseline-train", curve)
+    return _train_and_score(encoder, split.train_inputs, split.test_inputs, split,
+                            fraction, cfg.baseline_epochs, cfg, seed,
+                            "baseline-train", curve)
 
 
 # ---------------------------------------------------------------------------
 # sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SweepRow:
-    value: float
-    mean_accuracy: float
-    std_accuracy: float
-    n_seeds: int
-
-
-@dataclass
-class ArmResult:
-    axis_value: float
-    arm: str
-    seed: int
-    accuracy: float
-
-
-def aggregate_arms(details: list[ArmResult]) -> list[SweepRow]:
-    """One row per axis value, in increasing order: the mean and standard
-    deviation of its accuracies over seeds."""
-    rows = []
-    for value in sorted({d.axis_value for d in details}):
-        accs = [d.accuracy for d in details if d.axis_value == value]
-        rows.append(SweepRow(value=value, mean_accuracy=float(np.mean(accs)),
-                             std_accuracy=float(np.std(accs)), n_seeds=len(accs)))
-    return rows
+def aggregate_arms(rows: list[tuple]) -> list[tuple]:
+    """One (arm, axis value, mean, std, n) row per (arm, axis value) of the
+    (axis value, arm, seed, accuracy) arm rows, in (arm, axis value) order:
+    the mean and standard deviation of its accuracies over seeds, taken in
+    the order the rows come in."""
+    groups: dict[tuple, list[float]] = {}
+    for value, arm, _, accuracy in rows:
+        groups.setdefault((arm, value), []).append(accuracy)
+    return [(arm, value, float(np.mean(accs)), float(np.std(accs)), len(accs))
+            for (arm, value), accs in sorted(groups.items())]
 
 
 def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
@@ -230,36 +200,38 @@ def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
 
 
 def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
-                     fractions: list[float], seed: int) -> list[ArmResult]:
+                     fractions: list[float], seed: int) -> list[tuple]:
     """One seed of the label sweep: pre-train once, then run the fine-tune
     and supervised arms at every fraction, sharing each fraction's label
     subsample between the two arms. Only the accuracies are kept, so the
     arms train without test-loss curves. The task split is built after
-    pre-training, so its inputs are not held beside pre-training's own."""
+    pre-training, so its inputs are not held beside pre-training's own.
+    Returns one (fraction, arm, seed, accuracy) row per arm and fraction."""
     pre = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
     split = make_task_split(dataset)
-    out: list[ArmResult] = []
+    out = []
     for fraction in fractions:
-        ft, _ = finetune(pre.encoder, split, fraction, cfg.eval, seed, curve=False)
-        sup = supervised_baseline(split, fraction, cfg.eval, seed, hidden=cfg.encoder_hidden,
-                                  embed_dim=cfg.embed_dim, curve=False)
-        out.append(ArmResult(fraction, "fine-tune", seed, ft.test_accuracy))
-        out.append(ArmResult(fraction, "supervised", seed, sup.test_accuracy))
+        ft, _, _ = finetune(pre.encoder, split, fraction, cfg.eval, seed, curve=False)
+        sup, _ = supervised_baseline(split, fraction, cfg.eval, seed,
+                                     hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
+                                     curve=False)
+        out += [(fraction, "fine-tune", seed, ft), (fraction, "supervised", seed, sup)]
     return out
 
 
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
-                    k: int, seed: int) -> ArmResult:
+                    k: int, seed: int) -> tuple:
     """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
     scored by accuracy alone (no test-loss curve). Arms with K below the
     batch size shrink the batch to K so the queue can always hold one batch.
-    As in the label sweep, the task split is built after pre-training."""
+    As in the label sweep, the task split is built after pre-training.
+    Returns the row (K, "linear-probe", seed, accuracy)."""
     contrastive = dataclasses.replace(cfg.contrastive, queue_size=k,
                                       batch_size=min(cfg.contrastive.batch_size, k))
     pre = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
-    probe = linear_probe(pre.encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
-                         curve=False)
-    return ArmResult(float(k), "linear-probe", seed, probe.test_accuracy)
+    accuracy, _ = linear_probe(pre.encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
+                               curve=False)
+    return (k, "linear-probe", seed, accuracy)
 
 
 # ---------------------------------------------------------------------------

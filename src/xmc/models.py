@@ -301,16 +301,15 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, 
     """Train the vision teacher on image->class, then freeze it.
 
     ``cfg.mode`` "random-frozen" skips training and freezes the fresh init,
-    as a no-signal ablation teacher. The holdout is carved from the given
-    slice itself; downstream splits never see these samples.
+    as a no-signal ablation teacher; ``load_config`` admits no mode but it
+    and "supervised". The holdout is carved from the given slice itself;
+    downstream splits never see these samples.
     """
     dims = [images.shape[1], *hidden, embed_dim]
     model = init_encoder(dims, derive_seed(seed, "vision-encoder"))
     if cfg.mode == "random-frozen":
         model.freeze()
         return VisionPretrainOutcome(model=model, holdout_accuracy=0.0, train_loss=[])
-    if cfg.mode != "supervised":
-        raise ConfigError(f"unknown vision pretrain mode: {cfg.mode!r}")
 
     n = len(labels)
     if n == 0:

@@ -1,7 +1,9 @@
 """Command-line pipeline tests on a miniature configuration."""
 
 import argparse
+import csv
 import json
+import statistics
 import struct
 import subprocess
 import sys
@@ -276,9 +278,11 @@ class TestExitCodes:
          "contrastive.lr must be finite and > 0, got inf"),
         ("probe", ("eval", "weight_decay"), float("inf"),
          "eval.weight_decay must be finite and >= 0, got inf"),
+        ("gen-data", ("vision", "mode"), "imagenet",
+         "vision.mode must be 'supervised' or 'random-frozen', got 'imagenet'"),
     ], ids=["no-mi-seeds", "negative-lr", "normalize", "nan-sigma-image", "nan-sigma-radar",
             "inf-sigma-image", "inf-sigma-radar", "no-queue-sizes", "no-fractions",
-            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay"])
+            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay", "vision-mode"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
                                       message):
         overlay = yaml.safe_load(TINY_YAML)
@@ -419,13 +423,13 @@ class TestSweepPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return map(fn, items)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        payloads = [{"x": 1}, {"x": 2}]
-        assert cli._map_arms(lambda p: 10 * p["x"], payloads, 64) == [10, 20]
-        assert cli._map_arms(lambda p: p["x"], payloads * 2, 3) == [1, 2, 1, 2]
+        assert cli._map_arms(lambda x: 10 * x, [(1,), (2,)], 64) == [10, 20]
+        arms = [(1, "a"), (2, "b")] * 2
+        assert cli._map_arms(lambda x, y: y * x, arms, 3) == ["a", "bb", "a", "bb"]
         assert sizes == [2, 3]
 
 
@@ -491,18 +495,35 @@ class TestDeterminism:
             assert (replay_out / name).read_bytes() == (pipeline / name).read_bytes()
 
 
+def read_csv(path: Path) -> list[dict]:
+    with open(path, newline="") as f:
+        return list(csv.DictReader(f))
+
+
 class TestEvaluationCommands:
     def test_probe_and_curve(self, pipeline, workdir):
         assert run(workdir, "probe") == 0
         rows = (pipeline / "probe_result.csv").read_text().strip().split("\n")
-        assert rows[0].startswith("mode,label_fraction,seed,test_accuracy")
+        assert rows[0] == ("mode,label_fraction,seed,test_accuracy,"
+                           "best_epoch,best_test_loss,final_test_loss")
         assert len(rows) == 2
         curve = (pipeline / "probe_curve.csv").read_text().strip().split("\n")
+        assert curve[0] == "epoch,test_loss"
         assert len(curve) == 1 + 4  # header + probe_epochs
+        (result,) = read_csv(pipeline / "probe_result.csv")
+        losses = [float(r["test_loss"]) for r in read_csv(pipeline / "probe_curve.csv")]
+        assert [int(r["epoch"]) for r in read_csv(pipeline / "probe_curve.csv")] == [0, 1, 2, 3]
+        best = min(range(len(losses)), key=losses.__getitem__)
+        assert result["mode"] == "linear-probe"
+        assert int(result["best_epoch"]) == best
+        assert float(result["best_test_loss"]) == losses[best]
+        assert float(result["final_test_loss"]) == losses[-1]
 
     def test_finetune_writes_checkpoint(self, pipeline, workdir):
         assert run(workdir, "finetune") == 0
         assert (pipeline / "radio_finetuned.xmck").read_bytes()[:4] == b"XMCK"
+        (result,) = read_csv(pipeline / "finetune_result.csv")
+        assert result["mode"] == "fine-tune"
 
     def test_baseline(self, pipeline, workdir):
         assert run(workdir, "baseline", "--fraction", "0.5") == 0
@@ -563,6 +584,60 @@ class TestSweepCommands:
                              "--out", str(out), *args, "--jobs", jobs]) == 0
             for name in csvs:
                 assert (outs["2"] / name).read_bytes() == (outs["1"] / name).read_bytes()
+
+
+# The exact header of each sweep CSV; the queue sweep has one arm, so its
+# files have no arm column.
+SWEEP_HEADERS = {
+    "sweep_k.csv": "K,seed,test_accuracy",
+    "sweep_k_summary.csv": "K,mean_accuracy,std_accuracy,n_seeds",
+    "sweep_labels.csv": "label_fraction,arm,seed,test_accuracy",
+    "sweep_labels_summary.csv": "label_fraction,arm,mean_accuracy,std_accuracy,n_seeds",
+    "mi_estimates.csv": "rho,dim,K,seed,mean_loss,mi_lower_bound,true_mi",
+}
+
+
+@pytest.fixture(scope="module")
+def sweeps(pipeline, workdir, tmp_path_factory):
+    """The outputs of the two sweeps and the MI estimate, in one directory."""
+    out = tmp_path_factory.mktemp("sweeps")
+    inputs = ["--data", str(pipeline / "dataset.xmcd"),
+              "--vision", str(pipeline / "vision.xmck")]
+    for command, args in (("sweep-k", inputs), ("sweep-labels", inputs),
+                          ("estimate-mi", [])):
+        assert main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(out), *args]) == 0
+    return out
+
+
+class TestSweepWriter:
+    @pytest.mark.parametrize("name", SWEEP_HEADERS)
+    def test_exact_header(self, sweeps, name):
+        assert (sweeps / name).read_text().split("\n")[0] == SWEEP_HEADERS[name]
+
+    @pytest.mark.parametrize("stem, axis", [("sweep_k", "K"),
+                                            ("sweep_labels", "label_fraction")])
+    def test_summary_rows_are_the_stats_of_their_detail_rows(self, sweeps, stem, axis):
+        """One summary row per (arm, axis value), in that order: the mean,
+        standard deviation and count of its detail rows' accuracies. The
+        detail rows come in (axis value, arm, seed) order."""
+        details = read_csv(sweeps / f"{stem}.csv")
+        order = [(float(d[axis]), d.get("arm", ""), int(d["seed"])) for d in details]
+        assert order == sorted(order)
+        groups: dict[tuple, list[float]] = {}
+        for d in details:
+            groups.setdefault((d.get("arm", ""), float(d[axis])), []).append(
+                float(d["test_accuracy"]))
+        summary = read_csv(sweeps / f"{stem}_summary.csv")
+        keys = [(row.get("arm", ""), float(row[axis])) for row in summary]
+        assert keys == sorted(groups)
+        for row, key in zip(summary, keys):
+            accs = groups[key]
+            assert int(row["n_seeds"]) == len(accs) == 2  # eval.n_seeds
+            assert float(row["mean_accuracy"]) == pytest.approx(statistics.fmean(accs),
+                                                                 abs=1e-12)
+            assert float(row["std_accuracy"]) == pytest.approx(statistics.pstdev(accs),
+                                                                abs=1e-12)
 
 
 class TestConsoleEntryPoint:

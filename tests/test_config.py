@@ -35,11 +35,13 @@ def test_defaults_are_in_range():
     ({"datagen": {"vision_fraction": 0.8}}, "datagen.vision_fraction must be in [0, 0.8)"),
     ({"datagen": {"sigma_image": -0.1}}, "datagen.sigma_image must be >= 0, got -0.1"),
     ({"datagen": {"sigma_image": None}}, "datagen.sigma_image must be >= 0, got None"),
+    ({"vision": {"mode": "imagenet"}},
+     "vision.mode must be 'supervised' or 'random-frozen', got 'imagenet'"),
 ], ids=["negative-lr", "zero-lr", "zero-tau", "no-seeds", "zero-queue", "float-width",
         "zero-fraction", "fraction-above-1", "zero-holdout", "momentum-1",
         "negative-decay", "string-rho", "no-fractions", "no-queue-sizes", "no-rhos",
         "inf-tau", "n-7", "one-azimuth-bin", "vision-fraction-0.8", "negative-sigma",
-        "null-sigma-image"])
+        "null-sigma-image", "vision-mode"])
 def test_out_of_range_values_rejected(overrides, message):
     with pytest.raises(ConfigError) as err:
         load_config(None, overrides)
@@ -47,7 +49,8 @@ def test_out_of_range_values_rejected(overrides, message):
 
 
 def test_edges_of_the_ranges_are_accepted():
-    load_config(None, {"vision": {"holdout_fraction": 1.0, "momentum": 0.0},
+    load_config(None, {"vision": {"holdout_fraction": 1.0, "momentum": 0.0,
+                                  "mode": "random-frozen"},
                        "eval": {"fractions": [1.0], "weight_decay": 0.0},
                        "mi": {"n_seeds": 1}, "seed": -1, "encoder_hidden": []})
     load_config(None, {"datagen": {"n": 8, "range_bins": 2, "image_width": 2,

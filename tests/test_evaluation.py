@@ -14,7 +14,6 @@ from xmc.errors import ConfigError, DegenerateInputError, StratificationError, U
 from xmc.evaluation import (
     TaskSplit,
     aggregate_arms,
-    ArmResult,
     cluster_separation,
     feasible_fractions,
     finetune,
@@ -111,9 +110,8 @@ class TestExtractFeatures:
 class TestLinearProbe:
     def test_perfect_on_separable_clusters(self):
         split = separable_split()
-        r = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=7)
-        assert r.test_accuracy == 1.0
-        assert r.mode == "linear-probe"
+        accuracy, _ = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=7)
+        assert accuracy == 1.0
 
     def test_chance_on_random_features(self):
         rng = np.random.default_rng(8)
@@ -122,23 +120,20 @@ class TestLinearProbe:
                           train_labels=np.tile(np.arange(4), n // 4),
                           test_inputs=rng.normal(size=(n, 32)),
                           _test_labels=np.tile(np.arange(4), n // 4))
-        r = linear_probe(IdentityEncoder(32), split, 1.0, FAST_HEAD, seed=8)
-        assert abs(r.test_accuracy - 0.25) < 0.07
+        accuracy, _ = linear_probe(IdentityEncoder(32), split, 1.0, FAST_HEAD, seed=8)
+        assert abs(accuracy - 0.25) < 0.07
 
     def test_loss_curve_well_formed(self):
         split = separable_split()
-        r = linear_probe(IdentityEncoder(16), split, 0.5, FAST_HEAD, seed=9)
-        assert len(r.test_loss_curve) == FAST_HEAD.probe_epochs
-        assert all(math.isfinite(v) for _, v in r.test_loss_curve)
-        assert r.best_epoch == min(range(len(r.test_loss_curve)),
-                                   key=lambda i: r.test_loss_curve[i][1])
+        _, losses = linear_probe(IdentityEncoder(16), split, 0.5, FAST_HEAD, seed=9)
+        assert len(losses) == FAST_HEAD.probe_epochs
+        assert all(math.isfinite(v) for v in losses)
 
     def test_probe_is_reproducible(self):
         split = separable_split()
         a = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=10)
         b = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=10)
-        assert a.test_accuracy == b.test_accuracy
-        assert a.test_loss_curve == b.test_loss_curve
+        assert a == b  # the accuracies and the test-loss curves
 
 
 @pytest.fixture(scope="module")
@@ -155,18 +150,18 @@ class TestFinetuneAndBaseline:
     def test_finetune_changes_encoder(self, tiny_task):
         enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=21)
         before = enc.param_bytes()
-        result, tuned = finetune(enc, tiny_task, 1.0, FAST_HEAD, seed=21)
+        _, losses, tuned = finetune(enc, tiny_task, 1.0, FAST_HEAD, seed=21)
         assert enc.param_bytes() == before          # original untouched
         assert tuned.param_bytes() != before        # the copy trained
-        assert result.mode == "fine-tune"
+        assert len(losses) == FAST_HEAD.finetune_epochs
 
     def test_baseline_runs_and_is_deterministic(self, tiny_task):
         a = supervised_baseline(tiny_task, 1.0, FAST_HEAD, seed=22,
                                 hidden=(32,), embed_dim=16)
         b = supervised_baseline(tiny_task, 1.0, FAST_HEAD, seed=22,
                                 hidden=(32,), embed_dim=16)
-        assert a.test_accuracy == b.test_accuracy
-        assert a.mode == "supervised-baseline"
+        assert a == b  # the accuracies and the test-loss curves
+        assert len(a[1]) == FAST_HEAD.baseline_epochs
 
     def test_tiny_fraction_uses_few_labels_and_underperforms(self):
         # 4 labels total vs all labels: sanity direction
@@ -177,7 +172,7 @@ class TestFinetuneAndBaseline:
                                  cfg, seed=23, hidden=(64,), embed_dim=32)
         hi = supervised_baseline(split, 1.0, cfg, seed=23,
                                  hidden=(64,), embed_dim=32)
-        assert lo.test_accuracy < hi.test_accuracy
+        assert lo[0] < hi[0]
 
     def test_softmax_head_rows_sum_to_one(self, tiny_task):
         x = tiny_task.train_inputs[:50]
@@ -194,18 +189,20 @@ class TestCurveFreeArms:
 
     def test_curve_free_arms_match_curve_on_arms(self, tiny_task):
         enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=24)
-        on, tuned_on = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24)
-        off, tuned_off = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24, curve=False)
-        assert len(on.test_loss_curve) == FAST_HEAD.finetune_epochs
-        assert off.test_loss_curve == [] and math.isnan(off.best_test_loss)
-        assert off.test_accuracy == on.test_accuracy
+        acc_on, losses_on, tuned_on = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24)
+        acc_off, losses_off, tuned_off = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24,
+                                                  curve=False)
+        assert len(losses_on) == FAST_HEAD.finetune_epochs
+        assert losses_off == []
+        assert acc_off == acc_on
         assert tuned_off.param_bytes() == tuned_on.param_bytes()
         shape = dict(hidden=(32,), embed_dim=16)
-        assert (supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape,
-                                    curve=False).test_accuracy
-                == supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape).test_accuracy)
-        assert (linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26, curve=False).test_accuracy
-                == linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26).test_accuracy)
+        sup_off = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape, curve=False)
+        sup_on = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape)
+        assert sup_off[1] == [] and sup_off[0] == sup_on[0]
+        probe_off = linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26, curve=False)
+        probe_on = linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26)
+        assert probe_off[1] == [] and probe_off[0] == probe_on[0]
 
     def test_sweep_arms_run_one_test_forward_pass_each(self, tiny_dataset, monkeypatch):
         """Each fine-tune, baseline and probe arm of a sweep passes the test
@@ -244,15 +241,16 @@ class TestCurveFreeArms:
 
 class TestSweepPlumbing:
     def test_aggregate_means_and_stds(self):
-        details = [ArmResult(8.0, "x", s, a)
-                   for s, a in [(0, 0.5), (1, 0.7), (2, 0.6)]]
-        details += [ArmResult(32.0, "x", s, a)
-                    for s, a in [(0, 0.8), (1, 0.8), (2, 0.8)]]
+        details = [(32, "x", s, a) for s, a in [(0, 0.8), (1, 0.8), (2, 0.8)]]
+        details += [(8, "x", s, a) for s, a in [(0, 0.5), (1, 0.7), (2, 0.6)]]
+        details += [(32, "a", 0, 0.1)]
         rows = aggregate_arms(details)
-        assert [r.value for r in rows] == [8.0, 32.0]
-        assert math.isclose(rows[0].mean_accuracy, 0.6)
-        assert math.isclose(rows[1].std_accuracy, 0.0, abs_tol=1e-12)
-        assert all(r.n_seeds == 3 for r in rows)
+        # one row per (arm, axis value), in that order
+        assert [(arm, value, n) for arm, value, _, _, n in rows] == [
+            ("a", 32, 1), ("x", 8, 3), ("x", 32, 3)]
+        assert math.isclose(rows[1][2], 0.6)
+        assert math.isclose(rows[1][3], math.sqrt(2 / 300))
+        assert math.isclose(rows[2][3], 0.0, abs_tol=1e-12)
 
 
 class TestProjection:

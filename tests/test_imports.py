@@ -1,4 +1,5 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+or binds a module-level private name that nothing in it reads.
 
 There is no linter among the test dependencies, so this walks the syntax
 tree itself. ``__init__.py`` is left out: its imports are the package's
@@ -37,3 +38,40 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unused_private_names(source: str) -> list[str]:
+    """``line N: name`` for each private name that a module-level assignment
+    or undecorated ``def`` binds and nothing in the module reads. A decorated
+    function is exempt: its decorator may register it, as the CLI's command
+    bodies are."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.decorator_list:
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in bound.items() if name not in read]
+
+
+def test_the_check_finds_an_unused_private_name():
+    source = ("import functools\n_USED = 1\n_UNUSED = 2\n_a, _b = 3, 4\n"
+              "def _helper():\n    return _USED + _a\n"
+              "def _dead():\n    pass\n"
+              "@functools.cache\ndef _registered():\n    pass\n"
+              "def public():\n    return _helper()\n__all__ = ['public']\n")
+    assert unused_private_names(source) == ["line 3: _UNUSED", "line 4: _b", "line 7: _dead"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text()) == []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xmc import autodiff as ad
-from xmc.config import DatagenSection, VisionSection
+from xmc.config import DatagenSection, VisionSection, load_config
 from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import (
     ConfigError,
@@ -396,14 +396,11 @@ class TestVisionPretrain:
         assert frozen.model.frozen
         assert frozen.model.param_bytes() == fresh.param_bytes()
 
-    def test_unknown_mode_rejected(self, small_dataset):
-        ds = small_dataset
-        with pytest.raises(ConfigError):
-            pretrain_vision(
-                image_inputs(ds.images[:8]), ds.labels[:8].astype(np.int64),
-                VisionSection(mode="imagenet", epochs=1, lr=0.01, momentum=0.9,
-                              weight_decay=0.0, batch_size=4, holdout_fraction=0.2),
-                hidden=[8], embed_dim=4, n_classes=4, seed=3)
+    def test_unknown_mode_rejected(self):
+        """An unknown mode is refused where the config is loaded, so no
+        command reaches the teacher (or reads its inputs) with one."""
+        with pytest.raises(ConfigError, match="vision.mode must be 'supervised' or"):
+            load_config(None, {"vision": {"mode": "imagenet"}})
 
 
 class TestCheckpoints:
