@@ -12,7 +12,6 @@ its backward as a closure.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
@@ -26,28 +25,27 @@ NORM_EPS = 1e-12
 
 def backward(model, acts: list[np.ndarray], g: np.ndarray,
              input_grad: bool = False) -> np.ndarray | None:
-    """Assign ``model.grad``, the gradient of the parameter vector of an
-    ``EncoderModel`` whose ``forward`` gave the layer inputs ``acts``, from
-    the loss gradient ``g`` with respect to its output. The vector is new on
-    each call and assigned, not added to. Returns the gradient with respect
-    to the model's input iff ``input_grad``."""
+    """Assign ``model.grad`` for an ``EncoderModel`` whose ``forward`` gave
+    the layer inputs ``acts``, from the loss gradient ``g`` with respect to
+    its output: per layer, the pair (its input, the loss gradient at its
+    output). ``models.sgd_step`` forms the weight and bias gradients from
+    them. Returns the gradient with respect to the model's input iff
+    ``input_grad``."""
     if model.frozen:
         raise ContractError("cannot backpropagate into a frozen model")
     if g.shape != (len(acts[0]), model.dims[-1]):
         raise DimensionError(
             f"backward: output gradient {g.shape} vs output "
             f"{(len(acts[0]), model.dims[-1])}")
-    # a model over the new gradient vector lends it the parameters' layout
-    grads = replace(model, data=np.empty_like(model.data))
+    pairs = []
     for i in reversed(range(len(model.weights))):
         a, w = acts[i], model.weights[i]
-        g.sum(axis=0, out=grads.biases[i])
-        np.matmul(a.T, g, out=grads.weights[i])
+        pairs.append((a, g))
         if i or input_grad:
             g = g @ w.T
         if i:
             g *= a > 0.0  # a is the previous layer's relu output
-    model.grad = grads.data
+    model.grad = pairs[::-1]
     return g if input_grad else None
 
 

@@ -30,7 +30,7 @@ from .seeding import derive_seed, rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
 CHECKPOINT_VERSION = 2
-SGD_BLOCK = 1 << 15  # elements per sgd_step pass: whole-vector temporaries cost 2 MB of RSS
+SGD_BLOCK = 1 << 15  # weight-gradient elements sgd_step forms per pass: the block stays in L2
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
@@ -61,13 +61,14 @@ def _views(dims: list[int], vec: np.ndarray) -> tuple[list[np.ndarray], list[np.
 class EncoderModel:
     """An MLP encoder: dims[0] -> ... -> dims[-1], relu between layers. Its
     parameters are one float64 vector ``data``, with ``weights`` and
-    ``biases`` as views; ``grad``, laid out alike, is what
-    ``autodiff.backward`` assigns and ``sgd_step`` uses once."""
+    ``biases`` as views. ``grad`` is what ``autodiff.backward`` assigns and
+    ``sgd_step`` uses once: per layer, the pair (layer input ``a``, loss
+    gradient ``g`` at its output), whose weight gradient is ``a.T @ g``."""
 
     dims: list[int]
     data: np.ndarray
     frozen: bool = False
-    grad: np.ndarray | None = field(default=None, init=False, repr=False)
+    grad: list | None = field(default=None, init=False, repr=False)
     weights: list[np.ndarray] = field(init=False, repr=False)
     biases: list[np.ndarray] = field(init=False, repr=False)
 
@@ -172,10 +173,13 @@ def make_optimizer(params: list[EncoderModel], lr: float, momentum: float,
 def sgd_step(params: list[EncoderModel], state: OptimizerState,
              lr: float | None = None) -> None:
     """v <- momentum*v + (g + wd*p); p <- p - lr*v on each model's parameter
-    vector, ``SGD_BLOCK`` elements at a time. Each gradient is used once: the
-    step overwrites it as its scratch (``g + wd*p``, then ``lr*v``) and then
-    clears it, so with wd = 0 it runs four in-place passes and allocates
-    nothing."""
+    vector. The gradient g is formed here, never whole: for each layer's
+    ``(a, g)`` pair, one block of rows of ``a.T @ g`` at a time (about
+    ``SGD_BLOCK`` elements, the last followed by the bias gradient
+    ``g.sum(0)`` as in the flat layout) into one scratch per layer, each
+    applied to its slice of p and v while it is in cache. No block is one
+    row long: numpy would send it to gemv, which rounds differently from the
+    gemm of the whole product. The pairs are then cleared."""
     if len(state.velocities) != len(params):
         raise UsageError("optimizer state does not match the parameter list")
     if lr is not None:
@@ -183,15 +187,26 @@ def sgd_step(params: list[EncoderModel], state: OptimizerState,
     for p, v in zip(params, state.velocities):
         if p.grad is None:
             raise UsageError("sgd_step: a trainable model has no gradient")
-        for start in range(0, v.size, SGD_BLOCK):
-            b = slice(start, start + SGD_BLOCK)
-            g, vb, pb = p.grad[b], v[b], p.data[b]
-            if state.weight_decay:
-                g += state.weight_decay * pb
-            vb *= state.momentum
-            vb += g
-            np.multiply(vb, state.lr, out=g)
-            pb -= g
+        off = 0
+        for (a, g), w in zip(p.grad, p.weights):
+            fan_in, fan_out = w.shape
+            rows = max(2, SGD_BLOCK // fan_out)
+            buf = np.empty((min(rows, fan_in) + 2) * fan_out)  # + a merged row, the bias
+            for r0 in range(0, max(fan_in - 1, 1), rows):
+                r1 = r0 + rows if r0 + rows < fan_in - 1 else fan_in
+                n = (r1 - r0) * fan_out
+                gb = buf[:n + (fan_out if r1 == fan_in else 0)]
+                np.matmul(a[:, r0:r1].T, g, out=gb[:n].reshape(r1 - r0, fan_out))
+                if r1 == fan_in:
+                    g.sum(axis=0, out=gb[n:])
+                vb, pb = v[off:off + gb.size], p.data[off:off + gb.size]
+                off += gb.size
+                if state.weight_decay:
+                    gb += state.weight_decay * pb
+                vb *= state.momentum
+                vb += gb
+                np.multiply(vb, state.lr, out=gb)
+                pb -= gb
         p.grad = None
 
 

@@ -41,7 +41,7 @@ def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 def check_grads(f: Callable[[], float], pairs: list[tuple[np.ndarray, np.ndarray]],
                 tol: float = 1e-4, h: float = 1e-5) -> float:
     """Assert analytic gradients match finite differences. ``pairs`` holds
-    (array, its analytic gradient), e.g. ``(model.data, model.grad)``."""
+    (array, its analytic gradient), e.g. ``(model.data, dense_grad(model))``."""
     for _, grad in pairs:
         assert grad is not None, "an array has no analytic gradient"
     numeric = finite_diff_grads(f, [a for a, _ in pairs], h)
@@ -50,7 +50,8 @@ def check_grads(f: Callable[[], float], pairs: list[tuple[np.ndarray, np.ndarray
     return worst
 
 
-def grad_views(model: EncoderModel) -> EncoderModel:
-    """A model over ``model.grad``: its ``weights`` and ``biases`` are the
-    per-layer gradient views."""
-    return EncoderModel(model.dims, model.grad)
+def dense_grad(model: EncoderModel) -> np.ndarray:
+    """The gradient of ``model.data`` as one vector in its layout, formed
+    from the per-layer ``(a, g)`` pairs of ``model.grad``: each layer's
+    ``a.T @ g``, then its bias gradient ``g.sum(0)``."""
+    return np.concatenate([np.append(a.T @ g, g.sum(axis=0)) for a, g in model.grad])

@@ -1,5 +1,6 @@
-"""Source hygiene: no module of the package imports a name it never uses,
-or binds a module-level private name that nothing in it reads.
+"""Source hygiene: no module of the package or of its tests imports a name
+it never uses, and no package module binds a module-level private name that
+nothing in it reads.
 
 There is no linter among the test dependencies, so this walks the syntax
 tree itself. ``__init__.py`` is left out: its imports are the package's
@@ -13,6 +14,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "xmc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,6 +39,11 @@ def test_the_check_finds_an_unused_import():
 
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TESTS, ids=[p.stem for p in TESTS])
+def test_no_unused_imports_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 

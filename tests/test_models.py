@@ -2,6 +2,7 @@
 
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from xmc.models import (
     cross_entropy,
     fit,
     init_encoder,
-    init_head,
     load_checkpoint_bytes,
     make_optimizer,
     pretrain_vision,
@@ -35,7 +35,7 @@ from xmc.models import (
 )
 from xmc.seeding import derive_seed, rng_for
 
-from helpers import check_grads, grad_views
+from helpers import check_grads, dense_grad
 
 
 class TestEncoderForward:
@@ -71,7 +71,7 @@ class TestEncoderForward:
 
         out, acts = m.forward(x)
         dx = ad.backward(m, acts, cross_entropy(out, labels)[1], input_grad)
-        check_grads(f, [(m.data, m.grad)] + ([(x, dx)] if input_grad else []))
+        check_grads(f, [(m.data, dense_grad(m))] + ([(x, dx)] if input_grad else []))
 
     def test_gradcheck_through_two_layer_encoder(self):
         self.gradcheck_two_layers(input_grad=False)
@@ -95,7 +95,7 @@ class TestEncoderForward:
         logits, head_acts = head.forward(feats)
         g = ad.backward(head, head_acts, cross_entropy(logits, labels)[1], input_grad=True)
         dx = ad.backward(enc, enc_acts, g, input_grad=True)
-        check_grads(f, [(head.data, head.grad), (enc.data, enc.grad), (x, dx)])
+        check_grads(f, [(head.data, dense_grad(head)), (enc.data, dense_grad(enc)), (x, dx)])
 
     def test_forward_numpy_matches_graph_forward(self):
         m = init_encoder([7, 5, 4], seed=3)
@@ -118,10 +118,23 @@ def unit(w: float, b: float) -> EncoderModel:
     return EncoderModel([1, 1], np.array([w, b]))
 
 
+def unit_grad(gw: float, gb: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(a, g)`` pair of a 1 -> 1 layer whose weight gradient a.T @ g is
+    gw and whose bias gradient g.sum(0) is gb, over two samples."""
+    return [(np.array([[1.0], [0.0]]), np.array([[gw], [gb - gw]]))]
+
+
+def random_grads(chain: list[EncoderModel], batch: int,
+                 rng: np.random.Generator) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    """Random ``(a, g)`` pairs, one per layer of each model, for a batch."""
+    return [[(rng.normal(size=(batch, w.shape[0])), rng.normal(size=(batch, w.shape[1])))
+             for w in m.weights] for m in chain]
+
+
 class TestSgd:
     def test_plain_gradient_descent(self):
         p = unit(1.0, 2.0)
-        p.grad = np.array([0.5, -0.5])
+        p.grad = unit_grad(0.5, -0.5)
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.0)
         sgd_step([p], st)
         np.testing.assert_allclose(p.data, [0.95, 2.05])
@@ -129,7 +142,7 @@ class TestSgd:
 
     def test_first_momentum_step(self):
         p = unit(2.0, 0.0)
-        p.grad = np.array([1.0, 0.0])
+        p.grad = unit_grad(1.0, 0.0)
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.01)
         sgd_step([p], st)
         v = 1.0 + 0.01 * 2.0
@@ -139,12 +152,12 @@ class TestSgd:
         # scalar recurrence: v_t = m v_{t-1} + (g + wd p); p -= lr v_t
         p = unit(1.0, 0.0)
         st = make_optimizer([p], lr=0.2, momentum=0.5, weight_decay=0.1)
-        p.grad = np.array([0.3, 0.0])
+        p.grad = unit_grad(0.3, 0.0)
         sgd_step([p], st)
         v1 = 0.3 + 0.1 * 1.0
         p1 = 1.0 - 0.2 * v1
         np.testing.assert_allclose(p.data, [p1, 0.0])
-        p.grad = np.array([-0.2, 0.0])
+        p.grad = unit_grad(-0.2, 0.0)
         sgd_step([p], st)
         v2 = 0.5 * v1 + (-0.2 + 0.1 * p1)
         np.testing.assert_allclose(p.data, [p1 - 0.2 * v2, 0.0])
@@ -157,14 +170,14 @@ class TestSgd:
 
     def test_lr_zero_leaves_params_unchanged(self):
         p = unit(1.0, -1.0)
-        p.grad = np.array([5.0, 5.0])
+        p.grad = unit_grad(5.0, 5.0)
         st = make_optimizer([p], lr=0.0, momentum=0.9, weight_decay=0.1)
         sgd_step([p], st)
         np.testing.assert_array_equal(p.data, [1.0, -1.0])
 
     def test_pure_weight_decay_shrinkage(self):
         p = unit(2.0, 0.0)
-        p.grad = np.array([0.0, 0.0])
+        p.grad = unit_grad(0.0, 0.0)
         st = make_optimizer([p], lr=0.1, momentum=0.0, weight_decay=0.05)
         sgd_step([p], st)
         np.testing.assert_allclose(p.data, [2.0 * (1.0 - 0.1 * 0.05), 0.0])
@@ -172,8 +185,8 @@ class TestSgd:
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_three_steps_of_a_chain_match_the_reference_bytes(self, wd):
         """Each model of a two-model chain follows v = m*v + (g + wd*p);
-        p = p - lr*v, computed here on fresh arrays, to the byte. The first
-        model spans two blocks of the step."""
+        p = p - lr*v, computed here on fresh arrays from the dense gradient,
+        to the byte. The first model spans two blocks of the step."""
         rng = np.random.default_rng(40)
         chain = [init_encoder([200, 180, 3], seed=40), init_encoder([3, 2], seed=41)]
         assert SGD_BLOCK < chain[0].data.size < 2 * SGD_BLOCK
@@ -181,9 +194,9 @@ class TestSgd:
         ref_v = [np.zeros_like(p) for p in ref_p]
         st = make_optimizer(chain, lr=0.1, momentum=0.9, weight_decay=wd)
         for lr in (0.1, 0.05, 0.025):
-            grads = [rng.normal(size=m.data.shape) for m in chain]
-            for m, g in zip(chain, grads):
-                m.grad = g.copy()
+            for m, pairs in zip(chain, random_grads(chain, 8, rng)):
+                m.grad = pairs
+            grads = [dense_grad(m) for m in chain]
             sgd_step(chain, st, lr=lr)
             for j, g in enumerate(grads):
                 ref_v[j] = 0.9 * ref_v[j] + (g + wd * ref_p[j])
@@ -193,19 +206,68 @@ class TestSgd:
 
     @pytest.mark.parametrize("wd", [0.0, 0.01])
     def test_step_consumes_the_gradient(self, wd):
-        """The step may use the spent gradient as scratch, but neither the
-        parameters nor the velocity may keep a reference to it."""
+        """Neither the parameters nor the velocity may keep a reference to
+        the spent ``(a, g)`` pairs."""
         model = init_encoder([200, 180, 3], seed=42)
         assert model.data.size > SGD_BLOCK
         st = make_optimizer([model], lr=0.1, momentum=0.9, weight_decay=wd)
-        g = np.random.default_rng(42).normal(size=model.data.shape)
-        model.grad = g
+        (pairs,) = random_grads([model], 8, np.random.default_rng(42))
+        model.grad = pairs
         sgd_step([model], st)
         assert model.grad is None
         data, velocity = model.data.copy(), st.velocities[0].copy()
-        g[:] = 1e6
+        for a, g in pairs:
+            a[:] = 1e6
+            g[:] = 1e6
         np.testing.assert_array_equal(model.data, data)
         np.testing.assert_array_equal(st.velocities[0], velocity)
+
+
+    @pytest.mark.parametrize("batch", [8, 64])
+    @pytest.mark.parametrize("dims", [[1024, 256, 256, 128], [257, 128]],
+                             ids=["default", "one-row-remainder"])
+    def test_row_blocks_match_a_dense_step_to_the_byte(self, dims, batch):
+        """Three cross-entropy steps through an encoder and a 4-class head
+        match steps on the dense gradient (a.T @ g whole, then g.sum(0)) to
+        the byte. The default encoder's first two layers span several row
+        blocks; in [257, 128] a split every SGD_BLOCK // 128 = 256 rows would
+        leave a one-row block, which numpy sends to gemv."""
+        rng = np.random.default_rng(50)
+        chain = [init_encoder(dims, seed=50), init_encoder([dims[-1], 4], seed=51)]
+        assert chain[0].weights[0].size > SGD_BLOCK
+        ref_p = [m.data.copy() for m in chain]
+        ref_v = [np.zeros_like(p) for p in ref_p]
+        st = make_optimizer(chain, lr=0.03, momentum=0.9, weight_decay=1e-4)
+        for _ in range(3):
+            feats, enc_acts = chain[0].forward(rng.normal(size=(batch, dims[0])))
+            logits, head_acts = chain[1].forward(feats)
+            _, g = cross_entropy(logits, rng.integers(0, 4, size=batch))
+            g = ad.backward(chain[1], head_acts, g, input_grad=True)
+            ad.backward(chain[0], enc_acts, g)
+            grads = [dense_grad(m) for m in chain]
+            sgd_step(chain, st)
+            for j, g in enumerate(grads):
+                ref_v[j] = 0.9 * ref_v[j] + (g + 1e-4 * ref_p[j])
+                ref_p[j] = ref_p[j] - 0.03 * ref_v[j]
+            assert [m.data.tobytes() for m in chain] == [p.tobytes() for p in ref_p]
+            assert [v.tobytes() for v in st.velocities] == [v.tobytes() for v in ref_v]
+
+    def test_the_whole_gradient_is_never_formed(self):
+        """backward plus sgd_step on the default encoder at B = 8 peaks far
+        below the 2.9 MB that its whole gradient vector would take."""
+        enc = init_encoder([1024, 256, 256, 128], seed=52)
+        assert 8 * enc.data.size > 2.8e6
+        st = make_optimizer([enc], lr=0.03, momentum=0.9, weight_decay=1e-4)
+        out, acts = enc.forward(np.random.default_rng(52).normal(size=(8, 1024)))
+        g = np.full_like(out, 1.0 / 8)
+        tracemalloc.start()
+        try:
+            ad.backward(enc, acts, g)
+            sgd_step([enc], st)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, f"peak {peak} B"
 
 
 class TestCosineSchedule:
@@ -407,7 +469,8 @@ class TestCheckpoints:
     def test_round_trip_is_bit_exact(self):
         model = init_encoder([9, 7, 5], seed=20)
         opt = make_optimizer([model], lr=0.03, momentum=0.9, weight_decay=1e-4)
-        model.grad = np.ones_like(model.data)
+        model.grad = [(np.ones((1, w.shape[0])), np.ones((1, w.shape[1])))
+                      for w in model.weights]  # a gradient of ones
         sgd_step([model], opt)  # non-zero biases, irregular floats
         blob = save_checkpoint_bytes(model)
         loaded = load_checkpoint_bytes(blob)
