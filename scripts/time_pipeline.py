@@ -3,19 +3,20 @@
 
 Runs the named commands in order (by default all ten, gen-data through
 estimate-mi) into one output directory, with one BLAS/OpenMP thread and
-XMC_JOBS unset. Each command's wall time comes from the parent's clock; its
-CPU time (user + system), peak RSS and minor page faults come from
-``os.wait4`` on that child, so they include any pool workers it reaped.
+XMC_JOBS set to --jobs. Each command's wall time comes from the parent's
+clock; its CPU time (user + system), peak RSS and minor page faults come
+from ``os.wait4`` on that child, so they include any pool workers it reaped.
 Prints one JSON object to stdout. Stops at the first command that fails,
 since later commands read its outputs, and then exits 1.
 
 Usage:
   python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
-                                   [COMMAND ...]
+                                   [--jobs N] [COMMAND ...]
 
 --tree is the source tree whose src/ is run (default: this checkout).
 --out defaults to a new temporary directory, removed at the end; outputs
-already in --out are overwritten (--force).
+already in --out are overwritten (--force). --jobs (default 1) is the pool
+size of the pooled commands: sweep-k, sweep-labels and estimate-mi.
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def main() -> int:
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
     parser.add_argument("--config", default=None, help="YAML config (default: the defaults)")
     parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="XMC_JOBS for the commands (default: 1)")
     args = parser.parse_args()
     unknown = [c for c in args.commands if c not in COMMANDS]
     if unknown:
@@ -75,16 +78,16 @@ def main() -> int:
 
     tree = args.tree.resolve()
     out = args.out or Path(tempfile.mkdtemp(prefix="xmc-time-"))
-    env = {k: v for k, v in os.environ.items() if k != "XMC_JOBS"}
-    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", XMC_JOBS=str(args.jobs))
     extra = ["--out", str(out), "--force"]
     extra += ["--config", str(Path(args.config).resolve())] if args.config else []
 
     report = {"tree": str(tree), "src_sha256": src_sha256(tree),
               "config": args.config,
               "python": platform.python_version(), "nproc": os.cpu_count(),
-              "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "commands": []}
+              "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "jobs": args.jobs,
+              "commands": []}
     try:
         for name in args.commands or COMMANDS:
             run = time_command([sys.executable, "-m", "xmc.cli", name, *extra], env)

@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -255,6 +254,8 @@ def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
     """``fn(*arm)`` for each arm, in a pool of ``jobs`` processes."""
     if jobs == 1 or len(arms) <= 1:
         return [fn(*arm) for arm in arms]
+    # imported here, so that a command without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     # the pool starts all its workers up front, so never more than there are arms
     with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
         return list(pool.map(fn, *zip(*arms)))

@@ -11,11 +11,15 @@ evaluation only and is never read during pre-training.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
+import operator
 import os
 import struct
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -209,11 +213,12 @@ class Dataset:
     ``train_idx``/``test_idx`` form the 80/20 split; within train,
     ``vision_idx`` is reserved for teacher pre-training and
     ``contrastive_idx`` for label-free contrastive training (labels of the
-    latter are also what the downstream probes are allowed to see).
+    latter are also what the downstream probes are allowed to see). Loaded
+    samples stay in the file (``_Rows``).
     """
 
-    heatmaps: np.ndarray          # (n, R, A)
-    images: np.ndarray            # (n, H, W)
+    heatmaps: np.ndarray | _Rows  # (n, R, A)
+    images: np.ndarray | _Rows    # (n, H, W)
     labels: np.ndarray            # (n,) uint8, evaluation-only
     train_idx: np.ndarray
     test_idx: np.ndarray
@@ -229,7 +234,7 @@ class Dataset:
         for arr in (self.heatmaps, self.images, self.labels,
                     self.train_idx, self.test_idx,
                     self.vision_idx, self.contrastive_idx):
-            h.update(np.ascontiguousarray(arr).tobytes())
+            h.update(np.ascontiguousarray(arr[:]))
         return h.hexdigest()
 
 
@@ -284,11 +289,11 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
 
 
 def heatmap_inputs(heatmaps: np.ndarray) -> np.ndarray:
-    """Flatten heatmaps and scale each to unit peak (radar AGC); keeps the
-    encoder input O(1) despite the 1/range^2 amplitude swing."""
+    """Flatten heatmaps and scale each to unit peak (radar AGC), in place; keeps
+    the encoder input O(1) despite the 1/range^2 amplitude swing."""
     flat = heatmaps.reshape(len(heatmaps), math.prod(heatmaps.shape[1:]))
-    peaks = np.maximum(flat.max(axis=1), 1e-30)
-    return flat / peaks[:, None]
+    flat /= np.maximum(flat.max(axis=1), 1e-30)[:, None]
+    return flat
 
 
 def image_inputs(images: np.ndarray) -> np.ndarray:
@@ -301,7 +306,11 @@ def image_inputs(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sH5I")  # magic, version, R, A, H, W, n
+# about what a load, a gather or a save holds of the body at once
+_BLOCK_BYTES = 1 << 20
 _SPLIT_KEYS = ("train", "test", "vision", "contrastive")
+# what a gather checks of the file its load read: (device, inode, size, mtime)
+_STAMP = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def _record_dtype(r: int, a: int, h: int, w: int) -> np.dtype:
@@ -310,19 +319,23 @@ def _record_dtype(r: int, a: int, h: int, w: int) -> np.dtype:
                      ("image", "<f8", (h, w))])
 
 
+def _records(ds: Dataset) -> Iterator[bytes | np.ndarray]:
+    """The dataset file, one block of records at a time. Header: magic,
+    version u16, R, A, H, W, n as little-endian u32; then per sample: class
+    u8, heatmap f64 row-major, image f64 row-major."""
+    dims = (*ds.heatmaps.shape[1:], *ds.images.shape[1:])
+    record = _record_dtype(*dims)
+    yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *dims, ds.n)
+    step = max(1, _BLOCK_BYTES // record.itemsize)
+    for start in range(0, ds.n, step):
+        block = np.empty(min(step, ds.n - start), dtype=record)
+        for key, arr in zip(record.names, (ds.labels, ds.heatmaps, ds.images)):
+            block[key] = arr[start:start + step]
+        yield block
+
+
 def dataset_to_bytes(ds: Dataset) -> bytes:
-    """Header: magic, version u16, R, A, H, W, n as little-endian u32;
-    then per sample: class u8, heatmap f64 row-major, image f64 row-major."""
-    _, r, a = ds.heatmaps.shape
-    _, h, w = ds.images.shape
-    record = _record_dtype(r, a, h, w)
-    blob = bytearray(_HEADER.size + ds.n * record.itemsize)
-    blob[:_HEADER.size] = _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, r, a, h, w, ds.n)
-    body = np.frombuffer(blob, dtype=record, offset=_HEADER.size)
-    body["label"] = ds.labels
-    body["heatmap"] = ds.heatmaps
-    body["image"] = ds.images
-    return bytes(blob)
+    return b"".join(_records(ds))
 
 
 def splits_to_json(ds: Dataset) -> str:
@@ -386,29 +399,73 @@ def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
     return r, a, h, w, n
 
 
-def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
-    r, a, h, w, n = _checked_header(blob, len(blob))
-    body = np.frombuffer(blob, dtype=_record_dtype(r, a, h, w), offset=_HEADER.size)
-    if body["label"].max() >= N_CLASSES:
+def _blocks(open_body: Callable, stamp: tuple | None = None) -> Iterator[tuple]:
+    """(first index, records) for each block of about ``_BLOCK_BYTES`` of the
+    dataset file ``open_body()`` opens, once its header fits its size and a
+    file still has the ``_STAMP`` its load saw. A short read is a FormatError.
+    Every block is read into one buffer, so it lasts until the next."""
+    with open_body() as f:
+        if stamp and _STAMP(os.fstat(f.fileno())) != stamp:
+            raise FormatError(f"dataset file {f.name} changed after it was loaded")
+        size = f.seek(0, io.SEEK_END)
+        f.seek(0)
+        r, a, h, w, n = _checked_header(f.read(_HEADER.size), size)
+        record = _record_dtype(r, a, h, w)
+        step = max(1, _BLOCK_BYTES // record.itemsize)
+        buf = np.empty(min(step, n), dtype=record)
+        for start in range(0, n, step):
+            block = buf[:min(step, n - start)]
+            if f.readinto(block) != block.nbytes:
+                raise FormatError("dataset file truncated while reading")
+            yield start, block
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """One sample field left in its dataset file: an integer array or a slice
+    streams the body and copies out just those rows, as float64, in order."""
+
+    blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]  # a bound _blocks
+    field: str                    # "heatmap" or "image"
+    shape: tuple[int, ...]        # (n, rows, columns)
+
+    def __getitem__(self, key) -> np.ndarray:
+        want = np.arange(self.shape[0])[key]
+        out = np.empty((len(want), *self.shape[1:]))
+        for start, block in self.blocks():
+            hit = (want >= start) & (want < start + len(block))
+            out[hit] = block[self.field][want[hit] - start]
+        return out
+
+
+def _read_dataset(blocks: Callable, splits_json: str | bytes) -> Dataset:
+    """The dataset file that ``blocks()`` streams; the labels are read now."""
+    labels = []
+    for _, block in blocks():
+        labels.append(block["label"].copy())
+    labels = np.concatenate(labels)
+    if labels.max() >= N_CLASSES:
         raise FormatError(f"dataset file has a class id above {N_CLASSES - 1}")
-    idx = _split_indices(splits_json, n)
-    return Dataset(body["heatmap"].astype(np.float64), body["image"].astype(np.float64),
-                   body["label"].copy(), idx["train"], idx["test"], idx["vision"],
-                   idx["contrastive"])
+    heatmaps, images = (_Rows(blocks, key, (len(labels), *block.dtype[key].shape))
+                        for key in ("heatmap", "image"))
+    idx = _split_indices(splits_json, len(labels))  # train, test, vision, contrastive
+    return Dataset(heatmaps, images, labels, *idx.values())
+
+
+def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
+    return _read_dataset(partial(_blocks, partial(io.BytesIO, blob)), splits_json)
 
 
 def save_dataset(path, ds: Dataset) -> None:
     from .runio import atomic_write_bytes, splits_path
-    atomic_write_bytes(path, dataset_to_bytes(ds))
+    atomic_write_bytes(path, _records(ds))
     atomic_write_bytes(splits_path(path), splits_to_json(ds).encode("ascii"))
 
 
 def load_dataset(path) -> Dataset:
     from .runio import splits_path
-    with open(path, "rb") as f:
-        blob = f.read()
-    with open(splits_path(path), "rb") as f:
-        return dataset_from_bytes(blob, f.read())
+    blocks = partial(_blocks, partial(open, path, "rb"), _STAMP(os.stat(path)))
+    return _read_dataset(blocks, splits_path(path).read_bytes())
 
 
 def load_splits(path) -> dict[str, np.ndarray]:

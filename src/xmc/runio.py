@@ -16,13 +16,13 @@ from pathlib import Path
 from typing import Iterable
 
 
-def atomic_write_bytes(path: str | Path, blob: bytes) -> None:
+def atomic_write_bytes(path: str | Path, blob: bytes | Iterable[bytes]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".tmp")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(blob)
+            f.writelines([blob] if isinstance(blob, bytes) else blob)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

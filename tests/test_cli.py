@@ -1,6 +1,7 @@
 """Command-line pipeline tests on a miniature configuration."""
 
 import argparse
+import concurrent.futures
 import csv
 import json
 import statistics
@@ -426,7 +427,7 @@ class TestSweepPool:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_arms(lambda x: 10 * x, [(1,), (2,)], 64) == [10, 20]
         arms = [(1, "a"), (2, "b")] * 2
         assert cli._map_arms(lambda x, y: y * x, arms, 3) == ["a", "bb", "a", "bb"]
@@ -647,6 +648,15 @@ class TestConsoleEntryPoint:
         assert proc.returncode == 0
         assert "gen-data" in proc.stdout
 
+    def test_import_leaves_the_process_pool_unloaded(self):
+        """Only a command that maps arms over a pool pays for importing it."""
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, xmc.cli; "
+             "print(sorted(m for m in sys.modules if m.startswith("
+             "('concurrent', 'multiprocessing'))))"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
 
 class TestTimePipeline:
     def test_reports_each_command_and_stops_at_the_first_failure(self, workdir, tmp_path):
@@ -662,3 +672,15 @@ class TestTimePipeline:
         assert ran[0]["rc"] == 0 and ran[0]["minflt"] > 0 and ran[0]["peak_rss_mb"] > 0
         assert ran[1]["rc"] == 2 and "required input not found" in ran[1]["stderr"]
         assert (out / "mi_estimates.csv").is_file()
+
+    def test_jobs_reach_the_commands_as_xmc_jobs(self, workdir, tmp_path):
+        script = README.parent / "scripts" / "time_pipeline.py"
+        proc = subprocess.run([sys.executable, str(script), "--config",
+                               str(workdir / "tiny.yaml"), "--out", str(tmp_path / "o"),
+                               "--jobs", "0", "estimate-mi"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["jobs"] == 0
+        (ran,) = report["commands"]
+        assert ran["rc"] == 3 and "XMC_JOBS must be at least 1, got 0" in ran["stderr"]

@@ -3,10 +3,15 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from xmc import datagen as dg
@@ -330,3 +335,94 @@ class TestDatasetFile:
             dg.dataset_from_bytes(empty, sidecar)
         with pytest.raises(FormatError, match="class id"):
             dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:], sidecar)
+
+
+# Unsorted, repeated and empty index arrays, and slices with any bounds and step.
+ROW_KEYS = st.one_of(
+    st.lists(st.integers(0, 39), max_size=60).map(lambda idx: np.array(idx, dtype=np.int64)),
+    st.builds(slice, st.none() | st.integers(-45, 45), st.none() | st.integers(-45, 45),
+              st.none() | st.sampled_from([-3, -1, 1, 2, 5])))
+
+
+@pytest.fixture(scope="module")
+def stored(tmp_path_factory):
+    """A 40-sample dataset, as generated, as loaded from its file and as read
+    from its bytes."""
+    ds = make_dataset(DatagenSection(n=40), seed=12)
+    path = tmp_path_factory.mktemp("stored") / "toy.xmcd"
+    dg.save_dataset(path, ds)
+    return ds, dg.load_dataset(path), dg.dataset_from_bytes(path.read_bytes(),
+                                                           dg.splits_to_json(ds))
+
+
+class TestRowGather:
+    @settings(max_examples=60, deadline=None)
+    @given(key=ROW_KEYS, block_bytes=st.integers(1, 300_000))
+    def test_gathered_rows_equal_the_arrays(self, stored, key, block_bytes):
+        ds, *loaded = stored
+        with mock.patch.object(dg, "_BLOCK_BYTES", block_bytes):
+            for other in loaded:
+                for field in ("heatmaps", "images"):
+                    got, want = getattr(other, field)[key], getattr(ds, field)[key]
+                    assert got.dtype == np.float64 and got.shape == want.shape
+                    assert got.tobytes() == want.tobytes()
+
+    def test_loaded_shapes_and_labels(self, stored):
+        ds, *loaded = stored
+        for other in loaded:
+            assert other.heatmaps.shape == ds.heatmaps.shape
+            assert other.images.shape == ds.images.shape
+            np.testing.assert_array_equal(other.labels, ds.labels)
+
+    def test_load_and_gather_hold_less_than_half_the_body(self, tmp_path):
+        """A load reads the labels and a gather copies out its rows, a block
+        of records at a time; neither holds the body."""
+        ds = make_dataset(DatagenSection(n=600), seed=18)
+        path = tmp_path / "toy.xmcd"
+        dg.save_dataset(path, ds)
+        body = path.stat().st_size
+        assert body > 3 * dg._BLOCK_BYTES
+        want = dg.heatmap_inputs(ds.heatmaps[ds.contrastive_idx])
+        del ds
+        dg.load_dataset(path)  # numpy imports numpy.ma on first use, outside the bound
+        tracemalloc.start()
+        try:
+            loaded = dg.load_dataset(path)
+            got = dg.heatmap_inputs(loaded.heatmaps[loaded.contrastive_idx])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.tobytes() == want.tobytes()
+        assert peak < body / 2
+
+    def test_save_holds_less_than_half_the_body(self, tmp_path):
+        ds = make_dataset(DatagenSection(n=600), seed=18)
+        tracemalloc.start()
+        try:
+            dg.save_dataset(tmp_path / "toy.xmcd", ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (tmp_path / "toy.xmcd").stat().st_size / 2
+
+    def test_the_file_is_the_same_at_any_block_size(self, tmp_path):
+        ds = make_dataset(DatagenSection(n=8), seed=15)
+        whole = dg.dataset_to_bytes(ds)
+        with mock.patch.object(dg, "_BLOCK_BYTES", 3 * 16385 + 7):
+            assert dg.dataset_to_bytes(ds) == whole
+            dg.save_dataset(tmp_path / "toy.xmcd", ds)
+        assert (tmp_path / "toy.xmcd").read_bytes() == whole
+
+    def test_a_gather_refuses_a_replaced_or_truncated_file(self, tmp_path):
+        path, other = tmp_path / "toy.xmcd", tmp_path / "other.xmcd"
+        dg.save_dataset(path, make_dataset(DatagenSection(n=16), seed=20))
+        dg.save_dataset(other, make_dataset(DatagenSection(n=16), seed=21))
+        assert other.stat().st_size == path.stat().st_size
+        loaded = dg.load_dataset(path)
+        os.replace(other, path)
+        with pytest.raises(FormatError, match="changed after it was loaded"):
+            loaded.heatmaps[np.arange(3)]
+        loaded = dg.load_dataset(path)
+        os.truncate(path, path.stat().st_size - 1)
+        with pytest.raises(FormatError, match="changed after it was loaded"):
+            loaded.images[:2]
