@@ -27,7 +27,7 @@ from .evaluation import (
     project_2d,
     supervised_baseline,
 )
-from .mi import MiEstimate, estimate_mi_gaussian, mi_lower_bound
+from .mi import estimate_mi_gaussian, mi_lower_bound
 from .models import (
     EncoderModel,
     OptimizerState,

@@ -31,7 +31,6 @@ from .datagen import (
     CLASS_NAMES,
     image_inputs,
     load_dataset,
-    load_splits,
     make_dataset,
     save_dataset,
 )
@@ -154,26 +153,26 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     ckpt, curve = outputs
     ds = load_dataset(inputs["data"])
-    outcome = pretrain_vision(
+    model, accuracy, train_loss = pretrain_vision(
         image_inputs(ds.images[ds.vision_idx]), ds.labels[ds.vision_idx].astype(np.int64),
         cfg.vision, hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
         n_classes=len(CLASS_NAMES), seed=derive_seed(cfg.seed, "vision"))
-    save_checkpoint(ckpt, outcome.model)
-    write_csv(curve, ["epoch", "train_loss"], enumerate(outcome.train_loss))
-    return ({"holdout_accuracy": outcome.holdout_accuracy},
-            f"wrote {ckpt} (holdout accuracy {outcome.holdout_accuracy:.3f})")
+    save_checkpoint(ckpt, model)
+    write_csv(curve, ["epoch", "train_loss"], enumerate(train_loss))
+    return ({"holdout_accuracy": accuracy},
+            f"wrote {ckpt} (holdout accuracy {accuracy:.3f})")
 
 
 @command("pretrain", inputs=("data", "vision"),
          outputs=("radio.xmck", "pretrain_metrics.csv"))
 def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     ckpt, metrics_path = outputs
-    result = pretrain(load_dataset(inputs["data"]), load_checkpoint(inputs["vision"]),
-                      cfg.contrastive, cfg.seed, cfg.encoder_hidden, cfg.embed_dim)
-    save_checkpoint(ckpt, result.encoder)
-    write_csv(metrics_path, ["epoch", "lr", "mean_loss"],
-              [[h.epoch, h.lr, h.mean_loss] for h in result.history])
-    final_loss = result.history[-1].mean_loss
+    encoder, history = pretrain(load_dataset(inputs["data"]),
+                                load_checkpoint(inputs["vision"]), cfg.contrastive,
+                                cfg.seed, cfg.encoder_hidden, cfg.embed_dim)
+    save_checkpoint(ckpt, encoder)
+    write_csv(metrics_path, ["epoch", "lr", "mean_loss"], history)
+    final_loss = history[-1][2]
     return {"final_loss": final_loss}, f"wrote {ckpt} (final loss {final_loss:.4f})"
 
 
@@ -293,8 +292,9 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("sweep-labels", inputs=("data", "vision"),
          outputs=("sweep_labels.csv", "sweep_labels_summary.csv"), flags=("jobs",))
 def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    # a load checks the whole file and reads only the labels; the arms load their own
     fractions = ev.feasible_fractions(cfg.eval.fractions,
-                                      len(load_splits(inputs["data"])["contrastive"]))
+                                      len(load_dataset(inputs["data"]).contrastive_idx))
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     arm = partial(_loaded_arm, ev.label_sweep_seed, str(inputs["data"]),
                   str(inputs["vision"]), cfg)
@@ -305,9 +305,7 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 def _mi_arm(mi: MiSection, rho: float, seed: int) -> tuple:
     """One (rho, seed) arm of the MI estimate, as its CSV row."""
-    est = estimate_mi_gaussian(mi, rho, seed)
-    return (rho, mi.dim, mi.queue_size, seed, est.mean_loss, est.mi_lower_bound,
-            est.true_mi)
+    return (rho, mi.dim, mi.queue_size, seed, *estimate_mi_gaussian(mi, rho, seed))
 
 
 @command("estimate-mi", outputs=("mi_estimates.csv",), flags=("jobs",))

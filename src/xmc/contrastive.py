@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -117,19 +116,6 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
             d[:, 1:] @ negatives + d[:, :1] * k_plus)
 
 
-@dataclass
-class EpochStats:
-    epoch: int
-    lr: float
-    mean_loss: float
-
-
-@dataclass
-class PretrainResult:
-    encoder: EncoderModel
-    history: list[EpochStats] = field(default_factory=list)
-
-
 def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
                 batch: int = 256) -> np.ndarray:
     """Unit-norm vision-branch keys for a stack of flattened images. The
@@ -155,14 +141,16 @@ def warm_start(queue: NegativeQueue, keys: np.ndarray, batch: int) -> int:
 
 
 def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
-             seed: int, hidden: Sequence[int], embed_dim: int) -> PretrainResult:
+             seed: int, hidden: Sequence[int], embed_dim: int
+             ) -> tuple[EncoderModel, list[tuple[int, float, float]]]:
     """Label-free contrastive pre-training of a radar encoder with ``hidden``
     layers and ``embed_dim`` outputs, seeded by ``seed``.
 
     Per epoch: shuffle the contrastive split; per batch: encode and
     normalize queries, compute InfoNCE against the paired keys and the
     queue, enqueue the batch keys, then step SGD under a cosine schedule.
-    The queue is warm-started from the first batches of epoch 0.
+    The queue is warm-started from the first batches of epoch 0. Returns the
+    encoder and :func:`fit`'s ``(epoch, lr, mean loss)`` per epoch.
     """
     if not vision.frozen:
         raise ContractError("the vision encoder must be frozen before pre-training")
@@ -196,8 +184,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
         queue.enqueue(keys[sel])
         return value, normalize_back(dq)
 
-    history = [EpochStats(*stats) for stats in fit(
+    return radio, list(fit(
         [radio], heat, loss, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
         momentum=cfg.momentum, weight_decay=cfg.weight_decay, order_rng=order_rng,
-        cosine=True, first_order=first_order)]
-    return PretrainResult(encoder=radio, history=history)
+        cosine=True, first_order=first_order))

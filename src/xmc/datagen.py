@@ -346,14 +346,15 @@ def splits_to_json(ds: Dataset) -> str:
 def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
     """The four index arrays of a splits sidecar for ``n`` samples. Each
     holds distinct in-range indices, test and train share none, and vision
-    and contrastive partition train."""
+    and contrastive partition train: checked on per-sample counts, since
+    ``np.unique`` and the set routines import ``numpy.ma``."""
     try:
         splits = json.loads(splits_json)
     except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError from bytes
         raise FormatError(f"splits sidecar is not JSON: {e}") from None
     if not isinstance(splits, dict):
         raise FormatError("splits sidecar root must be a JSON object")
-    out = {}
+    out, counts = {}, {}
     for key in _SPLIT_KEYS:
         if key not in splits:
             raise FormatError(f"splits sidecar is missing {key!r}")
@@ -365,14 +366,14 @@ def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
             raise FormatError(
                 f"splits sidecar {key!r} index {bad[0]} is out of range for {n} samples")
         out[key] = np.asarray(idx, dtype=np.int64)
-        if len(np.unique(out[key])) != len(idx):
+        counts[key] = np.bincount(out[key], minlength=n)
+        if (counts[key] > 1).any():
             raise FormatError(f"splits sidecar {key!r} repeats an index")
-    if np.intersect1d(out["test"], out["train"]).size:
+    if (counts["test"] & counts["train"]).any():
         raise FormatError("splits sidecar: test and train share samples")
-    if np.intersect1d(out["vision"], out["contrastive"]).size:
+    if (counts["vision"] & counts["contrastive"]).any():
         raise FormatError("splits sidecar: vision and contrastive share samples")
-    if not np.array_equal(np.union1d(out["vision"], out["contrastive"]),
-                          np.sort(out["train"])):
+    if not np.array_equal(counts["vision"] | counts["contrastive"], counts["train"]):
         raise FormatError("splits sidecar: vision and contrastive do not make up train")
     return out
 
@@ -466,13 +467,3 @@ def load_dataset(path) -> Dataset:
     from .runio import splits_path
     blocks = partial(_blocks, partial(open, path, "rb"), _STAMP(os.stat(path)))
     return _read_dataset(blocks, splits_path(path).read_bytes())
-
-
-def load_splits(path) -> dict[str, np.ndarray]:
-    """The split indices of a dataset file, checked against its header and
-    length as ``load_dataset`` checks them, without reading the samples."""
-    from .runio import splits_path
-    with open(path, "rb") as f:
-        n = _checked_header(f.read(_HEADER.size), os.fstat(f.fileno()).st_size)[-1]
-    with open(splits_path(path), "rb") as f:
-        return _split_indices(f.read(), n)

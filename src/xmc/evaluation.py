@@ -16,6 +16,7 @@ import dataclasses
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -23,12 +24,7 @@ from .config import EvalSection, ExperimentConfig
 from .contrastive import pretrain
 from .datagen import Dataset, N_CLASSES, heatmap_inputs
 from .errors import ConfigError, DegenerateInputError, StratificationError, UsageError
-from .models import (
-    EncoderModel,
-    init_encoder,
-    init_head,
-    train_classifier,
-)
+from .models import EncoderModel, cross_entropy, init_encoder, init_head, train_classifier
 from .seeding import derive_seed, rng_for
 
 
@@ -118,20 +114,25 @@ def _train_and_score(encoder: EncoderModel | None,
     None (then the inputs are features), on a stratified label subsample;
     then score them on the test split. Returns the test accuracy and the
     per-epoch test losses: ``curve`` adds a test-split forward pass per
-    epoch for them, which never feeds training; without it they are empty."""
+    epoch for them, outside training, so no gradient touches the test split;
+    without it they are empty."""
     sel = stratified_label_subset(split.train_labels, fraction,
                                   derive_seed(seed, "subsample", fraction))
     head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
                      N_CLASSES)
-    run = train_classifier(
-        encoder, head, train_inputs[sel], split.train_labels[sel],
-        epochs=epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, train_tag),
-        test_inputs=test_inputs if curve else None,
-        test_labels=split.test_labels_for_reporting())
-    feats = test_inputs if encoder is None else encoder.forward_numpy(test_inputs)
-    return split.test_accuracy(head.forward_numpy(feats).argmax(axis=1)), run.test_loss
+    chain = [head] if encoder is None else [encoder, head]
+
+    def test_logits() -> np.ndarray:
+        return reduce(lambda h, model: model.forward_numpy(h), chain, test_inputs)
+
+    test_labels, losses = split.test_labels_for_reporting(), []
+    for _ in train_classifier(chain, train_inputs[sel], split.train_labels[sel],
+                              epochs=epochs, lr=cfg.lr, momentum=cfg.momentum,
+                              weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
+                              seed=derive_seed(seed, train_tag)):
+        if curve:
+            losses.append(cross_entropy(test_logits(), test_labels)[0])
+    return split.test_accuracy(test_logits().argmax(axis=1)), losses
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
@@ -155,7 +156,7 @@ def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
     """Same protocol as the probe but the encoder trains too; operates on a
     copy so the pre-trained encoder can be reused across fractions. Returns
     the test accuracy, the per-epoch test losses and the tuned copy."""
-    tuned = encoder.copy(trainable=True)
+    tuned = encoder.copy()
     return (*_train_and_score(tuned, split.train_inputs, split.test_inputs, split,
                               fraction, cfg.finetune_epochs, cfg, seed,
                               "finetune-train", curve), tuned)
@@ -207,11 +208,12 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
     arms train without test-loss curves. The task split is built after
     pre-training, so its inputs are not held beside pre-training's own.
     Returns one (fraction, arm, seed, accuracy) row per arm and fraction."""
-    pre = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
+    encoder, _ = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden,
+                          cfg.embed_dim)
     split = make_task_split(dataset)
     out = []
     for fraction in fractions:
-        ft, _, _ = finetune(pre.encoder, split, fraction, cfg.eval, seed, curve=False)
+        ft, _, _ = finetune(encoder, split, fraction, cfg.eval, seed, curve=False)
         sup, _ = supervised_baseline(split, fraction, cfg.eval, seed,
                                      hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
                                      curve=False)
@@ -228,8 +230,9 @@ def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfi
     Returns the row (K, "linear-probe", seed, accuracy)."""
     contrastive = dataclasses.replace(cfg.contrastive, queue_size=k,
                                       batch_size=min(cfg.contrastive.batch_size, k))
-    pre = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden, cfg.embed_dim)
-    accuracy, _ = linear_probe(pre.encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
+    encoder, _ = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden,
+                          cfg.embed_dim)
+    accuracy, _ = linear_probe(encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
                                curve=False)
     return (k, "linear-probe", seed, accuracy)
 

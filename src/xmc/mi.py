@@ -9,7 +9,6 @@ held-out loss, not its training loss, feeds the bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,30 +39,17 @@ TAU = 1.0
 HOLDOUT_FRACTION = 1.0 / 3.0  # of the pairs, held out to score the bound
 
 
-@dataclass(frozen=True)
-class MiEstimate:
-    """One estimator run: bound = ln(K) - held-out mean loss."""
-
-    k_negatives: int
-    mean_loss: float
-    mi_lower_bound: float
-    true_mi: float | None = None
-
-    def __post_init__(self):
-        expected = mi_lower_bound(self.mean_loss, self.k_negatives)
-        if abs(self.mi_lower_bound - expected) > 1e-12:
-            raise DomainError("mi_lower_bound must equal ln(k) - mean_loss")
-
-
 def quadratic_features(v: np.ndarray) -> np.ndarray:
     """[v, v^2] per coordinate; spans the Gaussian optimal critic."""
     return np.concatenate([v, v * v], axis=1)
 
 
-def estimate_mi_gaussian(critic: MiSection, rho: float, seed: int) -> MiEstimate:
+def estimate_mi_gaussian(critic: MiSection, rho: float,
+                         seed: int) -> tuple[float, float, float]:
     """Train a contrastive critic on ``critic.pair_count`` Gaussian pairs of
     ``critic.dim`` coordinates at correlation ``rho``, against a queue of
-    K = ``critic.queue_size`` negatives, and return the bound.
+    K = ``critic.queue_size`` negatives. Returns the held-out mean loss, the
+    bound ln(K) - that loss and the analytic MI of the pairs.
 
     The query encoder is trained; the key encoder stays at its random init
     because the contrastive loss detaches keys. For affine critics this does
@@ -118,9 +104,4 @@ def estimate_mi_gaussian(critic: MiSection, rho: float, seed: int) -> MiEstimate
         count += m
         eval_queue.enqueue(keys_hold[sel][-k:])
     mean_loss = total / count
-    return MiEstimate(
-        k_negatives=k,
-        mean_loss=mean_loss,
-        mi_lower_bound=mi_lower_bound(mean_loss, k),
-        true_mi=analytic_mi(rho, critic.dim),
-    )
+    return mean_loss, mi_lower_bound(mean_loss, k), analytic_mi(rho, critic.dim)

@@ -107,9 +107,9 @@ class EncoderModel:
         self.frozen = True
         self.grad = None
 
-    def copy(self, trainable: bool = True) -> "EncoderModel":
-        """Independent deep copy; by default the copy is trainable."""
-        return EncoderModel(list(self.dims), self.data.copy(), frozen=not trainable)
+    def copy(self) -> "EncoderModel":
+        """Independent, trainable deep copy."""
+        return EncoderModel(list(self.dims), self.data.copy())
 
     def param_bytes(self) -> bytes:
         """Raw little-endian parameter bytes, for freeze-contract checks."""
@@ -263,57 +263,23 @@ def fit(chain: list[EncoderModel], inputs: np.ndarray,
         yield epoch, epoch_lr, total / n
 
 
-@dataclass
-class ClassifierRun:
-    """Per-epoch train losses and test losses of one supervised run."""
-
-    train_loss: list[float]
-    test_loss: list[float]
-
-
-def train_classifier(encoder: EncoderModel | None, head: EncoderModel,
-                     inputs: np.ndarray, labels: np.ndarray, *,
-                     epochs: int, lr: float, momentum: float,
-                     weight_decay: float, batch_size: int, seed: int,
-                     test_inputs: np.ndarray | None = None,
-                     test_labels: np.ndarray | None = None) -> ClassifierRun:
-    """Minibatch SGD on softmax cross-entropy, training the encoder and the
-    head together.
-
-    ``encoder=None`` treats the inputs as ready-made features and trains the
-    head alone (linear probing). The per-epoch test loss, when test data is
-    given, is never backpropagated, so no gradients ever touch the test
-    split.
-    """
-    chain = [head] if encoder is None else [encoder, head]
-    run = ClassifierRun(train_loss=[], test_loss=[])
-    epochs_run = fit(chain, inputs, lambda logits, sel: cross_entropy(logits, labels[sel]),
-                     epochs=epochs, batch_size=batch_size, lr=lr, momentum=momentum,
-                     weight_decay=weight_decay,
-                     order_rng=rng_for(seed, "classifier-order"), cosine=False)
-    for _, _, train_loss in epochs_run:
-        run.train_loss.append(train_loss)
-        if test_inputs is not None and test_labels is not None:
-            h = test_inputs
-            for model in chain:
-                h = model.forward_numpy(h)
-            run.test_loss.append(cross_entropy(h, test_labels)[0])
-    return run
-
-
-@dataclass
-class VisionPretrainOutcome:
-    """A frozen vision encoder plus the accuracy gate on its own holdout."""
-
-    model: EncoderModel
-    holdout_accuracy: float
-    train_loss: list[float]
+def train_classifier(chain: list[EncoderModel], inputs: np.ndarray, labels: np.ndarray, *,
+                     epochs: int, lr: float, momentum: float, weight_decay: float,
+                     batch_size: int, seed: int) -> Iterator[tuple[int, float, float]]:
+    """:func:`fit` of ``chain`` on softmax cross-entropy against ``labels``,
+    visiting the samples in the seed's "classifier-order" stream."""
+    return fit(chain, inputs, lambda logits, sel: cross_entropy(logits, labels[sel]),
+               epochs=epochs, batch_size=batch_size, lr=lr, momentum=momentum,
+               weight_decay=weight_decay, order_rng=rng_for(seed, "classifier-order"),
+               cosine=False)
 
 
 def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, *,
                     hidden: list[int], embed_dim: int, n_classes: int,
-                    seed: int) -> VisionPretrainOutcome:
-    """Train the vision teacher on image->class, then freeze it.
+                    seed: int) -> tuple[EncoderModel, float, list[float]]:
+    """Train the vision teacher on image->class, then freeze it. Returns the
+    frozen encoder, its accuracy on its own holdout and the per-epoch train
+    losses.
 
     ``cfg.mode`` "random-frozen" skips training and freezes the fresh init,
     as a no-signal ablation teacher; ``load_config`` admits no mode but it
@@ -324,7 +290,7 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, 
     model = init_encoder(dims, derive_seed(seed, "vision-encoder"))
     if cfg.mode == "random-frozen":
         model.freeze()
-        return VisionPretrainOutcome(model=model, holdout_accuracy=0.0, train_loss=[])
+        return model, 0.0, []
 
     n = len(labels)
     if n == 0:
@@ -338,17 +304,16 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, 
                           f"vision split; none are left to fit")
 
     head = init_head(embed_dim, n_classes)
-    run = train_classifier(
-        model, head, images[train], labels[train],
+    train_loss = [loss for _, _, loss in train_classifier(
+        [model, head], images[train], labels[train],
         epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
         weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, "vision-train"))
+        seed=derive_seed(seed, "vision-train"))]
 
     logits = head.forward_numpy(model.forward_numpy(images[hold]))
     acc = float((logits.argmax(axis=1) == labels[hold]).mean())
     model.freeze()
-    return VisionPretrainOutcome(model=model, holdout_accuracy=acc,
-                                 train_loss=run.train_loss)
+    return model, acc, train_loss
 
 
 # ---------------------------------------------------------------------------

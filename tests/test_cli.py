@@ -242,7 +242,9 @@ class TestExitCodes:
         (lambda blob, splits: (blob, b"{not json"), "splits sidecar is not JSON"),
         (lambda blob, splits: (blob, splits.replace(b"[", b"[160, ", 1)),
          "index 160 is out of range"),
-    ], ids=["magic", "truncated", "trailing", "sidecar-json", "sidecar-range"])
+        # the first sample's class id; the file keeps its length
+        (lambda blob, splits: (blob[:26] + b"\xff" + blob[27:], splits), "class id"),
+    ], ids=["magic", "truncated", "trailing", "sidecar-json", "sidecar-range", "class-id"])
     def test_sweep_labels_checks_header_and_sidecar_before_the_pool(
             self, pipeline, workdir, tmp_path, capsys, monkeypatch, damage, message):
         blob, splits = damage((pipeline / "dataset.xmcd").read_bytes(),
@@ -561,8 +563,8 @@ class TestSweepCommands:
 
     def test_sweep_labels_loads_the_dataset_once_per_arm(self, pipeline, workdir,
                                                           tmp_path, monkeypatch):
-        """The parent process counts the contrastive split from the header and
-        the sidecar; only the arms read the samples."""
+        """The parent process loads the dataset once, reading only its labels,
+        to count the contrastive split; then each arm loads it again."""
         loads = []
         real = cli.load_dataset
         monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or real(path))
@@ -570,7 +572,7 @@ class TestSweepCommands:
         assert main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"), "--data", data,
                      "--vision", str(pipeline / "vision.xmck"), "--jobs", "1"]) == 0
-        assert loads == [data, data]  # eval.n_seeds = 2 arms
+        assert list(map(str, loads)) == [data] * 3  # the parent, then eval.n_seeds = 2 arms
 
     def test_parallel_jobs_give_identical_csv(self, pipeline, workdir, tmp_path):
         inputs = ["--data", str(pipeline / "dataset.xmcd"),

@@ -282,12 +282,12 @@ class TestContrastiveConfig:
 def toy_setup():
     """Small dataset plus frozen teacher for fast pre-training runs."""
     ds = make_dataset(DatagenSection(n=320), seed=31)
-    teacher = pretrain_vision(
+    teacher, _, _ = pretrain_vision(
         image_inputs(ds.images[ds.vision_idx]),
         ds.labels[ds.vision_idx].astype(np.int64),
         VisionSection(epochs=30, lr=0.01, momentum=0.9, weight_decay=1e-4,
                       batch_size=16, holdout_fraction=0.2),
-        hidden=[64], embed_dim=32, n_classes=4, seed=31).model
+        hidden=[64], embed_dim=32, n_classes=4, seed=31)
     return ds, teacher
 
 
@@ -329,21 +329,21 @@ class TestPretrain:
         the same batches and queue, and its encoder never moves.
         """
         ds, teacher = toy_setup
-        result = toy_pretrain(ds, teacher, seed=0)
-        untrained = toy_pretrain(ds, teacher, seed=0, epochs=1, lr=0.0)
+        _, history = toy_pretrain(ds, teacher, seed=0)
+        _, [(_, _, start)] = toy_pretrain(ds, teacher, seed=0, epochs=1, lr=0.0)
         uniform = math.log(TOY_CFG.queue_size + 1)
-        start = untrained.history[0].mean_loss
+        losses = [loss for _, _, loss in history]
         assert uniform <= start
-        assert result.history[0].mean_loss <= 1.10 * start
-        assert result.history[-1].mean_loss < result.history[0].mean_loss
-        assert result.history[-1].mean_loss < uniform
+        assert losses[0] <= 1.10 * start
+        assert losses[-1] < losses[0]
+        assert losses[-1] < uniform
 
     def test_same_seed_identical_history(self, toy_setup):
         ds, teacher = toy_setup
-        a = toy_pretrain(ds, teacher, seed=5)
-        b = toy_pretrain(ds, teacher, seed=5)
-        assert [h.mean_loss for h in a.history] == [h.mean_loss for h in b.history]
-        assert a.encoder.param_bytes() == b.encoder.param_bytes()
+        enc_a, history_a = toy_pretrain(ds, teacher, seed=5)
+        enc_b, history_b = toy_pretrain(ds, teacher, seed=5)
+        assert history_a == history_b
+        assert enc_a.param_bytes() == enc_b.param_bytes()
 
     def test_vision_params_untouched(self, toy_setup):
         ds, teacher = toy_setup
@@ -353,8 +353,8 @@ class TestPretrain:
 
     def test_history_lr_follows_cosine(self, toy_setup):
         ds, teacher = toy_setup
-        result = toy_pretrain(ds, teacher, seed=3)
-        lrs = [h.lr for h in result.history]
+        _, history = toy_pretrain(ds, teacher, seed=3)
+        lrs = [lr for _, lr, _ in history]
         assert lrs[0] == TOY_CFG.lr
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -271,20 +273,17 @@ class TestDatasetFile:
         loaded = dg.load_dataset(path)
         assert loaded.content_hash() == ds.content_hash()
 
-    def test_load_splits_reads_the_sidecar_without_the_samples(self, tmp_path):
-        ds = make_dataset(DatagenSection(n=40), seed=12)
+    def test_load_leaves_numpy_ma_unimported(self, tmp_path):
+        """The split checks count indices per sample: ``np.unique`` and the
+        set routines would import ``numpy.ma`` into every command that loads
+        a dataset."""
         path = tmp_path / "toy.xmcd"
-        dg.save_dataset(path, ds)
-        splits = dg.load_splits(path)
-        for key in ("train", "test", "vision", "contrastive"):
-            np.testing.assert_array_equal(splits[key], getattr(ds, f"{key}_idx"))
-        # a damaged body that keeps its length is left for load_dataset to find
-        blob = bytearray(path.read_bytes())
-        blob[26] = 255  # the first sample's class id
-        path.write_bytes(bytes(blob))
-        assert len(dg.load_splits(path)["contrastive"]) == len(ds.contrastive_idx)
-        with pytest.raises(FormatError, match="class id"):
-            dg.load_dataset(path)
+        dg.save_dataset(path, make_dataset(DatagenSection(n=40), seed=12))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from xmc.datagen import load_dataset; "
+             f"load_dataset({str(path)!r}); print('numpy.ma' in sys.modules)"],
+            capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "False"
 
     def test_header_layout(self, tmp_path):
         ds = make_dataset(DatagenSection(n=16), seed=13)
@@ -384,7 +383,6 @@ class TestRowGather:
         assert body > 3 * dg._BLOCK_BYTES
         want = dg.heatmap_inputs(ds.heatmaps[ds.contrastive_idx])
         del ds
-        dg.load_dataset(path)  # numpy imports numpy.ma on first use, outside the bound
         tracemalloc.start()
         try:
             loaded = dg.load_dataset(path)

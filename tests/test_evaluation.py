@@ -1,7 +1,6 @@
 """Probe protocol, sweeps bookkeeping, and the 2-D projection."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -214,7 +213,7 @@ class TestCurveFreeArms:
 
         def stub_pretrain(ds, vision, cfg, seed, hidden, embed_dim):
             events.append("pretrain")
-            return SimpleNamespace(encoder=init_encoder([width, *hidden, embed_dim], seed=seed))
+            return init_encoder([width, *hidden, embed_dim], seed=seed), []
 
         monkeypatch.setattr(ev, "pretrain", stub_pretrain)
         monkeypatch.setattr(ev, "make_task_split",

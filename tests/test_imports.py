@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package or of its tests imports a name
-it never uses, and no package module binds a module-level private name that
-nothing in it reads.
+it never uses, no package module binds a module-level private name that
+nothing in it reads, and no public module-level function or class of the
+package goes unnamed by every Python file of the repository.
 
 There is no linter among the test dependencies, so this walks the syntax
 tree itself. ``__init__.py`` is left out: its imports are the package's
@@ -12,9 +13,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "xmc"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "xmc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+# every file that may call into the package
+USERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
+               for p in (ROOT / d).rglob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -82,3 +87,40 @@ def test_the_check_finds_an_unused_private_name():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text()) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Every identifier ``source`` refers to, bare or as an attribute. A
+    ``def`` or ``class`` statement and an import bind a name but do not
+    refer to it, so neither a definition nor an export counts."""
+    tree = ast.parse(source)
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def unnamed_public_defs(source: str, read: set[str]) -> list[str]:
+    """``line N: name`` for each public module-level ``def`` or ``class`` of
+    ``source`` whose name is not in ``read``."""
+    return [f"line {node.lineno}: {node.name}" for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in read]
+
+
+def test_the_check_finds_an_unnamed_public_def():
+    module = ("def called():\n    pass\ndef via_attribute():\n    pass\n"
+              "def exported():\n    pass\nclass Unused:\n    def called(self):\n"
+              "        pass\ndef _private():\n    pass\n")
+    init = "from .mod import called, exported, via_attribute\n"
+    user = "import mod\nfrom mod import called\ncalled()\nmod.via_attribute()\n"
+    read = names_read(module) | names_read(init) | names_read(user)
+    assert unnamed_public_defs(module, read) == ["line 5: exported", "line 7: Unused"]
+
+
+@pytest.fixture(scope="module")
+def names_in_users():
+    return set().union(*(names_read(p.read_text()) for p in USERS))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_public_def_is_named(path, names_in_users):
+    assert unnamed_public_defs(path.read_text(), names_in_users) == []

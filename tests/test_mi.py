@@ -8,12 +8,7 @@ import pytest
 from xmc.config import MiSection
 from xmc.datagen import analytic_mi
 from xmc.errors import DomainError
-from xmc.mi import (
-    MiEstimate,
-    estimate_mi_gaussian,
-    mi_lower_bound,
-    quadratic_features,
-)
+from xmc.mi import estimate_mi_gaussian, mi_lower_bound, quadratic_features
 
 def fast_critic(k: int, pair_count: int = 6144) -> MiSection:
     """The default critic at 15 epochs on ``pair_count`` one-dimensional
@@ -40,13 +35,6 @@ class TestBoundArithmetic:
         with pytest.raises(DomainError):
             mi_lower_bound(-0.1, 8)
 
-    def test_estimate_identity_enforced(self):
-        with pytest.raises(DomainError):
-            MiEstimate(k_negatives=8, mean_loss=1.0, mi_lower_bound=0.0)
-        est = MiEstimate(k_negatives=8, mean_loss=1.0,
-                         mi_lower_bound=math.log(8) - 1.0)
-        assert est.mi_lower_bound <= math.log(8)
-
 
 class TestQuadraticFeatures:
     def test_layout(self):
@@ -56,34 +44,35 @@ class TestQuadraticFeatures:
 
 class TestGaussianEstimator:
     def test_independent_pairs_estimate_near_zero(self):
-        est = estimate_mi_gaussian(fast_critic(128), 0.0, 11)
-        assert abs(est.mi_lower_bound) < 0.05
-        assert est.true_mi == 0.0
+        _, bound, true_mi = estimate_mi_gaussian(fast_critic(128), 0.0, 11)
+        assert abs(bound) < 0.05
+        assert true_mi == 0.0
 
     def test_correlated_pairs_capture_most_mi(self):
-        est = estimate_mi_gaussian(fast_critic(128), 0.9, 12)
-        assert 0.5 < est.mi_lower_bound < est.true_mi + 0.1
-        assert math.isclose(est.true_mi, analytic_mi(0.9, 1), rel_tol=1e-12)
+        _, bound, true_mi = estimate_mi_gaussian(fast_critic(128), 0.9, 12)
+        assert 0.5 < bound < true_mi + 0.1
+        assert math.isclose(true_mi, analytic_mi(0.9, 1), rel_tol=1e-12)
 
     def test_estimates_increase_with_rho(self):
-        bounds = [estimate_mi_gaussian(fast_critic(128), rho, 13).mi_lower_bound
+        bounds = [estimate_mi_gaussian(fast_critic(128), rho, 13)[1]
                   for rho in (0.3, 0.6, 0.9)]
         assert bounds[0] < bounds[1] < bounds[2]
 
     def test_bound_never_exceeds_log_k(self):
-        est = estimate_mi_gaussian(fast_critic(64), 0.6, 14)
-        assert est.mi_lower_bound <= math.log(64)
-        assert est.mean_loss >= 0.0
+        loss, bound, _ = estimate_mi_gaussian(fast_critic(64), 0.6, 14)
+        assert bound == math.log(64) - loss
+        assert bound <= math.log(64)
+        assert loss >= 0.0
 
     def test_small_queue_with_large_batch_works(self):
         # batch exceeds queue capacity; only the newest keys are retained
-        est = estimate_mi_gaussian(fast_critic(32), 0.6, 15)
-        assert math.isfinite(est.mi_lower_bound)
+        _, bound, _ = estimate_mi_gaussian(fast_critic(32), 0.6, 15)
+        assert math.isfinite(bound)
 
     def test_deterministic_given_seed(self):
         a = estimate_mi_gaussian(fast_critic(64), 0.5, 16)
         b = estimate_mi_gaussian(fast_critic(64), 0.5, 16)
-        assert a.mean_loss == b.mean_loss
+        assert a == b
 
     def test_count_too_small_rejected(self):
         with pytest.raises(DomainError):

@@ -431,13 +431,12 @@ def small_dataset():
 class TestVisionPretrain:
     def test_freeze_contract_after_training_step(self, small_dataset):
         ds = small_dataset
-        out = pretrain_vision(
+        model, _, _ = pretrain_vision(
             image_inputs(ds.images[ds.vision_idx]),
             ds.labels[ds.vision_idx].astype(np.int64),
             VisionSection(epochs=2, lr=0.01, momentum=0.9, weight_decay=1e-4,
                           batch_size=32, holdout_fraction=0.2),
             hidden=[32], embed_dim=16, n_classes=4, seed=1)
-        model = out.model
         assert model.frozen
         before = model.param_bytes()
         out, acts = model.forward(image_inputs(ds.images[ds.test_idx[:8]]))
@@ -452,11 +451,12 @@ class TestVisionPretrain:
         labels = ds.labels[ds.vision_idx].astype(np.int64)
         cfg = VisionSection(mode="random-frozen", epochs=5, lr=0.01, momentum=0.9,
                             weight_decay=0.0, batch_size=32, holdout_fraction=0.2)
-        frozen = pretrain_vision(imgs, labels, cfg, hidden=[32], embed_dim=16,
-                                 n_classes=4, seed=2)
+        frozen, accuracy, train_loss = pretrain_vision(imgs, labels, cfg, hidden=[32],
+                                                       embed_dim=16, n_classes=4, seed=2)
         fresh = init_encoder([imgs.shape[1], 32, 16], derive_seed(2, "vision-encoder"))
-        assert frozen.model.frozen
-        assert frozen.model.param_bytes() == fresh.param_bytes()
+        assert frozen.frozen
+        assert frozen.param_bytes() == fresh.param_bytes()
+        assert (accuracy, train_loss) == (0.0, [])
 
     def test_unknown_mode_rejected(self):
         """An unknown mode is refused where the config is loaded, so no
