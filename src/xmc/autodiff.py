@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, DimensionError
+from .errors import InputError, NumericError, XmcError
 
 __all__ = ["backward", "l2_normalize", "logsumexp_row"]
 
@@ -32,9 +32,9 @@ def backward(model, acts: list[np.ndarray], g: np.ndarray,
     them. Returns the gradient with respect to the model's input iff
     ``input_grad``."""
     if model.frozen:
-        raise ContractError("cannot backpropagate into a frozen model")
+        raise XmcError("cannot backpropagate into a frozen model")
     if g.shape != (len(acts[0]), model.dims[-1]):
-        raise DimensionError(
+        raise InputError(
             f"backward: output gradient {g.shape} vs output "
             f"{(len(acts[0]), model.dims[-1])}")
     pairs = []
@@ -56,7 +56,7 @@ def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The softmax is computed in place: ``x`` is overwritten and returned as
     the softmax, so a caller that still needs its scores passes a copy."""
     if x.ndim != 2:
-        raise DimensionError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
+        raise InputError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
     mx = x.max(axis=1, keepdims=True)
     x -= mx
     np.exp(x, out=x)
@@ -69,11 +69,11 @@ def l2_normalize(m: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.n
     """Each row of an (M, N) matrix scaled to unit Euclidean norm, and the
     backward that maps a gradient on the result to one on ``m``."""
     if m.ndim != 2:
-        raise DimensionError(f"l2_normalize: expected a matrix, got shape {m.shape}")
+        raise InputError(f"l2_normalize: expected a matrix, got shape {m.shape}")
     norms = np.sqrt((m * m).sum(axis=1))
     bad = np.nonzero(norms <= NORM_EPS)[0]
     if bad.size:
-        raise DegenerateInputError(f"l2_normalize: row {bad[0]} has near-zero norm")
+        raise NumericError(f"l2_normalize: row {bad[0]} has near-zero norm")
 
     def back(g: np.ndarray) -> np.ndarray:
         dots = (g * m).sum(axis=1)

@@ -7,8 +7,10 @@ writes its artifacts atomically plus a manifest with the resolved config and
 input/output hashes; nothing is overwritten without --force.
 
 Exit codes: 0 success, 2 an input that is not a readable file, otherwise
-the ``exit_code`` of the ``XmcError`` class raised (3 configuration, input
-or shape error, 4 numeric failure, 1 anything else).
+the ``exit_code`` of the error class raised: 3 ``InputError`` (a config
+value, file format, shape or domain), 4 ``NumericError``, and 1 for
+``XmcError`` itself, ``ResampleError`` and a failed allocation
+(``MemoryError``).
 """
 
 from __future__ import annotations
@@ -34,17 +36,11 @@ from .datagen import (
     make_dataset,
     save_dataset,
 )
-from .errors import ConfigError, XmcError
+from .errors import InputError, XmcError
 from .mi import estimate_mi_gaussian
 from .models import EncoderModel, load_checkpoint, pretrain_vision, save_checkpoint
 from .runio import sha256_file, splits_path, write_csv, write_manifest
 from .seeding import derive_seed
-
-
-class OutputExistsError(XmcError):
-    """An output exists and ``--force`` was not given, or a file stands where
-    the output directory would be."""
-    exit_code = 1
 
 
 def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
@@ -122,11 +118,11 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
             inputs[str(p)] = sha256_file(p)
     base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not base.is_dir():
-        raise OutputExistsError(f"output directory {out_dir}: {base} is not a directory")
+        raise XmcError(f"output directory {out_dir}: {base} is not a directory")
     outputs = [out_dir / file for file in spec.outputs]
     clashes = [str(p) for p in outputs if p.exists()]
     if clashes and not args.force:
-        raise OutputExistsError(
+        raise XmcError(
             "refusing to overwrite existing outputs (use --force): "
             + ", ".join(clashes))
     metrics, report = spec.body(args, cfg, paths, outputs)
@@ -196,9 +192,9 @@ def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
     encoder = load_checkpoint(inputs["encoder"])
     width = math.prod(ds.heatmaps.shape[1:])
     if encoder.input_dim != width:
-        raise ConfigError(f"encoder checkpoint {inputs['encoder']} takes "
-                          f"{encoder.input_dim} inputs, but the heatmaps have {width} "
-                          f"(R·A) bins")
+        raise InputError(f"encoder checkpoint {inputs['encoder']} takes "
+                         f"{encoder.input_dim} inputs, but the heatmaps have {width} "
+                         f"(R·A) bins")
     return ev.make_task_split(ds), encoder
 
 
@@ -243,9 +239,9 @@ def _jobs(flag: int | None) -> int:
         try:
             jobs = int(env)
         except ValueError:
-            raise ConfigError(f"XMC_JOBS must be an integer, got {env!r}") from None
+            raise InputError(f"XMC_JOBS must be an integer, got {env!r}") from None
     if jobs < 1:
-        raise ConfigError(f"{source} must be at least 1, got {jobs}")
+        raise InputError(f"{source} must be at least 1, got {jobs}")
     return jobs
 
 
@@ -375,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
     except XmcError as e:
         print(f"xmc {args.command}: {e}", file=sys.stderr)
         return e.exit_code
+    except MemoryError as e:  # numpy's message names the size it could not allocate
+        print(f"xmc {args.command}: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

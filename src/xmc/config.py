@@ -15,7 +15,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import InputError
 
 
 @dataclass
@@ -103,30 +103,30 @@ def _apply(obj, mapping: dict, path: str) -> None:
     for key, value in mapping.items():
         where = f"{path}.{key}" if path else key
         if key not in fields:
-            raise ConfigError(f"unknown config key: {where}")
+            raise InputError(f"unknown config key: {where}")
         current = getattr(obj, key)
         if dataclasses.is_dataclass(current):
             if not isinstance(value, dict):
-                raise ConfigError(f"{where} must be a mapping")
+                raise InputError(f"{where} must be a mapping")
             _apply(current, value, where)
         elif isinstance(current, list):
             if not isinstance(value, list):
-                raise ConfigError(f"{where} must be a list")
+                raise InputError(f"{where} must be a list")
             setattr(obj, key, list(value))
         elif isinstance(current, int):
             if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{where} must be an integer")
+                raise InputError(f"{where} must be an integer")
             setattr(obj, key, value)
         elif isinstance(current, float) or current is None:
             if value is not None and not isinstance(value, (int, float)):
-                raise ConfigError(f"{where} must be a number")
+                raise InputError(f"{where} must be a number")
             setattr(obj, key, None if value is None else float(value))
         elif isinstance(current, str):
             if not isinstance(value, str):
-                raise ConfigError(f"{where} must be a string")
+                raise InputError(f"{where} must be a string")
             setattr(obj, key, value)
         else:
-            raise ConfigError(f"cannot assign {where}")
+            raise InputError(f"cannot assign {where}")
 
 
 # Field name -> (range or choice test, its description). Every other field
@@ -153,7 +153,7 @@ _COUNT = (lambda v: v >= 1, "an integer >= 1")
 
 
 def _check_ranges(obj, path: str = "") -> None:
-    """Raise ConfigError for the first value out of its range; the range of
+    """Raise InputError for the first value out of its range; the range of
     a list field holds for each of its entries."""
     for f in dataclasses.fields(obj):
         where = f"{path}.{f.name}" if path else f.name
@@ -162,7 +162,7 @@ def _check_ranges(obj, path: str = "") -> None:
             _check_ranges(value, where)
             continue
         if value == [] and f.name != "encoder_hidden":
-            raise ConfigError(f"{where} must not be empty")
+            raise InputError(f"{where} must not be empty")
         if value is None and f.type == "float | None":
             continue
         if f.name in _RANGES:
@@ -176,7 +176,7 @@ def _check_ranges(obj, path: str = "") -> None:
             finite = not isinstance(v, float) or math.isfinite(v)
             if isinstance(v, bool) or not isinstance(v, kinds) or not (finite and test(v)):
                 must = rule if finite else f"finite and {rule}"
-                raise ConfigError(f"{where} must be {must}, got {v!r}")
+                raise InputError(f"{where} must be {must}, got {v!r}")
 
 
 def load_config(path: str | Path | None = None,
@@ -185,18 +185,18 @@ def load_config(path: str | Path | None = None,
     then every value is checked against its range."""
     cfg = ExperimentConfig()
     if path is not None:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "rb") as f:
             try:
                 loaded = yaml.safe_load(f)
             except yaml.YAMLError as e:
                 mark = getattr(e, "problem_mark", None)
                 where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
                 problem = getattr(e, "problem", None) or "parse error"
-                raise ConfigError(f"malformed YAML in {path}{where}: {problem}") from None
+                raise InputError(f"malformed YAML in {path}{where}: {problem}") from None
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):
-            raise ConfigError(f"config root must be a mapping: {path}")
+            raise InputError(f"config root must be a mapping: {path}")
         _apply(cfg, loaded, "")
     if overrides:
         _apply(cfg, overrides, "")

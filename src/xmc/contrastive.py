@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ContrastiveSection
 from .datagen import Dataset, heatmap_inputs, image_inputs
-from .errors import ConfigError, ContractError, UsageError
+from .errors import InputError, XmcError
 from .models import EncoderModel, fit, init_encoder
 from .seeding import derive_seed, rng_for
 
@@ -32,7 +32,7 @@ class NegativeQueue:
 
     def __init__(self, capacity: int, unit_check: bool = True):
         if capacity < 1:
-            raise ConfigError(f"queue capacity must be >= 1, got {capacity}")
+            raise InputError(f"queue capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
         self.unit_check = unit_check
         self._buf: np.ndarray | None = None
@@ -45,18 +45,18 @@ class NegativeQueue:
         """Insert a (B, D) block of keys, evicting the B oldest when full."""
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 2:
-            raise UsageError(f"enqueue expects a (B, D) block, got shape {keys.shape}")
+            raise XmcError(f"enqueue expects a (B, D) block, got shape {keys.shape}")
         if len(keys) > self.capacity:
-            raise UsageError(
+            raise XmcError(
                 f"cannot enqueue {len(keys)} keys into a queue of capacity {self.capacity}")
         if self.unit_check:
             norms = np.sqrt((keys * keys).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise ContractError("queue keys must be unit-norm")
+                raise XmcError("queue keys must be unit-norm")
         if self._buf is None:
             self._buf = np.zeros((self.capacity, keys.shape[1]))
         elif self._buf.shape[1] != keys.shape[1]:
-            raise UsageError(
+            raise XmcError(
                 f"key dim {keys.shape[1]} does not match queue dim {self._buf.shape[1]}")
         start, n = self._count % self.capacity, len(keys)
         head = min(n, self.capacity - start)  # rows that fit before the wrap
@@ -85,20 +85,20 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
     Rows must be unit-norm iff the queue checks its keys for unit norm.
     """
     if tau <= 0.0:
-        raise ConfigError(f"temperature must be > 0, got {tau}")
+        raise InputError(f"temperature must be > 0, got {tau}")
     if len(queue) == 0:
-        raise UsageError("info_nce needs a non-empty negative queue")
+        raise XmcError("info_nce needs a non-empty negative queue")
     if q.ndim != 2 or k_plus.shape != q.shape:
-        raise UsageError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
+        raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
     negatives = queue.snapshot()
     if negatives.shape[1] != q.shape[1]:
-        raise UsageError(
+        raise XmcError(
             f"queue dim {negatives.shape[1]} does not match embedding dim {q.shape[1]}")
     if queue.unit_check:
         for name, block in (("q", q), ("k_plus", k_plus), ("queue", negatives)):
             norms = np.sqrt((block * block).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-                raise ContractError(f"info_nce: {name} rows are not unit-norm")
+                raise XmcError(f"info_nce: {name} rows are not unit-norm")
 
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
@@ -153,20 +153,20 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     encoder and :func:`fit`'s ``(epoch, lr, mean loss)`` per epoch.
     """
     if not vision.frozen:
-        raise ContractError("the vision encoder must be frozen before pre-training")
+        raise XmcError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
     if cfg.queue_size < cfg.batch_size:
-        raise ConfigError(
+        raise InputError(
             f"queue size {cfg.queue_size} must be >= batch size {cfg.batch_size}")
     if len(idx) < cfg.queue_size:
-        raise ConfigError(
+        raise InputError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
     pixels = math.prod(dataset.images.shape[1:])
     if vision.input_dim != pixels:
-        raise ConfigError(f"vision checkpoint takes {vision.input_dim} inputs, but the "
-                          f"images have {pixels} pixels")
+        raise InputError(f"vision checkpoint takes {vision.input_dim} inputs, but the "
+                         f"images have {pixels} pixels")
     if vision.embed_dim != embed_dim:
-        raise ConfigError(f"vision embed dim {vision.embed_dim} != configured {embed_dim}")
+        raise InputError(f"vision embed dim {vision.embed_dim} != configured {embed_dim}")
 
     heat = heatmap_inputs(dataset.heatmaps[idx])
     keys = encode_keys(vision, image_inputs(dataset.images[idx]))

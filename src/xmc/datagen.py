@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .config import DatagenSection
-from .errors import ConfigError, DomainError, FormatError, ResampleError
+from .errors import InputError, ResampleError
 from .seeding import rng_for
 
 CLASS_NAMES = ("empty", "pedestrian", "cyclist", "car")
@@ -44,7 +44,7 @@ def gen_gaussian_pairs(dim: int, rho: float, count: int,
     pairs: zero mean, unit variance, corr(x_ij, y_ij) = rho, independent
     across coordinates and samples."""
     if not abs(rho) < 1.0:
-        raise ConfigError(f"|rho| must be < 1, got {rho}")
+        raise InputError(f"|rho| must be < 1, got {rho}")
     rng = rng_for(seed, "gaussian-pairs")
     x = rng.standard_normal((count, dim))
     noise = rng.standard_normal((count, dim))
@@ -55,9 +55,9 @@ def gen_gaussian_pairs(dim: int, rho: float, count: int,
 def analytic_mi(rho: float, dim: int) -> float:
     """Exact MI in nats of the pair distribution: -(dim/2) ln(1 - rho^2)."""
     if not abs(rho) < 1.0:
-        raise DomainError(f"|rho| must be < 1, got {rho}")
+        raise InputError(f"|rho| must be < 1, got {rho}")
     if dim < 1:
-        raise DomainError(f"dim must be positive, got {dim}")
+        raise InputError(f"dim must be positive, got {dim}")
     return -0.5 * dim * math.log1p(-rho * rho)
 
 
@@ -115,7 +115,7 @@ def sample_scene(class_id: str, rng: np.random.Generator) -> SceneLatent:
     """Draw one latent: uniform position, class-conditional extent and
     reflectivity. Empty scenes carry no target."""
     if class_id not in CLASS_NAMES:
-        raise ConfigError(f"unknown class {class_id!r}")
+        raise InputError(f"unknown class {class_id!r}")
     if class_id == "empty":
         return SceneLatent("empty")
     sig = CLASS_TABLE[class_id]
@@ -147,7 +147,7 @@ def render_radar(scene: SceneLatent, cfg: DatagenSection,
     noise = _DEFAULT_SIGMA_RADAR if cfg.sigma_radar is None else cfg.sigma_radar
     if noise > 0.0:
         if rng is None:
-            raise ConfigError("render_radar needs an rng when noise is enabled")
+            raise InputError("render_radar needs an rng when noise is enabled")
         grid += np.abs(rng.normal(0.0, noise, size=grid.shape))
     return grid
 
@@ -197,7 +197,7 @@ def render_image(scene: SceneLatent, cfg: DatagenSection,
             img += np.exp(-0.5 * ((jj**2 / sx2) ** 2 + (ii**2 / sy2) ** 2))
     if cfg.sigma_image > 0.0:
         if rng is None:
-            raise ConfigError("render_image needs an rng when noise is enabled")
+            raise InputError("render_image needs an rng when noise is enabled")
         img += rng.normal(0.0, cfg.sigma_image, size=img.shape)
     return img
 
@@ -276,8 +276,8 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
             labels[i] = scene.label
             break
         else:
-            raise ConfigError("could not place a target inside the frame; "
-                              "check the camera geometry")
+            raise InputError("could not place a target inside the frame; "
+                             "check the camera geometry")
 
     all_idx = np.arange(n, dtype=np.int64)
     train_idx, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
@@ -351,30 +351,30 @@ def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
     try:
         splits = json.loads(splits_json)
     except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError from bytes
-        raise FormatError(f"splits sidecar is not JSON: {e}") from None
+        raise InputError(f"splits sidecar is not JSON: {e}") from None
     if not isinstance(splits, dict):
-        raise FormatError("splits sidecar root must be a JSON object")
+        raise InputError("splits sidecar root must be a JSON object")
     out, counts = {}, {}
     for key in _SPLIT_KEYS:
         if key not in splits:
-            raise FormatError(f"splits sidecar is missing {key!r}")
+            raise InputError(f"splits sidecar is missing {key!r}")
         idx = splits[key]
         if not isinstance(idx, list) or any(type(i) is not int for i in idx):
-            raise FormatError(f"splits sidecar {key!r} must be a list of integers")
+            raise InputError(f"splits sidecar {key!r} must be a list of integers")
         bad = [i for i in idx if not 0 <= i < n]
         if bad:
-            raise FormatError(
+            raise InputError(
                 f"splits sidecar {key!r} index {bad[0]} is out of range for {n} samples")
         out[key] = np.asarray(idx, dtype=np.int64)
         counts[key] = np.bincount(out[key], minlength=n)
         if (counts[key] > 1).any():
-            raise FormatError(f"splits sidecar {key!r} repeats an index")
+            raise InputError(f"splits sidecar {key!r} repeats an index")
     if (counts["test"] & counts["train"]).any():
-        raise FormatError("splits sidecar: test and train share samples")
+        raise InputError("splits sidecar: test and train share samples")
     if (counts["vision"] & counts["contrastive"]).any():
-        raise FormatError("splits sidecar: vision and contrastive share samples")
+        raise InputError("splits sidecar: vision and contrastive share samples")
     if not np.array_equal(counts["vision"] | counts["contrastive"], counts["train"]):
-        raise FormatError("splits sidecar: vision and contrastive do not make up train")
+        raise InputError("splits sidecar: vision and contrastive do not make up train")
     return out
 
 
@@ -382,32 +382,32 @@ def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
     """R, A, H, W, n from the leading bytes of a dataset file of ``size``
     bytes, checked against that size before anything is allocated."""
     if size < _HEADER.size:
-        raise FormatError("dataset file truncated")
+        raise InputError("dataset file truncated")
     magic, version, r, a, h, w, n = _HEADER.unpack_from(head)
     if magic != DATASET_MAGIC:
-        raise FormatError("not a dataset file (bad magic)")
+        raise InputError("not a dataset file (bad magic)")
     if version != DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version}")
+        raise InputError(f"unsupported dataset version {version}")
     if min(r, a, h, w, n) < 1:
-        raise FormatError(f"dataset header has a zero size: R, A, H, W, n = "
-                          f"{r}, {a}, {h}, {w}, {n}")
+        raise InputError(f"dataset header has a zero size: R, A, H, W, n = "
+                         f"{r}, {a}, {h}, {w}, {n}")
     expected = _HEADER.size + n * (1 + 8 * r * a + 8 * h * w)
     if size < expected:
-        raise FormatError(f"dataset file truncated: {size} bytes, the header "
-                          f"implies {expected}")
+        raise InputError(f"dataset file truncated: {size} bytes, the header "
+                         f"implies {expected}")
     if size > expected:
-        raise FormatError("dataset file has trailing bytes")
+        raise InputError("dataset file has trailing bytes")
     return r, a, h, w, n
 
 
 def _blocks(open_body: Callable, stamp: tuple | None = None) -> Iterator[tuple]:
     """(first index, records) for each block of about ``_BLOCK_BYTES`` of the
     dataset file ``open_body()`` opens, once its header fits its size and a
-    file still has the ``_STAMP`` its load saw. A short read is a FormatError.
+    file still has the ``_STAMP`` its load saw. A short read is an InputError.
     Every block is read into one buffer, so it lasts until the next."""
     with open_body() as f:
         if stamp and _STAMP(os.fstat(f.fileno())) != stamp:
-            raise FormatError(f"dataset file {f.name} changed after it was loaded")
+            raise InputError(f"dataset file {f.name} changed after it was loaded")
         size = f.seek(0, io.SEEK_END)
         f.seek(0)
         r, a, h, w, n = _checked_header(f.read(_HEADER.size), size)
@@ -417,7 +417,7 @@ def _blocks(open_body: Callable, stamp: tuple | None = None) -> Iterator[tuple]:
         for start in range(0, n, step):
             block = buf[:min(step, n - start)]
             if f.readinto(block) != block.nbytes:
-                raise FormatError("dataset file truncated while reading")
+                raise InputError("dataset file truncated while reading")
             yield start, block
 
 
@@ -446,7 +446,7 @@ def _read_dataset(blocks: Callable, splits_json: str | bytes) -> Dataset:
         labels.append(block["label"].copy())
     labels = np.concatenate(labels)
     if labels.max() >= N_CLASSES:
-        raise FormatError(f"dataset file has a class id above {N_CLASSES - 1}")
+        raise InputError(f"dataset file has a class id above {N_CLASSES - 1}")
     heatmaps, images = (_Rows(blocks, key, (len(labels), *block.dtype[key].shape))
                         for key in ("heatmap", "image"))
     idx = _split_indices(splits_json, len(labels))  # train, test, vision, contrastive

@@ -1,57 +1,24 @@
-"""Exception types shared across the package. Each class carries the exit
-code ``cli.main`` returns when one of its errors reaches it."""
+"""Exception types shared across the package: one class per exit code that
+``cli.main`` returns, plus ``ResampleError``, which ``make_dataset`` catches
+by type. The message says what went wrong."""
 
 
 class XmcError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors; raised itself for API
+    misuse, a broken invariant or an output that would be overwritten."""
     exit_code = 1
 
 
-class DimensionError(XmcError):
-    """Operand shapes are incompatible; the message reports both shapes."""
+class InputError(XmcError):
+    """A configuration value, file, shape or argument outside what it must be."""
     exit_code = 3
 
 
-class DegenerateInputError(XmcError):
-    """Numerically degenerate input, e.g. a zero row fed to a normalizer."""
+class NumericError(XmcError):
+    """A non-finite or degenerate value where a usable one is required."""
     exit_code = 4
-
-
-class UsageError(XmcError):
-    """An API contract was violated by the caller."""
-    exit_code = 1
-
-
-class ContractError(XmcError):
-    """A runtime invariant the caller promised does not hold."""
-    exit_code = 1
-
-
-class ConfigError(XmcError):
-    """Invalid or inconsistent configuration values."""
-    exit_code = 3
-
-
-class DomainError(XmcError):
-    """Argument outside the mathematical domain of a function."""
-    exit_code = 3
-
-
-class StratificationError(XmcError):
-    """A label subsample cannot cover every class."""
-    exit_code = 3
 
 
 class ResampleError(XmcError):
     """A sampled scene cannot be rendered; the caller should redraw it."""
     exit_code = 1
-
-
-class FormatError(XmcError):
-    """A binary or text artifact does not match its expected layout."""
-    exit_code = 3
-
-
-class NumericError(XmcError):
-    """A non-finite value appeared where a finite one is required."""
-    exit_code = 4

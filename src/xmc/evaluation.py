@@ -23,7 +23,7 @@ import numpy as np
 from .config import EvalSection, ExperimentConfig
 from .contrastive import pretrain
 from .datagen import Dataset, N_CLASSES, heatmap_inputs
-from .errors import ConfigError, DegenerateInputError, StratificationError, UsageError
+from .errors import InputError, NumericError, XmcError
 from .models import EncoderModel, cross_entropy, init_encoder, init_head, train_classifier
 from .seeding import derive_seed, rng_for
 
@@ -66,16 +66,16 @@ def stratified_label_subset(labels: np.ndarray, fraction: float,
                             seed: int) -> np.ndarray:
     """Indices of ceil(fraction * N) labels, per-class counts within +-1."""
     if not 0.0 < fraction <= 1.0:
-        raise ConfigError(f"fraction must be in (0, 1], got {fraction}")
+        raise InputError(f"fraction must be in (0, 1], got {fraction}")
     n = len(labels)
     total = math.ceil(fraction * n)
     classes = np.unique(labels)
     if total < len(classes):
-        raise StratificationError(
+        raise InputError(
             f"{total} labels cannot cover {len(classes)} classes")
     pools = {c: np.nonzero(labels == c)[0] for c in classes}
     if any(len(p) == 0 for p in pools.values()):
-        raise StratificationError("a class has no samples to draw from")
+        raise InputError("a class has no samples to draw from")
     # even allocation, capped by pool size, remainder redistributed so the
     # counts stay within +-1 whenever the pools allow it
     base, extra = divmod(total, len(classes))
@@ -196,7 +196,7 @@ def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
     floor = N_CLASSES / n_train
     kept = [f for f in fractions if math.ceil(f * n_train) >= N_CLASSES]
     if not kept:
-        raise ConfigError(f"no feasible fractions; need at least {floor:.4f}")
+        raise InputError(f"no feasible fractions; need at least {floor:.4f}")
     return kept
 
 
@@ -249,11 +249,11 @@ def project_2d(features: np.ndarray) -> np.ndarray:
     """
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or len(feats) < 3:
-        raise UsageError(f"project_2d needs at least 3 feature rows, got {feats.shape}")
+        raise XmcError(f"project_2d needs at least 3 feature rows, got {feats.shape}")
     centered = feats - feats.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= 1e-12:
-        raise DegenerateInputError("features have rank 0 after centering")
+        raise NumericError("features have rank 0 after centering")
     coords = np.zeros((len(feats), 2))
     for comp in range(min(2, vt.shape[0])):
         loading = vt[comp]
@@ -279,5 +279,5 @@ def cluster_separation(coords: np.ndarray, labels: np.ndarray) -> float:
              for i, a in enumerate(centroids) for b in centroids[i + 1:]]
     spread = float(np.mean(spreads))
     if spread <= 0.0:
-        raise DegenerateInputError("zero intra-class spread")
+        raise NumericError("zero intra-class spread")
     return float(np.mean(dists)) / spread

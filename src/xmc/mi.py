@@ -15,7 +15,7 @@ import numpy as np
 from .config import MiSection
 from .contrastive import NegativeQueue, info_nce, warm_start
 from .datagen import analytic_mi, gen_gaussian_pairs
-from .errors import DomainError
+from .errors import InputError
 from .models import fit, init_encoder
 from .seeding import derive_seed, rng_for
 
@@ -24,9 +24,9 @@ def mi_lower_bound(mean_loss: float, k: int) -> float:
     """ln(k) - mean_loss, in nats. May be negative; callers may clamp for
     reporting but the raw value is what the bound says."""
     if k < 1:
-        raise DomainError(f"negative count k must be >= 1, got {k}")
+        raise InputError(f"negative count k must be >= 1, got {k}")
     if mean_loss < 0.0:
-        raise DomainError(f"mean loss must be >= 0, got {mean_loss}")
+        raise InputError(f"mean loss must be >= 0, got {mean_loss}")
     return math.log(k) - mean_loss
 
 
@@ -63,7 +63,7 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
     x, y = quadratic_features(x), quadratic_features(y)
     n_hold = max(k + critic.batch_size, int(round(HOLDOUT_FRACTION * critic.pair_count)))
     if n_hold + k + critic.batch_size > critic.pair_count:
-        raise DomainError(
+        raise InputError(
             f"count {critic.pair_count} too small for queue {k} plus holdout {n_hold}")
     x_train, y_train = x[:-n_hold], y[:-n_hold]
     x_hold, y_hold = x[-n_hold:], y[-n_hold:]

@@ -17,15 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import VisionSection
-from .errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    NumericError,
-    UsageError,
-)
+from .errors import InputError, NumericError, XmcError
 from .seeding import derive_seed, rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
@@ -47,7 +39,7 @@ def _views(dims: list[int], vec: np.ndarray) -> tuple[list[np.ndarray], list[np.
     vector, laid out as the checkpoint body: each layer's (fan_in, fan_out)
     weight, then its bias."""
     if vec.shape != (_n_params(dims),):
-        raise DimensionError(f"dims {dims} take {_n_params(dims)} parameters, got {vec.shape}")
+        raise InputError(f"dims {dims} take {_n_params(dims)} parameters, got {vec.shape}")
     ws, bs, off = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         end = off + fan_in * fan_out
@@ -88,7 +80,7 @@ class EncoderModel:
         which ``autodiff.backward`` needs."""
         h = np.asarray(x, dtype=np.float64)
         if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise DimensionError(
+            raise InputError(
                 f"encoder expects (B, {self.input_dim}), got {h.shape}")
         acts = []
         last = len(self.weights) - 1
@@ -119,7 +111,7 @@ class EncoderModel:
 def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderModel:
     """Build an MLP with Xavier-uniform weights and zero biases."""
     if len(dims) < 2 or any(d <= 0 for d in dims):
-        raise ConfigError(f"encoder dims must be >=2 positive ints, got {dims}")
+        raise InputError(f"encoder dims must be >=2 positive ints, got {dims}")
     rng = rng_for(seed, "encoder-init")
     model = EncoderModel(list(dims), np.zeros(_n_params(dims)), frozen=not trainable)
     for w in model.weights:
@@ -140,7 +132,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     and its gradient (softmax - one-hot(labels)) / B."""
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise DimensionError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
+        raise InputError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     rows = np.arange(len(labels))
     lse, d = ad.logsumexp_row(logits.copy())  # the loss below reads the logits
     c = 1.0 / len(rows)
@@ -181,12 +173,12 @@ def sgd_step(params: list[EncoderModel], state: OptimizerState,
     row long: numpy would send it to gemv, which rounds differently from the
     gemm of the whole product. The pairs are then cleared."""
     if len(state.velocities) != len(params):
-        raise UsageError("optimizer state does not match the parameter list")
+        raise XmcError("optimizer state does not match the parameter list")
     if lr is not None:
         state.lr = float(lr)
     for p, v in zip(params, state.velocities):
         if p.grad is None:
-            raise UsageError("sgd_step: a trainable model has no gradient")
+            raise XmcError("sgd_step: a trainable model has no gradient")
         off = 0
         for (a, g), w in zip(p.grad, p.weights):
             fan_in, fan_out = w.shape
@@ -213,9 +205,9 @@ def sgd_step(params: list[EncoderModel], state: OptimizerState,
 def cosine_lr(t: int, total: int, base: float) -> float:
     """base * 0.5 * (1 + cos(pi * t / total)) for 0 <= t <= total."""
     if total < 1:
-        raise DomainError(f"cosine_lr: total steps must be >= 1, got {total}")
+        raise InputError(f"cosine_lr: total steps must be >= 1, got {total}")
     if t < 0 or t > total:
-        raise DomainError(f"cosine_lr: step {t} outside [0, {total}]")
+        raise InputError(f"cosine_lr: step {t} outside [0, {total}]")
     return base * 0.5 * (1.0 + math.cos(math.pi * t / total))
 
 
@@ -239,7 +231,7 @@ def fit(chain: list[EncoderModel], inputs: np.ndarray,
     or follows :func:`cosine_lr` over the epochs when ``cosine``.
     """
     if any(model.frozen for model in chain):
-        raise ContractError("cannot train a frozen model")
+        raise XmcError("cannot train a frozen model")
     opt = make_optimizer(chain, lr, momentum, weight_decay)
     n = len(inputs)
     for epoch in range(epochs):
@@ -294,14 +286,14 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, 
 
     n = len(labels)
     if n == 0:
-        raise ConfigError("the vision split is empty; there is nothing to train "
-                          "the teacher on")
+        raise InputError("the vision split is empty; there is nothing to train "
+                         "the teacher on")
     n_hold = max(1, int(round(cfg.holdout_fraction * n)))
     order = rng_for(seed, "vision-holdout").permutation(n)
     hold, train = order[:n_hold], order[n_hold:]
     if len(train) == 0:
-        raise ConfigError(f"the vision holdout takes all {n} samples of the "
-                          f"vision split; none are left to fit")
+        raise InputError(f"the vision holdout takes all {n} samples of the "
+                         f"vision split; none are left to fit")
 
     head = init_head(embed_dim, n_classes)
     train_loss = [loss for _, _, loss in train_classifier(
@@ -340,25 +332,25 @@ def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
     def take(n: int) -> bytes:
         nonlocal off
         if off + n > len(blob):
-            raise FormatError("checkpoint truncated")
+            raise InputError("checkpoint truncated")
         out = blob[off:off + n]
         off += n
         return out
 
     if take(4) != CHECKPOINT_MAGIC:
-        raise FormatError("not a checkpoint file (bad magic)")
+        raise InputError("not a checkpoint file (bad magic)")
     version, frozen, n_layers = struct.unpack("<HBH", take(5))
     if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}")
+        raise InputError(f"unsupported checkpoint version {version}")
     if frozen > 1 or n_layers < 1:
-        raise FormatError(f"bad checkpoint header (frozen {frozen}, {n_layers} layers)")
+        raise InputError(f"bad checkpoint header (frozen {frozen}, {n_layers} layers)")
     dims = list(struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1))))
     if min(dims) < 1:
-        raise FormatError(f"checkpoint layer dims must be positive, got {dims}")
+        raise InputError(f"checkpoint layer dims must be positive, got {dims}")
     count, body = _n_params(dims), len(blob) - off
     if body != 8 * count:
-        raise FormatError("checkpoint truncated" if body < 8 * count
-                          else "checkpoint has trailing bytes")
+        raise InputError("checkpoint truncated" if body < 8 * count
+                         else "checkpoint has trailing bytes")
     # read straight from the blob: slicing the body out first would copy it
     data = np.frombuffer(blob, "<f8", count, off).astype(np.float64)
     return EncoderModel(dims, data, frozen=bool(frozen))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xmc import autodiff as ad
 from xmc.contrastive import NegativeQueue, info_nce
-from xmc.errors import DegenerateInputError, DimensionError
+from xmc.errors import InputError, NumericError
 from xmc.models import EncoderModel, cross_entropy
 
 from helpers import check_grads, dense_grad, finite_diff_grads, relative_error
@@ -38,7 +38,8 @@ class TestMatmul:
     def test_shape_mismatch_reports_both_shapes(self):
         m = chain((np.ones((4, 2)), np.zeros(2)))
         _, acts = m.forward(np.ones((3, 4)))
-        with pytest.raises(DimensionError, match=r"\(3, 4\).*\(3, 2\)"):
+        with pytest.raises(InputError,
+                           match=r"^backward: output gradient \(3, 4\) vs output \(3, 2\)$"):
             ad.backward(m, acts, np.ones((3, 4)))
 
     def test_gradient_of_sum_equals_ones_times_bt(self):
@@ -83,7 +84,7 @@ class TestL2Normalize:
     def test_near_zero_row_names_index(self):
         bad = np.ones((3, 2))
         bad[1] = 0.0
-        with pytest.raises(DegenerateInputError, match="row 1"):
+        with pytest.raises(NumericError, match="^l2_normalize: row 1 has near-zero norm$"):
             ad.l2_normalize(bad)
 
     def test_gradient_matches_finite_differences(self):
@@ -126,7 +127,8 @@ class TestLogsumexpRow:
         assert relative_error(softmax, numeric) < 1e-8
 
     def test_rejects_non_matrix(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError,
+                           match=r"^logsumexp_row: expected a matrix, got shape \(3,\)$"):
             ad.logsumexp_row(np.zeros(3))
 
     def test_softmax_is_computed_in_x(self):

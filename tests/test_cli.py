@@ -16,7 +16,7 @@ import yaml
 
 from xmc import cli
 from xmc.cli import main
-from xmc.errors import XmcError
+from xmc.errors import InputError, NumericError, XmcError
 from xmc.models import init_encoder, save_checkpoint
 from xmc.runio import sha256_file
 
@@ -110,6 +110,15 @@ class TestGenData:
         assert code == 3
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(bad) in err and "line 2, column 1" in err
+
+    def test_yaml_that_is_not_utf8_exits_3(self, tmp_path, capsys):
+        bad = tmp_path / "latin.yaml"
+        bad.write_bytes(b"seed: 7\nname: \xff\xfe\n")
+        code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"xmc gen-data: malformed YAML in {bad}")
 
     @pytest.mark.parametrize("sidecar", [b"{not json", b"7", b'{"\xff": 1}'])
     def test_bad_splits_sidecar_exits_3(self, workdir, tmp_path, capsys, sidecar):
@@ -391,25 +400,62 @@ def error_classes(cls=XmcError) -> list[type]:
     return [c for sub in cls.__subclasses__() for c in (sub, *error_classes(sub))]
 
 
+ERROR_CLASSES = [XmcError, *error_classes()]
+
+# Each class that was folded into another, with the class that now carries its
+# errors and the exit code it had, so that the fold keeps every exit code.
+FOLDED_CLASSES = {
+    "ConfigError": (InputError, 3),
+    "ContractError": (XmcError, 1),
+    "DegenerateInputError": (NumericError, 4),
+    "DimensionError": (InputError, 3),
+    "DomainError": (InputError, 3),
+    "FormatError": (InputError, 3),
+    "OutputExistsError": (XmcError, 1),
+    "StratificationError": (InputError, 3),
+    "UsageError": (XmcError, 1),
+}
+
+
 class TestErrorClassExitCodes:
     def test_every_error_class_has_a_documented_code(self):
         rows = {line.split("|")[1].strip(): line
                 for line in README.read_text().splitlines() if line.startswith("| ")}
-        classes = [XmcError, *error_classes()]
-        assert cli.OutputExistsError in classes
-        for cls in classes:
+        assert ({cls.__name__ for cls in ERROR_CLASSES}
+                == {"XmcError", "InputError", "NumericError", "ResampleError"})
+        assert "`MemoryError`" in rows["1"]
+        for cls in ERROR_CLASSES:
             assert "exit_code" in vars(cls), cls.__name__
             assert cls.exit_code in (1, 3, 4), cls.__name__
             assert f"`{cls.__name__}`" in rows[str(cls.exit_code)], cls.__name__
 
-    @pytest.mark.parametrize("cls", error_classes(), ids=lambda c: c.__name__)
-    def test_main_exits_with_the_class_code_and_one_line(self, monkeypatch, capsys, cls):
+    @pytest.mark.parametrize("cls, code", [
+        *(pytest.param(cls, cls.exit_code, id=cls.__name__) for cls in ERROR_CLASSES),
+        *(pytest.param(cls, code, id=name)
+          for name, (cls, code) in FOLDED_CLASSES.items()),
+    ])
+    def test_main_exits_with_the_class_code_and_one_line(self, monkeypatch, capsys,
+                                                         cls, code):
         def fail(args, cfg):
             raise cls("it went wrong")
 
         monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
-        assert main(["gen-data"]) == cls.exit_code
+        assert main(["gen-data"]) == code
         assert capsys.readouterr().err == "xmc gen-data: it went wrong\n"
+
+    @pytest.mark.parametrize("error, line", [
+        (MemoryError("Unable to allocate 745. TiB for an array"),
+         "Unable to allocate 745. TiB for an array"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_a_failed_allocation_exits_1_with_one_line(self, monkeypatch, capsys,
+                                                       error, line):
+        def fail(args, cfg):
+            raise error
+
+        monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
+        assert main(["gen-data"]) == 1
+        assert capsys.readouterr().err == f"xmc gen-data: {line}\n"
 
 
 class TestSweepPool:

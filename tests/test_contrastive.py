@@ -20,7 +20,7 @@ from xmc.contrastive import (
     warm_start,
 )
 from xmc.datagen import image_inputs, make_dataset
-from xmc.errors import ConfigError, ContractError, UsageError
+from xmc.errors import InputError, XmcError
 from xmc.models import init_encoder, pretrain_vision
 
 from helpers import check_grads
@@ -91,12 +91,15 @@ class TestNegativeQueue:
         np.testing.assert_array_equal(q.snapshot(), fresh)
 
     def test_oversized_batch_rejected(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(XmcError,
+                           match="^cannot enqueue 3 keys into a queue of capacity 2$") as err:
             NegativeQueue(2).enqueue(unit_rows(np.ones((3, 2))))
+        assert err.type is XmcError
 
     def test_non_unit_keys_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^queue keys must be unit-norm$") as err:
             NegativeQueue(4).enqueue(np.ones((2, 3)))
+        assert err.type is XmcError
 
     @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=30),
            st.integers(min_value=5, max_value=16))
@@ -156,14 +159,16 @@ class TestInfoNce:
 
     def test_empty_queue_rejected(self):
         v = unit_rows(np.ones((1, 3)))
-        with pytest.raises(UsageError):
+        with pytest.raises(XmcError, match="^info_nce needs a non-empty negative queue$") as err:
             info_nce(v, v, NegativeQueue(4), tau=1.0)
+        assert err.type is XmcError
 
     def test_non_unit_inputs_rejected(self):
         v = unit_rows(np.ones((1, 3)))
         queue = fill_queue(v.copy(), 1)
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^info_nce: q rows are not unit-norm$") as err:
             info_nce(2.0 * v, v, queue, tau=1.0)
+        assert err.type is XmcError
 
     def test_loss_positive_and_below_uniform_reference(self):
         rng = np.random.default_rng(3)
@@ -270,11 +275,11 @@ class TestInfoNce:
 
 class TestContrastiveConfig:
     def test_queue_must_cover_batch(self, toy_setup):
-        with pytest.raises(ConfigError, match="queue size 16 must be >= batch size 64"):
+        with pytest.raises(InputError, match="queue size 16 must be >= batch size 64"):
             toy_pretrain(*toy_setup, seed=0, queue_size=16, batch_size=64)
 
     def test_tau_positive(self, toy_setup):
-        with pytest.raises(ConfigError, match="temperature must be > 0"):
+        with pytest.raises(InputError, match="temperature must be > 0"):
             toy_pretrain(*toy_setup, seed=0, tau=0.0)
 
 
@@ -305,12 +310,15 @@ class TestPretrain:
     def test_requires_frozen_vision(self, toy_setup):
         ds, _ = toy_setup
         live = init_encoder([ds.images.shape[1] * ds.images.shape[2], 64, 32], seed=1)
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^the vision encoder must be frozen before "
+                                           "pre-training$") as err:
             toy_pretrain(ds, live, seed=0)
+        assert err.type is XmcError
 
     def test_queue_larger_than_split_rejected(self, toy_setup):
         ds, teacher = toy_setup
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=r"^contrastive split \(\d+\) smaller than the "
+                                             r"queue \(4096\)$"):
             toy_pretrain(ds, teacher, seed=0, queue_size=4096, batch_size=16)
 
     def test_first_epoch_near_uniform_and_learning_happens(self, toy_setup):

@@ -31,7 +31,7 @@ from xmc.datagen import (
     render_radar,
     sample_scene,
 )
-from xmc.errors import ConfigError, DomainError, FormatError, ResampleError
+from xmc.errors import InputError, ResampleError
 from xmc.seeding import rng_for
 
 CFG = DatagenSection()
@@ -80,7 +80,7 @@ class TestGaussianPairs:
         assert digest == "5a5852a6832275f026082291b9c8e64abf87dd26861559e867676299294a31af"
 
     def test_rho_out_of_range_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=r"^\|rho\| must be < 1, got 1.0$"):
             gen_gaussian_pairs(1, 1.0, 10, 0)
 
 
@@ -97,9 +97,9 @@ class TestAnalyticMi:
         assert math.isclose(analytic_mi(rho, 1), mi_by_quadrature(rho), abs_tol=1e-9)
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"^\|rho\| must be < 1, got 1.0$"):
             analytic_mi(1.0, 1)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^dim must be positive, got 0$"):
             analytic_mi(0.5, 0)
 
 
@@ -121,7 +121,7 @@ class TestScenes:
         assert abs(np.mean(draws) - expected) < 0.05 * expected
 
     def test_unknown_class_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="^unknown class 'drone'$"):
             sample_scene("drone", rng_for(0, "s"))
 
 
@@ -261,7 +261,7 @@ class TestMakeDataset:
             "c3463fda82e48e03da78a35242550aacc1360400ccac2942acce5df54f26a4fe")
 
     def test_too_small_rejected(self):
-        with pytest.raises(ConfigError, match="datagen.n must be an integer >= 8, got 4"):
+        with pytest.raises(InputError, match="datagen.n must be an integer >= 8, got 4"):
             load_config(None, {"datagen": {"n": 4}})
 
 
@@ -300,7 +300,7 @@ class TestDatasetFile:
         assert set(sidecar) == {"train", "test", "vision", "contrastive"}
 
     def test_bad_magic_rejected(self):
-        with pytest.raises(FormatError):
+        with pytest.raises(InputError, match=r"^not a dataset file \(bad magic\)$"):
             dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30, "{}")
 
     def test_body_is_per_sample_label_heatmap_image(self):
@@ -315,24 +315,24 @@ class TestDatasetFile:
     def test_oversized_header_rejected_before_allocating(self):
         """A 26-byte file whose header claims 2**32 - 1 samples."""
         blob = b"XMCD" + struct.pack("<H5I", 1, 32, 32, 32, 32, 2**32 - 1)
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(InputError, match="^dataset file truncated: 26 bytes"):
             dg.dataset_from_bytes(blob, "{}")
 
     def test_length_must_match_the_header_exactly(self):
         ds = make_dataset(DatagenSection(n=8), seed=16)
         blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(InputError, match="^dataset file truncated: "):
             dg.dataset_from_bytes(blob[:-1], sidecar)
-        with pytest.raises(FormatError, match="trailing bytes"):
+        with pytest.raises(InputError, match="^dataset file has trailing bytes$"):
             dg.dataset_from_bytes(blob + b"\x00", sidecar)
 
     def test_zero_size_and_bad_class_rejected(self):
         ds = make_dataset(DatagenSection(n=8), seed=17)
         blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
         empty = b"XMCD" + struct.pack("<H5I", 1, 0, 32, 32, 32, 8)
-        with pytest.raises(FormatError, match="zero size"):
+        with pytest.raises(InputError, match="^dataset header has a zero size: "):
             dg.dataset_from_bytes(empty, sidecar)
-        with pytest.raises(FormatError, match="class id"):
+        with pytest.raises(InputError, match="^dataset file has a class id above 3$"):
             dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:], sidecar)
 
 
@@ -418,9 +418,9 @@ class TestRowGather:
         assert other.stat().st_size == path.stat().st_size
         loaded = dg.load_dataset(path)
         os.replace(other, path)
-        with pytest.raises(FormatError, match="changed after it was loaded"):
+        with pytest.raises(InputError, match="^dataset file .* changed after it was loaded$"):
             loaded.heatmaps[np.arange(3)]
         loaded = dg.load_dataset(path)
         os.truncate(path, path.stat().st_size - 1)
-        with pytest.raises(FormatError, match="changed after it was loaded"):
+        with pytest.raises(InputError, match="^dataset file .* changed after it was loaded$"):
             loaded.images[:2]

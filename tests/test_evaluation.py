@@ -9,7 +9,7 @@ from xmc import autodiff as ad
 from xmc import evaluation as ev
 from xmc.config import DatagenSection, EvalSection, ExperimentConfig
 from xmc.datagen import make_dataset
-from xmc.errors import ConfigError, DegenerateInputError, StratificationError, UsageError
+from xmc.errors import InputError, NumericError, XmcError
 from xmc.evaluation import (
     TaskSplit,
     aggregate_arms,
@@ -76,16 +76,16 @@ class TestStratifiedSubset:
 
     def test_too_small_fraction_raises(self):
         labels = np.repeat(np.arange(4), 25)
-        with pytest.raises(StratificationError):
+        with pytest.raises(InputError, match="^1 labels cannot cover 4 classes$"):
             stratified_label_subset(labels, 0.01, seed=3)  # 1 label < 4 classes
 
     def test_fraction_domain(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match=r"^fraction must be in \(0, 1\], got 0.0$"):
             stratified_label_subset(np.zeros(10, dtype=int), 0.0, seed=4)
 
     def test_feasible_fractions_filter(self):
         assert feasible_fractions([0.001, 0.01, 1.0], 1200) == [0.01, 1.0]
-        with pytest.raises(ConfigError):
+        with pytest.raises(InputError, match="^no feasible fractions; need at least 0.0040$"):
             feasible_fractions([0.0001], 1000)
 
 
@@ -271,12 +271,14 @@ class TestProjection:
         np.testing.assert_array_equal(a, b)
 
     def test_rank_zero_rejected(self):
-        with pytest.raises(DegenerateInputError):
+        with pytest.raises(NumericError, match="^features have rank 0 after centering$"):
             project_2d(np.ones((10, 4)))
 
     def test_needs_three_rows(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(XmcError, match=r"^project_2d needs at least 3 feature rows, "
+                                           r"got \(2, 2\)$") as err:
             project_2d(np.eye(2))
+        assert err.type is XmcError
 
     def test_cluster_separation_orders_structured_above_noise(self):
         rng = np.random.default_rng(33)

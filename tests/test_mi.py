@@ -7,7 +7,7 @@ import pytest
 
 from xmc.config import MiSection
 from xmc.datagen import analytic_mi
-from xmc.errors import DomainError
+from xmc.errors import InputError
 from xmc.mi import estimate_mi_gaussian, mi_lower_bound, quadratic_features
 
 def fast_critic(k: int, pair_count: int = 6144) -> MiSection:
@@ -30,9 +30,9 @@ class TestBoundArithmetic:
         assert bound < 0.0
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^negative count k must be >= 1, got 0$"):
             mi_lower_bound(1.0, 0)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^mean loss must be >= 0, got -0.1$"):
             mi_lower_bound(-0.1, 8)
 
 
@@ -75,5 +75,6 @@ class TestGaussianEstimator:
         assert a == b
 
     def test_count_too_small_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"^count 300 too small for queue 256 plus "
+                                             r"holdout \d+$"):
             estimate_mi_gaussian(fast_critic(256, pair_count=300), 0.5, 17)

@@ -10,15 +10,7 @@ import pytest
 from xmc import autodiff as ad
 from xmc.config import DatagenSection, VisionSection, load_config
 from xmc.datagen import image_inputs, make_dataset
-from xmc.errors import (
-    ConfigError,
-    ContractError,
-    DimensionError,
-    DomainError,
-    FormatError,
-    NumericError,
-    UsageError,
-)
+from xmc.errors import InputError, NumericError, XmcError
 from xmc.models import (
     SGD_BLOCK,
     EncoderModel,
@@ -48,7 +40,7 @@ class TestEncoderForward:
 
     def test_dim_mismatch(self):
         m = init_encoder([6, 4], seed=0)
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError, match=r"^encoder expects \(B, 6\), got \(2, 5\)$"):
             m.forward(np.ones((2, 5)))
 
     def test_frozen_model_gets_no_gradients(self):
@@ -56,8 +48,9 @@ class TestEncoderForward:
         m.freeze()
         out, acts = m.forward(np.random.default_rng(1).normal(size=(3, 5)))
         _, g = cross_entropy(out, np.array([0, 1, 2]))
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^cannot backpropagate into a frozen model$") as err:
             ad.backward(m, acts, g)
+        assert err.type is XmcError
         assert m.grad is None
 
     @staticmethod
@@ -165,8 +158,9 @@ class TestSgd:
     def test_missing_grad_is_usage_error(self):
         p = unit(1.0, 0.0)
         st = make_optimizer([p], lr=0.1, momentum=0.9, weight_decay=0.0)
-        with pytest.raises(UsageError):
+        with pytest.raises(XmcError, match="^sgd_step: a trainable model has no gradient$") as err:
             sgd_step([p], st)
+        assert err.type is XmcError
 
     def test_lr_zero_leaves_params_unchanged(self):
         p = unit(1.0, -1.0)
@@ -281,9 +275,9 @@ class TestCosineSchedule:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match=r"^cosine_lr: step 11 outside \[0, 10\]$"):
             cosine_lr(11, 10, 0.03)
-        with pytest.raises(DomainError):
+        with pytest.raises(InputError, match="^cosine_lr: total steps must be >= 1, got 0$"):
             cosine_lr(0, 0, 0.03)
 
 
@@ -307,7 +301,8 @@ class TestSoftmaxAndCrossEntropy:
         assert logits.tobytes() == before.tobytes()
 
     def test_cross_entropy_label_shape_mismatch(self):
-        with pytest.raises(DimensionError):
+        with pytest.raises(InputError,
+                           match=r"^cross_entropy: logits \(4, 3\) vs labels \(2,\)$"):
             cross_entropy(np.zeros((4, 3)), np.array([0, 1]))
 
     def test_cross_entropy_matches_numpy_path(self):
@@ -396,9 +391,10 @@ class TestFit:
             calls.append(sel)
             return zero_loss(out, sel)
 
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^cannot train a frozen model$") as err:
             list(fit([enc, head], np.ones((4, 3)), loss, epochs=1,
                      order_rng=np.random.default_rng(0), **FIT_KW))
+        assert err.type is XmcError
         assert calls == []
         assert head.param_bytes() + enc.param_bytes() == before
 
@@ -441,8 +437,9 @@ class TestVisionPretrain:
         before = model.param_bytes()
         out, acts = model.forward(image_inputs(ds.images[ds.test_idx[:8]]))
         _, g = cross_entropy(out, ds.labels[ds.test_idx[:8]].astype(np.int64))
-        with pytest.raises(ContractError):
+        with pytest.raises(XmcError, match="^cannot backpropagate into a frozen model$") as err:
             ad.backward(model, acts, g)
+        assert err.type is XmcError
         assert model.param_bytes() == before
 
     def test_random_frozen_mode_returns_untrained_frozen(self, small_dataset):
@@ -461,7 +458,7 @@ class TestVisionPretrain:
     def test_unknown_mode_rejected(self):
         """An unknown mode is refused where the config is loaded, so no
         command reaches the teacher (or reads its inputs) with one."""
-        with pytest.raises(ConfigError, match="vision.mode must be 'supervised' or"):
+        with pytest.raises(InputError, match="vision.mode must be 'supervised' or"):
             load_config(None, {"vision": {"mode": "imagenet"}})
 
 
@@ -520,12 +517,12 @@ class TestCheckpoints:
     def test_truncation_detected(self):
         blob = save_checkpoint_bytes(init_encoder([3, 2], seed=22))
         for cut in (1, 4, 8, len(blob) - 4):
-            with pytest.raises(FormatError, match="truncated"):
+            with pytest.raises(InputError, match="^checkpoint truncated$"):
                 load_checkpoint_bytes(blob[:-cut])
 
     def test_trailing_bytes_detected(self):
         blob = save_checkpoint_bytes(init_encoder([3, 2], seed=24))
-        with pytest.raises(FormatError, match="trailing bytes"):
+        with pytest.raises(InputError, match="^checkpoint has trailing bytes$"):
             load_checkpoint_bytes(blob + b"\x00")
 
     def test_version_1_rejected(self):
@@ -533,19 +530,22 @@ class TestCheckpoints:
         not misread."""
         blob = save_checkpoint_bytes(init_encoder([3, 2], seed=25))
         v1 = blob[:4] + struct.pack("<H", 1) + blob[6:] + b"\x00"
-        with pytest.raises(FormatError, match="unsupported checkpoint version 1"):
+        with pytest.raises(InputError, match="^unsupported checkpoint version 1$"):
             load_checkpoint_bytes(v1)
 
     @pytest.mark.parametrize("header, message", [
-        (struct.pack("<HBH", 2, 2, 1) + struct.pack("<2I", 3, 2), "frozen 2"),
-        (struct.pack("<HBH", 2, 0, 0) + struct.pack("<I", 3), "0 layers"),
-        (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 3, 0), "must be positive"),
+        (struct.pack("<HBH", 2, 2, 1) + struct.pack("<2I", 3, 2),
+         r"^bad checkpoint header \(frozen 2, 1 layers\)$"),
+        (struct.pack("<HBH", 2, 0, 0) + struct.pack("<I", 3),
+         r"^bad checkpoint header \(frozen 0, 0 layers\)$"),
+        (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 3, 0),
+         r"^checkpoint layer dims must be positive, got \[3, 0\]$"),
         # 8 * (2**32 - 1)**2 overflows int64: the size must not wrap
         (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 2**32 - 1, 2**32 - 1),
-         "truncated"),
+         "^checkpoint truncated$"),
     ], ids=["frozen-flag", "no-layers", "zero-dim", "huge-dims"])
     def test_bad_header_rejected(self, header, message):
-        with pytest.raises(FormatError, match=message):
+        with pytest.raises(InputError, match=message):
             load_checkpoint_bytes(b"XMCK" + header + b"\x00" * 64)
 
     def test_copy_is_independent(self):

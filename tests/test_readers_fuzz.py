@@ -1,15 +1,17 @@
-"""Fuzzing of the binary readers: a damaged file is a FormatError or a model
-or dataset, never another exception."""
+"""Fuzzing of the binary readers: a damaged file is an InputError that one of
+the readers raised itself, or a model or dataset, never another exception."""
 
 import json
+import re
 import struct
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from xmc.datagen import Dataset, dataset_from_bytes, dataset_to_bytes, splits_to_json
-from xmc.errors import FormatError
+from xmc.errors import InputError
 from xmc.models import init_encoder, load_checkpoint_bytes, save_checkpoint_bytes
 
 FUZZ = settings(max_examples=200, deadline=None,
@@ -57,11 +59,27 @@ DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
 CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
 
 
+# how every message of the dataset, sidecar and checkpoint readers begins
+READER_MESSAGE = re.compile(r"(not a |unsupported |bad )?(dataset|splits sidecar|checkpoint)\b")
+
+
 def loads_or_format_error(load, *args):
+    """``load(*args)`` returns, or a reader refuses the input as malformed. An
+    exit-3 error from any other check means a damaged file got past the reader."""
     try:
         load(*args)
-    except FormatError:
-        pass
+    except InputError as e:
+        assert READER_MESSAGE.match(str(e)), str(e)
+
+
+def test_the_check_refuses_an_input_error_from_outside_the_readers():
+    loads_or_format_error(load_checkpoint_bytes, b"XMCK")
+
+    def load():
+        raise InputError("|rho| must be < 1, got 1.0")
+
+    with pytest.raises(AssertionError, match="rho"):
+        loads_or_format_error(load)
 
 
 class TestDatasetReader:
