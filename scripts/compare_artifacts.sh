@@ -5,8 +5,10 @@
 # config (TINY_YAML in CHANGE_TREE/tests/test_cli.py) with one BLAS thread,
 # once with each tree's src/. Then it cmp's every artifact (CSV, checkpoint,
 # dataset, splits sidecar) and compares the manifests with each run's output
-# directory replaced by a placeholder. Exits 0 when all are equal, 1 when
-# something differs or a command fails.
+# directory replaced by a placeholder. Under each CSV that differs it prints
+# the first ten differing lines of both sides (- parent, + change), numbered
+# from 1 at the header. Exits 0 when all are equal, 1 when something differs
+# or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
 # WORK_DIR (default: a new temporary directory) receives the config and the
@@ -55,6 +57,7 @@ python3 - "$work/parent" "$work/change" <<'PY'
 import filecmp
 import json
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 dirs = [Path(d) for d in sys.argv[1:]]
@@ -70,6 +73,12 @@ for name in sorted(set(names[0]) & set(names[1])):
     else:
         same = filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
     print(f"{'same' if same else 'DIFFERENT'}  {name}")
+    if not same and name.endswith(".csv"):
+        sides = ((d / name).read_text().splitlines() for d in dirs)
+        pairs = [(i, a, b) for i, (a, b) in enumerate(zip_longest(*sides), 1) if a != b]
+        for i, a, b in pairs[:10]:
+            print(f"  - {i}: {'<no line>' if a is None else a}")
+            print(f"  + {i}: {'<no line>' if b is None else b}")
     ok = ok and same
 sys.exit(0 if ok else 1)
 PY

@@ -188,6 +188,9 @@ def load_config(path: str | Path | None = None,
         with open(path, "rb") as f:
             try:
                 loaded = yaml.safe_load(f)
+            except yaml.reader.ReaderError as e:  # a byte that is not UTF-8 or not printable
+                raise InputError(
+                    f"malformed YAML in {path} at byte {e.position}: {e.reason}") from None
             except yaml.YAMLError as e:
                 mark = getattr(e, "problem_mark", None)
                 where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

@@ -42,13 +42,12 @@ class NegativeQueue:
         return min(self._count, self.capacity)
 
     def enqueue(self, keys: np.ndarray) -> None:
-        """Insert a (B, D) block of keys, evicting the B oldest when full."""
+        """Insert a (B, D) block of keys, evicting the B oldest when full. A
+        block larger than the queue leaves only its newest ``capacity`` keys."""
         keys = np.asarray(keys, dtype=np.float64)
         if keys.ndim != 2:
             raise XmcError(f"enqueue expects a (B, D) block, got shape {keys.shape}")
-        if len(keys) > self.capacity:
-            raise XmcError(
-                f"cannot enqueue {len(keys)} keys into a queue of capacity {self.capacity}")
+        keys = keys[-self.capacity:]
         if self.unit_check:
             norms = np.sqrt((keys * keys).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -131,12 +130,9 @@ def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
 def warm_start(queue: NegativeQueue, keys: np.ndarray, batch: int) -> int:
     """Fill the queue from the leading ceil(capacity / batch) batches of
     ``keys``, so the first losses are measured against a full complement of
-    negatives. A batch larger than the queue enqueues only its newest
-    ``capacity`` keys, the ones FIFO eviction would keep. Returns the number
-    of leading keys used."""
+    negatives. Returns the number of leading keys used."""
     used = math.ceil(queue.capacity / batch) * batch
-    for start in range(0, used, batch):
-        queue.enqueue(keys[start:start + batch][-queue.capacity:])
+    queue.enqueue(keys[:used])
     return used
 
 
@@ -155,9 +151,6 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     if not vision.frozen:
         raise XmcError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
-    if cfg.queue_size < cfg.batch_size:
-        raise InputError(
-            f"queue size {cfg.queue_size} must be >= batch size {cfg.batch_size}")
     if len(idx) < cfg.queue_size:
         raise InputError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
@@ -178,8 +171,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
 
     def loss(raw: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
         q, normalize_back = ad.l2_normalize(raw)
-        # info_nce scores against a copy of the queue, so enqueueing the
-        # batch's keys now leaves this step's loss and gradient as they are
+        # enqueue only after scoring: a batch is never its own negatives
         value, dq = info_nce(q, keys[sel], queue, cfg.tau)
         queue.enqueue(keys[sel])
         return value, normalize_back(dq)

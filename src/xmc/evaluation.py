@@ -224,12 +224,10 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
                     k: int, seed: int) -> tuple:
     """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
-    scored by accuracy alone (no test-loss curve). Arms with K below the
-    batch size shrink the batch to K so the queue can always hold one batch.
-    As in the label sweep, the task split is built after pre-training.
-    Returns the row (K, "linear-probe", seed, accuracy)."""
-    contrastive = dataclasses.replace(cfg.contrastive, queue_size=k,
-                                      batch_size=min(cfg.contrastive.batch_size, k))
+    scored by accuracy alone (no test-loss curve). As in the label sweep,
+    the task split is built after pre-training. Returns the row
+    (K, "linear-probe", seed, accuracy)."""
+    contrastive = dataclasses.replace(cfg.contrastive, queue_size=k)
     encoder, _ = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden,
                           cfg.embed_dim)
     accuracy, _ = linear_probe(encoder, make_task_split(dataset), 1.0, cfg.eval, seed,

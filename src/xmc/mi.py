@@ -55,8 +55,6 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
     because the contrastive loss detaches keys. For affine critics this does
     not shrink the reachable score family. Held-out pairs are scored against
     a queue of previously seen held-out keys, mirroring training conditions.
-    A batch larger than the queue enqueues only its newest ``k`` keys, the
-    ones FIFO eviction would keep.
     """
     k = critic.queue_size
     x, y = gen_gaussian_pairs(critic.dim, rho, critic.pair_count, seed)
@@ -80,7 +78,7 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
 
     def critic_loss(q: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
         value, dq = info_nce(q, keys_train[sel], queue, TAU)
-        queue.enqueue(keys_train[sel][-k:])
+        queue.enqueue(keys_train[sel])
         return value, dq
 
     for _ in fit([q_enc], x_train, critic_loss, epochs=critic.epochs,
@@ -102,6 +100,6 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
         m = q_hold[sel].shape[0]
         total += loss * m
         count += m
-        eval_queue.enqueue(keys_hold[sel][-k:])
+        eval_queue.enqueue(keys_hold[sel])
     mean_loss = total / count
     return mean_loss, mi_lower_bound(mean_loss, k), analytic_mi(rho, critic.dim)

@@ -118,7 +118,7 @@ class TestGenData:
         err = capsys.readouterr().err
         assert code == 3
         assert err.count("\n") == 1 and "Traceback" not in err
-        assert err.startswith(f"xmc gen-data: malformed YAML in {bad}")
+        assert err == f"xmc gen-data: malformed YAML in {bad} at byte 14: invalid start byte\n"
 
     @pytest.mark.parametrize("sidecar", [b"{not json", b"7", b'{"\xff": 1}'])
     def test_bad_splits_sidecar_exits_3(self, workdir, tmp_path, capsys, sidecar):

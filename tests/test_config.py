@@ -86,3 +86,15 @@ def test_every_float_setting_rejects_nan_and_infinities(setting, value):
         overlay = {key: overlay}
     with pytest.raises(InputError, match="must be finite and"):
         load_config(None, overlay)
+
+
+@pytest.mark.parametrize("text, where", [
+    (b"seed: [unclosed\n", "at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
+    (b"seed: 7\nname: \xff\xfe\n", "at byte 14: invalid start byte"),
+    (b"abc\x07", "at byte 3: special characters are not allowed"),
+], ids=["parser", "not-utf8", "control-character"])
+def test_malformed_yaml_names_where_and_why(tmp_path, text, where):
+    bad = tmp_path / "bad.yaml"
+    bad.write_bytes(text)
+    with pytest.raises(InputError, match=f"^{re.escape(f'malformed YAML in {bad} {where}')}$"):
+        load_config(bad)

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc import autodiff as ad
+from xmc import contrastive
 from xmc.config import ContrastiveSection, DatagenSection, VisionSection
 from xmc.contrastive import (
     NegativeQueue,
@@ -90,18 +91,19 @@ class TestNegativeQueue:
         q.enqueue(fresh)
         np.testing.assert_array_equal(q.snapshot(), fresh)
 
-    def test_oversized_batch_rejected(self):
-        with pytest.raises(XmcError,
-                           match="^cannot enqueue 3 keys into a queue of capacity 2$") as err:
-            NegativeQueue(2).enqueue(unit_rows(np.ones((3, 2))))
-        assert err.type is XmcError
+    def test_oversized_block_keeps_its_newest_keys(self):
+        vecs = unit_rows(np.random.default_rng(5).normal(size=(3, 2)))
+        q = NegativeQueue(2)
+        q.enqueue(vecs)
+        assert len(q) == 2
+        np.testing.assert_array_equal(q.snapshot(), vecs[1:])  # oldest first
 
     def test_non_unit_keys_rejected(self):
         with pytest.raises(XmcError, match="^queue keys must be unit-norm$") as err:
             NegativeQueue(4).enqueue(np.ones((2, 3)))
         assert err.type is XmcError
 
-    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=30),
+    @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=30),
            st.integers(min_value=5, max_value=16))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_deque_model(self, batch_sizes, capacity):
@@ -128,6 +130,15 @@ class TestWarmStart:
         q = NegativeQueue(3)
         assert warm_start(q, keys, 4) == 4
         np.testing.assert_array_equal(q.snapshot(), keys[1:4])
+
+    @pytest.mark.parametrize("batch", [2, 5, 7], ids=["B<K", "B=K", "B>K"])
+    def test_one_call_fill_matches_the_batch_by_batch_fill(self, batch):
+        keys = unit_rows(np.random.default_rng(6).normal(size=(12, 3)))
+        one_call, by_batch = NegativeQueue(5), NegativeQueue(5)
+        used = warm_start(one_call, keys, batch)
+        for start in range(0, used, batch):
+            by_batch.enqueue(keys[start:start + batch])
+        np.testing.assert_array_equal(one_call.snapshot(), by_batch.snapshot())
 
 
 class TestInfoNce:
@@ -274,9 +285,20 @@ class TestInfoNce:
 
 
 class TestContrastiveConfig:
-    def test_queue_must_cover_batch(self, toy_setup):
-        with pytest.raises(InputError, match="queue size 16 must be >= batch size 64"):
-            toy_pretrain(*toy_setup, seed=0, queue_size=16, batch_size=64)
+    def test_batch_larger_than_the_queue_trains(self, toy_setup, monkeypatch):
+        """A batch of 16 against a queue of 8 trains, and every step scores
+        against the 8 newest keys."""
+        seen = []
+
+        def spy(q, k_plus, queue, tau):
+            seen.append(queue.snapshot().shape[0])
+            return info_nce(q, k_plus, queue, tau)
+
+        monkeypatch.setattr(contrastive, "info_nce", spy)
+        _, history = toy_pretrain(*toy_setup, seed=0, queue_size=8, batch_size=16, epochs=2)
+        assert len(history) == 2
+        assert all(math.isfinite(loss) for _, _, loss in history)
+        assert seen and set(seen) == {8}
 
     def test_tau_positive(self, toy_setup):
         with pytest.raises(InputError, match="temperature must be > 0"):

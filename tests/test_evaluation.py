@@ -7,7 +7,7 @@ import pytest
 
 from xmc import autodiff as ad
 from xmc import evaluation as ev
-from xmc.config import DatagenSection, EvalSection, ExperimentConfig
+from xmc.config import ContrastiveSection, DatagenSection, EvalSection, ExperimentConfig
 from xmc.datagen import make_dataset
 from xmc.errors import InputError, NumericError, XmcError
 from xmc.evaluation import (
@@ -239,6 +239,24 @@ class TestCurveFreeArms:
 
 
 class TestSweepPlumbing:
+    @pytest.mark.parametrize("k", [4, 8, 256])
+    def test_queue_sweep_arm_keeps_the_configured_batch(self, tiny_dataset, monkeypatch, k):
+        """Each queue-sweep arm varies K alone: its batch is the configured one."""
+        width = make_task_split(tiny_dataset).test_inputs.shape[1]
+        sections = []
+
+        def stub_pretrain(ds, vision, cfg, seed, hidden, embed_dim):
+            sections.append(cfg)
+            return init_encoder([width, *hidden, embed_dim], seed=seed), []
+
+        monkeypatch.setattr(ev, "pretrain", stub_pretrain)
+        cfg = ExperimentConfig(encoder_hidden=[32], embed_dim=16, eval=FAST_HEAD,
+                               contrastive=ContrastiveSection(batch_size=8))
+        ev.queue_sweep_arm(tiny_dataset, None, cfg, k=k, seed=27)
+        [section] = sections
+        assert section.batch_size == cfg.contrastive.batch_size
+        assert section.queue_size == k
+
     def test_aggregate_means_and_stds(self):
         details = [(32, "x", s, a) for s, a in [(0, 0.8), (1, 0.8), (2, 0.8)]]
         details += [(8, "x", s, a) for s, a in [(0, 0.5), (1, 0.7), (2, 0.6)]]
