@@ -4,8 +4,9 @@
 # Runs the ten commands, gen-data through estimate-mi, on the tiny test
 # config (TINY_YAML in CHANGE_TREE/tests/test_cli.py) with one BLAS thread,
 # once with each tree's src/. Then it cmp's every artifact (CSV, checkpoint,
-# dataset, splits sidecar) and compares the manifests with each run's output
-# directory replaced by a placeholder. Under each CSV that differs it prints
+# dataset, and the splits sidecar of a tree that still writes one) and
+# compares the manifests with each run's output directory replaced by a
+# placeholder. Under each CSV that differs it prints
 # the first ten differing lines of both sides (- parent, + change), numbered
 # from 1 at the header. Exits 0 when all are equal, 1 when something differs
 # or a command fails.
@@ -26,6 +27,7 @@ mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
+# a tree whose dataset file is version 1 also reads its pool size from XMC_JOBS
 unset XMC_JOBS
 
 # Both trees run the same config, so any difference comes from the code.

@@ -2,10 +2,11 @@
 """Time xmc CLI commands end to end, one child process each.
 
 Runs the named commands in order (by default all ten, gen-data through
-estimate-mi) into one output directory, with one BLAS/OpenMP thread and
-XMC_JOBS set to --jobs. Each command's wall time comes from the parent's
-clock; its CPU time (user + system), peak RSS and minor page faults come
-from ``os.wait4`` on that child, so they include any pool workers it reaped.
+estimate-mi) into one output directory, with one BLAS/OpenMP thread, and
+passes --jobs on to the pooled commands. Each command's wall time comes from
+the parent's clock; its CPU time (user + system), peak RSS and minor page
+faults come from ``os.wait4`` on that child, so they include any pool
+workers it reaped.
 Prints one JSON object to stdout. Stops at the first command that fails,
 since later commands read its outputs, and then exits 1.
 
@@ -35,6 +36,7 @@ from pathlib import Path
 
 COMMANDS = ("gen-data", "pretrain-vision", "pretrain", "probe", "finetune", "baseline",
             "project", "sweep-k", "sweep-labels", "estimate-mi")
+POOLED = ("sweep-k", "sweep-labels", "estimate-mi")
 
 
 def src_sha256(tree: Path) -> str:
@@ -70,7 +72,7 @@ def main() -> int:
     parser.add_argument("--config", default=None, help="YAML config (default: the defaults)")
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--jobs", type=int, default=1,
-                        help="XMC_JOBS for the commands (default: 1)")
+                        help="--jobs for the pooled commands (default: 1)")
     args = parser.parse_args()
     unknown = [c for c in args.commands if c not in COMMANDS]
     if unknown:
@@ -79,7 +81,7 @@ def main() -> int:
     tree = args.tree.resolve()
     out = args.out or Path(tempfile.mkdtemp(prefix="xmc-time-"))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", XMC_JOBS=str(args.jobs))
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     extra = ["--out", str(out), "--force"]
     extra += ["--config", str(Path(args.config).resolve())] if args.config else []
 
@@ -90,7 +92,8 @@ def main() -> int:
               "commands": []}
     try:
         for name in args.commands or COMMANDS:
-            run = time_command([sys.executable, "-m", "xmc.cli", name, *extra], env)
+            jobs = ["--jobs", str(args.jobs)] if name in POOLED else []
+            run = time_command([sys.executable, "-m", "xmc.cli", name, *extra, *jobs], env)
             report["commands"].append({"command": name, **run})
             if run["rc"] != 0:
                 break

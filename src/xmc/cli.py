@@ -39,7 +39,7 @@ from .datagen import (
 from .errors import InputError, XmcError
 from .mi import estimate_mi_gaussian
 from .models import EncoderModel, load_checkpoint, pretrain_vision, save_checkpoint
-from .runio import sha256_file, splits_path, write_csv, write_manifest
+from .runio import sha256_file, write_csv, write_manifest
 from .seeding import derive_seed
 
 
@@ -52,7 +52,6 @@ def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 # Input role -> (default file under the output directory, --help text).
-# A "data" input brings its splits sidecar along.
 INPUTS = {
     "data": ("dataset.xmcd", "dataset file"),
     "vision": ("vision.xmck", "vision checkpoint"),
@@ -62,8 +61,7 @@ INPUTS = {
 # Extra flag -> its argparse keywords.
 FLAGS = {
     "fraction": {"type": float, "default": 1.0, "help": "label fraction"},
-    "jobs": {"type": int, "default": None,
-             "help": "parallel arms (default: $XMC_JOBS or 1)"},
+    "jobs": {"type": int, "default": 1, "help": "parallel arms (at least 1)"},
 }
 
 
@@ -106,16 +104,15 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
     output directory and refuse to overwrite the outputs (exit 1), then run
     the body and write the manifest."""
     spec = SPECS[name]
-    if "jobs" in spec.flags:
-        args.jobs = _jobs(args.jobs)
+    if "jobs" in spec.flags and args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     out_dir = Path(args.out or cfg.io.out_dir)
     paths = {role: Path(getattr(args, role) or out_dir / INPUTS[role][0])
              for role in spec.inputs}
     inputs = {}
-    for role, path in paths.items():
-        for p in (path, splits_path(path)) if role == "data" else (path,):
-            _check_input(p)
-            inputs[str(p)] = sha256_file(p)
+    for path in paths.values():
+        _check_input(path)
+        inputs[str(path)] = sha256_file(path)
     base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not base.is_dir():
         raise XmcError(f"output directory {out_dir}: {base} is not a directory")
@@ -136,7 +133,7 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 # commands
 # ---------------------------------------------------------------------------
 
-@command("gen-data", outputs=("dataset.xmcd", "dataset.splits.json"))
+@command("gen-data", outputs=("dataset.xmcd",))
 def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     ds = make_dataset(cfg.datagen, derive_seed(cfg.seed, "datagen"))
     save_dataset(outputs[0], ds)
@@ -230,20 +227,6 @@ def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 
 # -- sweeps (optionally parallel over arms) ---------------------------------
-
-def _jobs(flag: int | None) -> int:
-    """The pool size: ``--jobs``, else $XMC_JOBS, else 1; it must be >= 1."""
-    source, jobs = "--jobs", flag
-    if flag is None:
-        source, env = "XMC_JOBS", os.environ.get("XMC_JOBS", "1")
-        try:
-            jobs = int(env)
-        except ValueError:
-            raise InputError(f"XMC_JOBS must be an integer, got {env!r}") from None
-    if jobs < 1:
-        raise InputError(f"{source} must be at least 1, got {jobs}")
-    return jobs
-
 
 def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
     """``fn(*arm)`` for each arm, in a pool of ``jobs`` processes."""

@@ -8,6 +8,7 @@ with the code version, a resolved config fully determines a run.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import math
 from dataclasses import dataclass, field
@@ -189,8 +190,15 @@ def load_config(path: str | Path | None = None,
             try:
                 loaded = yaml.safe_load(f)
             except yaml.reader.ReaderError as e:  # a byte that is not UTF-8 or not printable
+                at = e.position
+                if e.encoding == "unicode":  # not printable: PyYAML counts characters
+                    f.seek(0)
+                    raw = f.read()
+                    enc = {codecs.BOM_UTF16_LE: "utf-16-le",
+                           codecs.BOM_UTF16_BE: "utf-16-be"}.get(raw[:2], "utf-8")
+                    at = len(raw.decode(enc, "replace")[:at].encode(enc))
                 raise InputError(
-                    f"malformed YAML in {path} at byte {e.position}: {e.reason}") from None
+                    f"malformed YAML in {path} at byte {at}: {e.reason}") from None
             except yaml.YAMLError as e:
                 mark = getattr(e, "problem_mark", None)
                 where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

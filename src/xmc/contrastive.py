@@ -93,8 +93,8 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
     if negatives.shape[1] != q.shape[1]:
         raise XmcError(
             f"queue dim {negatives.shape[1]} does not match embedding dim {q.shape[1]}")
-    if queue.unit_check:
-        for name, block in (("q", q), ("k_plus", k_plus), ("queue", negatives)):
+    if queue.unit_check:  # enqueue has checked the queued keys
+        for name, block in (("q", q), ("k_plus", k_plus)):
             norms = np.sqrt((block * block).sum(axis=1))
             if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
                 raise XmcError(f"info_nce: {name} rows are not unit-norm")

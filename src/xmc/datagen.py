@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import json
 import math
 import operator
 import os
@@ -31,7 +30,7 @@ CLASS_NAMES = ("empty", "pedestrian", "cyclist", "car")
 N_CLASSES = len(CLASS_NAMES)
 
 DATASET_MAGIC = b"XMCD"
-DATASET_VERSION = 1
+DATASET_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +212,10 @@ class Dataset:
     ``train_idx``/``test_idx`` form the 80/20 split; within train,
     ``vision_idx`` is reserved for teacher pre-training and
     ``contrastive_idx`` for label-free contrastive training (labels of the
-    latter are also what the downstream probes are allowed to see). Loaded
-    samples stay in the file (``_Rows``).
+    latter are also what the downstream probes are allowed to see). The file
+    stores the partition as one split byte per sample, so a loaded partition
+    is whole and disjoint by construction. Loaded samples stay in the file
+    (``_Rows``).
     """
 
     heatmaps: np.ndarray | _Rows  # (n, R, A)
@@ -308,74 +309,36 @@ def image_inputs(images: np.ndarray) -> np.ndarray:
 _HEADER = struct.Struct("<4sH5I")  # magic, version, R, A, H, W, n
 # about what a load, a gather or a save holds of the body at once
 _BLOCK_BYTES = 1 << 20
-_SPLIT_KEYS = ("train", "test", "vision", "contrastive")
 # what a gather checks of the file its load read: (device, inode, size, mtime)
 _STAMP = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def _record_dtype(r: int, a: int, h: int, w: int) -> np.dtype:
-    """One sample of the file body: class u8, heatmap f64, image f64."""
-    return np.dtype([("label", "u1"), ("heatmap", "<f8", (r, a)),
+    """One sample of the file body: class u8, split u8, heatmap f64, image f64."""
+    return np.dtype([("label", "u1"), ("split", "u1"), ("heatmap", "<f8", (r, a)),
                      ("image", "<f8", (h, w))])
 
 
 def _records(ds: Dataset) -> Iterator[bytes | np.ndarray]:
     """The dataset file, one block of records at a time. Header: magic,
     version u16, R, A, H, W, n as little-endian u32; then per sample: class
-    u8, heatmap f64 row-major, image f64 row-major."""
+    u8, split u8 (0 test, 1 vision, 2 contrastive), heatmap f64 row-major,
+    image f64 row-major."""
     dims = (*ds.heatmaps.shape[1:], *ds.images.shape[1:])
     record = _record_dtype(*dims)
+    split = np.zeros(ds.n, dtype=np.uint8)
+    split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
     yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *dims, ds.n)
     step = max(1, _BLOCK_BYTES // record.itemsize)
     for start in range(0, ds.n, step):
         block = np.empty(min(step, ds.n - start), dtype=record)
-        for key, arr in zip(record.names, (ds.labels, ds.heatmaps, ds.images)):
+        for key, arr in zip(record.names, (ds.labels, split, ds.heatmaps, ds.images)):
             block[key] = arr[start:start + step]
         yield block
 
 
 def dataset_to_bytes(ds: Dataset) -> bytes:
     return b"".join(_records(ds))
-
-
-def splits_to_json(ds: Dataset) -> str:
-    payload = {key: getattr(ds, f"{key}_idx").tolist() for key in _SPLIT_KEYS}
-    return json.dumps(payload, sort_keys=True, indent=0) + "\n"
-
-
-def _split_indices(splits_json: str | bytes, n: int) -> dict[str, np.ndarray]:
-    """The four index arrays of a splits sidecar for ``n`` samples. Each
-    holds distinct in-range indices, test and train share none, and vision
-    and contrastive partition train: checked on per-sample counts, since
-    ``np.unique`` and the set routines import ``numpy.ma``."""
-    try:
-        splits = json.loads(splits_json)
-    except ValueError as e:  # JSONDecodeError, or UnicodeDecodeError from bytes
-        raise InputError(f"splits sidecar is not JSON: {e}") from None
-    if not isinstance(splits, dict):
-        raise InputError("splits sidecar root must be a JSON object")
-    out, counts = {}, {}
-    for key in _SPLIT_KEYS:
-        if key not in splits:
-            raise InputError(f"splits sidecar is missing {key!r}")
-        idx = splits[key]
-        if not isinstance(idx, list) or any(type(i) is not int for i in idx):
-            raise InputError(f"splits sidecar {key!r} must be a list of integers")
-        bad = [i for i in idx if not 0 <= i < n]
-        if bad:
-            raise InputError(
-                f"splits sidecar {key!r} index {bad[0]} is out of range for {n} samples")
-        out[key] = np.asarray(idx, dtype=np.int64)
-        counts[key] = np.bincount(out[key], minlength=n)
-        if (counts[key] > 1).any():
-            raise InputError(f"splits sidecar {key!r} repeats an index")
-    if (counts["test"] & counts["train"]).any():
-        raise InputError("splits sidecar: test and train share samples")
-    if (counts["vision"] & counts["contrastive"]).any():
-        raise InputError("splits sidecar: vision and contrastive share samples")
-    if not np.array_equal(counts["vision"] | counts["contrastive"], counts["train"]):
-        raise InputError("splits sidecar: vision and contrastive do not make up train")
-    return out
 
 
 def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
@@ -391,7 +354,7 @@ def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
     if min(r, a, h, w, n) < 1:
         raise InputError(f"dataset header has a zero size: R, A, H, W, n = "
                          f"{r}, {a}, {h}, {w}, {n}")
-    expected = _HEADER.size + n * (1 + 8 * r * a + 8 * h * w)
+    expected = _HEADER.size + n * (2 + 8 * r * a + 8 * h * w)
     if size < expected:
         raise InputError(f"dataset file truncated: {size} bytes, the header "
                          f"implies {expected}")
@@ -439,31 +402,32 @@ class _Rows:
         return out
 
 
-def _read_dataset(blocks: Callable, splits_json: str | bytes) -> Dataset:
-    """The dataset file that ``blocks()`` streams; the labels are read now."""
-    labels = []
+def _read_dataset(blocks: Callable) -> Dataset:
+    """The dataset file that ``blocks()`` streams; the labels and the split
+    bytes are read now."""
+    labels, split = [], []
     for _, block in blocks():
         labels.append(block["label"].copy())
-    labels = np.concatenate(labels)
+        split.append(block["split"].copy())
+    labels, split = np.concatenate(labels), np.concatenate(split)
     if labels.max() >= N_CLASSES:
         raise InputError(f"dataset file has a class id above {N_CLASSES - 1}")
+    if split.max() > 2:
+        raise InputError("dataset file has a split byte above 2")
     heatmaps, images = (_Rows(blocks, key, (len(labels), *block.dtype[key].shape))
                         for key in ("heatmap", "image"))
-    idx = _split_indices(splits_json, len(labels))  # train, test, vision, contrastive
-    return Dataset(heatmaps, images, labels, *idx.values())
+    return Dataset(heatmaps, images, labels, np.flatnonzero(split != 0),
+                   *(np.flatnonzero(split == tag) for tag in range(3)))
 
 
-def dataset_from_bytes(blob: bytes, splits_json: str | bytes) -> Dataset:
-    return _read_dataset(partial(_blocks, partial(io.BytesIO, blob)), splits_json)
+def dataset_from_bytes(blob: bytes) -> Dataset:
+    return _read_dataset(partial(_blocks, partial(io.BytesIO, blob)))
 
 
 def save_dataset(path, ds: Dataset) -> None:
-    from .runio import atomic_write_bytes, splits_path
+    from .runio import atomic_write_bytes
     atomic_write_bytes(path, _records(ds))
-    atomic_write_bytes(splits_path(path), splits_to_json(ds).encode("ascii"))
 
 
 def load_dataset(path) -> Dataset:
-    from .runio import splits_path
-    blocks = partial(_blocks, partial(open, path, "rb"), _STAMP(os.stat(path)))
-    return _read_dataset(blocks, splits_path(path).read_bytes())
+    return _read_dataset(partial(_blocks, partial(open, path, "rb"), _STAMP(os.stat(path))))

@@ -42,11 +42,6 @@ def sha256_file(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def splits_path(dataset_path: str | Path) -> Path:
-    p = Path(dataset_path)
-    return p.with_name(p.stem + ".splits.json")
-
-
 def format_float(x: float) -> str:
     """Shortest round-trip decimal form, for byte-stable CSV output."""
     return repr(float(x))

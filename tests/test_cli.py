@@ -79,7 +79,7 @@ class TestGenData:
         blob = (pipeline / "dataset.xmcd").read_bytes()
         assert blob[:4] == b"XMCD"
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
-        assert (version, r, a, h, w, n) == (1, 32, 32, 32, 32, 160)
+        assert (version, r, a, h, w, n) == (2, 32, 32, 32, 32, 160)
 
     def test_manifest_records_hashes(self, pipeline):
         manifest = json.loads((pipeline / "gen-data.manifest.json").read_text())
@@ -120,18 +120,6 @@ class TestGenData:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err == f"xmc gen-data: malformed YAML in {bad} at byte 14: invalid start byte\n"
 
-    @pytest.mark.parametrize("sidecar", [b"{not json", b"7", b'{"\xff": 1}'])
-    def test_bad_splits_sidecar_exits_3(self, workdir, tmp_path, capsys, sidecar):
-        out = tmp_path / "o"
-        args = ["--config", str(workdir / "tiny.yaml"), "--out", str(out)]
-        assert main(["gen-data", *args]) == 0
-        (out / "dataset.splits.json").write_bytes(sidecar)
-        capsys.readouterr()
-        code = main(["pretrain-vision", *args])
-        err = capsys.readouterr().err
-        assert code == 3
-        assert err.count("\n") == 1 and "splits sidecar" in err
-
 
 class TestExitCodes:
     def one_line(self, capsys) -> str:
@@ -153,12 +141,15 @@ class TestExitCodes:
         out = tmp_path / "o"
         args = ["--config", str(workdir / "tiny.yaml"), "--out", str(out)]
         assert main(["gen-data", *args]) == 0
-        sidecar = out / "dataset.splits.json"
-        splits = json.loads(sidecar.read_text())
-        # keep a valid partition: all but one vision sample go to contrastive
-        splits["contrastive"] += splits["vision"][1:]
-        splits["vision"] = splits["vision"][:1]
-        sidecar.write_text(json.dumps(splits))
+        data = out / "dataset.xmcd"
+        blob = bytearray(data.read_bytes())
+        record = (len(blob) - 26) // 160  # TINY_YAML's datagen.n
+        # all but one vision sample (split byte 1) go to contrastive (2); each
+        # split byte follows the 26-byte header and its sample's class byte
+        vision = [at for at in range(27, len(blob), record) if blob[at] == 1]
+        for at in vision[1:]:
+            blob[at] = 2
+        data.write_bytes(blob)
         capsys.readouterr()
         assert main(["pretrain-vision", *args]) == 3
         assert "takes all 1 samples" in self.one_line(capsys)
@@ -172,34 +163,20 @@ class TestExitCodes:
         assert main(["pretrain-vision", *args]) == 3
         assert "the vision split is empty" in self.one_line(capsys)
 
-    def test_non_integer_xmc_jobs_exits_3(self, workdir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("XMC_JOBS", "two")
-        code = main(["estimate-mi", "--config", str(workdir / "tiny.yaml"),
-                     "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "XMC_JOBS" in self.one_line(capsys)
-
-    @pytest.mark.parametrize("flag, env, source", [("0", None, "--jobs"),
-                                                   ("-2", None, "--jobs"),
-                                                   (None, "0", "XMC_JOBS")],
-                             ids=["flag-0", "flag-negative", "env-0"])
+    @pytest.mark.parametrize("flag", ["0", "-2"], ids=["flag-0", "flag-negative"])
     def test_jobs_below_one_exits_3(self, pipeline, workdir, tmp_path, capsys,
-                                    monkeypatch, flag, env, source):
+                                    monkeypatch, flag):
         """A pool of fewer than one process is refused before any input is
         read, rather than silently run serially."""
-        monkeypatch.delenv("XMC_JOBS", raising=False)
-        if env is not None:
-            monkeypatch.setenv("XMC_JOBS", env)
         monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
-        jobs = [] if flag is None else ["--jobs", flag]
         inputs = ["--data", str(pipeline / "dataset.xmcd"),
                   "--vision", str(pipeline / "vision.xmck")]
         for command, args in (("sweep-labels", inputs), ("sweep-k", inputs),
                               ("estimate-mi", [])):
             out = tmp_path / command
             assert main([command, "--config", str(workdir / "tiny.yaml"),
-                         "--out", str(out), *args, *jobs]) == 3
-            assert f"{source} must be at least 1" in self.one_line(capsys)
+                         "--out", str(out), *args, "--jobs", flag]) == 3
+            assert f"--jobs must be at least 1, got {flag}" in self.one_line(capsys)
             assert not out.exists()
 
     def test_version_1_checkpoint_exits_3(self, pipeline, workdir, tmp_path, capsys):
@@ -213,31 +190,9 @@ class TestExitCodes:
         assert code == 3
         assert "unsupported checkpoint version 1" in self.one_line(capsys)
 
-    @pytest.mark.parametrize("damage, message", [
-        (lambda s: s["test"].append(160), "'test' index 160 is out of range"),
-        (lambda s: s["contrastive"].append(s["contrastive"][0]), "'contrastive' repeats"),
-        (lambda s: s["train"].append(s["test"][0]), "test and train share"),
-        (lambda s: s["contrastive"].append(s["vision"][0]), "vision and contrastive share"),
-        (lambda s: s["contrastive"].extend(s["test"]), "do not make up train"),
-    ], ids=["out-of-range", "repeated", "test-in-train", "vision-in-contrastive",
-            "test-in-contrastive"])
-    def test_inconsistent_sidecar_exits_3(self, pipeline, workdir, tmp_path, capsys,
-                                          damage, message):
-        data = tmp_path / "d.xmcd"
-        data.write_bytes((pipeline / "dataset.xmcd").read_bytes())
-        splits = json.loads((pipeline / "dataset.splits.json").read_text())
-        damage(splits)
-        (tmp_path / "d.splits.json").write_text(json.dumps(splits))
-        capsys.readouterr()
-        code = main(["pretrain-vision", "--config", str(workdir / "tiny.yaml"),
-                     "--out", str(tmp_path / "o"), "--data", str(data)])
-        assert code == 3
-        assert message in self.one_line(capsys)
-
     def test_oversized_dataset_header_exits_3(self, workdir, tmp_path, capsys):
         data = tmp_path / "d.xmcd"
-        data.write_bytes(b"XMCD" + struct.pack("<H5I", 1, 32, 32, 32, 32, 2**32 - 1))
-        (tmp_path / "d.splits.json").write_text("{}")
+        data.write_bytes(b"XMCD" + struct.pack("<H5I", 2, 32, 32, 32, 32, 2**32 - 1))
         capsys.readouterr()
         code = main(["pretrain-vision", "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"), "--data", str(data)])
@@ -245,21 +200,18 @@ class TestExitCodes:
         assert "dataset file truncated" in self.one_line(capsys)
 
     @pytest.mark.parametrize("damage, message", [
-        (lambda blob, splits: (b"NOPE" + blob[4:], splits), "bad magic"),
-        (lambda blob, splits: (blob[:-1], splits), "dataset file truncated"),
-        (lambda blob, splits: (blob + b"\x00", splits), "trailing bytes"),
-        (lambda blob, splits: (blob, b"{not json"), "splits sidecar is not JSON"),
-        (lambda blob, splits: (blob, splits.replace(b"[", b"[160, ", 1)),
-         "index 160 is out of range"),
-        # the first sample's class id; the file keeps its length
-        (lambda blob, splits: (blob[:26] + b"\xff" + blob[27:], splits), "class id"),
-    ], ids=["magic", "truncated", "trailing", "sidecar-json", "sidecar-range", "class-id"])
-    def test_sweep_labels_checks_header_and_sidecar_before_the_pool(
+        (lambda blob: b"NOPE" + blob[4:], "bad magic"),
+        (lambda blob: blob[:-1], "dataset file truncated"),
+        (lambda blob: blob + b"\x00", "trailing bytes"),
+        # the first sample's class id and split byte; the file keeps its length
+        (lambda blob: blob[:26] + b"\xff" + blob[27:], "class id"),
+        (lambda blob: blob[:27] + b"\x03" + blob[28:], "split byte above 2"),
+        (lambda blob: blob[:4] + struct.pack("<H", 1) + blob[6:],
+         "unsupported dataset version 1"),
+    ], ids=["magic", "truncated", "trailing", "class-id", "split-byte", "version-1"])
+    def test_sweep_labels_checks_the_file_before_the_pool(
             self, pipeline, workdir, tmp_path, capsys, monkeypatch, damage, message):
-        blob, splits = damage((pipeline / "dataset.xmcd").read_bytes(),
-                              (pipeline / "dataset.splits.json").read_bytes())
-        (tmp_path / "d.xmcd").write_bytes(blob)
-        (tmp_path / "d.splits.json").write_bytes(splits)
+        (tmp_path / "d.xmcd").write_bytes(damage((pipeline / "dataset.xmcd").read_bytes()))
         monkeypatch.setattr(cli, "_map_arms", lambda *a: pytest.fail("pool started"))
         capsys.readouterr()
         code = main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
@@ -522,7 +474,7 @@ class TestCommandTable:
     def test_flag_defaults(self):
         args = cli.build_parser().parse_args(["probe"])
         assert (args.fraction, args.data, args.encoder, args.force) == (1.0, None, None, False)
-        assert cli.build_parser().parse_args(["sweep-k"]).jobs is None
+        assert cli.build_parser().parse_args(["sweep-k"]).jobs == 1
 
 
 class TestDeterminism:
@@ -721,14 +673,16 @@ class TestTimePipeline:
         assert ran[1]["rc"] == 2 and "required input not found" in ran[1]["stderr"]
         assert (out / "mi_estimates.csv").is_file()
 
-    def test_jobs_reach_the_commands_as_xmc_jobs(self, workdir, tmp_path):
+    def test_jobs_reach_the_pooled_commands_as_the_flag(self, workdir, tmp_path):
+        """gen-data takes no --jobs, so it runs; estimate-mi is given --jobs 0."""
         script = README.parent / "scripts" / "time_pipeline.py"
         proc = subprocess.run([sys.executable, str(script), "--config",
                                str(workdir / "tiny.yaml"), "--out", str(tmp_path / "o"),
-                               "--jobs", "0", "estimate-mi"],
+                               "--jobs", "0", "gen-data", "estimate-mi"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
         assert report["jobs"] == 0
-        (ran,) = report["commands"]
-        assert ran["rc"] == 3 and "XMC_JOBS must be at least 1, got 0" in ran["stderr"]
+        ran = report["commands"]
+        assert [c["rc"] for c in ran] == [0, 3]
+        assert "--jobs must be at least 1, got 0" in ran[1]["stderr"]

@@ -92,7 +92,9 @@ def test_every_float_setting_rejects_nan_and_infinities(setting, value):
     (b"seed: [unclosed\n", "at line 2, column 1: expected ',' or ']', but got '<stream end>'"),
     (b"seed: 7\nname: \xff\xfe\n", "at byte 14: invalid start byte"),
     (b"abc\x07", "at byte 3: special characters are not allowed"),
-], ids=["parser", "not-utf8", "control-character"])
+    # PyYAML counts the two-byte characters once each; the message counts bytes
+    ("name: éé\x07".encode(), "at byte 10: special characters are not allowed"),
+], ids=["parser", "not-utf8", "control-character", "control-after-multibyte"])
 def test_malformed_yaml_names_where_and_why(tmp_path, text, where):
     bad = tmp_path / "bad.yaml"
     bad.write_bytes(text)

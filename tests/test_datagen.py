@@ -1,7 +1,6 @@
 """Data generation tests: Gaussian pairs, scene rendering, dataset assembly."""
 
 import hashlib
-import json
 import math
 import os
 import struct
@@ -267,16 +266,24 @@ class TestMakeDataset:
 
 class TestDatasetFile:
     def test_round_trip_preserves_everything(self, tmp_path):
-        ds = make_dataset(DatagenSection(n=40), seed=12)
-        path = tmp_path / "toy.xmcd"
-        dg.save_dataset(path, ds)
-        loaded = dg.load_dataset(path)
-        assert loaded.content_hash() == ds.content_hash()
+        """The split bytes give back the generated index arrays, also with
+        an empty vision split and classes of unequal size."""
+        for cfg in (DatagenSection(n=40), DatagenSection(n=42, vision_fraction=0.0)):
+            ds = make_dataset(cfg, seed=12)
+            path = tmp_path / "toy.xmcd"
+            dg.save_dataset(path, ds)
+            loaded = dg.load_dataset(path)
+            assert loaded.content_hash() == ds.content_hash()
+            for key in ("train_idx", "test_idx", "vision_idx", "contrastive_idx"):
+                got, want = getattr(loaded, key), getattr(ds, key)
+                assert got.dtype == want.dtype == np.int64
+                np.testing.assert_array_equal(got, want)
+        assert len(ds.vision_idx) == 0
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
-        """The split checks count indices per sample: ``np.unique`` and the
-        set routines would import ``numpy.ma`` into every command that loads
-        a dataset."""
+        """A load rebuilds the split indices with ``np.flatnonzero``:
+        ``np.unique`` and the set routines would import ``numpy.ma`` into
+        every command that loads a dataset."""
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, make_dataset(DatagenSection(n=40), seed=12))
         proc = subprocess.run(
@@ -290,50 +297,66 @@ class TestDatasetFile:
         blob = dg.dataset_to_bytes(ds)
         assert blob[:4] == b"XMCD"
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
-        assert (version, r, a, h, w, n) == (1, 32, 32, 32, 32, 16)
-
-    def test_sidecar_is_json(self, tmp_path):
-        ds = make_dataset(DatagenSection(n=16), seed=14)
-        path = tmp_path / "toy.xmcd"
-        dg.save_dataset(path, ds)
-        sidecar = json.loads((tmp_path / "toy.splits.json").read_text())
-        assert set(sidecar) == {"train", "test", "vision", "contrastive"}
+        assert (version, r, a, h, w, n) == (2, 32, 32, 32, 32, 16)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(InputError, match=r"^not a dataset file \(bad magic\)$"):
-            dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30, "{}")
+            dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30)
 
     def test_body_is_per_sample_label_heatmap_image(self):
+        """Each sample is its class byte, its split byte (0 test, 1 vision,
+        2 contrastive), its heatmap and its image."""
         ds = make_dataset(DatagenSection(n=8), seed=15)
-        expected = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 8)]
+        split = {**{i: 0 for i in ds.test_idx}, **{i: 1 for i in ds.vision_idx},
+                 **{i: 2 for i in ds.contrastive_idx}}
+        assert sorted(split) == list(range(8))
+        expected = [b"XMCD", struct.pack("<H5I", 2, 32, 32, 32, 32, 8)]
         for i in range(8):
-            expected += [struct.pack("<B", ds.labels[i]),
+            expected += [struct.pack("<BB", ds.labels[i], split[i]),
                          ds.heatmaps[i].astype("<f8").tobytes(),
                          ds.images[i].astype("<f8").tobytes()]
         assert dg.dataset_to_bytes(ds) == b"".join(expected)
 
     def test_oversized_header_rejected_before_allocating(self):
         """A 26-byte file whose header claims 2**32 - 1 samples."""
-        blob = b"XMCD" + struct.pack("<H5I", 1, 32, 32, 32, 32, 2**32 - 1)
+        blob = b"XMCD" + struct.pack("<H5I", 2, 32, 32, 32, 32, 2**32 - 1)
         with pytest.raises(InputError, match="^dataset file truncated: 26 bytes"):
-            dg.dataset_from_bytes(blob, "{}")
+            dg.dataset_from_bytes(blob)
 
     def test_length_must_match_the_header_exactly(self):
         ds = make_dataset(DatagenSection(n=8), seed=16)
-        blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
+        blob = dg.dataset_to_bytes(ds)
         with pytest.raises(InputError, match="^dataset file truncated: "):
-            dg.dataset_from_bytes(blob[:-1], sidecar)
+            dg.dataset_from_bytes(blob[:-1])
         with pytest.raises(InputError, match="^dataset file has trailing bytes$"):
-            dg.dataset_from_bytes(blob + b"\x00", sidecar)
+            dg.dataset_from_bytes(blob + b"\x00")
 
     def test_zero_size_and_bad_class_rejected(self):
         ds = make_dataset(DatagenSection(n=8), seed=17)
-        blob, sidecar = dg.dataset_to_bytes(ds), dg.splits_to_json(ds)
-        empty = b"XMCD" + struct.pack("<H5I", 1, 0, 32, 32, 32, 8)
+        blob = dg.dataset_to_bytes(ds)
+        empty = b"XMCD" + struct.pack("<H5I", 2, 0, 32, 32, 32, 8)
         with pytest.raises(InputError, match="^dataset header has a zero size: "):
-            dg.dataset_from_bytes(empty, sidecar)
+            dg.dataset_from_bytes(empty)
         with pytest.raises(InputError, match="^dataset file has a class id above 3$"):
-            dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:], sidecar)
+            dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:])
+
+    def test_split_byte_above_2_rejected(self):
+        blob = dg.dataset_to_bytes(make_dataset(DatagenSection(n=8), seed=17))
+        at = len(blob) - (len(blob) - 26) // 8 + 1  # the last sample's split byte
+        for byte in (b"\x03", b"\xff"):
+            with pytest.raises(InputError, match="^dataset file has a split byte above 2$"):
+                dg.dataset_from_bytes(blob[:at] + byte + blob[at + 1:])
+
+    def test_version_1_file_rejected(self):
+        """A file as version 1 wrote it: no split byte, and the partition in a
+        JSON file beside it."""
+        ds = make_dataset(DatagenSection(n=8), seed=15)
+        old = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 8)]
+        for i in range(8):
+            old += [struct.pack("<B", ds.labels[i]), ds.heatmaps[i].astype("<f8").tobytes(),
+                    ds.images[i].astype("<f8").tobytes()]
+        with pytest.raises(InputError, match="^unsupported dataset version 1$"):
+            dg.dataset_from_bytes(b"".join(old))
 
 
 # Unsorted, repeated and empty index arrays, and slices with any bounds and step.
@@ -350,8 +373,7 @@ def stored(tmp_path_factory):
     ds = make_dataset(DatagenSection(n=40), seed=12)
     path = tmp_path_factory.mktemp("stored") / "toy.xmcd"
     dg.save_dataset(path, ds)
-    return ds, dg.load_dataset(path), dg.dataset_from_bytes(path.read_bytes(),
-                                                           dg.splits_to_json(ds))
+    return ds, dg.load_dataset(path), dg.dataset_from_bytes(path.read_bytes())
 
 
 class TestRowGather:

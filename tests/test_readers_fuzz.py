@@ -1,7 +1,6 @@
 """Fuzzing of the binary readers: a damaged file is an InputError that one of
 the readers raised itself, or a model or dataset, never another exception."""
 
-import json
 import re
 import struct
 
@@ -10,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmc.datagen import Dataset, dataset_from_bytes, dataset_to_bytes, splits_to_json
+from xmc.datagen import Dataset, dataset_from_bytes, dataset_to_bytes
 from xmc.errors import InputError
 from xmc.models import init_encoder, load_checkpoint_bytes, save_checkpoint_bytes
 
@@ -27,7 +26,6 @@ def small_dataset() -> Dataset:
 
 
 DATASET = dataset_to_bytes(small_dataset())
-SIDECAR = splits_to_json(small_dataset())
 CHECKPOINT = save_checkpoint_bytes(init_encoder([3, 4, 2], seed=0))
 
 
@@ -55,12 +53,14 @@ def damaged(blob: bytes, fields: list[tuple[int, str]]):
 
 # version u16, then R, A, H, W, n as u32
 DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
+# each sample's split byte: after the 26-byte header and the class byte, one record apart
+SPLIT_BYTES = range(27, len(DATASET), (len(DATASET) - 26) // 8)
 # version u16, frozen u8, layer count u16, then the three layer dims as u32
 CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
 
 
-# how every message of the dataset, sidecar and checkpoint readers begins
-READER_MESSAGE = re.compile(r"(not a |unsupported |bad )?(dataset|splits sidecar|checkpoint)\b")
+# how every message of the dataset and checkpoint readers begins
+READER_MESSAGE = re.compile(r"(not a |unsupported |bad )?(dataset|checkpoint)\b")
 
 
 def loads_or_format_error(load, *args):
@@ -84,23 +84,27 @@ def test_the_check_refuses_an_input_error_from_outside_the_readers():
 
 class TestDatasetReader:
     def test_intact_file_loads(self):
-        assert dataset_from_bytes(DATASET, SIDECAR).n == 8
+        assert dataset_from_bytes(DATASET).n == 8
 
     @FUZZ
     @given(damaged(DATASET, DATASET_FIELDS))
     def test_damaged_file(self, blob):
-        loads_or_format_error(dataset_from_bytes, blob, SIDECAR)
+        loads_or_format_error(dataset_from_bytes, blob)
 
     @FUZZ
-    @given(st.dictionaries(st.sampled_from(["train", "test", "vision", "contrastive", "x"]),
-                           st.lists(st.integers(-2, 9), max_size=10)))
-    def test_damaged_sidecar(self, splits):
-        loads_or_format_error(dataset_from_bytes, DATASET, json.dumps(splits))
-
-    @FUZZ
-    @given(st.binary(max_size=64))
-    def test_sidecar_bytes(self, raw):
-        loads_or_format_error(dataset_from_bytes, DATASET, raw)
+    @given(st.sampled_from(SPLIT_BYTES), st.integers(0, 255))
+    def test_any_split_byte(self, at, value):
+        """0, 1 and 2 load as the test, vision and contrastive splits; any
+        other value is refused."""
+        blob = set_field(DATASET, at, "<B", value)
+        if value > 2:
+            with pytest.raises(InputError, match="^dataset file has a split byte above 2$"):
+                dataset_from_bytes(blob)
+            return
+        ds = dataset_from_bytes(blob)
+        i = SPLIT_BYTES.index(at)
+        assert i in (ds.test_idx, ds.vision_idx, ds.contrastive_idx)[value]
+        assert (i in ds.train_idx) == (value != 0)
 
 
 class TestCheckpointReader:
