@@ -3,17 +3,21 @@
 #
 # Runs the ten commands, gen-data through estimate-mi, on the tiny test
 # config (TINY_YAML in CHANGE_TREE/tests/test_cli.py) with one BLAS thread,
-# once with each tree's src/. Then it cmp's every artifact (CSV, checkpoint,
-# dataset, and the splits sidecar of a tree that still writes one) and
-# compares the manifests with each run's output directory replaced by a
-# placeholder. Under each CSV that differs it prints
+# once with each tree's src/. Then it replays the benchmark's traffic: the
+# setup and measured xmc commands of each workload in WORKLOADS of
+# CHANGE_TREE/perfbench/run.py, under that workload's config overlay, at
+# seed 7, each workload into its own output directory. Then it cmp's every
+# artifact (CSV, checkpoint, dataset, and the splits sidecar of a tree that
+# still writes one) and compares the manifests with each side's output
+# directory replaced by a placeholder. Under each CSV that differs it prints
 # the first ten differing lines of both sides (- parent, + change), numbered
 # from 1 at the header. Exits 0 when all are equal, 1 when something differs
 # or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
-# WORK_DIR (default: a new temporary directory) receives the config and the
-# two output directories, parent/ and change/.
+# WORK_DIR (default: a new temporary directory) receives the configs and the
+# two output directories, parent/ and change/, each holding the tiny
+# config's outputs and one subdirectory per workload.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -41,6 +45,24 @@ for node in ast.parse(open(sys.argv[1]).read()).body:
         print(ast.literal_eval(node.value), end="")
 PY
 
+# One line per workload command: the workload name, then the command's
+# arguments, with @OUT@ where they name the directory the setup wrote to.
+# The setup that is only `--help` writes nothing and is left out.
+python3 - "$change/perfbench" "$work" > "$work/workloads.txt" <<'PY'
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from run import WORKLOADS
+
+for w in WORKLOADS.values():
+    (Path(sys.argv[2]) / f"{w.name}.yaml").write_text(json.dumps(w.overlay))
+    for tokens in (*w.setup, *w.measured):
+        if not tokens[0].startswith("-"):
+            print(w.name, *(t.format(setup="@OUT@") for t in tokens))
+PY
+
 commands="gen-data pretrain-vision pretrain probe finetune baseline project
           sweep-k sweep-labels estimate-mi"
 for side in parent change; do
@@ -53,6 +75,15 @@ for side in parent change; do
             exit 1
         fi
     done
+    while read -r -a tokens; do
+        name=${tokens[0]} args=("${tokens[@]:1}")
+        out="$work/$side/$name"
+        if ! PYTHONPATH="$tree/src" python3 -m xmc.cli "${args[@]//@OUT@/$out}" \
+                --config "$work/$name.yaml" --seed 7 --out "$out" > /dev/null; then
+            echo "$side: xmc ${args[0]} of workload $name failed" >&2
+            exit 1
+        fi
+    done < "$work/workloads.txt"
 done
 
 python3 - "$work/parent" "$work/change" <<'PY'
@@ -63,7 +94,8 @@ from itertools import zip_longest
 from pathlib import Path
 
 dirs = [Path(d) for d in sys.argv[1:]]
-names = [sorted(p.name for p in d.iterdir()) for d in dirs]
+names = [sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
+         for d in dirs]
 ok = names[0] == names[1]
 if not ok:
     print(f"file sets differ: {sorted(set(names[0]) ^ set(names[1]))}")

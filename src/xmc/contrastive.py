@@ -16,88 +16,51 @@ import numpy as np
 from . import autodiff as ad
 from .config import ContrastiveSection
 from .datagen import Dataset, heatmap_inputs, image_inputs
-from .errors import InputError, XmcError
+from .errors import InputError, NumericError, XmcError
 from .models import EncoderModel, fit, init_encoder
 from .seeding import derive_seed, rng_for
 
-UNIT_NORM_TOL = 1e-6
-
 
 class NegativeQueue:
-    """Fixed-capacity FIFO ring of key vectors.
+    """FIFO window over the rows of a fixed key table: the indices of the
+    newest ``capacity`` rows enqueued."""
 
-    With ``unit_check`` (the default) every inserted key must be unit-norm;
-    the raw-score mutual-information critic runs with the check disabled.
-    """
-
-    def __init__(self, capacity: int, unit_check: bool = True):
+    def __init__(self, keys: np.ndarray, capacity: int):
         if capacity < 1:
             raise InputError(f"queue capacity must be >= 1, got {capacity}")
+        self.keys = keys
         self.capacity = int(capacity)
-        self.unit_check = unit_check
-        self._buf: np.ndarray | None = None
-        self._count = 0
+        self._rows = np.zeros(0, dtype=np.int64)
 
-    def __len__(self) -> int:
-        return min(self._count, self.capacity)
-
-    def enqueue(self, keys: np.ndarray) -> None:
-        """Insert a (B, D) block of keys, evicting the B oldest when full. A
-        block larger than the queue leaves only its newest ``capacity`` keys."""
-        keys = np.asarray(keys, dtype=np.float64)
-        if keys.ndim != 2:
-            raise XmcError(f"enqueue expects a (B, D) block, got shape {keys.shape}")
-        keys = keys[-self.capacity:]
-        if self.unit_check:
-            norms = np.sqrt((keys * keys).sum(axis=1))
-            if np.any(np.abs(norms - 1.0) > 1e-9):
-                raise XmcError("queue keys must be unit-norm")
-        if self._buf is None:
-            self._buf = np.zeros((self.capacity, keys.shape[1]))
-        elif self._buf.shape[1] != keys.shape[1]:
-            raise XmcError(
-                f"key dim {keys.shape[1]} does not match queue dim {self._buf.shape[1]}")
-        start, n = self._count % self.capacity, len(keys)
-        head = min(n, self.capacity - start)  # rows that fit before the wrap
-        self._buf[start:start + head] = keys[:head]
-        self._buf[:n - head] = keys[head:]
-        self._count += n
+    def enqueue(self, rows: np.ndarray) -> None:
+        """Append key-table rows, evicting the oldest beyond ``capacity``. A
+        block larger than the queue leaves only its newest ``capacity`` rows."""
+        self._rows = np.concatenate([self._rows, rows])[-self.capacity:]
 
     def snapshot(self) -> np.ndarray:
-        """Current entries, oldest first."""
-        if self._buf is None:
-            return np.zeros((0, 0))
-        if self._count <= self.capacity:
-            return self._buf[:self._count].copy()
-        p = self._count % self.capacity
-        return np.vstack([self._buf[p:], self._buf[:p]])
+        """The keys of the current entries, oldest first."""
+        return self.keys[self._rows]
 
 
-def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
+def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
              tau: float) -> tuple[float, np.ndarray]:
     """Mean contrastive loss over the batch, and its gradient dq.
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
-    evaluated as a stabilized logsumexp over the (K+1)-way scores. Gradients
-    reach q only; the positive keys and the queue are constants. With
-    P = softmax - one-hot(0) over the scores, dq = P @ [k+, N] / (B tau).
-    Rows must be unit-norm iff the queue checks its keys for unit norm.
+    evaluated as a stabilized logsumexp over the (K+1)-way scores against
+    the (K, D) ``negatives``. Gradients reach q only; the positive keys and
+    the negatives are constants. With P = softmax - one-hot(0) over the
+    scores, dq = P @ [k+, N] / (B tau).
     """
     if tau <= 0.0:
         raise InputError(f"temperature must be > 0, got {tau}")
-    if len(queue) == 0:
-        raise XmcError("info_nce needs a non-empty negative queue")
+    if len(negatives) == 0:
+        raise XmcError("info_nce needs a non-empty set of negatives")
     if q.ndim != 2 or k_plus.shape != q.shape:
         raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
-    negatives = queue.snapshot()
-    if negatives.shape[1] != q.shape[1]:
+    if negatives.ndim != 2 or negatives.shape[1] != q.shape[1]:
         raise XmcError(
-            f"queue dim {negatives.shape[1]} does not match embedding dim {q.shape[1]}")
-    if queue.unit_check:  # enqueue has checked the queued keys
-        for name, block in (("q", q), ("k_plus", k_plus)):
-            norms = np.sqrt((block * block).sum(axis=1))
-            if np.any(np.abs(norms - 1.0) > UNIT_NORM_TOL):
-                raise XmcError(f"info_nce: {name} rows are not unit-norm")
+            f"negatives {negatives.shape} do not match embedding dim {q.shape[1]}")
 
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
@@ -118,21 +81,26 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, queue: NegativeQueue,
 def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
                 batch: int = 256) -> np.ndarray:
     """Unit-norm vision-branch keys for a stack of flattened images. The
-    vision branch is frozen, so keys are computed once."""
+    vision branch is frozen, so keys are computed once; an image it embeds
+    to a zero or non-finite vector is a NumericError."""
     out = np.empty((len(images_flat), vision.embed_dim))
     for start in range(0, len(images_flat), batch):
         block = vision.forward_numpy(images_flat[start:start + batch])
         norms = np.sqrt((block * block).sum(axis=1, keepdims=True))
-        out[start:start + batch] = block / np.maximum(norms, ad.NORM_EPS)
+        bad = np.nonzero(~((norms > ad.NORM_EPS) & (norms < np.inf)))[0]
+        if bad.size:
+            raise NumericError(f"the vision encoder embeds image {start + bad[0]} "
+                               f"to a vector of norm {norms[bad[0], 0]}")
+        out[start:start + batch] = block / norms
     return out
 
 
-def warm_start(queue: NegativeQueue, keys: np.ndarray, batch: int) -> int:
+def warm_start(queue: NegativeQueue, order: np.ndarray, batch: int) -> int:
     """Fill the queue from the leading ceil(capacity / batch) batches of
-    ``keys``, so the first losses are measured against a full complement of
-    negatives. Returns the number of leading keys used."""
+    ``order``, so the first losses are measured against a full complement of
+    negatives. Returns the number of leading rows used."""
     used = math.ceil(queue.capacity / batch) * batch
-    queue.enqueue(keys[:used])
+    queue.enqueue(order[:used])
     return used
 
 
@@ -164,19 +132,18 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     heat = heatmap_inputs(dataset.heatmaps[idx])
     keys = encode_keys(vision, image_inputs(dataset.images[idx]))
     radio = init_encoder([heat.shape[1], *hidden, embed_dim], derive_seed(seed, "radio"))
-    queue = NegativeQueue(cfg.queue_size)
-    order_rng = rng_for(seed, "batch-order")
-    first_order = order_rng.permutation(len(idx))
-    warm_start(queue, keys[first_order], cfg.batch_size)
+    queue = NegativeQueue(keys, cfg.queue_size)
+    warm_start(queue, rng_for(seed, "batch-order").permutation(len(idx)), cfg.batch_size)
 
     def loss(raw: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
         q, normalize_back = ad.l2_normalize(raw)
         # enqueue only after scoring: a batch is never its own negatives
-        value, dq = info_nce(q, keys[sel], queue, cfg.tau)
-        queue.enqueue(keys[sel])
+        value, dq = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
+        queue.enqueue(sel)
         return value, normalize_back(dq)
 
+    # a fresh stream: its epoch-0 permutation is the one the queue was warmed from
     return radio, list(fit(
         [radio], heat, loss, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay, order_rng=order_rng,
-        cosine=True, first_order=first_order))
+        momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+        order_rng=rng_for(seed, "batch-order"), cosine=True))

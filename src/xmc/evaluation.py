@@ -248,6 +248,8 @@ def project_2d(features: np.ndarray) -> np.ndarray:
     feats = np.asarray(features, dtype=np.float64)
     if feats.ndim != 2 or len(feats) < 3:
         raise XmcError(f"project_2d needs at least 3 feature rows, got {feats.shape}")
+    if not np.isfinite(feats).all():
+        raise NumericError("project_2d: the features hold a non-finite value")
     centered = feats - feats.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= 1e-12:

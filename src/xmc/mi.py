@@ -71,35 +71,30 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
                          derive_seed(seed, "mi-key"), trainable=False)
 
     keys_train = k_enc.forward_numpy(y_train)
-    queue = NegativeQueue(k, unit_check=False)
-    order_rng = rng_for(seed, "mi-order")
-    first_order = order_rng.permutation(len(x_train))
-    warm_start(queue, keys_train[first_order], critic.batch_size)
+    queue = NegativeQueue(keys_train, k)
+    warm = warm_start(queue, rng_for(seed, "mi-order").permutation(len(x_train)),
+                      critic.batch_size)
 
     def critic_loss(q: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
-        value, dq = info_nce(q, keys_train[sel], queue, TAU)
-        queue.enqueue(keys_train[sel])
+        value, dq = info_nce(q, keys_train[sel], queue.snapshot(), TAU)
+        queue.enqueue(sel)
         return value, dq
 
     for _ in fit([q_enc], x_train, critic_loss, epochs=critic.epochs,
                  batch_size=critic.batch_size, lr=critic.lr, momentum=critic.momentum,
-                 weight_decay=0.0, order_rng=order_rng, cosine=True, first_order=first_order):
+                 weight_decay=0.0, order_rng=rng_for(seed, "mi-order"), cosine=True):
         pass
 
-    # Held-out evaluation: warm a fresh queue from leading held-out batches,
-    # then score the remainder, enqueueing each batch after it is scored.
+    # Held-out evaluation: the leading ``warm`` held-out pairs only fill the
+    # queue; each later batch is scored against the k held-out keys before it.
     keys_hold = k_enc.forward_numpy(y_hold)
     q_hold = q_enc.forward_numpy(x_hold)
-    eval_queue = NegativeQueue(k, unit_check=False)
-    warm = warm_start(eval_queue, keys_hold, critic.batch_size)
-
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
         sel = slice(start, min(start + critic.batch_size, n_hold))
-        loss, _ = info_nce(q_hold[sel], keys_hold[sel], eval_queue, TAU)
+        loss, _ = info_nce(q_hold[sel], keys_hold[sel], keys_hold[start - k:start], TAU)
         m = q_hold[sel].shape[0]
         total += loss * m
         count += m
-        eval_queue.enqueue(keys_hold[sel])
     mean_loss = total / count
     return mean_loss, mi_lower_bound(mean_loss, k), analytic_mi(rho, critic.dim)

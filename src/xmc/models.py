@@ -218,25 +218,22 @@ def cosine_lr(t: int, total: int, base: float) -> float:
 def fit(chain: list[EncoderModel], inputs: np.ndarray,
         loss: Callable[[np.ndarray, np.ndarray], tuple[float, np.ndarray]], *,
         epochs: int, batch_size: int, lr: float, momentum: float,
-        weight_decay: float, order_rng: np.random.Generator, cosine: bool,
-        first_order: np.ndarray | None = None
+        weight_decay: float, order_rng: np.random.Generator, cosine: bool
         ) -> Iterator[tuple[int, float, float]]:
     """Minibatch SGD through a chain of models, the first fed ``inputs``;
     yields ``(epoch, lr, mean loss)`` after each epoch.
 
     ``loss(out, sel)`` gets the chain's output for the samples ``sel`` and
     returns the mean loss and its gradient with respect to ``out``. Each
-    epoch visits the samples in a fresh ``order_rng`` permutation, except
-    that epoch 0 uses ``first_order`` when it is given. The lr is constant,
-    or follows :func:`cosine_lr` over the epochs when ``cosine``.
+    epoch visits the samples in a fresh ``order_rng`` permutation. The lr is
+    constant, or follows :func:`cosine_lr` over the epochs when ``cosine``.
     """
     if any(model.frozen for model in chain):
         raise XmcError("cannot train a frozen model")
     opt = make_optimizer(chain, lr, momentum, weight_decay)
     n = len(inputs)
     for epoch in range(epochs):
-        order = (first_order if epoch == 0 and first_order is not None
-                 else order_rng.permutation(n))
+        order = order_rng.permutation(n)
         epoch_lr = cosine_lr(epoch, epochs, lr) if cosine else lr
         total = 0.0
         for start in range(0, n, batch_size):
@@ -353,6 +350,8 @@ def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
                          else "checkpoint has trailing bytes")
     # read straight from the blob: slicing the body out first would copy it
     data = np.frombuffer(blob, "<f8", count, off).astype(np.float64)
+    if not np.isfinite(data).all():
+        raise InputError("checkpoint has a non-finite parameter")
     return EncoderModel(dims, data, frozen=bool(frozen))
 
 

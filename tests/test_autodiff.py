@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xmc import autodiff as ad
-from xmc.contrastive import NegativeQueue, info_nce
+from xmc.contrastive import info_nce
 from xmc.errors import InputError, NumericError
 from xmc.models import EncoderModel, cross_entropy
 
@@ -193,7 +193,7 @@ class TestCompositeGradients:
     def test_mlp_with_bias_pick_and_concat(self):
         """Both losses over one MLP, their output gradients summed, against
         the fd oracle: cross-entropy picks the label column, InfoNCE (after
-        l2_normalize) concatenates the positive score to the queue scores."""
+        l2_normalize) concatenates the positive score to the negatives' scores."""
         rng = np.random.default_rng(7)
         m = chain((rng.normal(size=(6, 5)) * 0.5, rng.normal(size=5) * 0.1),
                   (rng.normal(size=(5, 3)) * 0.5, np.zeros(3)))
@@ -201,14 +201,13 @@ class TestCompositeGradients:
         labels = np.array([0, 2, 1, 0])
         unit = rng.normal(size=(10, 3))
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
-        keys, queue = unit[:4], NegativeQueue(6)
-        queue.enqueue(unit[4:])
+        keys, negatives = unit[:4], unit[4:]
 
         def losses():
             out, acts = m.forward(x)
             ce, d_ce = cross_entropy(out, labels)
             q, back = ad.l2_normalize(out)
-            nce, d_nce = info_nce(q, keys, queue, tau=0.5)
+            nce, d_nce = info_nce(q, keys, negatives, tau=0.5)
             return ce + nce, acts, d_ce + back(d_nce)
 
         _, acts, g = losses()

@@ -17,7 +17,7 @@ import yaml
 from xmc import cli
 from xmc.cli import main
 from xmc.errors import InputError, NumericError, XmcError
-from xmc.models import init_encoder, save_checkpoint
+from xmc.models import init_encoder, load_checkpoint, save_checkpoint
 from xmc.runio import sha256_file
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -334,6 +334,49 @@ class TestExitCodes:
                      "--data", str(pipeline / "dataset.xmcd"), "--vision", str(vision)])
         assert code == 3
         assert message in self.one_line(capsys)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_checkpoint_parameter_exits_3(self, pipeline, workdir, tmp_path,
+                                                      capsys, value):
+        encoder = load_checkpoint(pipeline / "radio.xmck")
+        encoder.data[7] = value
+        bad = tmp_path / "bad.xmck"
+        save_checkpoint(bad, encoder)
+        capsys.readouterr()
+        code = main(["project", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"),
+                     "--data", str(pipeline / "dataset.xmcd"), "--encoder", str(bad)])
+        assert code == 3
+        assert "checkpoint has a non-finite parameter" in self.one_line(capsys)
+
+    def test_vision_checkpoint_embedding_to_zero_exits_4(self, pipeline, workdir,
+                                                         tmp_path, capsys):
+        vision = init_encoder([1024, 16], seed=0, trainable=False)
+        vision.data[:] = 0.0
+        path = tmp_path / "vision.xmck"
+        save_checkpoint(path, vision)
+        capsys.readouterr()
+        code = main(["pretrain", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"),
+                     "--data", str(pipeline / "dataset.xmcd"), "--vision", str(path)])
+        assert code == 4
+        assert "embeds image 0 to a vector of norm 0.0" in self.one_line(capsys)
+
+    def test_nan_test_heatmap_exits_4_from_project(self, pipeline, workdir, tmp_path,
+                                                   capsys):
+        blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
+        record = (len(blob) - 26) // 160  # TINY_YAML's datagen.n
+        # the first test sample (split byte 0); its heatmap follows the split byte
+        at = next(at for at in range(27, len(blob), record) if blob[at] == 0)
+        blob[at + 1:at + 9] = struct.pack("<d", float("nan"))
+        data = tmp_path / "nan.xmcd"
+        data.write_bytes(blob)
+        capsys.readouterr()
+        code = main(["project", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(data),
+                     "--encoder", str(pipeline / "radio.xmck")])
+        assert code == 4
+        assert "project_2d: the features hold a non-finite value" in self.one_line(capsys)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_exits_4(self, tmp_path, capsys):

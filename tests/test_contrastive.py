@@ -21,21 +21,14 @@ from xmc.contrastive import (
     warm_start,
 )
 from xmc.datagen import image_inputs, make_dataset
-from xmc.errors import InputError, XmcError
-from xmc.models import init_encoder, pretrain_vision
+from xmc.errors import InputError, NumericError, XmcError
+from xmc.models import fit, init_encoder, pretrain_vision
 
 from helpers import check_grads
 
 
 def unit_rows(arr: np.ndarray) -> np.ndarray:
     return arr / np.linalg.norm(arr, axis=1, keepdims=True)
-
-
-def fill_queue(vectors: np.ndarray, capacity: int | None = None,
-               unit_check: bool = True) -> NegativeQueue:
-    q = NegativeQueue(capacity or len(vectors), unit_check=unit_check)
-    q.enqueue(vectors)
-    return q
 
 
 def reference_info_nce(q, k_plus, negatives, tau):
@@ -64,81 +57,102 @@ def critic_batch(tau: float):
     q, k_plus, keys = (rng.normal(size=(n, 8)) for n in (128, 128, 256))
     if tau != 1.0:
         q, k_plus, keys = unit_rows(q), unit_rows(k_plus), unit_rows(keys)
-    return q, k_plus, fill_queue(keys, unit_check=tau != 1.0)
+    return q, k_plus, keys
 
 
 class TestNegativeQueue:
     def test_fifo_trace(self):
         vecs = unit_rows(np.random.default_rng(0).normal(size=(6, 3)))
-        q = NegativeQueue(4)
-        q.enqueue(vecs[0:2])
-        q.enqueue(vecs[2:4])
-        q.enqueue(vecs[4:6])
+        q = NegativeQueue(vecs, 4)
+        q.enqueue(np.arange(0, 2))
+        q.enqueue(np.arange(2, 4))
+        q.enqueue(np.arange(4, 6))
         np.testing.assert_array_equal(q.snapshot(), vecs[2:6])
 
     def test_warmup_no_eviction(self):
         vecs = unit_rows(np.random.default_rng(1).normal(size=(4, 3)))
-        q = NegativeQueue(8)
-        q.enqueue(vecs)
-        assert len(q) == 4
-        np.testing.assert_array_equal(q.snapshot(), vecs)
+        q = NegativeQueue(vecs, 8)
+        assert q.snapshot().shape == (0, 3)
+        q.enqueue(np.array([2, 0, 3, 1]))
+        np.testing.assert_array_equal(q.snapshot(), vecs[[2, 0, 3, 1]])
 
     def test_full_batch_replaces_queue(self):
-        rng = np.random.default_rng(2)
-        q = NegativeQueue(4)
-        q.enqueue(unit_rows(rng.normal(size=(4, 3))))
-        fresh = unit_rows(rng.normal(size=(4, 3)))
-        q.enqueue(fresh)
-        np.testing.assert_array_equal(q.snapshot(), fresh)
+        vecs = unit_rows(np.random.default_rng(2).normal(size=(8, 3)))
+        q = NegativeQueue(vecs, 4)
+        q.enqueue(np.arange(4))
+        q.enqueue(np.arange(4, 8))
+        np.testing.assert_array_equal(q.snapshot(), vecs[4:])
 
     def test_oversized_block_keeps_its_newest_keys(self):
         vecs = unit_rows(np.random.default_rng(5).normal(size=(3, 2)))
-        q = NegativeQueue(2)
-        q.enqueue(vecs)
-        assert len(q) == 2
+        q = NegativeQueue(vecs, 2)
+        q.enqueue(np.arange(3))
         np.testing.assert_array_equal(q.snapshot(), vecs[1:])  # oldest first
-
-    def test_non_unit_keys_rejected(self):
-        with pytest.raises(XmcError, match="^queue keys must be unit-norm$") as err:
-            NegativeQueue(4).enqueue(np.ones((2, 3)))
-        assert err.type is XmcError
 
     @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=30),
            st.integers(min_value=5, max_value=16))
     @settings(max_examples=100, deadline=None)
     def test_matches_reference_deque_model(self, batch_sizes, capacity):
         rng = np.random.default_rng(12345)
-        q = NegativeQueue(capacity)
+        keys = rng.normal(size=(50, 4))
+        q = NegativeQueue(keys, capacity)
         model: deque = deque(maxlen=capacity)
         for b in batch_sizes:
-            keys = unit_rows(rng.normal(size=(b, 4)))
-            q.enqueue(keys)
-            model.extend(keys)
-            assert len(q) <= capacity
-            np.testing.assert_array_equal(q.snapshot(), np.array(model))
+            rows = rng.integers(0, len(keys), size=b)
+            q.enqueue(rows)
+            model.extend(rows)
+            np.testing.assert_array_equal(q.snapshot(), keys[list(model)])
 
 
 class TestWarmStart:
     def test_fills_from_the_leading_batches(self):
         keys = unit_rows(np.random.default_rng(3).normal(size=(10, 3)))
-        q = NegativeQueue(5)
-        assert warm_start(q, keys, 2) == 6  # ceil(5 / 2) batches of 2
-        np.testing.assert_array_equal(q.snapshot(), keys[1:6])
+        order = np.random.default_rng(3).permutation(10)
+        q = NegativeQueue(keys, 5)
+        assert warm_start(q, order, 2) == 6  # ceil(5 / 2) batches of 2
+        np.testing.assert_array_equal(q.snapshot(), keys[order[1:6]])
 
     def test_batch_larger_than_the_queue_keeps_its_newest_keys(self):
         keys = unit_rows(np.random.default_rng(4).normal(size=(10, 3)))
-        q = NegativeQueue(3)
-        assert warm_start(q, keys, 4) == 4
-        np.testing.assert_array_equal(q.snapshot(), keys[1:4])
+        order = np.random.default_rng(4).permutation(10)
+        q = NegativeQueue(keys, 3)
+        assert warm_start(q, order, 4) == 4
+        np.testing.assert_array_equal(q.snapshot(), keys[order[1:4]])
 
     @pytest.mark.parametrize("batch", [2, 5, 7], ids=["B<K", "B=K", "B>K"])
     def test_one_call_fill_matches_the_batch_by_batch_fill(self, batch):
         keys = unit_rows(np.random.default_rng(6).normal(size=(12, 3)))
-        one_call, by_batch = NegativeQueue(5), NegativeQueue(5)
-        used = warm_start(one_call, keys, batch)
+        order = np.random.default_rng(6).permutation(12)
+        one_call = NegativeQueue(keys, 5)
+        used = warm_start(one_call, order, batch)
+        by_batch: deque = deque(maxlen=5)
         for start in range(0, used, batch):
-            by_batch.enqueue(keys[start:start + batch])
-        np.testing.assert_array_equal(one_call.snapshot(), by_batch.snapshot())
+            by_batch.extend(order[start:start + batch])
+        np.testing.assert_array_equal(one_call.snapshot(), keys[list(by_batch)])
+
+    def test_pretrain_warms_from_the_leading_batches_of_fits_first_epoch(
+            self, toy_setup, monkeypatch):
+        """The first loss is scored against the keys of the last K of the
+        first ceil(K/B)*B rows that ``fit`` visits in epoch 0."""
+        ds, teacher = toy_setup
+        sels, first_negatives = [], []
+
+        def spy_fit(chain, inputs, loss, **kw):
+            def spy_loss(out, sel):
+                sels.append(sel.copy())
+                return loss(out, sel)
+            return fit(chain, inputs, spy_loss, **kw)
+
+        def spy_info_nce(q, k_plus, negatives, tau):
+            first_negatives.append(negatives.copy())
+            return info_nce(q, k_plus, negatives, tau)
+
+        monkeypatch.setattr(contrastive, "fit", spy_fit)
+        monkeypatch.setattr(contrastive, "info_nce", spy_info_nce)
+        toy_pretrain(ds, teacher, seed=4, batch_size=24, epochs=1)  # K = 64: 3 batches
+        keys = encode_keys(teacher, image_inputs(ds.images[ds.contrastive_idx]))
+        epoch_0 = np.concatenate(sels)
+        np.testing.assert_array_equal(first_negatives[0], keys[epoch_0[72 - 64:72]])
 
 
 class TestInfoNce:
@@ -146,16 +160,14 @@ class TestInfoNce:
         for k in (1, 7, 255):
             v = np.zeros((1, 4))
             v[0, 0] = 1.0
-            queue = fill_queue(np.repeat(v, k, axis=0), k)
-            loss, _ = info_nce(v, v.copy(), queue, tau=0.3)
+            loss, _ = info_nce(v, v.copy(), np.repeat(v, k, axis=0), tau=0.3)
             assert math.isclose(loss, math.log(k + 1), abs_tol=1e-9)
 
     def test_saturated_positive(self):
         # score gap of 20 tau-units: s+ = 1, s- = -1, tau = 0.1
         e = np.zeros((1, 4))
         e[0, 0] = 1.0
-        queue = fill_queue(np.repeat(-e, 256, axis=0), 256)
-        loss, _ = info_nce(e, e.copy(), queue, tau=0.1)
+        loss, _ = info_nce(e, e.copy(), np.repeat(-e, 256, axis=0), tau=0.1)
         expected = math.log(1.0 + 256 * math.exp(-20.0))
         assert loss < 1e-6
         assert math.isclose(loss, expected, rel_tol=1e-6)
@@ -165,73 +177,67 @@ class TestInfoNce:
         q = np.array([[1.0, 0.0]])
         k_plus = np.array([[1.0, 0.0]])
         neg = np.array([[0.0, 1.0]])
-        loss, _ = info_nce(q, k_plus, fill_queue(neg, 1), tau=1.0)
+        loss, _ = info_nce(q, k_plus, neg, tau=1.0)
         assert math.isclose(loss, math.log(1 + math.exp(-1)), rel_tol=1e-12)
 
     def test_empty_queue_rejected(self):
         v = unit_rows(np.ones((1, 3)))
-        with pytest.raises(XmcError, match="^info_nce needs a non-empty negative queue$") as err:
-            info_nce(v, v, NegativeQueue(4), tau=1.0)
-        assert err.type is XmcError
-
-    def test_non_unit_inputs_rejected(self):
-        v = unit_rows(np.ones((1, 3)))
-        queue = fill_queue(v.copy(), 1)
-        with pytest.raises(XmcError, match="^info_nce: q rows are not unit-norm$") as err:
-            info_nce(2.0 * v, v, queue, tau=1.0)
+        empty = NegativeQueue(v, 4).snapshot()
+        with pytest.raises(XmcError,
+                           match="^info_nce needs a non-empty set of negatives$") as err:
+            info_nce(v, v, empty, tau=1.0)
         assert err.type is XmcError
 
     def test_loss_positive_and_below_uniform_reference(self):
         rng = np.random.default_rng(3)
         k = 32
-        queue = fill_queue(unit_rows(rng.normal(size=(k, 8))), k)
+        negatives = unit_rows(rng.normal(size=(k, 8)))
         q = unit_rows(rng.normal(size=(5, 8)))
-        loss, _ = info_nce(q, q.copy(), queue, tau=0.5)
+        loss, _ = info_nce(q, q.copy(), negatives, tau=0.5)
         assert 0.0 < loss
         # own key as positive scores highest on average: below ln(K+1) + slack
         assert loss < math.log(k + 1) + 1.0
 
     def test_strictly_decreasing_in_positive_score(self):
         rng = np.random.default_rng(4)
-        queue = fill_queue(unit_rows(rng.normal(size=(16, 8))), 16)
+        negatives = unit_rows(rng.normal(size=(16, 8)))
         base = unit_rows(rng.normal(size=(1, 8)))
         losses = []
         for mix in (0.0, 0.5, 1.0):
             k_plus = unit_rows(mix * base + (1 - mix) * unit_rows(rng.normal(size=(1, 8))) * 0.3)
             # raise q.k+ by moving k+ toward q while negatives stay fixed
-            losses.append(info_nce(base, k_plus, queue, tau=0.2)[0])
+            losses.append(info_nce(base, k_plus, negatives, tau=0.2)[0])
         assert losses[0] > losses[1] > losses[2]
 
     def test_invariant_to_queue_order(self):
         rng = np.random.default_rng(5)
         keys = unit_rows(rng.normal(size=(8, 4)))
         q = unit_rows(rng.normal(size=(3, 4)))
-        a, _ = info_nce(q, q.copy(), fill_queue(keys, 8), tau=0.4)
-        b, _ = info_nce(q, q.copy(), fill_queue(keys[::-1].copy(), 8), tau=0.4)
+        a, _ = info_nce(q, q.copy(), keys, tau=0.4)
+        b, _ = info_nce(q, q.copy(), keys[::-1].copy(), tau=0.4)
         assert math.isclose(a, b, rel_tol=1e-12)
 
     def test_batched_equals_mean_of_per_sample(self):
         rng = np.random.default_rng(6)
         keys = unit_rows(rng.normal(size=(16, 6)))
-        queue = fill_queue(keys, 16)
         q = unit_rows(rng.normal(size=(4, 6)))
         k_plus = unit_rows(rng.normal(size=(4, 6)))
-        batched, _ = info_nce(q, k_plus, queue, tau=0.3)
-        singles = [info_nce(q[i:i + 1], k_plus[i:i + 1], queue, tau=0.3)[0]
+        batched, _ = info_nce(q, k_plus, keys, tau=0.3)
+        singles = [info_nce(q[i:i + 1], k_plus[i:i + 1], keys, tau=0.3)[0]
                    for i in range(4)]
         assert abs(batched - float(np.mean(singles))) < 1e-12
 
     def test_gradient_reaches_query_only(self):
-        """The returned gradient is the query's: the keys and the queue are
-        constants, and none of them is changed."""
+        """The returned gradient is the query's: the keys and the negatives
+        are constants, and none of them is changed."""
         rng = np.random.default_rng(7)
         q = unit_rows(rng.normal(size=(3, 5)))
         k_plus = unit_rows(rng.normal(size=(3, 5)))
-        queue = fill_queue(unit_rows(rng.normal(size=(8, 5))), 8)
-        before = (q.copy(), k_plus.copy(), queue.snapshot())
-        _, dq = info_nce(q, k_plus, queue, tau=0.2)
+        negatives = unit_rows(rng.normal(size=(8, 5)))
+        before = (q.copy(), k_plus.copy(), negatives.copy())
+        _, dq = info_nce(q, k_plus, negatives, tau=0.2)
         assert dq.shape == q.shape and np.abs(dq).max() > 0
-        for was, now in zip(before, (q, k_plus, queue.snapshot())):
+        for was, now in zip(before, (q, k_plus, negatives)):
             np.testing.assert_array_equal(was, now)
 
     @pytest.mark.parametrize("k", [1, 11])
@@ -240,48 +246,40 @@ class TestInfoNce:
         rng = np.random.default_rng(9 + k)
         raw = rng.normal(size=(4, 6))
         k_plus = unit_rows(rng.normal(size=(4, 6)))
-        queue = fill_queue(unit_rows(rng.normal(size=(k, 6))), k)
+        negatives = unit_rows(rng.normal(size=(k, 6)))
 
         def loss():
-            return info_nce(ad.l2_normalize(raw)[0], k_plus, queue, tau=0.3)[0]
+            return info_nce(ad.l2_normalize(raw)[0], k_plus, negatives, tau=0.3)[0]
 
         q, back = ad.l2_normalize(raw)
-        grad = back(info_nce(q, k_plus, queue, tau=0.3)[1])
+        grad = back(info_nce(q, k_plus, negatives, tau=0.3)[1])
         check_grads(loss, [(raw, grad)])
 
     @pytest.mark.parametrize("tau", [1.0, 0.07], ids=["raw-tau-1", "unit-tau-0.07"])
     def test_matches_the_out_of_place_reference_bytes(self, tau):
         """The one score buffer changes no rounding: loss and gradient equal
         the out-of-place evaluation to the byte, and no input changes."""
-        q, k_plus, queue = critic_batch(tau)
-        before = (q.copy(), k_plus.copy(), queue.snapshot())
-        loss, dq = info_nce(q, k_plus, queue, tau)
+        inputs = critic_batch(tau)
+        before = tuple(a.copy() for a in inputs)
+        loss, dq = info_nce(*inputs, tau)
         ref_loss, ref_dq = reference_info_nce(*before, tau)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert dq.tobytes() == ref_dq.tobytes()
-        for was, now in zip(before, (q, k_plus, queue.snapshot())):
+        for was, now in zip(before, inputs):
             assert was.tobytes() == now.tobytes()
 
     def test_one_score_buffer_per_call(self):
         """At the MI critic's B = 128, K = 256, D = 8, one call peaks at
         little more than its one (B, K+1) float64 score buffer."""
-        q, k_plus, queue = critic_batch(1.0)
-        info_nce(q, k_plus, queue, tau=1.0)  # warm any first-call allocations
+        inputs = critic_batch(1.0)
+        info_nce(*inputs, tau=1.0)  # warm any first-call allocations
         tracemalloc.start()
         try:
-            info_nce(q, k_plus, queue, tau=1.0)
+            info_nce(*inputs, tau=1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * 128 * 257 * 8
-
-    def test_raw_scores_skip_the_unit_check(self):
-        # the MI critic's queue holds raw keys; q and k+ then need not be unit
-        queue = NegativeQueue(2, unit_check=False)
-        queue.enqueue(np.array([[0.0, 2.0], [3.0, 0.0]]))
-        q, k_plus = np.array([[2.0, 0.0]]), np.array([[1.0, 1.0]])
-        loss, _ = info_nce(q, k_plus, queue, tau=1.0)
-        assert math.isclose(loss, math.log(1 + math.exp(-2) + math.exp(4)), rel_tol=1e-12)
 
 
 class TestContrastiveConfig:
@@ -290,9 +288,9 @@ class TestContrastiveConfig:
         against the 8 newest keys."""
         seen = []
 
-        def spy(q, k_plus, queue, tau):
-            seen.append(queue.snapshot().shape[0])
-            return info_nce(q, k_plus, queue, tau)
+        def spy(q, k_plus, negatives, tau):
+            seen.append(negatives.shape[0])
+            return info_nce(q, k_plus, negatives, tau)
 
         monkeypatch.setattr(contrastive, "info_nce", spy)
         _, history = toy_pretrain(*toy_setup, seed=0, queue_size=8, batch_size=16, epochs=2)
@@ -390,6 +388,14 @@ class TestPretrain:
 
 
 class TestEncodeKeys:
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_a_zero_or_non_finite_embedding_is_a_numeric_error(self, value):
+        vision = init_encoder([4, 3], seed=0, trainable=False)
+        vision.data[:] = value
+        with pytest.raises(NumericError, match="^the vision encoder embeds image 0 to "
+                                               "a vector of norm"):
+            encode_keys(vision, np.ones((2, 4)))
+
     def test_keys_are_unit_norm(self, toy_setup):
         ds, teacher = toy_setup
         keys = encode_keys(teacher, image_inputs(ds.images[:10]))

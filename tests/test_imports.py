@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package or of its tests imports a name
 it never uses, no package module binds a module-level private name that
-nothing in it reads, and no public module-level function or class of the
-package goes unnamed by every Python file of the repository.
+nothing in it reads, and no public module-level function, class or
+assignment of the package goes unnamed by every Python file of the
+repository.
 
 There is no linter among the test dependencies, so this walks the syntax
 tree itself. Every module of the package is checked, ``__init__.py`` too:
@@ -91,10 +92,11 @@ def test_no_unused_private_names(path):
 
 def names_read(source: str) -> set[str]:
     """Every identifier ``source`` refers to, bare or as an attribute. A
-    ``def`` or ``class`` statement and an import bind a name but do not
-    refer to it, so neither a definition nor an export counts."""
+    ``def`` or ``class`` statement, an import and an assignment bind a name
+    but do not refer to it, so neither a definition nor an export counts."""
     tree = ast.parse(source)
-    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return ({node.id for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
             | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
 
 
@@ -116,6 +118,26 @@ def test_the_check_finds_an_unnamed_public_def():
     assert unnamed_public_defs(module, read) == ["line 5: exported", "line 7: Unused"]
 
 
+def unnamed_public_constants(source: str, read: set[str]) -> list[str]:
+    """``line N: name`` for each public name that a module-level assignment
+    of ``source`` binds and that is not in ``read``."""
+    bound = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound += [(node.lineno, n.id) for t in targets for n in ast.walk(t)
+                      if isinstance(n, ast.Name) and not n.id.startswith("_")]
+    return [f"line {line}: {name}" for line, name in bound if name not in read]
+
+
+def test_the_check_finds_an_unnamed_public_constant():
+    module = ("USED = 1\nUNUSED = 2\nA, B = 3, 4\nTYPED: int = 5\n_PRIVATE = 6\n"
+              "__all__ = ['f']\ndef f():\n    return USED + A\n")
+    user = "import mod\nprint(mod.TYPED)\n"
+    read = names_read(module) | names_read(user)
+    assert unnamed_public_constants(module, read) == ["line 2: UNUSED", "line 3: B"]
+
+
 @pytest.fixture(scope="module")
 def names_in_users():
     return set().union(*(names_read(p.read_text()) for p in USERS))
@@ -124,3 +146,8 @@ def names_in_users():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_every_public_def_is_named(path, names_in_users):
     assert unnamed_public_defs(path.read_text(), names_in_users) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_every_public_constant_is_named(path, names_in_users):
+    assert unnamed_public_constants(path.read_text(), names_in_users) == []

@@ -346,10 +346,9 @@ class TestFit:
         assert calls[0] != calls[-1]  # earlier steps did train
         assert enc.param_bytes() == calls[-1]
 
-    def test_epoch_0_uses_first_order_and_later_epochs_the_rng(self):
+    def test_each_epoch_visits_a_fresh_rng_permutation(self):
         enc = init_encoder([3, 2], seed=31)
         x = np.random.default_rng(31).normal(size=(6, 3))
-        first = np.array([5, 3, 1, 0, 2, 4])
         seen = []
 
         def loss(out, sel):
@@ -357,15 +356,9 @@ class TestFit:
             return zero_loss(out, sel)
 
         list(fit([enc], x, loss, epochs=3, order_rng=np.random.default_rng(9),
-                 first_order=first, **{**FIT_KW, "batch_size": 6}))
-        rng = np.random.default_rng(9)
-        expected = [first, rng.permutation(6), rng.permutation(6)]
-        assert [s.tolist() for s in seen] == [e.tolist() for e in expected]
-
-        seen.clear()
-        list(fit([enc], x, loss, epochs=1, order_rng=np.random.default_rng(9),
                  **{**FIT_KW, "batch_size": 6}))
-        assert seen[0].tolist() == np.random.default_rng(9).permutation(6).tolist()
+        rng = np.random.default_rng(9)
+        assert [s.tolist() for s in seen] == [rng.permutation(6).tolist() for _ in range(3)]
 
     def test_yields_epoch_lr_and_sample_weighted_mean_loss(self):
         enc = init_encoder([3, 2], seed=32)

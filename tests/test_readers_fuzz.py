@@ -57,6 +57,8 @@ DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
 SPLIT_BYTES = range(27, len(DATASET), (len(DATASET) - 26) // 8)
 # version u16, frozen u8, layer count u16, then the three layer dims as u32
 CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
+# each f64 of the parameter vector: the (3 + 1) * 4 + (4 + 1) * 2 = 26 that end the file
+PARAMETERS = range(len(CHECKPOINT) - 8 * 26, len(CHECKPOINT), 8)
 
 
 # how every message of the dataset and checkpoint readers begins
@@ -110,6 +112,13 @@ class TestDatasetReader:
 class TestCheckpointReader:
     def test_intact_file_loads(self):
         assert load_checkpoint_bytes(CHECKPOINT).dims == [3, 4, 2]
+
+    @FUZZ
+    @given(st.sampled_from(PARAMETERS), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_any_non_finite_parameter(self, at, value):
+        """A NaN or an infinity at any parameter is refused."""
+        with pytest.raises(InputError, match="^checkpoint has a non-finite parameter$"):
+            load_checkpoint_bytes(set_field(CHECKPOINT, at, "<d", value))
 
     @FUZZ
     @given(damaged(CHECKPOINT, CHECKPOINT_FIELDS))
