@@ -11,8 +11,9 @@
 # still writes one) and compares the manifests with each side's output
 # directory replaced by a placeholder. Under each CSV that differs it prints
 # the first ten differing lines of both sides (- parent, + change), numbered
-# from 1 at the header. Exits 0 when all are equal, 1 when something differs
-# or a command fails.
+# from 1 at the header; under each manifest that differs, the first ten
+# differing JSON paths with both values (<absent> where a side lacks one).
+# Exits 0 when all are equal, 1 when something differs or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
 # WORK_DIR (default: a new temporary directory) receives the configs and the
@@ -93,6 +94,21 @@ import sys
 from itertools import zip_longest
 from pathlib import Path
 
+
+def leaves(node, path=""):
+    """(path, value as JSON) of each leaf of a parsed JSON document."""
+    if isinstance(node, (dict, list)) and node:
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        for key, value in items:
+            yield from leaves(value, f"{path}[{json.dumps(key)}]")
+    else:
+        yield path, json.dumps(node)
+
+
+def show(side, at, value):
+    print(f"  {side} {at}: {value}")
+
+
 dirs = [Path(d) for d in sys.argv[1:]]
 names = [sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
          for d in dirs]
@@ -101,9 +117,9 @@ if not ok:
     print(f"file sets differ: {sorted(set(names[0]) ^ set(names[1]))}")
 for name in sorted(set(names[0]) & set(names[1])):
     if name.endswith(".manifest.json"):
-        a, b = (json.loads((d / name).read_text().replace(str(d), "<out>"))
-                for d in dirs)
-        same = a == b
+        docs = [json.loads((d / name).read_text().replace(str(d), "<out>"))
+                for d in dirs]
+        same = docs[0] == docs[1]
     else:
         same = filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
     print(f"{'same' if same else 'DIFFERENT'}  {name}")
@@ -111,8 +127,15 @@ for name in sorted(set(names[0]) & set(names[1])):
         sides = ((d / name).read_text().splitlines() for d in dirs)
         pairs = [(i, a, b) for i, (a, b) in enumerate(zip_longest(*sides), 1) if a != b]
         for i, a, b in pairs[:10]:
-            print(f"  - {i}: {'<no line>' if a is None else a}")
-            print(f"  + {i}: {'<no line>' if b is None else b}")
+            show("-", i, "<no line>" if a is None else a)
+            show("+", i, "<no line>" if b is None else b)
+    if not same and name.endswith(".manifest.json"):
+        flat = [dict(leaves(doc)) for doc in docs]
+        paths = sorted(p for p in flat[0].keys() | flat[1].keys()
+                       if flat[0].get(p, "<absent>") != flat[1].get(p, "<absent>"))
+        for at in paths[:10]:
+            for side, values in zip("-+", flat):
+                show(side, at, values.get(at, "<absent>"))
     ok = ok and same
 sys.exit(0 if ok else 1)
 PY

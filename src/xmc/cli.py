@@ -9,8 +9,7 @@ input/output hashes; nothing is overwritten without --force.
 Exit codes: 0 success, 2 an input that is not a readable file, otherwise
 the ``exit_code`` of the error class raised: 3 ``InputError`` (a config
 value, file format, shape or domain), 4 ``NumericError``, and 1 for
-``XmcError`` itself, ``ResampleError`` and a failed allocation
-(``MemoryError``).
+``XmcError`` itself and a failed allocation (``MemoryError``).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from .errors import InputError
 
 @dataclass
 class DatagenSection:
-    n: int = 2000
+    n: int = 2000                      # >= 20: each class gets a test sample
     range_bins: int = 32
     azimuth_bins: int = 32
     image_height: int = 32
@@ -146,7 +146,7 @@ _RANGES = {
     "vision_fraction": (lambda v: 0.0 <= v < 0.8, "in [0, 0.8)"),
     "mode": (lambda v: v in ("supervised", "random-frozen"),
              "'supervised' or 'random-frozen'"),
-    "n": (lambda v: v >= 8, "an integer >= 8"),
+    "n": (lambda v: v >= 20, "an integer >= 20"),
     **dict.fromkeys(("range_bins", "azimuth_bins", "image_height", "image_width"),
                     (lambda v: v >= 2, "an integer >= 2")),
 }

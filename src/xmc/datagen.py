@@ -11,26 +11,23 @@ evaluation only and is never read during pre-training.
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import operator
 import os
 import struct
-from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .config import DatagenSection
-from .errors import InputError, ResampleError
+from .errors import InputError
 from .seeding import rng_for
 
 CLASS_NAMES = ("empty", "pedestrian", "cyclist", "car")
 N_CLASSES = len(CLASS_NAMES)
 
 DATASET_MAGIC = b"XMCD"
-DATASET_VERSION = 2
+DATASET_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -153,17 +150,12 @@ def render_radar(scene: SceneLatent, cfg: DatagenSection,
 
 def project_to_image(scene: SceneLatent, cfg: DatagenSection) -> tuple[float, float]:
     """Pinhole mapping of the target: column ~ tan(azimuth), row ~ 1/range.
-
-    Raises :class:`ResampleError` when the projection misses the frame.
-    """
+    Every target in the field of view lands inside the frame."""
     col = (cfg.image_width - 1) * 0.5 * (
         1.0 + math.tan(scene.azimuth_rad) / math.tan(AZIMUTH_MAX))
     inv_span = 1.0 / RANGE_MIN - 1.0 / RANGE_MAX
     u = (1.0 / scene.range_m - 1.0 / RANGE_MAX) / inv_span
     row = (cfg.image_height - 1) * u
-    if not (0.0 <= col <= cfg.image_width - 1 and 0.0 <= row <= cfg.image_height - 1):
-        raise ResampleError(
-            f"target projects to ({row:.2f}, {col:.2f}) outside the frame")
     return row, col
 
 
@@ -265,20 +257,11 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
     images = np.empty((n, cfg.image_height, cfg.image_width))
     labels = np.empty(n, dtype=np.uint8)
     for i in range(n):
-        class_id = CLASS_NAMES[i % N_CLASSES]
         rng = rng_for(seed, "sample", i)
-        for _ in range(64):
-            scene = sample_scene(class_id, rng)
-            try:
-                images[i] = render_image(scene, cfg, rng)
-            except ResampleError:
-                continue
-            heatmaps[i] = render_radar(scene, cfg, rng)
-            labels[i] = scene.label
-            break
-        else:
-            raise InputError("could not place a target inside the frame; "
-                             "check the camera geometry")
+        scene = sample_scene(CLASS_NAMES[i % N_CLASSES], rng)
+        images[i] = render_image(scene, cfg, rng)
+        heatmaps[i] = render_radar(scene, cfg, rng)
+        labels[i] = scene.label
 
     all_idx = np.arange(n, dtype=np.int64)
     train_idx, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
@@ -307,38 +290,8 @@ def image_inputs(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sH5I")  # magic, version, R, A, H, W, n
-# about what a load, a gather or a save holds of the body at once
-_BLOCK_BYTES = 1 << 20
 # what a gather checks of the file its load read: (device, inode, size, mtime)
 _STAMP = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
-
-
-def _record_dtype(r: int, a: int, h: int, w: int) -> np.dtype:
-    """One sample of the file body: class u8, split u8, heatmap f64, image f64."""
-    return np.dtype([("label", "u1"), ("split", "u1"), ("heatmap", "<f8", (r, a)),
-                     ("image", "<f8", (h, w))])
-
-
-def _records(ds: Dataset) -> Iterator[bytes | np.ndarray]:
-    """The dataset file, one block of records at a time. Header: magic,
-    version u16, R, A, H, W, n as little-endian u32; then per sample: class
-    u8, split u8 (0 test, 1 vision, 2 contrastive), heatmap f64 row-major,
-    image f64 row-major."""
-    dims = (*ds.heatmaps.shape[1:], *ds.images.shape[1:])
-    record = _record_dtype(*dims)
-    split = np.zeros(ds.n, dtype=np.uint8)
-    split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
-    yield _HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *dims, ds.n)
-    step = max(1, _BLOCK_BYTES // record.itemsize)
-    for start in range(0, ds.n, step):
-        block = np.empty(min(step, ds.n - start), dtype=record)
-        for key, arr in zip(record.names, (ds.labels, split, ds.heatmaps, ds.images)):
-            block[key] = arr[start:start + step]
-        yield block
-
-
-def dataset_to_bytes(ds: Dataset) -> bytes:
-    return b"".join(_records(ds))
 
 
 def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
@@ -363,71 +316,64 @@ def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
     return r, a, h, w, n
 
 
-def _blocks(open_body: Callable, stamp: tuple | None = None) -> Iterator[tuple]:
-    """(first index, records) for each block of about ``_BLOCK_BYTES`` of the
-    dataset file ``open_body()`` opens, once its header fits its size and a
-    file still has the ``_STAMP`` its load saw. A short read is an InputError.
-    Every block is read into one buffer, so it lasts until the next."""
-    with open_body() as f:
-        if stamp and _STAMP(os.fstat(f.fileno())) != stamp:
-            raise InputError(f"dataset file {f.name} changed after it was loaded")
-        size = f.seek(0, io.SEEK_END)
-        f.seek(0)
-        r, a, h, w, n = _checked_header(f.read(_HEADER.size), size)
-        record = _record_dtype(r, a, h, w)
-        step = max(1, _BLOCK_BYTES // record.itemsize)
-        buf = np.empty(min(step, n), dtype=record)
-        for start in range(0, n, step):
-            block = buf[:min(step, n - start)]
-            if f.readinto(block) != block.nbytes:
-                raise InputError("dataset file truncated while reading")
-            yield start, block
+def _read_exactly(f, out: np.ndarray) -> None:
+    if f.readinto(out) != out.nbytes:
+        raise InputError("dataset file truncated while reading")
 
 
 @dataclass(frozen=True)
 class _Rows:
     """One sample field left in its dataset file: an integer array or a slice
-    streams the body and copies out just those rows, as float64, in order."""
+    reads just those rows, as float64, in order."""
 
-    blocks: Callable[[], Iterator[tuple[int, np.ndarray]]]  # a bound _blocks
-    field: str                    # "heatmap" or "image"
+    path: str | os.PathLike
+    stamp: tuple                  # the _STAMP its load saw
+    offset: int                   # where the field's first row starts
     shape: tuple[int, ...]        # (n, rows, columns)
 
     def __getitem__(self, key) -> np.ndarray:
         want = np.arange(self.shape[0])[key]
-        out = np.empty((len(want), *self.shape[1:]))
-        for start, block in self.blocks():
-            hit = (want >= start) & (want < start + len(block))
-            out[hit] = block[self.field][want[hit] - start]
+        out = np.empty((len(want), *self.shape[1:]), dtype="<f8")
+        with open(self.path, "rb", buffering=0) as f:
+            if _STAMP(os.fstat(f.fileno())) != self.stamp:
+                raise InputError(f"dataset file {f.name} changed after it was loaded")
+            for i, row in zip(want.tolist(), out):
+                f.seek(self.offset + i * row.nbytes)
+                _read_exactly(f, row)
         return out
 
 
-def _read_dataset(blocks: Callable) -> Dataset:
-    """The dataset file that ``blocks()`` streams; the labels and the split
-    bytes are read now."""
-    labels, split = [], []
-    for _, block in blocks():
-        labels.append(block["label"].copy())
-        split.append(block["split"].copy())
-    labels, split = np.concatenate(labels), np.concatenate(split)
+def save_dataset(path, ds: Dataset) -> None:
+    """Header: magic, version u16, R, A, H, W, n as little-endian u32; then
+    the n class bytes, the n split bytes (0 test, 1 vision, 2 contrastive),
+    the n heatmaps and the n images, each f64 row-major."""
+    from .runio import atomic_write_bytes
+    split = np.zeros(ds.n, dtype=np.uint8)
+    split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
+    dims = (*ds.heatmaps.shape[1:], *ds.images.shape[1:])
+    columns = ((ds.labels, "u1"), (split, "u1"), (ds.heatmaps, "<f8"), (ds.images, "<f8"))
+    atomic_write_bytes(path, [_HEADER.pack(DATASET_MAGIC, DATASET_VERSION, *dims, ds.n),
+                              *(np.ascontiguousarray(arr[:], dtype) for arr, dtype in columns)])
+
+
+def load_dataset(path) -> Dataset:
+    """The dataset file at ``path``. The class and split bytes are read now;
+    the heatmaps and images stay in the file until a gather (``_Rows``)."""
+    with open(path, "rb", buffering=0) as f:
+        stamp = _STAMP(os.fstat(f.fileno()))
+        r, a, h, w, n = _checked_header(f.read(_HEADER.size), stamp[2])
+        tags = np.empty((2, n), dtype=np.uint8)  # the class bytes, the split bytes
+        _read_exactly(f, tags)
+    labels, split = tags
     if labels.max() >= N_CLASSES:
         raise InputError(f"dataset file has a class id above {N_CLASSES - 1}")
     if split.max() > 2:
         raise InputError("dataset file has a split byte above 2")
-    heatmaps, images = (_Rows(blocks, key, (len(labels), *block.dtype[key].shape))
-                        for key in ("heatmap", "image"))
-    return Dataset(heatmaps, images, labels, np.flatnonzero(split != 0),
-                   *(np.flatnonzero(split == tag) for tag in range(3)))
-
-
-def dataset_from_bytes(blob: bytes) -> Dataset:
-    return _read_dataset(partial(_blocks, partial(io.BytesIO, blob)))
-
-
-def save_dataset(path, ds: Dataset) -> None:
-    from .runio import atomic_write_bytes
-    atomic_write_bytes(path, _records(ds))
-
-
-def load_dataset(path) -> Dataset:
-    return _read_dataset(partial(_blocks, partial(open, path, "rb"), _STAMP(os.stat(path))))
+    parts = [np.flatnonzero(split == tag) for tag in range(3)]
+    for part, name in ((parts[0], "test"), (parts[2], "contrastive")):
+        if not len(part):
+            raise InputError(f"dataset file has no {name} samples")
+    body = _HEADER.size + 2 * n
+    return Dataset(_Rows(path, stamp, body, (n, r, a)),
+                   _Rows(path, stamp, body + 8 * n * r * a, (n, h, w)),
+                   labels, np.flatnonzero(split != 0), *parts)

@@ -1,6 +1,5 @@
 """Exception types shared across the package: one class per exit code that
-``cli.main`` returns, plus ``ResampleError``, which ``make_dataset`` catches
-by type. The message says what went wrong."""
+``cli.main`` returns. The message says what went wrong."""
 
 
 class XmcError(Exception):
@@ -17,8 +16,3 @@ class InputError(XmcError):
 class NumericError(XmcError):
     """A non-finite or degenerate value where a usable one is required."""
     exit_code = 4
-
-
-class ResampleError(XmcError):
-    """A sampled scene cannot be rendered; the caller should redraw it."""
-    exit_code = 1

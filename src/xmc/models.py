@@ -103,10 +103,6 @@ class EncoderModel:
         """Independent, trainable deep copy."""
         return EncoderModel(list(self.dims), self.data.copy())
 
-    def param_bytes(self) -> bytes:
-        """Raw little-endian parameter bytes, for freeze-contract checks."""
-        return self.data.astype("<f8").tobytes()
-
 
 def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderModel:
     """Build an MLP with Xavier-uniform weights and zero biases."""

@@ -60,6 +60,10 @@ def workdir(tmp_path_factory):
     return root
 
 
+# TINY_YAML's split bytes: after the 26-byte header and its 160 class bytes
+SPLIT_BYTES = range(26 + 160, 26 + 2 * 160)
+
+
 def run(workdir, *argv) -> int:
     return main([*argv, "--config", str(workdir / "tiny.yaml"),
                  "--out", str(workdir / "out")])
@@ -79,7 +83,7 @@ class TestGenData:
         blob = (pipeline / "dataset.xmcd").read_bytes()
         assert blob[:4] == b"XMCD"
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
-        assert (version, r, a, h, w, n) == (2, 32, 32, 32, 32, 160)
+        assert (version, r, a, h, w, n) == (3, 32, 32, 32, 32, 160)
 
     def test_manifest_records_hashes(self, pipeline):
         manifest = json.loads((pipeline / "gen-data.manifest.json").read_text())
@@ -143,10 +147,8 @@ class TestExitCodes:
         assert main(["gen-data", *args]) == 0
         data = out / "dataset.xmcd"
         blob = bytearray(data.read_bytes())
-        record = (len(blob) - 26) // 160  # TINY_YAML's datagen.n
-        # all but one vision sample (split byte 1) go to contrastive (2); each
-        # split byte follows the 26-byte header and its sample's class byte
-        vision = [at for at in range(27, len(blob), record) if blob[at] == 1]
+        # all but one vision sample (split byte 1) go to contrastive (2)
+        vision = [at for at in SPLIT_BYTES if blob[at] == 1]
         for at in vision[1:]:
             blob[at] = 2
         data.write_bytes(blob)
@@ -192,7 +194,7 @@ class TestExitCodes:
 
     def test_oversized_dataset_header_exits_3(self, workdir, tmp_path, capsys):
         data = tmp_path / "d.xmcd"
-        data.write_bytes(b"XMCD" + struct.pack("<H5I", 2, 32, 32, 32, 32, 2**32 - 1))
+        data.write_bytes(b"XMCD" + struct.pack("<H5I", 3, 32, 32, 32, 32, 2**32 - 1))
         capsys.readouterr()
         code = main(["pretrain-vision", "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"), "--data", str(data)])
@@ -205,10 +207,14 @@ class TestExitCodes:
         (lambda blob: blob + b"\x00", "trailing bytes"),
         # the first sample's class id and split byte; the file keeps its length
         (lambda blob: blob[:26] + b"\xff" + blob[27:], "class id"),
-        (lambda blob: blob[:27] + b"\x03" + blob[28:], "split byte above 2"),
+        (lambda blob: blob[:SPLIT_BYTES[0]] + b"\x03" + blob[SPLIT_BYTES[0] + 1:],
+         "split byte above 2"),
         (lambda blob: blob[:4] + struct.pack("<H", 1) + blob[6:],
          "unsupported dataset version 1"),
-    ], ids=["magic", "truncated", "trailing", "class-id", "split-byte", "version-1"])
+        (lambda blob: blob[:4] + struct.pack("<H", 2) + blob[6:],
+         "unsupported dataset version 2"),
+    ], ids=["magic", "truncated", "trailing", "class-id", "split-byte", "version-1",
+            "version-2"])
     def test_sweep_labels_checks_the_file_before_the_pool(
             self, pipeline, workdir, tmp_path, capsys, monkeypatch, damage, message):
         (tmp_path / "d.xmcd").write_bytes(damage((pipeline / "dataset.xmcd").read_bytes()))
@@ -219,6 +225,25 @@ class TestExitCodes:
                      "--vision", str(pipeline / "vision.xmck")])
         assert code == 3
         assert message in self.one_line(capsys)
+
+    @pytest.mark.parametrize("tag, name", [(0, "test"), (2, "contrastive")])
+    @pytest.mark.parametrize("command", ["probe", "baseline", "sweep-labels"])
+    def test_an_empty_test_or_contrastive_split_exits_3(
+            self, pipeline, workdir, tmp_path, capsys, command, tag, name):
+        """Every sample of the split moved to the vision split. Without the
+        load's check these commands end in a ZeroDivisionError traceback, or,
+        with no test sample, sweep-labels in NaN accuracies."""
+        blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
+        for at in SPLIT_BYTES:
+            blob[at] = 1 if blob[at] == tag else blob[at]
+        (tmp_path / "d.xmcd").write_bytes(blob)
+        inputs = {"probe": ["--encoder", str(pipeline / "radio.xmck")], "baseline": [],
+                  "sweep-labels": ["--vision", str(pipeline / "vision.xmck")]}[command]
+        capsys.readouterr()
+        code = main([command, "--config", str(workdir / "tiny.yaml"), "--out",
+                     str(tmp_path / "o"), "--data", str(tmp_path / "d.xmcd"), *inputs])
+        assert code == 3
+        assert self.one_line(capsys) == f"xmc {command}: dataset file has no {name} samples\n"
 
     @pytest.mark.parametrize("command, key, value, message", [
         ("estimate-mi", ("mi", "n_seeds"), 0, "mi.n_seeds must be an integer >= 1"),
@@ -365,10 +390,10 @@ class TestExitCodes:
     def test_nan_test_heatmap_exits_4_from_project(self, pipeline, workdir, tmp_path,
                                                    capsys):
         blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
-        record = (len(blob) - 26) // 160  # TINY_YAML's datagen.n
-        # the first test sample (split byte 0); its heatmap follows the split byte
-        at = next(at for at in range(27, len(blob), record) if blob[at] == 0)
-        blob[at + 1:at + 9] = struct.pack("<d", float("nan"))
+        # the first test sample (split byte 0); the heatmaps follow the split bytes
+        first = next(i for i, at in enumerate(SPLIT_BYTES) if blob[at] == 0)
+        at = SPLIT_BYTES.stop + first * 8 * 32 * 32
+        blob[at:at + 8] = struct.pack("<d", float("nan"))
         data = tmp_path / "nan.xmcd"
         data.write_bytes(blob)
         capsys.readouterr()
@@ -417,7 +442,7 @@ class TestErrorClassExitCodes:
         rows = {line.split("|")[1].strip(): line
                 for line in README.read_text().splitlines() if line.startswith("| ")}
         assert ({cls.__name__ for cls in ERROR_CLASSES}
-                == {"XmcError", "InputError", "NumericError", "ResampleError"})
+                == {"XmcError", "InputError", "NumericError"})
         assert "`MemoryError`" in rows["1"]
         for cls in ERROR_CLASSES:
             assert "exit_code" in vars(cls), cls.__name__

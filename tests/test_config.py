@@ -31,7 +31,8 @@ def test_defaults_are_in_range():
     ({"eval": {"queue_sizes": []}}, "eval.queue_sizes must not be empty"),
     ({"mi": {"rhos": []}}, "mi.rhos must not be empty"),
     ({"contrastive": {"tau": math.inf}}, "contrastive.tau must be finite and > 0, got inf"),
-    ({"datagen": {"n": 7}}, "datagen.n must be an integer >= 8, got 7"),
+    ({"datagen": {"n": 7}}, "datagen.n must be an integer >= 20, got 7"),
+    ({"datagen": {"n": 19}}, "datagen.n must be an integer >= 20, got 19"),
     ({"datagen": {"azimuth_bins": 1}}, "datagen.azimuth_bins must be an integer >= 2, got 1"),
     ({"datagen": {"vision_fraction": 0.8}}, "datagen.vision_fraction must be in [0, 0.8)"),
     ({"datagen": {"sigma_image": -0.1}}, "datagen.sigma_image must be >= 0, got -0.1"),
@@ -41,7 +42,7 @@ def test_defaults_are_in_range():
 ], ids=["negative-lr", "zero-lr", "zero-tau", "no-seeds", "zero-queue", "float-width",
         "zero-fraction", "fraction-above-1", "zero-holdout", "momentum-1",
         "negative-decay", "string-rho", "no-fractions", "no-queue-sizes", "no-rhos",
-        "inf-tau", "n-7", "one-azimuth-bin", "vision-fraction-0.8", "negative-sigma",
+        "inf-tau", "n-7", "n-19", "one-azimuth-bin", "vision-fraction-0.8", "negative-sigma",
         "null-sigma-image", "vision-mode"])
 def test_out_of_range_values_rejected(overrides, message):
     with pytest.raises(InputError, match=re.escape(message)):
@@ -53,7 +54,7 @@ def test_edges_of_the_ranges_are_accepted():
                                   "mode": "random-frozen"},
                        "eval": {"fractions": [1.0], "weight_decay": 0.0},
                        "mi": {"n_seeds": 1}, "seed": -1, "encoder_hidden": []})
-    load_config(None, {"datagen": {"n": 8, "range_bins": 2, "image_width": 2,
+    load_config(None, {"datagen": {"n": 20, "range_bins": 2, "image_width": 2,
                                    "vision_fraction": 0.0, "sigma_radar": None,
                                    "sigma_image": 0.0}})
 

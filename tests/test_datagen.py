@@ -7,7 +7,6 @@ import struct
 import subprocess
 import sys
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,11 +25,12 @@ from xmc.datagen import (
     analytic_mi,
     gen_gaussian_pairs,
     make_dataset,
+    project_to_image,
     render_image,
     render_radar,
     sample_scene,
 )
-from xmc.errors import InputError, ResampleError
+from xmc.errors import InputError
 from xmc.seeding import rng_for
 
 CFG = DatagenSection()
@@ -173,11 +173,16 @@ class TestRenderImage:
         img = render_image(SceneLatent("empty"), NOISELESS)
         assert np.all(img == 0.0)
 
-    def test_out_of_frame_projection_raises(self):
-        scene = SceneLatent("car", range_m=0.5 * RANGE_MIN, azimuth_rad=0.0,
-                            extent_m=2.0, reflectivity=4.0)  # nearer than RANGE_MIN
-        with pytest.raises(ResampleError):
-            render_image(scene, NOISELESS)
+    def test_the_corners_of_the_field_project_into_the_frame(self):
+        """The nearest and farthest ranges at either edge of the azimuth span
+        land on the frame's edges, at any frame size, so every target in the
+        field of view is drawn without a redraw."""
+        for cfg in (CFG, DatagenSection(image_height=2, image_width=2)):
+            corners = {project_to_image(SceneLatent("car", range_m, azimuth, 2.0, 4.0), cfg)
+                       for range_m in (RANGE_MIN, RANGE_MAX)
+                       for azimuth in (-AZIMUTH_MAX, AZIMUTH_MAX)}
+            h, w = cfg.image_height - 1, cfg.image_width - 1
+            assert corners == {(0.0, 0.0), (0.0, w), (h, 0.0), (h, w)}
 
     def test_patch_shapes_differ_by_class(self):
         imgs = {}
@@ -260,8 +265,22 @@ class TestMakeDataset:
             "c3463fda82e48e03da78a35242550aacc1360400ccac2942acce5df54f26a4fe")
 
     def test_too_small_rejected(self):
-        with pytest.raises(InputError, match="datagen.n must be an integer >= 8, got 4"):
+        with pytest.raises(InputError, match="datagen.n must be an integer >= 20, got 4"):
             load_config(None, {"datagen": {"n": 4}})
+
+
+def file_bytes(tmp_path, ds: dg.Dataset) -> bytes:
+    """The bytes of ``ds``'s dataset file."""
+    path = tmp_path / "saved.xmcd"
+    dg.save_dataset(path, ds)
+    return path.read_bytes()
+
+
+def load_bytes(tmp_path, blob: bytes) -> dg.Dataset:
+    """``load_dataset`` of a file holding ``blob``."""
+    path = tmp_path / "blob.xmcd"
+    path.write_bytes(blob)
+    return dg.load_dataset(path)
 
 
 class TestDatasetFile:
@@ -293,70 +312,87 @@ class TestDatasetFile:
         assert proc.stdout.strip() == "False"
 
     def test_header_layout(self, tmp_path):
-        ds = make_dataset(DatagenSection(n=16), seed=13)
-        blob = dg.dataset_to_bytes(ds)
+        blob = file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=13))
         assert blob[:4] == b"XMCD"
         version, r, a, h, w, n = struct.unpack("<H5I", blob[4:26])
-        assert (version, r, a, h, w, n) == (2, 32, 32, 32, 32, 16)
+        assert (version, r, a, h, w, n) == (3, 32, 32, 32, 32, 20)
 
-    def test_bad_magic_rejected(self):
+    def test_bad_magic_rejected(self, tmp_path):
         with pytest.raises(InputError, match=r"^not a dataset file \(bad magic\)$"):
-            dg.dataset_from_bytes(b"NOPE" + b"\x00" * 30)
+            load_bytes(tmp_path, b"NOPE" + b"\x00" * 30)
 
-    def test_body_is_per_sample_label_heatmap_image(self):
-        """Each sample is its class byte, its split byte (0 test, 1 vision,
-        2 contrastive), its heatmap and its image."""
-        ds = make_dataset(DatagenSection(n=8), seed=15)
-        split = {**{i: 0 for i in ds.test_idx}, **{i: 1 for i in ds.vision_idx},
-                 **{i: 2 for i in ds.contrastive_idx}}
-        assert sorted(split) == list(range(8))
-        expected = [b"XMCD", struct.pack("<H5I", 2, 32, 32, 32, 32, 8)]
-        for i in range(8):
-            expected += [struct.pack("<BB", ds.labels[i], split[i]),
-                         ds.heatmaps[i].astype("<f8").tobytes(),
-                         ds.images[i].astype("<f8").tobytes()]
-        assert dg.dataset_to_bytes(ds) == b"".join(expected)
+    def test_body_is_class_split_heatmap_and_image_columns(self, tmp_path):
+        """The n class bytes, the n split bytes (0 test, 1 vision,
+        2 contrastive), the n heatmaps and then the n images."""
+        ds = make_dataset(DatagenSection(n=20), seed=15)
+        split = np.zeros(20, dtype=np.uint8)
+        split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
+        assert sorted([*ds.test_idx, *ds.vision_idx, *ds.contrastive_idx]) == list(range(20))
+        expected = [b"XMCD", struct.pack("<H5I", 3, 32, 32, 32, 32, 20),
+                    bytes(ds.labels), bytes(split),
+                    ds.heatmaps.astype("<f8").tobytes(), ds.images.astype("<f8").tobytes()]
+        assert file_bytes(tmp_path, ds) == b"".join(expected)
 
-    def test_oversized_header_rejected_before_allocating(self):
+    def test_oversized_header_rejected_before_allocating(self, tmp_path):
         """A 26-byte file whose header claims 2**32 - 1 samples."""
-        blob = b"XMCD" + struct.pack("<H5I", 2, 32, 32, 32, 32, 2**32 - 1)
+        blob = b"XMCD" + struct.pack("<H5I", 3, 32, 32, 32, 32, 2**32 - 1)
         with pytest.raises(InputError, match="^dataset file truncated: 26 bytes"):
-            dg.dataset_from_bytes(blob)
+            load_bytes(tmp_path, blob)
 
-    def test_length_must_match_the_header_exactly(self):
-        ds = make_dataset(DatagenSection(n=8), seed=16)
-        blob = dg.dataset_to_bytes(ds)
+    def test_length_must_match_the_header_exactly(self, tmp_path):
+        blob = file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=16))
         with pytest.raises(InputError, match="^dataset file truncated: "):
-            dg.dataset_from_bytes(blob[:-1])
+            load_bytes(tmp_path, blob[:-1])
         with pytest.raises(InputError, match="^dataset file has trailing bytes$"):
-            dg.dataset_from_bytes(blob + b"\x00")
+            load_bytes(tmp_path, blob + b"\x00")
 
-    def test_zero_size_and_bad_class_rejected(self):
-        ds = make_dataset(DatagenSection(n=8), seed=17)
-        blob = dg.dataset_to_bytes(ds)
-        empty = b"XMCD" + struct.pack("<H5I", 2, 0, 32, 32, 32, 8)
+    def test_zero_size_and_bad_class_rejected(self, tmp_path):
+        blob = file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=17))
+        empty = b"XMCD" + struct.pack("<H5I", 3, 0, 32, 32, 32, 20)
         with pytest.raises(InputError, match="^dataset header has a zero size: "):
-            dg.dataset_from_bytes(empty)
+            load_bytes(tmp_path, empty)
         with pytest.raises(InputError, match="^dataset file has a class id above 3$"):
-            dg.dataset_from_bytes(blob[:26] + b"\x04" + blob[27:])
+            load_bytes(tmp_path, blob[:26] + b"\x04" + blob[27:])
 
-    def test_split_byte_above_2_rejected(self):
-        blob = dg.dataset_to_bytes(make_dataset(DatagenSection(n=8), seed=17))
-        at = len(blob) - (len(blob) - 26) // 8 + 1  # the last sample's split byte
+    def test_split_byte_above_2_rejected(self, tmp_path):
+        blob = file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=17))
+        at = 26 + 2 * 20 - 1  # the last sample's split byte
         for byte in (b"\x03", b"\xff"):
             with pytest.raises(InputError, match="^dataset file has a split byte above 2$"):
-                dg.dataset_from_bytes(blob[:at] + byte + blob[at + 1:])
+                load_bytes(tmp_path, blob[:at] + byte + blob[at + 1:])
 
-    def test_version_1_file_rejected(self):
+    @pytest.mark.parametrize("tag, name", [(0, "test"), (2, "contrastive")])
+    def test_an_empty_test_or_contrastive_split_rejected(self, tmp_path, tag, name):
+        """Every sample of the split moved to the vision split."""
+        blob = bytearray(file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=17)))
+        blob[46:66] = bytes(1 if b == tag else b for b in blob[46:66])
+        with pytest.raises(InputError, match=f"^dataset file has no {name} samples$"):
+            load_bytes(tmp_path, bytes(blob))
+
+    def test_version_1_file_rejected(self, tmp_path):
         """A file as version 1 wrote it: no split byte, and the partition in a
         JSON file beside it."""
-        ds = make_dataset(DatagenSection(n=8), seed=15)
-        old = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 8)]
-        for i in range(8):
+        ds = make_dataset(DatagenSection(n=20), seed=15)
+        old = [b"XMCD", struct.pack("<H5I", 1, 32, 32, 32, 32, 20)]
+        for i in range(20):
             old += [struct.pack("<B", ds.labels[i]), ds.heatmaps[i].astype("<f8").tobytes(),
                     ds.images[i].astype("<f8").tobytes()]
         with pytest.raises(InputError, match="^unsupported dataset version 1$"):
-            dg.dataset_from_bytes(b"".join(old))
+            load_bytes(tmp_path, b"".join(old))
+
+    def test_version_2_file_rejected(self, tmp_path):
+        """A file as version 2 wrote it: one record per sample, its class
+        byte, split byte, heatmap and image; the length equals version 3's."""
+        ds = make_dataset(DatagenSection(n=20), seed=15)
+        split = np.zeros(20, dtype=np.uint8)
+        split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
+        old = [b"XMCD", struct.pack("<H5I", 2, 32, 32, 32, 32, 20)]
+        for i in range(20):
+            old += [struct.pack("<BB", ds.labels[i], split[i]),
+                    ds.heatmaps[i].astype("<f8").tobytes(), ds.images[i].astype("<f8").tobytes()]
+        assert len(b"".join(old)) == len(file_bytes(tmp_path, ds))
+        with pytest.raises(InputError, match="^unsupported dataset version 2$"):
+            load_bytes(tmp_path, b"".join(old))
 
 
 # Unsorted, repeated and empty index arrays, and slices with any bounds and step.
@@ -368,41 +404,36 @@ ROW_KEYS = st.one_of(
 
 @pytest.fixture(scope="module")
 def stored(tmp_path_factory):
-    """A 40-sample dataset, as generated, as loaded from its file and as read
-    from its bytes."""
+    """A 40-sample dataset, as generated and as loaded from its file."""
     ds = make_dataset(DatagenSection(n=40), seed=12)
     path = tmp_path_factory.mktemp("stored") / "toy.xmcd"
     dg.save_dataset(path, ds)
-    return ds, dg.load_dataset(path), dg.dataset_from_bytes(path.read_bytes())
+    return ds, dg.load_dataset(path)
 
 
 class TestRowGather:
     @settings(max_examples=60, deadline=None)
-    @given(key=ROW_KEYS, block_bytes=st.integers(1, 300_000))
-    def test_gathered_rows_equal_the_arrays(self, stored, key, block_bytes):
-        ds, *loaded = stored
-        with mock.patch.object(dg, "_BLOCK_BYTES", block_bytes):
-            for other in loaded:
-                for field in ("heatmaps", "images"):
-                    got, want = getattr(other, field)[key], getattr(ds, field)[key]
-                    assert got.dtype == np.float64 and got.shape == want.shape
-                    assert got.tobytes() == want.tobytes()
+    @given(key=ROW_KEYS)
+    def test_gathered_rows_equal_the_arrays(self, stored, key):
+        ds, loaded = stored
+        for field in ("heatmaps", "images"):
+            got, want = getattr(loaded, field)[key], getattr(ds, field)[key]
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
     def test_loaded_shapes_and_labels(self, stored):
-        ds, *loaded = stored
-        for other in loaded:
-            assert other.heatmaps.shape == ds.heatmaps.shape
-            assert other.images.shape == ds.images.shape
-            np.testing.assert_array_equal(other.labels, ds.labels)
+        ds, loaded = stored
+        assert loaded.heatmaps.shape == ds.heatmaps.shape
+        assert loaded.images.shape == ds.images.shape
+        np.testing.assert_array_equal(loaded.labels, ds.labels)
 
     def test_load_and_gather_hold_less_than_half_the_body(self, tmp_path):
-        """A load reads the labels and a gather copies out its rows, a block
-        of records at a time; neither holds the body."""
+        """A load reads the class and split bytes, and a gather reads its
+        rows; neither holds the body."""
         ds = make_dataset(DatagenSection(n=600), seed=18)
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, ds)
         body = path.stat().st_size
-        assert body > 3 * dg._BLOCK_BYTES
         want = dg.heatmap_inputs(ds.heatmaps[ds.contrastive_idx])
         del ds
         tracemalloc.start()
@@ -425,18 +456,10 @@ class TestRowGather:
             tracemalloc.stop()
         assert peak < (tmp_path / "toy.xmcd").stat().st_size / 2
 
-    def test_the_file_is_the_same_at_any_block_size(self, tmp_path):
-        ds = make_dataset(DatagenSection(n=8), seed=15)
-        whole = dg.dataset_to_bytes(ds)
-        with mock.patch.object(dg, "_BLOCK_BYTES", 3 * 16385 + 7):
-            assert dg.dataset_to_bytes(ds) == whole
-            dg.save_dataset(tmp_path / "toy.xmcd", ds)
-        assert (tmp_path / "toy.xmcd").read_bytes() == whole
-
     def test_a_gather_refuses_a_replaced_or_truncated_file(self, tmp_path):
         path, other = tmp_path / "toy.xmcd", tmp_path / "other.xmcd"
-        dg.save_dataset(path, make_dataset(DatagenSection(n=16), seed=20))
-        dg.save_dataset(other, make_dataset(DatagenSection(n=16), seed=21))
+        dg.save_dataset(path, make_dataset(DatagenSection(n=20), seed=20))
+        dg.save_dataset(other, make_dataset(DatagenSection(n=20), seed=21))
         assert other.stat().st_size == path.stat().st_size
         loaded = dg.load_dataset(path)
         os.replace(other, path)

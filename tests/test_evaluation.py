@@ -148,10 +148,10 @@ def tiny_task(tiny_dataset):
 class TestFinetuneAndBaseline:
     def test_finetune_changes_encoder(self, tiny_task):
         enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=21)
-        before = enc.param_bytes()
+        before = enc.data.tobytes()
         _, losses, tuned = finetune(enc, tiny_task, 1.0, FAST_HEAD, seed=21)
-        assert enc.param_bytes() == before          # original untouched
-        assert tuned.param_bytes() != before        # the copy trained
+        assert enc.data.tobytes() == before          # original untouched
+        assert tuned.data.tobytes() != before        # the copy trained
         assert len(losses) == FAST_HEAD.finetune_epochs
 
     def test_baseline_runs_and_is_deterministic(self, tiny_task):
@@ -194,7 +194,7 @@ class TestCurveFreeArms:
         assert len(losses_on) == FAST_HEAD.finetune_epochs
         assert losses_off == []
         assert acc_off == acc_on
-        assert tuned_off.param_bytes() == tuned_on.param_bytes()
+        assert tuned_off.data.tobytes() == tuned_on.data.tobytes()
         shape = dict(hidden=(32,), embed_dim=16)
         sup_off = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape, curve=False)
         sup_on = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape)

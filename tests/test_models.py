@@ -334,7 +334,7 @@ class TestFit:
         calls = []
 
         def loss(out, sel):
-            calls.append(enc.param_bytes())
+            calls.append(enc.data.tobytes())
             # batches start at samples 0, 2, 4 and 6: call 7 is epoch 1's third
             if len(calls) == 7:
                 return math.nan, np.ones_like(out)
@@ -344,7 +344,7 @@ class TestFit:
             list(fit([enc], x, loss, epochs=3, order_rng=np.random.default_rng(0),
                      **FIT_KW))
         assert calls[0] != calls[-1]  # earlier steps did train
-        assert enc.param_bytes() == calls[-1]
+        assert enc.data.tobytes() == calls[-1]
 
     def test_each_epoch_visits_a_fresh_rng_permutation(self):
         enc = init_encoder([3, 2], seed=31)
@@ -377,7 +377,7 @@ class TestFit:
     def test_frozen_model_in_the_chain_raises_before_any_step(self):
         enc = init_encoder([3, 2], seed=33, trainable=False)
         head = init_encoder([2, 4], seed=34)
-        before = head.param_bytes() + enc.param_bytes()
+        before = head.data.tobytes() + enc.data.tobytes()
         calls = []
 
         def loss(out, sel):
@@ -389,7 +389,7 @@ class TestFit:
                      order_rng=np.random.default_rng(0), **FIT_KW))
         assert err.type is XmcError
         assert calls == []
-        assert head.param_bytes() + enc.param_bytes() == before
+        assert head.data.tobytes() + enc.data.tobytes() == before
 
     def test_one_step_through_a_chain_matches_manual_backprop(self):
         x = np.random.default_rng(35).normal(size=(4, 5))
@@ -408,8 +408,8 @@ class TestFit:
                         input_grad=True)
         ad.backward(ref_enc, enc_acts, g)
         sgd_step([ref_enc, ref_head], make_optimizer([ref_enc, ref_head], 0.1, 0.9, 0.01))
-        assert enc.param_bytes() == ref_enc.param_bytes()
-        assert head.param_bytes() == ref_head.param_bytes()
+        assert enc.data.tobytes() == ref_enc.data.tobytes()
+        assert head.data.tobytes() == ref_head.data.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -427,13 +427,13 @@ class TestVisionPretrain:
                           batch_size=32, holdout_fraction=0.2),
             hidden=[32], embed_dim=16, n_classes=4, seed=1)
         assert model.frozen
-        before = model.param_bytes()
+        before = model.data.tobytes()
         out, acts = model.forward(image_inputs(ds.images[ds.test_idx[:8]]))
         _, g = cross_entropy(out, ds.labels[ds.test_idx[:8]].astype(np.int64))
         with pytest.raises(XmcError, match="^cannot backpropagate into a frozen model$") as err:
             ad.backward(model, acts, g)
         assert err.type is XmcError
-        assert model.param_bytes() == before
+        assert model.data.tobytes() == before
 
     def test_random_frozen_mode_returns_untrained_frozen(self, small_dataset):
         ds = small_dataset
@@ -445,7 +445,7 @@ class TestVisionPretrain:
                                                        embed_dim=16, n_classes=4, seed=2)
         fresh = init_encoder([imgs.shape[1], 32, 16], derive_seed(2, "vision-encoder"))
         assert frozen.frozen
-        assert frozen.param_bytes() == fresh.param_bytes()
+        assert frozen.data.tobytes() == fresh.data.tobytes()
         assert (accuracy, train_loss) == (0.0, [])
 
     def test_unknown_mode_rejected(self):
@@ -466,7 +466,7 @@ class TestCheckpoints:
         loaded = load_checkpoint_bytes(blob)
         assert loaded.dims == model.dims
         assert not loaded.frozen
-        assert loaded.param_bytes() == model.param_bytes()
+        assert loaded.data.tobytes() == model.data.tobytes()
         assert save_checkpoint_bytes(loaded) == blob
 
     def test_magic_and_frozen_flag(self):
@@ -503,7 +503,7 @@ class TestCheckpoints:
         index = 4 * 3 + 3 + 2 * 2 + 1  # after weight 0 and bias 0, row-major
         value = struct.pack("<d", 0.5)
         assert model.data[index] == 0.5
-        assert model.param_bytes()[8 * index:8 * index + 8] == value
+        assert model.data.tobytes()[8 * index:8 * index + 8] == value
         body = 9 + 4 * 3  # magic, header, three dims
         assert save_checkpoint_bytes(model)[body + 8 * index:body + 8 * index + 8] == value
 

@@ -3,13 +3,15 @@ the readers raised itself, or a model or dataset, never another exception."""
 
 import re
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from xmc.datagen import Dataset, dataset_from_bytes, dataset_to_bytes
+from xmc.datagen import Dataset, load_dataset, save_dataset
 from xmc.errors import InputError
 from xmc.models import init_encoder, load_checkpoint_bytes, save_checkpoint_bytes
 
@@ -25,7 +27,20 @@ def small_dataset() -> Dataset:
                    vision_idx=np.array([0, 1]), contrastive_idx=np.arange(2, 6))
 
 
-DATASET = dataset_to_bytes(small_dataset())
+def dataset_bytes(ds: Dataset) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        save_dataset(Path(d) / "d.xmcd", ds)
+        return (Path(d) / "d.xmcd").read_bytes()
+
+
+def load_blob(blob: bytes) -> Dataset:
+    """``load_dataset`` of a temporary file holding ``blob``."""
+    with tempfile.TemporaryDirectory() as d:
+        (Path(d) / "d.xmcd").write_bytes(blob)
+        return load_dataset(Path(d) / "d.xmcd")
+
+
+DATASET = dataset_bytes(small_dataset())
 CHECKPOINT = save_checkpoint_bytes(init_encoder([3, 4, 2], seed=0))
 
 
@@ -53,8 +68,8 @@ def damaged(blob: bytes, fields: list[tuple[int, str]]):
 
 # version u16, then R, A, H, W, n as u32
 DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
-# each sample's split byte: after the 26-byte header and the class byte, one record apart
-SPLIT_BYTES = range(27, len(DATASET), (len(DATASET) - 26) // 8)
+# each sample's split byte: after the 26-byte header and the 8 class bytes
+SPLIT_BYTES = range(26 + 8, 26 + 16)
 # version u16, frozen u8, layer count u16, then the three layer dims as u32
 CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
 # each f64 of the parameter vector: the (3 + 1) * 4 + (4 + 1) * 2 = 26 that end the file
@@ -86,12 +101,12 @@ def test_the_check_refuses_an_input_error_from_outside_the_readers():
 
 class TestDatasetReader:
     def test_intact_file_loads(self):
-        assert dataset_from_bytes(DATASET).n == 8
+        assert load_blob(DATASET).n == 8
 
     @FUZZ
     @given(damaged(DATASET, DATASET_FIELDS))
     def test_damaged_file(self, blob):
-        loads_or_format_error(dataset_from_bytes, blob)
+        loads_or_format_error(load_blob, blob)
 
     @FUZZ
     @given(st.sampled_from(SPLIT_BYTES), st.integers(0, 255))
@@ -101,9 +116,9 @@ class TestDatasetReader:
         blob = set_field(DATASET, at, "<B", value)
         if value > 2:
             with pytest.raises(InputError, match="^dataset file has a split byte above 2$"):
-                dataset_from_bytes(blob)
+                load_blob(blob)
             return
-        ds = dataset_from_bytes(blob)
+        ds = load_blob(blob)
         i = SPLIT_BYTES.index(at)
         assert i in (ds.test_idx, ds.vision_idx, ds.contrastive_idx)[value]
         assert (i in ds.train_idx) == (value != 0)
