@@ -186,6 +186,8 @@ def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
     take the dataset's R·A heatmap bins before anything is encoded."""
     ds = load_dataset(inputs["data"])
     encoder = load_checkpoint(inputs["encoder"])
+    if encoder.frozen:
+        raise InputError(f"encoder checkpoint {inputs['encoder']} is a frozen vision teacher")
     width = math.prod(ds.heatmaps.shape[1:])
     if encoder.input_dim != width:
         raise InputError(f"encoder checkpoint {inputs['encoder']} takes "

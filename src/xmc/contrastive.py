@@ -117,7 +117,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     encoder and :func:`fit`'s ``(epoch, lr, mean loss)`` per epoch.
     """
     if not vision.frozen:
-        raise XmcError("the vision encoder must be frozen before pre-training")
+        raise InputError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
     if len(idx) < cfg.queue_size:
         raise InputError(
@@ -137,7 +137,8 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
 
     def loss(raw: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
         q, normalize_back = ad.l2_normalize(raw)
-        # enqueue only after scoring: a batch is never its own negatives
+        # scored before it is enqueued, yet a row can meet its own key among the negatives:
+        # in epoch 0's warm-start batches, and just after each epoch boundary
         value, dq = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
         queue.enqueue(sel)
         return value, normalize_back(dq)

@@ -340,6 +340,8 @@ class _Rows:
             for i, row in zip(want.tolist(), out):
                 f.seek(self.offset + i * row.nbytes)
                 _read_exactly(f, row)
+                if not np.isfinite(row).all():
+                    raise InputError(f"dataset file {f.name} has a non-finite value in row {i}")
         return out
 
 
@@ -373,6 +375,9 @@ def load_dataset(path) -> Dataset:
     for part, name in ((parts[0], "test"), (parts[2], "contrastive")):
         if not len(part):
             raise InputError(f"dataset file has no {name} samples")
+    missing = np.flatnonzero(np.bincount(labels[parts[0]], minlength=N_CLASSES) == 0)
+    if missing.size:
+        raise InputError(f"dataset file has no test sample of class {CLASS_NAMES[missing[0]]}")
     body = _HEADER.size + 2 * n
     return Dataset(_Rows(path, stamp, body, (n, r, a)),
                    _Rows(path, stamp, body + 8 * n * r * a, (n, h, w)),

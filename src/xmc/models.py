@@ -9,6 +9,7 @@ serves as a fixed key encoder afterwards.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
@@ -22,6 +23,7 @@ from .seeding import derive_seed, rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
 CHECKPOINT_VERSION = 2
+_CHECKPOINT_HEADER = struct.Struct("<4sHBH")  # magic, version, frozen, layer count
 SGD_BLOCK = 1 << 15  # weight-gradient elements sgd_step forms per pass: the block stays in L2
 
 
@@ -305,57 +307,47 @@ def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, 
 # checkpoints
 # ---------------------------------------------------------------------------
 
-def save_checkpoint_bytes(model: EncoderModel) -> bytes:
-    """Serialize a model to bytes.
-
-    Layout: magic, version u16, frozen u8, layer count u16, dims u32 each,
-    then the parameter vector (per layer, weight then bias) as little-endian
-    f64. Round-trips bit-exactly.
-    """
-    return b"".join([CHECKPOINT_MAGIC,
-                     struct.pack("<HBH", CHECKPOINT_VERSION, int(model.frozen),
-                                 len(model.weights)),
-                     struct.pack(f"<{len(model.dims)}I", *model.dims),
-                     model.data.astype("<f8").tobytes()])
-
-
-def load_checkpoint_bytes(blob: bytes) -> EncoderModel:
-    off = 0
-
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(blob):
-            raise InputError("checkpoint truncated")
-        out = blob[off:off + n]
-        off += n
-        return out
-
-    if take(4) != CHECKPOINT_MAGIC:
-        raise InputError("not a checkpoint file (bad magic)")
-    version, frozen, n_layers = struct.unpack("<HBH", take(5))
-    if version != CHECKPOINT_VERSION:
-        raise InputError(f"unsupported checkpoint version {version}")
-    if frozen > 1 or n_layers < 1:
-        raise InputError(f"bad checkpoint header (frozen {frozen}, {n_layers} layers)")
-    dims = list(struct.unpack(f"<{n_layers + 1}I", take(4 * (n_layers + 1))))
-    if min(dims) < 1:
-        raise InputError(f"checkpoint layer dims must be positive, got {dims}")
-    count, body = _n_params(dims), len(blob) - off
-    if body != 8 * count:
-        raise InputError("checkpoint truncated" if body < 8 * count
-                         else "checkpoint has trailing bytes")
-    # read straight from the blob: slicing the body out first would copy it
-    data = np.frombuffer(blob, "<f8", count, off).astype(np.float64)
-    if not np.isfinite(data).all():
-        raise InputError("checkpoint has a non-finite parameter")
-    return EncoderModel(dims, data, frozen=bool(frozen))
-
-
 def save_checkpoint(path, model: EncoderModel) -> None:
+    """Layout: magic, version u16, frozen u8, layer count u16, dims u32 each,
+    then the parameter vector (per layer, weight then bias) as little-endian
+    f64. Round-trips bit-exactly."""
     from .runio import atomic_write_bytes
-    atomic_write_bytes(path, save_checkpoint_bytes(model))
+    atomic_write_bytes(path, [
+        _CHECKPOINT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, int(model.frozen),
+                                len(model.weights)),
+        struct.pack(f"<{len(model.dims)}I", *model.dims),
+        np.ascontiguousarray(model.data, "<f8")])
 
 
 def load_checkpoint(path) -> EncoderModel:
-    with open(path, "rb") as f:
-        return load_checkpoint_bytes(f.read())
+    """The model in the checkpoint file at ``path``. The header and the dims
+    are checked against the file's size before the body is read, straight
+    into the parameter vector."""
+    with open(path, "rb", buffering=0) as f:
+        size = os.fstat(f.fileno()).st_size
+        head = f.read(_CHECKPOINT_HEADER.size)
+        if len(head) >= 4 and head[:4] != CHECKPOINT_MAGIC:
+            raise InputError("not a checkpoint file (bad magic)")
+        if len(head) < _CHECKPOINT_HEADER.size:
+            raise InputError("checkpoint truncated")
+        _, version, frozen, n_layers = _CHECKPOINT_HEADER.unpack(head)
+        if version != CHECKPOINT_VERSION:
+            raise InputError(f"unsupported checkpoint version {version}")
+        if frozen > 1 or n_layers < 1:
+            raise InputError(f"bad checkpoint header (frozen {frozen}, {n_layers} layers)")
+        raw = f.read(4 * (n_layers + 1))
+        if len(raw) < 4 * (n_layers + 1):
+            raise InputError("checkpoint truncated")
+        dims = list(struct.unpack(f"<{n_layers + 1}I", raw))
+        if min(dims) < 1:
+            raise InputError(f"checkpoint layer dims must be positive, got {dims}")
+        body, count = size - f.tell(), _n_params(dims)
+        if body != 8 * count:
+            raise InputError("checkpoint truncated" if body < 8 * count
+                             else "checkpoint has trailing bytes")
+        data = np.empty(count, "<f8")
+        if f.readinto(data) != body:
+            raise InputError("checkpoint truncated")
+    if not np.isfinite(data).all():
+        raise InputError("checkpoint has a non-finite parameter")
+    return EncoderModel(dims, data, frozen=bool(frozen))

@@ -387,8 +387,57 @@ class TestExitCodes:
         assert code == 4
         assert "embeds image 0 to a vector of norm 0.0" in self.one_line(capsys)
 
-    def test_nan_test_heatmap_exits_4_from_project(self, pipeline, workdir, tmp_path,
-                                                   capsys):
+    @pytest.mark.parametrize("command", ["pretrain", "sweep-labels"])
+    def test_a_radio_checkpoint_as_the_vision_teacher_exits_3(self, pipeline, workdir,
+                                                               tmp_path, capsys, command):
+        """The radio encoder takes the 1024 pixels of an image too; its frozen
+        flag of 0 is what tells it from the teacher."""
+        capsys.readouterr()
+        code = main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(pipeline / "dataset.xmcd"),
+                     "--vision", str(pipeline / "radio.xmck")])
+        assert code == 3
+        assert self.one_line(capsys) == (
+            f"xmc {command}: the vision encoder must be frozen before pre-training\n")
+
+    @pytest.mark.parametrize("command", ["probe", "finetune", "project"])
+    def test_the_vision_teacher_as_the_encoder_exits_3(self, pipeline, workdir, tmp_path,
+                                                       capsys, command):
+        """The teacher takes 1024 inputs, as many as a heatmap has bins; without
+        the check it would encode the heatmaps."""
+        vision = pipeline / "vision.xmck"
+        capsys.readouterr()
+        code = main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(pipeline / "dataset.xmcd"),
+                     "--encoder", str(vision)])
+        assert code == 3
+        assert self.one_line(capsys) == (
+            f"xmc {command}: encoder checkpoint {vision} is a frozen vision teacher\n")
+
+    @pytest.mark.parametrize("command", ["probe", "project"])
+    def test_a_test_split_without_a_class_exits_3(self, pipeline, workdir, tmp_path,
+                                                  capsys, command):
+        """Every test sample not of class `empty` moved to the contrastive
+        split. Without the load's check, project prints NaN separation and
+        probe scores 1.0 on the one class left."""
+        blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
+        for i, at in enumerate(SPLIT_BYTES):
+            if blob[at] == 0 and blob[26 + i] != 0:
+                blob[at] = 2
+        (tmp_path / "d.xmcd").write_bytes(blob)
+        capsys.readouterr()
+        code = main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(tmp_path / "d.xmcd"),
+                     "--encoder", str(pipeline / "radio.xmck")])
+        assert code == 3
+        assert self.one_line(capsys) == (
+            f"xmc {command}: dataset file has no test sample of class pedestrian\n")
+
+    @pytest.mark.parametrize("command", ["probe", "finetune", "baseline", "project"])
+    def test_nan_test_heatmap_exits_3(self, pipeline, workdir, tmp_path, capsys, command):
+        """One NaN in the first test sample's heatmap is refused by the gather
+        that reads it; without the check the first three wrote NaN test
+        losses and exited 0."""
         blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
         # the first test sample (split byte 0); the heatmaps follow the split bytes
         first = next(i for i, at in enumerate(SPLIT_BYTES) if blob[at] == 0)
@@ -396,12 +445,13 @@ class TestExitCodes:
         blob[at:at + 8] = struct.pack("<d", float("nan"))
         data = tmp_path / "nan.xmcd"
         data.write_bytes(blob)
+        inputs = [] if command == "baseline" else ["--encoder", str(pipeline / "radio.xmck")]
         capsys.readouterr()
-        code = main(["project", "--config", str(workdir / "tiny.yaml"),
-                     "--out", str(tmp_path / "o"), "--data", str(data),
-                     "--encoder", str(pipeline / "radio.xmck")])
-        assert code == 4
-        assert "project_2d: the features hold a non-finite value" in self.one_line(capsys)
+        code = main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(data), *inputs])
+        assert code == 3
+        assert self.one_line(capsys) == (
+            f"xmc {command}: dataset file {data} has a non-finite value in row {first}\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_exits_4(self, tmp_path, capsys):

@@ -18,10 +18,10 @@ from xmc.models import (
     cross_entropy,
     fit,
     init_encoder,
-    load_checkpoint_bytes,
+    load_checkpoint,
     make_optimizer,
     pretrain_vision,
-    save_checkpoint_bytes,
+    save_checkpoint,
     sgd_step,
     xavier_uniform,
 )
@@ -455,32 +455,56 @@ class TestVisionPretrain:
             load_config(None, {"vision": {"mode": "imagenet"}})
 
 
+def checkpoint_bytes(tmp_path, model: EncoderModel) -> bytes:
+    """The bytes of ``model``'s checkpoint file."""
+    path = tmp_path / "saved.xmck"
+    save_checkpoint(path, model)
+    return path.read_bytes()
+
+
+def load_bytes(tmp_path, blob: bytes) -> EncoderModel:
+    """``load_checkpoint`` of a file holding ``blob``."""
+    path = tmp_path / "blob.xmck"
+    path.write_bytes(blob)
+    return load_checkpoint(path)
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory ``tracemalloc`` sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestCheckpoints:
-    def test_round_trip_is_bit_exact(self):
+    def test_round_trip_is_bit_exact(self, tmp_path):
         model = init_encoder([9, 7, 5], seed=20)
         opt = make_optimizer([model], lr=0.03, momentum=0.9, weight_decay=1e-4)
         model.grad = [(np.ones((1, w.shape[0])), np.ones((1, w.shape[1])))
                       for w in model.weights]  # a gradient of ones
         sgd_step([model], opt)  # non-zero biases, irregular floats
-        blob = save_checkpoint_bytes(model)
-        loaded = load_checkpoint_bytes(blob)
+        blob = checkpoint_bytes(tmp_path, model)
+        loaded = load_checkpoint(tmp_path / "saved.xmck")
         assert loaded.dims == model.dims
         assert not loaded.frozen
         assert loaded.data.tobytes() == model.data.tobytes()
-        assert save_checkpoint_bytes(loaded) == blob
+        assert checkpoint_bytes(tmp_path, loaded) == blob
 
-    def test_magic_and_frozen_flag(self):
+    def test_magic_and_frozen_flag(self, tmp_path):
         model = init_encoder([3, 2], seed=21)
         model.freeze()
-        blob = save_checkpoint_bytes(model)
+        blob = checkpoint_bytes(tmp_path, model)
         assert blob[:4] == b"XMCK"
         assert struct.unpack("<HBH", blob[4:9]) == (2, 1, 1)
         # dims, then weight (3x2) and bias (2) as f64; nothing after them
         assert len(blob) == 9 + 4 * 2 + 8 * (3 * 2 + 2)
-        loaded = load_checkpoint_bytes(blob)
+        loaded = load_checkpoint(tmp_path / "saved.xmck")
         assert loaded.frozen
 
-    def test_body_is_per_layer_weight_then_bias(self):
+    def test_body_is_per_layer_weight_then_bias(self, tmp_path):
         model = init_encoder([5, 4, 3], seed=26)
         rng = rng_for(26, "encoder-init")
         ws = [xavier_uniform(rng, 5, 4), xavier_uniform(rng, 4, 3)]
@@ -490,14 +514,15 @@ class TestCheckpoints:
         expected = [b"XMCK", struct.pack("<HBH", 2, 0, 2), struct.pack("<3I", 5, 4, 3)]
         for w, b in zip(ws, bs):
             expected += [w.astype("<f8").tobytes(), b.astype("<f8").tobytes()]
-        assert save_checkpoint_bytes(model) == b"".join(expected)
+        assert checkpoint_bytes(tmp_path, model) == b"".join(expected)
 
-    def test_loaded_parameters_are_writeable_and_own_their_memory(self):
-        loaded = load_checkpoint_bytes(save_checkpoint_bytes(init_encoder([4, 3, 2], seed=27)))
+    def test_loaded_parameters_are_writeable_and_own_their_memory(self, tmp_path):
+        save_checkpoint(tmp_path / "m.xmck", init_encoder([4, 3, 2], seed=27))
+        loaded = load_checkpoint(tmp_path / "m.xmck")
         assert loaded.data.flags.writeable and loaded.data.flags.owndata
         assert all(np.shares_memory(v, loaded.data) for v in loaded.weights + loaded.biases)
 
-    def test_a_write_through_a_weight_view_reaches_the_vector_and_the_bytes(self):
+    def test_a_write_through_a_weight_view_reaches_the_vector_and_the_bytes(self, tmp_path):
         model = init_encoder([4, 3, 2], seed=28)
         model.weights[1][2, 1] = 0.5
         index = 4 * 3 + 3 + 2 * 2 + 1  # after weight 0 and bias 0, row-major
@@ -505,26 +530,26 @@ class TestCheckpoints:
         assert model.data[index] == 0.5
         assert model.data.tobytes()[8 * index:8 * index + 8] == value
         body = 9 + 4 * 3  # magic, header, three dims
-        assert save_checkpoint_bytes(model)[body + 8 * index:body + 8 * index + 8] == value
+        assert checkpoint_bytes(tmp_path, model)[body + 8 * index:body + 8 * index + 8] == value
 
-    def test_truncation_detected(self):
-        blob = save_checkpoint_bytes(init_encoder([3, 2], seed=22))
+    def test_truncation_detected(self, tmp_path):
+        blob = checkpoint_bytes(tmp_path, init_encoder([3, 2], seed=22))
         for cut in (1, 4, 8, len(blob) - 4):
             with pytest.raises(InputError, match="^checkpoint truncated$"):
-                load_checkpoint_bytes(blob[:-cut])
+                load_bytes(tmp_path, blob[:-cut])
 
-    def test_trailing_bytes_detected(self):
-        blob = save_checkpoint_bytes(init_encoder([3, 2], seed=24))
+    def test_trailing_bytes_detected(self, tmp_path):
+        blob = checkpoint_bytes(tmp_path, init_encoder([3, 2], seed=24))
         with pytest.raises(InputError, match="^checkpoint has trailing bytes$"):
-            load_checkpoint_bytes(blob + b"\x00")
+            load_bytes(tmp_path, blob + b"\x00")
 
-    def test_version_1_rejected(self):
-        """A version-1 blob (with its trailing optimizer flag) is refused,
+    def test_version_1_rejected(self, tmp_path):
+        """A version-1 file (with its trailing optimizer flag) is refused,
         not misread."""
-        blob = save_checkpoint_bytes(init_encoder([3, 2], seed=25))
+        blob = checkpoint_bytes(tmp_path, init_encoder([3, 2], seed=25))
         v1 = blob[:4] + struct.pack("<H", 1) + blob[6:] + b"\x00"
         with pytest.raises(InputError, match="^unsupported checkpoint version 1$"):
-            load_checkpoint_bytes(v1)
+            load_bytes(tmp_path, v1)
 
     @pytest.mark.parametrize("header, message", [
         (struct.pack("<HBH", 2, 2, 1) + struct.pack("<2I", 3, 2),
@@ -537,9 +562,31 @@ class TestCheckpoints:
         (struct.pack("<HBH", 2, 0, 1) + struct.pack("<2I", 2**32 - 1, 2**32 - 1),
          "^checkpoint truncated$"),
     ], ids=["frozen-flag", "no-layers", "zero-dim", "huge-dims"])
-    def test_bad_header_rejected(self, header, message):
+    def test_bad_header_rejected(self, tmp_path, header, message):
         with pytest.raises(InputError, match=message):
-            load_checkpoint_bytes(b"XMCK" + header + b"\x00" * 64)
+            load_bytes(tmp_path, b"XMCK" + header + b"\x00" * 64)
+
+    def test_a_file_that_is_not_a_checkpoint_is_refused_from_its_first_bytes(self, tmp_path):
+        """An 8 MB file of zeros: the magic is checked before the rest is read."""
+        path = tmp_path / "zeros.xmck"
+        with open(path, "wb") as f:
+            f.truncate(8 << 20)
+
+        def refuse():
+            with pytest.raises(InputError, match=r"^not a checkpoint file \(bad magic\)$"):
+                load_checkpoint(path)
+
+        assert traced_peak(refuse) < 64 << 10
+
+    def test_a_load_holds_the_body_once(self, tmp_path):
+        """The body is read straight into the parameter vector; only the
+        finiteness check's one byte per parameter comes on top of it."""
+        model = init_encoder([512, 256, 128], seed=29)
+        save_checkpoint(tmp_path / "big.xmck", model)
+        body = model.data.nbytes
+        del model
+        peak = traced_peak(lambda: load_checkpoint(tmp_path / "big.xmck"))
+        assert peak < 1.25 * body
 
     def test_copy_is_independent(self):
         model = init_encoder([4, 3], seed=23)

@@ -5,6 +5,7 @@ import re
 import struct
 import tempfile
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
@@ -13,35 +14,44 @@ from hypothesis import strategies as st
 
 from xmc.datagen import Dataset, load_dataset, save_dataset
 from xmc.errors import InputError
-from xmc.models import init_encoder, load_checkpoint_bytes, save_checkpoint_bytes
+from xmc.models import init_encoder, load_checkpoint, save_checkpoint
 
 FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
 def small_dataset() -> Dataset:
+    """Two test samples of each class, so that moving any one sample to
+    another split leaves every class in the test split."""
     rng = np.random.default_rng(0)
-    return Dataset(heatmaps=rng.normal(size=(8, 3, 2)), images=rng.normal(size=(8, 2, 4)),
-                   labels=np.arange(8, dtype=np.uint8) % 4,
-                   train_idx=np.arange(6), test_idx=np.array([6, 7]),
-                   vision_idx=np.array([0, 1]), contrastive_idx=np.arange(2, 6))
+    return Dataset(heatmaps=rng.normal(size=(12, 3, 2)), images=rng.normal(size=(12, 2, 4)),
+                   labels=np.arange(12, dtype=np.uint8) % 4,
+                   train_idx=np.arange(4), test_idx=np.arange(4, 12),
+                   vision_idx=np.array([0, 1]), contrastive_idx=np.array([2, 3]))
 
 
-def dataset_bytes(ds: Dataset) -> bytes:
+def saved(save: Callable, obj) -> bytes:
+    """The bytes that ``save(path, obj)`` writes."""
     with tempfile.TemporaryDirectory() as d:
-        save_dataset(Path(d) / "d.xmcd", ds)
-        return (Path(d) / "d.xmcd").read_bytes()
+        save(Path(d) / "saved", obj)
+        return (Path(d) / "saved").read_bytes()
 
 
-def load_blob(blob: bytes) -> Dataset:
-    """``load_dataset`` of a temporary file holding ``blob``."""
+def in_file(blob: bytes, read: Callable):
+    """``read`` of the path of a temporary file holding ``blob``."""
     with tempfile.TemporaryDirectory() as d:
-        (Path(d) / "d.xmcd").write_bytes(blob)
-        return load_dataset(Path(d) / "d.xmcd")
+        (Path(d) / "blob").write_bytes(blob)
+        return read(Path(d) / "blob")
 
 
-DATASET = dataset_bytes(small_dataset())
-CHECKPOINT = save_checkpoint_bytes(init_encoder([3, 4, 2], seed=0))
+def gather_all(path: Path) -> tuple[np.ndarray, np.ndarray]:
+    """Every heatmap and image of the dataset file at ``path``."""
+    ds = load_dataset(path)
+    return ds.heatmaps[:], ds.images[:]
+
+
+DATASET = saved(save_dataset, small_dataset())
+CHECKPOINT = saved(save_checkpoint, init_encoder([3, 4, 2], seed=0))
 
 
 def flip(blob: bytes, at: int, mask: int) -> bytes:
@@ -68,8 +78,10 @@ def damaged(blob: bytes, fields: list[tuple[int, str]]):
 
 # version u16, then R, A, H, W, n as u32
 DATASET_FIELDS = [(4, "<H")] + [(6 + 4 * i, "<I") for i in range(5)]
-# each sample's split byte: after the 26-byte header and the 8 class bytes
-SPLIT_BYTES = range(26 + 8, 26 + 16)
+# each sample's split byte: after the 26-byte header and the 12 class bytes
+SPLIT_BYTES = range(26 + 12, 26 + 24)
+# each f64 of the heatmaps and images: everything after the split bytes
+SAMPLE_VALUES = range(SPLIT_BYTES.stop, len(DATASET), 8)
 # version u16, frozen u8, layer count u16, then the three layer dims as u32
 CHECKPOINT_FIELDS = [(4, "<H"), (6, "<B"), (7, "<H")] + [(9 + 4 * i, "<I") for i in range(3)]
 # each f64 of the parameter vector: the (3 + 1) * 4 + (4 + 1) * 2 = 26 that end the file
@@ -90,7 +102,7 @@ def loads_or_format_error(load, *args):
 
 
 def test_the_check_refuses_an_input_error_from_outside_the_readers():
-    loads_or_format_error(load_checkpoint_bytes, b"XMCK")
+    loads_or_format_error(in_file, b"XMCK", load_checkpoint)
 
     def load():
         raise InputError("|rho| must be < 1, got 1.0")
@@ -101,12 +113,12 @@ def test_the_check_refuses_an_input_error_from_outside_the_readers():
 
 class TestDatasetReader:
     def test_intact_file_loads(self):
-        assert load_blob(DATASET).n == 8
+        assert in_file(DATASET, load_dataset).n == 12
 
     @FUZZ
     @given(damaged(DATASET, DATASET_FIELDS))
     def test_damaged_file(self, blob):
-        loads_or_format_error(load_blob, blob)
+        loads_or_format_error(in_file, blob, load_dataset)
 
     @FUZZ
     @given(st.sampled_from(SPLIT_BYTES), st.integers(0, 255))
@@ -116,26 +128,35 @@ class TestDatasetReader:
         blob = set_field(DATASET, at, "<B", value)
         if value > 2:
             with pytest.raises(InputError, match="^dataset file has a split byte above 2$"):
-                load_blob(blob)
+                in_file(blob, load_dataset)
             return
-        ds = load_blob(blob)
+        ds = in_file(blob, load_dataset)
         i = SPLIT_BYTES.index(at)
         assert i in (ds.test_idx, ds.vision_idx, ds.contrastive_idx)[value]
         assert (i in ds.train_idx) == (value != 0)
 
+    @FUZZ
+    @given(st.sampled_from(SAMPLE_VALUES), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_any_non_finite_sample_value(self, at, value):
+        """A NaN or an infinity at any heatmap or image value is refused by
+        the gather that reads its row."""
+        with pytest.raises(InputError) as err:
+            in_file(set_field(DATASET, at, "<d", value), gather_all)
+        assert READER_MESSAGE.match(str(err.value)), str(err.value)
+
 
 class TestCheckpointReader:
     def test_intact_file_loads(self):
-        assert load_checkpoint_bytes(CHECKPOINT).dims == [3, 4, 2]
+        assert in_file(CHECKPOINT, load_checkpoint).dims == [3, 4, 2]
 
     @FUZZ
     @given(st.sampled_from(PARAMETERS), st.sampled_from([np.nan, np.inf, -np.inf]))
     def test_any_non_finite_parameter(self, at, value):
         """A NaN or an infinity at any parameter is refused."""
         with pytest.raises(InputError, match="^checkpoint has a non-finite parameter$"):
-            load_checkpoint_bytes(set_field(CHECKPOINT, at, "<d", value))
+            in_file(set_field(CHECKPOINT, at, "<d", value), load_checkpoint)
 
     @FUZZ
     @given(damaged(CHECKPOINT, CHECKPOINT_FIELDS))
     def test_damaged_file(self, blob):
-        loads_or_format_error(load_checkpoint_bytes, blob)
+        loads_or_format_error(in_file, blob, load_checkpoint)
