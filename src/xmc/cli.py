@@ -230,14 +230,23 @@ def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 # -- sweeps (optionally parallel over arms) ---------------------------------
 
 def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
-    """``fn(*arm)`` for each arm, in a pool of ``jobs`` processes."""
+    """``fn(*arm)`` for each arm, in a pool of ``jobs`` processes. An arm is
+    submitted only when a worker is free, so none starts after one has failed."""
     if jobs == 1 or len(arms) <= 1:
         return [fn(*arm) for arm in arms]
     # imported here, so that a command without a pool never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    futures, running = [], set()
     # the pool starts all its workers up front, so never more than there are arms
     with ProcessPoolExecutor(max_workers=min(jobs, len(arms))) as pool:
-        return list(pool.map(fn, *zip(*arms)))
+        for arm in arms:
+            if len(running) == jobs:  # wait for a free worker
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(f.exception() for f in done):
+                    break
+            futures.append(pool.submit(fn, *arm))
+            running.add(futures[-1])
+    return [f.result() for f in futures]
 
 
 def _loaded_arm(arm_fn: Callable, data: str, vision: str, cfg: ExperimentConfig, *axis):

@@ -2,8 +2,8 @@
 
 Every field has a default, so every command runs with zero flags; unknown
 keys are rejected so a typo cannot silently fall back to a default, and
-values out of range are rejected once the overlay is complete. Together
-with the code version, a resolved config fully determines a run.
+the overlay checks each value it sets by its field's type and range.
+Together with the code version, a resolved config fully determines a run.
 """
 
 from __future__ import annotations
@@ -99,43 +99,12 @@ class ExperimentConfig:
     io: IoSection = field(default_factory=IoSection)
 
 
-def _apply(obj, mapping: dict, path: str) -> None:
-    fields = {f.name: f for f in dataclasses.fields(obj)}
-    for key, value in mapping.items():
-        where = f"{path}.{key}" if path else key
-        if key not in fields:
-            raise InputError(f"unknown config key: {where}")
-        current = getattr(obj, key)
-        if dataclasses.is_dataclass(current):
-            if not isinstance(value, dict):
-                raise InputError(f"{where} must be a mapping")
-            _apply(current, value, where)
-        elif isinstance(current, list):
-            if not isinstance(value, list):
-                raise InputError(f"{where} must be a list")
-            setattr(obj, key, list(value))
-        elif isinstance(current, int):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{where} must be an integer")
-            setattr(obj, key, value)
-        elif isinstance(current, float) or current is None:
-            if value is not None and not isinstance(value, (int, float)):
-                raise InputError(f"{where} must be a number")
-            setattr(obj, key, None if value is None else float(value))
-        elif isinstance(current, str):
-            if not isinstance(value, str):
-                raise InputError(f"{where} must be a string")
-            setattr(obj, key, value)
-        else:
-            raise InputError(f"cannot assign {where}")
-
-
-# Field name -> (range or choice test, its description). Every other field
-# annotated as an integer or a list of integers, but the seed, is a count.
-# Every list but encoder_hidden (empty: a linear encoder) is a sweep axis, so
-# it must not be empty; a field annotated "float | None" may be None. Every
-# float must also be finite: NaN fails the tests below, but inf passes "> 0".
+# Field name -> (range or choice test, its description); every field not
+# named here is a count, each integer >= 1. Every list but encoder_hidden
+# (empty: a linear encoder) is a sweep axis, so it must not be empty.
 _RANGES = {
+    "seed": (lambda v: True, "an integer"),
+    "out_dir": (lambda v: True, "a string"),
     **dict.fromkeys(("lr", "tau"), (lambda v: v > 0.0, "> 0")),
     **dict.fromkeys(("weight_decay", "sigma_radar", "sigma_image"),
                     (lambda v: v >= 0.0, ">= 0")),
@@ -151,39 +120,52 @@ _RANGES = {
                     (lambda v: v >= 2, "an integer >= 2")),
 }
 _COUNT = (lambda v: v >= 1, "an integer >= 1")
+_KINDS = {"int": int, "float": (int, float), "str": str}
 
 
-def _check_ranges(obj, path: str = "") -> None:
-    """Raise InputError for the first value out of its range; the range of
-    a list field holds for each of its entries."""
-    for f in dataclasses.fields(obj):
-        where = f"{path}.{f.name}" if path else f.name
-        value = getattr(obj, f.name)
-        if dataclasses.is_dataclass(value):
-            _check_ranges(value, where)
-            continue
-        if value == [] and f.name != "encoder_hidden":
-            raise InputError(f"{where} must not be empty")
-        if value is None and f.type == "float | None":
-            continue
-        if f.name in _RANGES:
-            kinds = str if f.type == "str" else (int, float)
-            test, rule = _RANGES[f.name]
-        elif f.type in ("int", "list[int]") and f.name != "seed":
-            kinds, (test, rule) = int, _COUNT
+def _checked(where: str, name: str, kind: str, v):
+    """``v`` as a ``kind`` ("int", "float" or "str") in the range of the
+    field ``name``, else InputError. A boolean is not a number; a float must
+    be finite, and an integer too large for one counts as infinite."""
+    test, rule = _RANGES.get(name, _COUNT)
+    ok = isinstance(v, _KINDS[kind]) and not isinstance(v, bool)
+    if ok and kind == "float":
+        try:
+            v = float(v)
+        except OverflowError:
+            v = math.inf if v > 0 else -math.inf
+    finite = not isinstance(v, float) or math.isfinite(v)
+    if not (ok and finite and test(v)):
+        raise InputError(f"{where} must be {rule if finite else 'finite and ' + rule}, got {v!r}")
+    return v
+
+
+def _apply(obj, mapping: dict, path: str) -> None:
+    """Overlay ``mapping`` on ``obj``, checking each value as it is set."""
+    fields = {f.name: f for f in dataclasses.fields(obj)}
+    for key, value in mapping.items():
+        where = f"{path}.{key}" if path else key
+        if key not in fields:
+            raise InputError(f"unknown config key: {where}")
+        kind = fields[key].type
+        if dataclasses.is_dataclass(getattr(obj, key)):
+            if not isinstance(value, dict):
+                raise InputError(f"{where} must be a mapping")
+            _apply(getattr(obj, key), value, where)
+        elif kind.startswith("list["):
+            if not isinstance(value, list):
+                raise InputError(f"{where} must be a list")
+            if value == [] and key != "encoder_hidden":
+                raise InputError(f"{where} must not be empty")
+            setattr(obj, key, [_checked(where, key, kind[5:-1], v) for v in value])
+        elif value is None and kind == "float | None":
+            setattr(obj, key, None)
         else:
-            continue
-        for v in value if isinstance(value, list) else [value]:
-            finite = not isinstance(v, float) or math.isfinite(v)
-            if isinstance(v, bool) or not isinstance(v, kinds) or not (finite and test(v)):
-                must = rule if finite else f"finite and {rule}"
-                raise InputError(f"{where} must be {must}, got {v!r}")
+            setattr(obj, key, _checked(where, key, kind.removesuffix(" | None"), value))
 
 
-def load_config(path: str | Path | None = None,
-                overrides: dict | None = None) -> ExperimentConfig:
-    """Defaults, overlaid by an optional YAML file, then explicit overrides;
-    then every value is checked against its range."""
+def load_config(path: str | Path | None = None) -> ExperimentConfig:
+    """Defaults, overlaid by an optional YAML file."""
     cfg = ExperimentConfig()
     if path is not None:
         with open(path, "rb") as f:
@@ -204,14 +186,11 @@ def load_config(path: str | Path | None = None,
                 where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
                 problem = getattr(e, "problem", None) or "parse error"
                 raise InputError(f"malformed YAML in {path}{where}: {problem}") from None
-        if loaded is None:
-            loaded = {}
-        if not isinstance(loaded, dict):
+            except (ValueError, RecursionError) as e:  # a bad date, say, or deep nesting
+                raise InputError(f"malformed YAML in {path}: {e}") from None
+        if not isinstance(loaded, (dict, type(None))):
             raise InputError(f"config root must be a mapping: {path}")
-        _apply(cfg, loaded, "")
-    if overrides:
-        _apply(cfg, overrides, "")
-    _check_ranges(cfg)
+        _apply(cfg, loaded or {}, "")
     return cfg
 
 

@@ -67,8 +67,8 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
     x_hold, y_hold = x[-n_hold:], y[-n_hold:]
 
     q_enc = init_encoder([x.shape[1], critic.embed_dim], derive_seed(seed, "mi-query"))
-    k_enc = init_encoder([y.shape[1], critic.embed_dim],
-                         derive_seed(seed, "mi-key"), trainable=False)
+    k_enc = init_encoder([y.shape[1], critic.embed_dim], derive_seed(seed, "mi-key"))
+    k_enc.freeze()
 
     keys_train = k_enc.forward_numpy(y_train)
     queue = NegativeQueue(keys_train, k)

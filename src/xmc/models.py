@@ -106,12 +106,12 @@ class EncoderModel:
         return EncoderModel(list(self.dims), self.data.copy())
 
 
-def init_encoder(dims: list[int], seed: int, trainable: bool = True) -> EncoderModel:
+def init_encoder(dims: list[int], seed: int) -> EncoderModel:
     """Build an MLP with Xavier-uniform weights and zero biases."""
     if len(dims) < 2 or any(d <= 0 for d in dims):
         raise InputError(f"encoder dims must be >=2 positive ints, got {dims}")
     rng = rng_for(seed, "encoder-init")
-    model = EncoderModel(list(dims), np.zeros(_n_params(dims)), frozen=not trainable)
+    model = EncoderModel(list(dims), np.zeros(_n_params(dims)))
     for w in model.weights:
         w[:] = xavier_uniform(rng, *w.shape)
     return model

@@ -1,12 +1,25 @@
-"""Shared test utilities: the finite-difference gradient oracle."""
+"""Shared test utilities: the finite-difference gradient oracle, and a
+config overlay loaded from a YAML file."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import yaml
 
+from xmc.config import ExperimentConfig, load_config
 from xmc.models import EncoderModel
+
+
+def load_overlay(overlay: dict) -> ExperimentConfig:
+    """``load_config`` of ``overlay``, written to a temporary YAML file."""
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "overlay.yaml"
+        path.write_text(yaml.safe_dump(overlay))
+        return load_config(path)
 
 
 def finite_diff_grads(f: Callable[[], float], arrays: list[np.ndarray],

@@ -8,6 +8,7 @@ import statistics
 import struct
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -114,6 +115,21 @@ class TestGenData:
         assert code == 3
         assert err.count("\n") == 1 and "Traceback" not in err
         assert str(bad) in err and "line 2, column 1" in err
+
+    @pytest.mark.parametrize("text, reason", [
+        ("seed: 2020-13-45\n", "month must be in 1..12"),
+        ("seed: 1" + "0" * 5000 + "\n", "Exceeds the limit (4300 digits)"),
+        ("seed: " + "[" * 5000 + "]" * 5000 + "\n", "maximum recursion depth exceeded"),
+    ], ids=["bad-date", "integer-too-long", "nesting-too-deep"])
+    def test_yaml_that_fails_to_construct_exits_3(self, tmp_path, capsys, text,
+                                                  reason):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(text)
+        code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"xmc gen-data: malformed YAML in {bad}: {reason}")
 
     def test_yaml_that_is_not_utf8_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "latin.yaml"
@@ -269,9 +285,15 @@ class TestExitCodes:
          "eval.weight_decay must be finite and >= 0, got inf"),
         ("gen-data", ("vision", "mode"), "imagenet",
          "vision.mode must be 'supervised' or 'random-frozen', got 'imagenet'"),
+        ("pretrain", ("contrastive", "lr"), True, "contrastive.lr must be > 0, got True"),
+        ("gen-data", ("datagen", "sigma_image"), False,
+         "datagen.sigma_image must be >= 0, got False"),
+        ("pretrain", ("contrastive", "lr"), 10**400,
+         "contrastive.lr must be finite and > 0, got inf"),
     ], ids=["no-mi-seeds", "negative-lr", "normalize", "nan-sigma-image", "nan-sigma-radar",
             "inf-sigma-image", "inf-sigma-radar", "no-queue-sizes", "no-fractions",
-            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay", "vision-mode"])
+            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay", "vision-mode", "true-lr",
+            "false-sigma-image", "huge-lr"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
                                       message):
         overlay = yaml.safe_load(TINY_YAML)
@@ -347,7 +369,9 @@ class TestExitCodes:
     def test_mismatched_vision_checkpoint_exits_3_before_encoding_keys(
             self, pipeline, workdir, tmp_path, capsys, monkeypatch, dims, message):
         vision = tmp_path / "vision.xmck"
-        save_checkpoint(vision, init_encoder(dims, seed=0, trainable=False))
+        teacher = init_encoder(dims, seed=0)
+        teacher.freeze()
+        save_checkpoint(vision, teacher)
 
         def no_encoding(*args, **kwargs):
             raise AssertionError("keys were encoded before the checkpoint was checked")
@@ -376,7 +400,8 @@ class TestExitCodes:
 
     def test_vision_checkpoint_embedding_to_zero_exits_4(self, pipeline, workdir,
                                                          tmp_path, capsys):
-        vision = init_encoder([1024, 16], seed=0, trainable=False)
+        vision = init_encoder([1024, 16], seed=0)
+        vision.freeze()
         vision.data[:] = 0.0
         path = tmp_path / "vision.xmck"
         save_checkpoint(path, vision)
@@ -528,7 +553,25 @@ class TestErrorClassExitCodes:
         assert capsys.readouterr().err == f"xmc gen-data: {line}\n"
 
 
+def marked_arm(marks: str, i: int) -> int:
+    """A sweep arm that leaves a marker file when it starts; arm 0 fails at
+    once, and every other arm takes half a second."""
+    Path(marks, str(i)).touch()
+    if i == 0:
+        raise InputError("arm 0 failed")
+    time.sleep(0.5)
+    return i
+
+
 class TestSweepPool:
+    def test_a_failed_arm_starts_no_further_arm(self, tmp_path):
+        """An arm is submitted only when a worker is free, so no arm waits in
+        the pool's queue: of seven arms at two jobs, only the two that were
+        running when arm 0 failed ever start."""
+        with pytest.raises(InputError, match="^arm 0 failed$"):
+            cli._map_arms(marked_arm, [(str(tmp_path), i) for i in range(7)], 2)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["0", "1"]
+
     def test_pool_is_capped_at_the_arm_count(self, monkeypatch):
         sizes = []
 
@@ -542,8 +585,10 @@ class TestSweepPool:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         assert cli._map_arms(lambda x: 10 * x, [(1,), (2,)], 64) == [10, 20]

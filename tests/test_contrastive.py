@@ -390,7 +390,8 @@ class TestPretrain:
 class TestEncodeKeys:
     @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
     def test_a_zero_or_non_finite_embedding_is_a_numeric_error(self, value):
-        vision = init_encoder([4, 3], seed=0, trainable=False)
+        vision = init_encoder([4, 3], seed=0)
+        vision.freeze()
         vision.data[:] = value
         with pytest.raises(NumericError, match="^the vision encoder embeds image 0 to "
                                                "a vector of norm"):

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from xmc import datagen as dg
-from xmc.config import DatagenSection, load_config
+from xmc.config import DatagenSection
 from xmc.datagen import (
     AZIMUTH_MAX,
     CLASS_TABLE,
@@ -32,6 +32,8 @@ from xmc.datagen import (
 )
 from xmc.errors import InputError
 from xmc.seeding import rng_for
+
+from helpers import load_overlay
 
 CFG = DatagenSection()
 NOISELESS = DatagenSection(sigma_radar=0.0, sigma_image=0.0)
@@ -266,7 +268,7 @@ class TestMakeDataset:
 
     def test_too_small_rejected(self):
         with pytest.raises(InputError, match="datagen.n must be an integer >= 20, got 4"):
-            load_config(None, {"datagen": {"n": 4}})
+            load_overlay({"datagen": {"n": 4}})
 
 
 def file_bytes(tmp_path, ds: dg.Dataset) -> bytes:

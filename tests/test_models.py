@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from xmc import autodiff as ad
-from xmc.config import DatagenSection, VisionSection, load_config
+from xmc.config import DatagenSection, VisionSection
 from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import InputError, NumericError, XmcError
 from xmc.models import (
@@ -27,7 +27,7 @@ from xmc.models import (
 )
 from xmc.seeding import derive_seed, rng_for
 
-from helpers import check_grads, dense_grad
+from helpers import check_grads, dense_grad, load_overlay
 
 
 class TestEncoderForward:
@@ -375,7 +375,8 @@ class TestFit:
         assert [lr for _, lr, _ in cosine] == [cosine_lr(0, 2, 0.1), cosine_lr(1, 2, 0.1)]
 
     def test_frozen_model_in_the_chain_raises_before_any_step(self):
-        enc = init_encoder([3, 2], seed=33, trainable=False)
+        enc = init_encoder([3, 2], seed=33)
+        enc.freeze()
         head = init_encoder([2, 4], seed=34)
         before = head.data.tobytes() + enc.data.tobytes()
         calls = []
@@ -452,7 +453,7 @@ class TestVisionPretrain:
         """An unknown mode is refused where the config is loaded, so no
         command reaches the teacher (or reads its inputs) with one."""
         with pytest.raises(InputError, match="vision.mode must be 'supervised' or"):
-            load_config(None, {"vision": {"mode": "imagenet"}})
+            load_overlay({"vision": {"mode": "imagenet"}})
 
 
 def checkpoint_bytes(tmp_path, model: EncoderModel) -> bytes:
