@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError, XmcError
+from .errors import InputError, NumericError
 
 __all__ = ["backward", "l2_normalize", "logsumexp_row"]
 
@@ -31,8 +31,6 @@ def backward(model, acts: list[np.ndarray], g: np.ndarray,
     output). ``models.sgd_step`` forms the weight and bias gradients from
     them. Returns the gradient with respect to the model's input iff
     ``input_grad``."""
-    if model.frozen:
-        raise XmcError("cannot backpropagate into a frozen model")
     if g.shape != (len(acts[0]), model.dims[-1]):
         raise InputError(
             f"backward: output gradient {g.shape} vs output "

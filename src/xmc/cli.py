@@ -9,7 +9,8 @@ input/output hashes; nothing is overwritten without --force.
 Exit codes: 0 success, 2 an input that is not a readable file, otherwise
 the ``exit_code`` of the error class raised: 3 ``InputError`` (a config
 value, file format, shape or domain), 4 ``NumericError``, and 1 for
-``XmcError`` itself and a failed allocation (``MemoryError``).
+``XmcError`` itself and a failed allocation (``MemoryError``, or numpy's
+refusal to size an array too large to index).
 """
 
 from __future__ import annotations
@@ -99,12 +100,14 @@ def _check_input(path: Path) -> None:
 
 
 def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    """Hash the inputs (exit 2 if one is not a readable file), check the
-    output directory and refuse to overwrite the outputs (exit 1), then run
-    the body and write the manifest."""
+    """Check the flags (exit 3), hash the inputs (exit 2 if one is not a
+    readable file), check the output directory and refuse to overwrite the
+    outputs (exit 1), then run the body and write the manifest."""
     spec = SPECS[name]
     if "jobs" in spec.flags and args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
+    if "fraction" in spec.flags and not 0.0 < args.fraction <= 1.0:  # NaN included
+        raise InputError(f"--fraction must be in (0, 1], got {args.fraction}")
     out_dir = Path(args.out or cfg.io.out_dir)
     paths = {role: Path(getattr(args, role) or out_dir / INPUTS[role][0])
              for role in spec.inputs}
@@ -366,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
         return e.exit_code
     except MemoryError as e:  # numpy's message names the size it could not allocate
         print(f"xmc {args.command}: {str(e) or 'out of memory'}", file=sys.stderr)
+        return 1
+    except ValueError as e:  # a failed allocation too: numpy will not size the array
+        if not str(e).startswith(("array is too big", "Maximum allowed dimension exceeded")):
+            raise
+        print(f"xmc {args.command}: cannot allocate an array that large ({e})", file=sys.stderr)
         return 1
 
 

@@ -187,7 +187,8 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 problem = getattr(e, "problem", None) or "parse error"
                 raise InputError(f"malformed YAML in {path}{where}: {problem}") from None
             except (ValueError, RecursionError) as e:  # a bad date, say, or deep nesting
-                raise InputError(f"malformed YAML in {path}: {e}") from None
+                # the reason only: no config can act on Python's advice after "; "
+                raise InputError(f"malformed YAML in {path}: {str(e).split('; ')[0]}") from None
         if not isinstance(loaded, (dict, type(None))):
             raise InputError(f"config root must be a mapping: {path}")
         _apply(cfg, loaded or {}, "")

@@ -26,8 +26,6 @@ class NegativeQueue:
     newest ``capacity`` rows enqueued."""
 
     def __init__(self, keys: np.ndarray, capacity: int):
-        if capacity < 1:
-            raise InputError(f"queue capacity must be >= 1, got {capacity}")
         self.keys = keys
         self.capacity = int(capacity)
         self._rows = np.zeros(0, dtype=np.int64)
@@ -52,10 +50,6 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
     the negatives are constants. With P = softmax - one-hot(0) over the
     scores, dq = P @ [k+, N] / (B tau).
     """
-    if tau <= 0.0:
-        raise InputError(f"temperature must be > 0, got {tau}")
-    if len(negatives) == 0:
-        raise XmcError("info_nce needs a non-empty set of negatives")
     if q.ndim != 2 or k_plus.shape != q.shape:
         raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
     if negatives.ndim != 2 or negatives.shape[1] != q.shape[1]:

@@ -23,10 +23,6 @@ from .seeding import derive_seed, rng_for
 def mi_lower_bound(mean_loss: float, k: int) -> float:
     """ln(k) - mean_loss, in nats. May be negative; callers may clamp for
     reporting but the raw value is what the bound says."""
-    if k < 1:
-        raise InputError(f"negative count k must be >= 1, got {k}")
-    if mean_loss < 0.0:
-        raise InputError(f"mean loss must be >= 0, got {mean_loss}")
     return math.log(k) - mean_loss
 
 

@@ -130,6 +130,7 @@ class TestGenData:
         assert code == 3
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith(f"xmc gen-data: malformed YAML in {bad}: {reason}")
+        assert "set_int_max_str_digits" not in err
 
     def test_yaml_that_is_not_utf8_exits_3(self, tmp_path, capsys):
         bad = tmp_path / "latin.yaml"
@@ -196,6 +197,43 @@ class TestExitCodes:
                          "--out", str(out), *args, "--jobs", flag]) == 3
             assert f"--jobs must be at least 1, got {flag}" in self.one_line(capsys)
             assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["0", "-0.5", "1.5", "nan"])
+    def test_fraction_outside_0_1_exits_3(self, pipeline, workdir, tmp_path, capsys,
+                                          monkeypatch, flag):
+        """A label fraction outside (0, 1], NaN included, is refused before any
+        input is read, as --jobs is."""
+        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
+        data = ["--data", str(pipeline / "dataset.xmcd")]
+        for command, args in (("probe", [*data, "--encoder", str(pipeline / "radio.xmck")]),
+                              ("finetune", [*data, "--encoder", str(pipeline / "radio.xmck")]),
+                              ("baseline", data)):
+            out = tmp_path / command
+            assert main([command, "--config", str(workdir / "tiny.yaml"),
+                         "--out", str(out), *args, "--fraction", flag]) == 3
+            assert self.one_line(capsys) == (
+                f"xmc {command}: --fraction must be in (0, 1], got {float(flag)}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("command, overlay, why", [
+        ("gen-data", {"datagen": {"range_bins": 10**20}}, "Maximum allowed dimension exceeded"),
+        ("gen-data", {"datagen": {"range_bins": 2**31 - 1, "azimuth_bins": 2**31 - 1}},
+         "array is too big; `arr.size * arr.dtype.itemsize` is larger than the maximum "
+         "possible size."),
+        ("estimate-mi", {"mi": {"embed_dim": 10**20}}, "Maximum allowed dimension exceeded"),
+    ], ids=["range-bins", "grid", "mi-embed-dim"])
+    def test_a_count_too_large_to_size_an_array_exits_1(self, tmp_path, capsys, command,
+                                                         overlay, why):
+        """numpy refuses to size the array before it allocates anything: the
+        same failed allocation as a MemoryError, and the same one line."""
+        cfg = yaml.safe_load(TINY_YAML)
+        for section, values in overlay.items():
+            cfg[section].update(values)
+        path = tmp_path / "big.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert self.one_line(capsys) == (
+            f"xmc {command}: cannot allocate an array that large ({why})\n")
 
     def test_version_1_checkpoint_exits_3(self, pipeline, workdir, tmp_path, capsys):
         blob = (pipeline / "radio.xmck").read_bytes()
@@ -551,6 +589,14 @@ class TestErrorClassExitCodes:
         monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
         assert main(["gen-data"]) == 1
         assert capsys.readouterr().err == f"xmc gen-data: {line}\n"
+
+    def test_any_other_value_error_is_not_caught(self, monkeypatch):
+        def fail(args, cfg):
+            raise ValueError("a bug")
+
+        monkeypatch.setitem(cli.COMMANDS, "gen-data", fail)
+        with pytest.raises(ValueError, match="^a bug$"):
+            main(["gen-data"])
 
 
 def marked_arm(marks: str, i: int) -> int:
