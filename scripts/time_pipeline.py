@@ -12,12 +12,16 @@ since later commands read its outputs, and then exits 1.
 
 Usage:
   python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
-                                   [--jobs N] [COMMAND ...]
+                                   [--jobs N] [--repeat N] [COMMAND ...]
 
 --tree is the source tree whose src/ is run (default: this checkout).
 --out defaults to a new temporary directory, removed at the end; outputs
 already in --out are overwritten (--force). --jobs (default 1) is the pool
 size of the pooled commands: sweep-k, sweep-labels and estimate-mi.
+--repeat N (default 1) runs the command list N times, run i into its own
+directory --out/run<i>; each command then reports its N runs under "runs"
+and their per-field median under "median", and "total_wall_s" sums the
+median wall times. One run reports each command's fields directly.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import json
 import os
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -64,6 +69,12 @@ def time_command(argv: list[str], env: dict) -> dict:
     return {**run, "stderr": stderr} if run["rc"] else run
 
 
+def median_of(runs: list[dict]) -> dict:
+    """The median of each timed field over a command's runs."""
+    return {key: statistics.median(run[key] for run in runs)
+            for key in ("wall_s", "cpu_s", "sys_s", "peak_rss_mb", "minflt")}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("commands", nargs="*", metavar="COMMAND",
@@ -73,7 +84,11 @@ def main() -> int:
     parser.add_argument("--out", type=Path, default=None)
     parser.add_argument("--jobs", type=int, default=1,
                         help="--jobs for the pooled commands (default: 1)")
+    parser.add_argument("--repeat", type=int, default=1,
+                        help="times to run the command list (default: 1)")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error(f"--repeat must be at least 1, got {args.repeat}")
     unknown = [c for c in args.commands if c not in COMMANDS]
     if unknown:
         parser.error(f"unknown command {unknown[0]!r}; choose from {', '.join(COMMANDS)}")
@@ -82,28 +97,45 @@ def main() -> int:
     out = args.out or Path(tempfile.mkdtemp(prefix="xmc-time-"))
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    extra = ["--out", str(out), "--force"]
-    extra += ["--config", str(Path(args.config).resolve())] if args.config else []
+    config = ["--config", str(Path(args.config).resolve())] if args.config else []
 
     report = {"tree": str(tree), "src_sha256": src_sha256(tree),
               "config": args.config,
               "python": platform.python_version(), "nproc": os.cpu_count(),
               "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "jobs": args.jobs,
               "commands": []}
+    passes = []  # per run, each command's result in order
     try:
-        for name in args.commands or COMMANDS:
-            jobs = ["--jobs", str(args.jobs)] if name in POOLED else []
-            run = time_command([sys.executable, "-m", "xmc.cli", name, *extra, *jobs], env)
-            report["commands"].append({"command": name, **run})
-            if run["rc"] != 0:
+        for i in range(args.repeat):
+            run_out = out if args.repeat == 1 else out / f"run{i + 1}"
+            passes.append([])
+            for name in args.commands or COMMANDS:
+                jobs = ["--jobs", str(args.jobs)] if name in POOLED else []
+                run = time_command([sys.executable, "-m", "xmc.cli", name, "--out",
+                                    str(run_out), "--force", *config, *jobs], env)
+                passes[-1].append({"command": name, **run})
+                if run["rc"] != 0:
+                    break
+            if passes[-1][-1]["rc"] != 0:
                 break
     finally:
         if args.out is None:
             shutil.rmtree(out, ignore_errors=True)
-    report["total_wall_s"] = round(sum(c["wall_s"] for c in report["commands"]), 4)
+    if args.repeat == 1:
+        report["commands"] = passes[0]
+        report["total_wall_s"] = round(sum(c["wall_s"] for c in passes[0]), 4)
+    else:
+        report["repeat"] = args.repeat
+        for j, first in enumerate(passes[0]):
+            runs = [{k: v for k, v in p[j].items() if k != "command"}
+                    for p in passes if j < len(p)]
+            report["commands"].append({"command": first["command"], "runs": runs,
+                                       "median": median_of(runs)})
+        report["total_wall_s"] = round(
+            sum(c["median"]["wall_s"] for c in report["commands"]), 4)
     json.dump(report, sys.stdout, indent=1)
     print()
-    return 0 if all(c["rc"] == 0 for c in report["commands"]) else 1
+    return 0 if all(c["rc"] == 0 for p in passes for c in p) else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,8 @@ from .config import ExperimentConfig, MiSection, config_to_dict, load_config
 from .contrastive import pretrain
 from .datagen import (
     CLASS_NAMES,
+    Dataset,
+    heatmap_inputs,
     image_inputs,
     load_dataset,
     make_dataset,
@@ -184,9 +186,9 @@ def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: in
     return {"test_accuracy": accuracy}, f"{what} accuracy {accuracy:.3f}"
 
 
-def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
-    """The task split of the dataset and the encoder checkpoint, checked to
-    take the dataset's R·A heatmap bins before anything is encoded."""
+def _dataset_and_encoder(inputs: dict) -> tuple[Dataset, EncoderModel]:
+    """The dataset and the encoder checkpoint, checked to take the dataset's
+    R·A heatmap bins before anything is gathered or encoded."""
     ds = load_dataset(inputs["data"])
     encoder = load_checkpoint(inputs["encoder"])
     if encoder.frozen:
@@ -196,14 +198,15 @@ def _split_and_encoder(inputs: dict) -> tuple[ev.TaskSplit, EncoderModel]:
         raise InputError(f"encoder checkpoint {inputs['encoder']} takes "
                          f"{encoder.input_dim} inputs, but the heatmaps have {width} "
                          f"(R·A) bins")
-    return ev.make_task_split(ds), encoder
+    return ds, encoder
 
 
 @command("probe", inputs=("data", "encoder"),
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    split, encoder = _split_and_encoder(inputs)
-    accuracy, losses = ev.linear_probe(encoder, split, args.fraction, cfg.eval, cfg.seed)
+    ds, encoder = _dataset_and_encoder(inputs)
+    accuracy, losses = ev.linear_probe(encoder, ev.make_task_split(ds), args.fraction,
+                                       cfg.eval, cfg.seed)
     return _write_result(outputs, "linear probe", "linear-probe", args.fraction, cfg.seed,
                          accuracy, losses)
 
@@ -212,8 +215,9 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("finetune_result.csv", "finetune_curve.csv", "radio_finetuned.xmck"),
          flags=("fraction",))
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    split, encoder = _split_and_encoder(inputs)
-    accuracy, losses, tuned = ev.finetune(encoder, split, args.fraction, cfg.eval, cfg.seed)
+    ds, encoder = _dataset_and_encoder(inputs)
+    accuracy, losses, tuned = ev.finetune(encoder, ev.make_task_split(ds), args.fraction,
+                                          cfg.eval, cfg.seed)
     save_checkpoint(outputs[2], tuned)
     return _write_result(outputs, "fine-tune", "fine-tune", args.fraction, cfg.seed,
                          accuracy, losses)
@@ -315,10 +319,10 @@ def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("project", inputs=("data", "encoder"), outputs=("projection.csv",))
 def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     (proj_path,) = outputs
-    split, encoder = _split_and_encoder(inputs)
-    feats = encoder.forward_numpy(split.test_inputs)
-    coords = ev.project_2d(feats)
-    labels = split.test_labels_for_reporting()
+    ds, encoder = _dataset_and_encoder(inputs)
+    # the test rows alone: a projection reads nothing of the contrastive split
+    coords = ev.project_2d(encoder.forward_numpy(heatmap_inputs(ds.heatmaps[ds.test_idx])))
+    labels = ds.labels[ds.test_idx]
     sep = ev.cluster_separation(coords, labels)
     write_csv(proj_path, ["x", "y", "class"],
               [[coords[i, 0], coords[i, 1], CLASS_NAMES[labels[i]]]

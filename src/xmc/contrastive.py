@@ -1,4 +1,5 @@
-"""InfoNCE loss, the FIFO negative-key queue, and contrastive pre-training.
+"""InfoNCE loss, the FIFO negative-key queue, the one InfoNCE trainer and
+contrastive pre-training.
 
 The trainable radar branch is pulled toward its paired image key and pushed
 away from a queue of past image keys; the frozen vision branch provides the
@@ -89,27 +90,40 @@ def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
     return out
 
 
-def warm_start(queue: NegativeQueue, order: np.ndarray, batch: int) -> int:
-    """Fill the queue from the leading ceil(capacity / batch) batches of
-    ``order``, so the first losses are measured against a full complement of
-    negatives. Returns the number of leading rows used."""
-    used = math.ceil(queue.capacity / batch) * batch
-    queue.enqueue(order[:used])
-    return used
+def fit_to_keys(model: EncoderModel, inputs: np.ndarray, keys: np.ndarray,
+                cfg: ContrastiveSection, seed: int, tag: str, normalize: bool
+                ) -> tuple[list[tuple[int, float, float]], int]:
+    """The one InfoNCE trainer: :func:`fit` of ``model`` with each row of
+    ``inputs`` scored against its row of ``keys`` and a FIFO queue of
+    ``cfg.queue_size`` earlier keys, under a cosine lr, in the ``(seed, tag)``
+    order stream. Queries are l2-normalized iff ``normalize``. The queue is
+    warm-started from the leading ceil(K/B) batches of epoch 0. Returns fit's
+    ``(epoch, lr, mean loss)`` per epoch and the rows the warm start used."""
+    queue = NegativeQueue(keys, cfg.queue_size)
+    warm = math.ceil(cfg.queue_size / cfg.batch_size) * cfg.batch_size
+    queue.enqueue(rng_for(seed, tag).permutation(len(keys))[:warm])
+
+    def loss(out: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
+        q, back = ad.l2_normalize(out) if normalize else (out, lambda dq: dq)
+        # scored before it is enqueued, yet a row can meet its own key among the negatives:
+        # in epoch 0's warm-start batches, and just after each epoch boundary
+        value, dq = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
+        queue.enqueue(sel)
+        return value, back(dq)
+
+    # a fresh stream: its epoch-0 permutation is the one the queue was warmed from
+    return list(fit([model], inputs, loss, epochs=cfg.epochs, batch_size=cfg.batch_size,
+                    lr=cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay,
+                    order_rng=rng_for(seed, tag), cosine=True)), warm
 
 
 def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
              seed: int, hidden: Sequence[int], embed_dim: int
              ) -> tuple[EncoderModel, list[tuple[int, float, float]]]:
     """Label-free contrastive pre-training of a radar encoder with ``hidden``
-    layers and ``embed_dim`` outputs, seeded by ``seed``.
-
-    Per epoch: shuffle the contrastive split; per batch: encode and
-    normalize queries, compute InfoNCE against the paired keys and the
-    queue, enqueue the batch keys, then step SGD under a cosine schedule.
-    The queue is warm-started from the first batches of epoch 0. Returns the
-    encoder and :func:`fit`'s ``(epoch, lr, mean loss)`` per epoch.
-    """
+    layers and ``embed_dim`` outputs, seeded by ``seed``: its normalized
+    queries against the frozen ``vision`` keys, by :func:`fit_to_keys`.
+    Returns the encoder and the trainer's per-epoch history."""
     if not vision.frozen:
         raise InputError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
@@ -126,19 +140,4 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     heat = heatmap_inputs(dataset.heatmaps[idx])
     keys = encode_keys(vision, image_inputs(dataset.images[idx]))
     radio = init_encoder([heat.shape[1], *hidden, embed_dim], derive_seed(seed, "radio"))
-    queue = NegativeQueue(keys, cfg.queue_size)
-    warm_start(queue, rng_for(seed, "batch-order").permutation(len(idx)), cfg.batch_size)
-
-    def loss(raw: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
-        q, normalize_back = ad.l2_normalize(raw)
-        # scored before it is enqueued, yet a row can meet its own key among the negatives:
-        # in epoch 0's warm-start batches, and just after each epoch boundary
-        value, dq = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
-        queue.enqueue(sel)
-        return value, normalize_back(dq)
-
-    # a fresh stream: its epoch-0 permutation is the one the queue was warmed from
-    return radio, list(fit(
-        [radio], heat, loss, epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr,
-        momentum=cfg.momentum, weight_decay=cfg.weight_decay,
-        order_rng=rng_for(seed, "batch-order"), cosine=True))
+    return radio, fit_to_keys(radio, heat, keys, cfg, seed, "batch-order", normalize=True)[0]

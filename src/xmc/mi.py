@@ -12,12 +12,12 @@ import math
 
 import numpy as np
 
-from .config import MiSection
-from .contrastive import NegativeQueue, info_nce, warm_start
+from .config import ContrastiveSection, MiSection
+from .contrastive import fit_to_keys, info_nce
 from .datagen import analytic_mi, gen_gaussian_pairs
 from .errors import InputError
-from .models import fit, init_encoder
-from .seeding import derive_seed, rng_for
+from .models import init_encoder
+from .seeding import derive_seed
 
 
 def mi_lower_bound(mean_loss: float, k: int) -> float:
@@ -66,20 +66,11 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
     k_enc = init_encoder([y.shape[1], critic.embed_dim], derive_seed(seed, "mi-key"))
     k_enc.freeze()
 
-    keys_train = k_enc.forward_numpy(y_train)
-    queue = NegativeQueue(keys_train, k)
-    warm = warm_start(queue, rng_for(seed, "mi-order").permutation(len(x_train)),
-                      critic.batch_size)
-
-    def critic_loss(q: np.ndarray, sel: np.ndarray) -> tuple[float, np.ndarray]:
-        value, dq = info_nce(q, keys_train[sel], queue.snapshot(), TAU)
-        queue.enqueue(sel)
-        return value, dq
-
-    for _ in fit([q_enc], x_train, critic_loss, epochs=critic.epochs,
-                 batch_size=critic.batch_size, lr=critic.lr, momentum=critic.momentum,
-                 weight_decay=0.0, order_rng=rng_for(seed, "mi-order"), cosine=True):
-        pass
+    train = ContrastiveSection(tau=TAU, queue_size=k, batch_size=critic.batch_size,
+                               epochs=critic.epochs, lr=critic.lr,
+                               momentum=critic.momentum, weight_decay=0.0)
+    _, warm = fit_to_keys(q_enc, x_train, k_enc.forward_numpy(y_train), train, seed,
+                          "mi-order", normalize=False)
 
     # Held-out evaluation: the leading ``warm`` held-out pairs only fill the
     # queue; each later batch is scored against the k held-out keys before it.

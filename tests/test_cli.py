@@ -516,6 +516,31 @@ class TestExitCodes:
         assert self.one_line(capsys) == (
             f"xmc {command}: dataset file {data} has a non-finite value in row {first}\n")
 
+    @pytest.mark.parametrize("command, code", [("probe", 3), ("project", 0)])
+    def test_nan_contrastive_heatmap_stops_only_a_command_that_reads_it(
+            self, pipeline, workdir, tmp_path, capsys, command, code):
+        """A probe trains on the contrastive split and refuses the NaN;
+        project gathers the test rows alone and writes its usual projection."""
+        blob = bytearray((pipeline / "dataset.xmcd").read_bytes())
+        row = next(i for i, at in enumerate(SPLIT_BYTES) if blob[at] == 2)
+        at = SPLIT_BYTES.stop + row * 8 * 32 * 32
+        blob[at:at + 8] = struct.pack("<d", float("nan"))
+        data = tmp_path / "nan.xmcd"
+        data.write_bytes(blob)
+        def on(data, out):
+            return main([command, "--config", str(workdir / "tiny.yaml"), "--out", str(out),
+                         "--data", str(data), "--encoder", str(pipeline / "radio.xmck")])
+
+        capsys.readouterr()
+        assert on(data, tmp_path / "o") == code
+        if code:
+            assert self.one_line(capsys) == (
+                f"xmc {command}: dataset file {data} has a non-finite value in row {row}\n")
+        else:
+            assert on(pipeline / "dataset.xmcd", tmp_path / "ref") == 0
+            assert ((tmp_path / "o" / "projection.csv").read_bytes()
+                    == (tmp_path / "ref" / "projection.csv").read_bytes())
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_loss_exits_4(self, tmp_path, capsys):
         cfg = tmp_path / "diverge.yaml"
@@ -895,3 +920,34 @@ class TestTimePipeline:
         ran = report["commands"]
         assert [c["rc"] for c in ran] == [0, 3]
         assert "--jobs must be at least 1, got 0" in ran[1]["stderr"]
+
+    def test_repeat_reports_each_run_and_their_median(self, workdir, tmp_path):
+        """Each of the two runs writes its own directory; each command lists
+        both runs, and its median is the median of their fields."""
+        script = README.parent / "scripts" / "time_pipeline.py"
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, str(script), "--config",
+                               str(workdir / "tiny.yaml"), "--out", str(out),
+                               "--repeat", "2", "gen-data", "estimate-mi"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["repeat"] == 2
+        assert [c["command"] for c in report["commands"]] == ["gen-data", "estimate-mi"]
+        for command in report["commands"]:
+            assert [run["rc"] for run in command["runs"]] == [0, 0]
+            for field, value in command["median"].items():
+                assert value == statistics.median(run[field] for run in command["runs"])
+        assert report["total_wall_s"] == round(
+            sum(c["median"]["wall_s"] for c in report["commands"]), 4)
+        for run in ("run1", "run2"):
+            assert (out / run / "mi_estimates.csv").is_file()
+        assert (out / "run1" / "mi_estimates.csv").read_bytes() == (
+            out / "run2" / "mi_estimates.csv").read_bytes()
+
+    def test_repeat_below_one_is_refused(self):
+        script = README.parent / "scripts" / "time_pipeline.py"
+        proc = subprocess.run([sys.executable, str(script), "--repeat", "0", "gen-data"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert "--repeat must be at least 1, got 0" in proc.stderr

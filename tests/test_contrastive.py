@@ -13,16 +13,11 @@ from hypothesis import strategies as st
 from xmc import autodiff as ad
 from xmc import contrastive
 from xmc.config import ContrastiveSection, DatagenSection, VisionSection
-from xmc.contrastive import (
-    NegativeQueue,
-    encode_keys,
-    info_nce,
-    pretrain,
-    warm_start,
-)
+from xmc.contrastive import NegativeQueue, encode_keys, fit_to_keys, info_nce, pretrain
 from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import InputError, NumericError
 from xmc.models import fit, init_encoder, pretrain_vision
+from xmc.seeding import rng_for
 
 from helpers import check_grads
 
@@ -104,31 +99,77 @@ class TestNegativeQueue:
             np.testing.assert_array_equal(q.snapshot(), keys[list(model)])
 
 
-class TestWarmStart:
-    def test_fills_from_the_leading_batches(self):
-        keys = unit_rows(np.random.default_rng(3).normal(size=(10, 3)))
-        order = np.random.default_rng(3).permutation(10)
-        q = NegativeQueue(keys, 5)
-        assert warm_start(q, order, 2) == 6  # ceil(5 / 2) batches of 2
-        np.testing.assert_array_equal(q.snapshot(), keys[order[1:6]])
+def first_scored_negatives(monkeypatch, keys, queue_size, batch, normalize):
+    """The negatives of ``fit_to_keys``'s first ``info_nce`` call on a 3 -> 3
+    linear model over ``len(keys)`` rows, with the rows used to warm the queue
+    and the trainer's epoch-0 order."""
+    seen = []
 
-    def test_batch_larger_than_the_queue_keeps_its_newest_keys(self):
+    def spy(q, k_plus, negatives, tau):
+        seen.append(negatives.copy())
+        return info_nce(q, k_plus, negatives, tau)
+
+    monkeypatch.setattr(contrastive, "info_nce", spy)
+    inputs = np.random.default_rng(len(keys)).normal(size=(len(keys), 3))
+    cfg = ContrastiveSection(tau=0.5, queue_size=queue_size, batch_size=batch, epochs=1,
+                             lr=0.01, momentum=0.9, weight_decay=0.0)
+    _, warm = fit_to_keys(init_encoder([3, 3], seed=0), inputs, keys, cfg, seed=9,
+                          tag="order", normalize=normalize)
+    return seen[0], warm, rng_for(9, "order").permutation(len(keys))
+
+
+class TestFitToKeys:
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_queries_are_unit_rows_iff_normalize(self, monkeypatch, normalize):
+        """The critic scores the model's raw outputs; pre-training scores them
+        l2-normalized, and each scored query is its input row's output."""
+        scored = []
+
+        def spy(q, k_plus, negatives, tau):
+            scored.append(q.copy())
+            return info_nce(q, k_plus, negatives, tau)
+
+        monkeypatch.setattr(contrastive, "info_nce", spy)
+        model = init_encoder([3, 3], seed=1)
+        inputs = np.random.default_rng(2).normal(size=(8, 3))
+        raw = model.forward_numpy(inputs[rng_for(5, "order").permutation(8)[:4]])
+        cfg = ContrastiveSection(tau=0.5, queue_size=4, batch_size=4, epochs=1, lr=0.01,
+                                 momentum=0.9, weight_decay=0.0)
+        fit_to_keys(model, inputs, unit_rows(inputs), cfg, seed=5, tag="order",
+                    normalize=normalize)
+        np.testing.assert_allclose(scored[0], unit_rows(raw) if normalize else raw,
+                                   rtol=1e-12)
+
+
+class TestWarmStart:
+    """The trainer's first scored negatives, with and without normalized queries."""
+
+    def test_fills_from_the_leading_batches(self, monkeypatch):
+        keys = unit_rows(np.random.default_rng(3).normal(size=(10, 3)))
+        for normalize in (True, False):
+            negatives, warm, order = first_scored_negatives(monkeypatch, keys, 5, 2,
+                                                            normalize)
+            assert warm == 6  # ceil(5 / 2) batches of 2
+            np.testing.assert_array_equal(negatives, keys[order[1:6]])
+
+    def test_batch_larger_than_the_queue_keeps_its_newest_keys(self, monkeypatch):
         keys = unit_rows(np.random.default_rng(4).normal(size=(10, 3)))
-        order = np.random.default_rng(4).permutation(10)
-        q = NegativeQueue(keys, 3)
-        assert warm_start(q, order, 4) == 4
-        np.testing.assert_array_equal(q.snapshot(), keys[order[1:4]])
+        for normalize in (True, False):
+            negatives, warm, order = first_scored_negatives(monkeypatch, keys, 3, 4,
+                                                            normalize)
+            assert warm == 4
+            np.testing.assert_array_equal(negatives, keys[order[1:4]])
 
     @pytest.mark.parametrize("batch", [2, 5, 7], ids=["B<K", "B=K", "B>K"])
-    def test_one_call_fill_matches_the_batch_by_batch_fill(self, batch):
+    def test_one_call_fill_matches_the_batch_by_batch_fill(self, monkeypatch, batch):
         keys = unit_rows(np.random.default_rng(6).normal(size=(12, 3)))
-        order = np.random.default_rng(6).permutation(12)
-        one_call = NegativeQueue(keys, 5)
-        used = warm_start(one_call, order, batch)
-        by_batch: deque = deque(maxlen=5)
-        for start in range(0, used, batch):
-            by_batch.extend(order[start:start + batch])
-        np.testing.assert_array_equal(one_call.snapshot(), keys[list(by_batch)])
+        for normalize in (True, False):
+            negatives, warm, order = first_scored_negatives(monkeypatch, keys, 5, batch,
+                                                            normalize)
+            by_batch: deque = deque(maxlen=5)
+            for start in range(0, warm, batch):
+                by_batch.extend(order[start:start + batch])
+            np.testing.assert_array_equal(negatives, keys[list(by_batch)])
 
     def test_pretrain_warms_from_the_leading_batches_of_fits_first_epoch(
             self, toy_setup, monkeypatch):

@@ -5,10 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from xmc import contrastive, mi
 from xmc.config import MiSection
+from xmc.contrastive import fit_to_keys, info_nce
 from xmc.datagen import analytic_mi
 from xmc.errors import InputError
 from xmc.mi import estimate_mi_gaussian, mi_lower_bound, quadratic_features
+from xmc.models import fit
+
 
 def fast_critic(k: int, pair_count: int = 6144) -> MiSection:
     """The default critic at 15 epochs on ``pair_count`` one-dimensional
@@ -72,3 +76,30 @@ class TestGaussianEstimator:
         with pytest.raises(InputError, match=r"^count 300 too small for queue 256 plus "
                                              r"holdout \d+$"):
             estimate_mi_gaussian(fast_critic(256, pair_count=300), 0.5, 17)
+
+    def test_critic_warms_from_the_leading_batches_of_fits_first_epoch(self, monkeypatch):
+        """The critic's first loss is scored against the keys of the last K of
+        the first ceil(K/B)*B rows that ``fit`` visits in epoch 0."""
+        sels, first_negatives, tables = [], [], []
+
+        def spy_fit(chain, inputs, loss, **kw):
+            def spy_loss(out, sel):
+                sels.append(sel.copy())
+                return loss(out, sel)
+            return fit(chain, inputs, spy_loss, **kw)
+
+        def spy_info_nce(q, k_plus, negatives, tau):
+            first_negatives.append(negatives.copy())
+            return info_nce(q, k_plus, negatives, tau)
+
+        def spy_fit_to_keys(model, inputs, keys, *args, **kw):
+            tables.append(keys.copy())
+            return fit_to_keys(model, inputs, keys, *args, **kw)
+
+        monkeypatch.setattr(contrastive, "fit", spy_fit)
+        monkeypatch.setattr(contrastive, "info_nce", spy_info_nce)
+        monkeypatch.setattr(mi, "fit_to_keys", spy_fit_to_keys)
+        critic = MiSection(dim=1, epochs=1, queue_size=100, batch_size=32, pair_count=600)
+        estimate_mi_gaussian(critic, 0.5, 18)  # K = 100: 4 batches, 128 rows
+        epoch_0 = np.concatenate(sels)
+        np.testing.assert_array_equal(first_negatives[0], tables[0][epoch_0[128 - 100:128]])
