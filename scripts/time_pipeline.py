@@ -7,8 +7,11 @@ passes --jobs on to the pooled commands. Each command's wall time comes from
 the parent's clock; its CPU time (user + system), peak RSS and minor page
 faults come from ``os.wait4`` on that child, so they include any pool
 workers it reaped.
-Prints one JSON object to stdout. Stops at the first command that fails,
-since later commands read its outputs, and then exits 1.
+Prints one JSON object to stdout, which also names the host: the CPU
+model line of /proc/cpuinfo, cpu0's L2 and L3 cache sizes and the numpy
+version the commands import (each null where it cannot be read). Stops at
+the first command that fails, since later commands read its outputs, and
+then exits 1.
 
 Usage:
   python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
@@ -50,6 +53,38 @@ def src_sha256(tree: Path) -> str:
     for p in sorted((tree / "src").rglob("*.py")):
         h.update(p.relative_to(tree).as_posix().encode() + b"\0" + p.read_bytes())
     return h.hexdigest()
+
+
+def cpu_model() -> str | None:
+    """The value of the first ``model name`` line of /proc/cpuinfo."""
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((line.split(":", 1)[1].strip() for line in f
+                         if line.startswith("model name")), None)
+    except OSError:
+        return None
+
+
+def cpu0_cache() -> dict:
+    """cpu0's L2 and L3 sizes as sysfs writes them (e.g. "2048K")."""
+    sizes = {"L2": None, "L3": None}
+    for index in sorted(Path("/sys/devices/system/cpu/cpu0/cache").glob("index*")):
+        try:
+            level, kind, size = ((index / name).read_text().strip()
+                                 for name in ("level", "type", "size"))
+        except OSError:
+            continue
+        if f"L{level}" in sizes and kind != "Instruction":
+            sizes[f"L{level}"] = size
+    return sizes
+
+
+def numpy_version(env: dict) -> str | None:
+    """The numpy version a command imports, asked of a child so that this
+    process stays small: a child's peak RSS starts at its parent's."""
+    proc = subprocess.run([sys.executable, "-c", "import numpy; print(numpy.__version__)"],
+                          env=env, capture_output=True, text=True)
+    return proc.stdout.strip() or None
 
 
 def time_command(argv: list[str], env: dict) -> dict:
@@ -101,7 +136,8 @@ def main() -> int:
 
     report = {"tree": str(tree), "src_sha256": src_sha256(tree),
               "config": args.config,
-              "python": platform.python_version(), "nproc": os.cpu_count(),
+              "python": platform.python_version(), "numpy": numpy_version(env),
+              "cpu_model": cpu_model(), "cpu0_cache": cpu0_cache(), "nproc": os.cpu_count(),
               "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "jobs": args.jobs,
               "commands": []}
     passes = []  # per run, each command's result in order

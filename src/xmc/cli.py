@@ -24,28 +24,15 @@ from functools import partial
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
-from . import evaluation as ev
+# numpy and the library are imported where a command calls them, so that
+# --help and a usage error answer without loading either
 from .config import ExperimentConfig, MiSection, config_to_dict, load_config
-from .contrastive import pretrain
-from .datagen import (
-    CLASS_NAMES,
-    Dataset,
-    heatmap_inputs,
-    image_inputs,
-    load_dataset,
-    make_dataset,
-    save_dataset,
-)
 from .errors import InputError, XmcError
-from .mi import estimate_mi_gaussian
-from .models import EncoderModel, load_checkpoint, pretrain_vision, save_checkpoint
 from .runio import sha256_file, write_csv, write_manifest
-from .seeding import derive_seed
 
 
 def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
+    from .seeding import derive_seed
     return [derive_seed(cfg.seed, tag, i) % (2**31) for i in range(n)]
 
 
@@ -139,6 +126,8 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
 
 @command("gen-data", outputs=("dataset.xmcd",))
 def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from .datagen import make_dataset, save_dataset
+    from .seeding import derive_seed
     ds = make_dataset(cfg.datagen, derive_seed(cfg.seed, "datagen"))
     save_dataset(outputs[0], ds)
     return ({"n": ds.n, "content_hash": ds.content_hash()},
@@ -148,6 +137,11 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("pretrain-vision", inputs=("data",),
          outputs=("vision.xmck", "vision_pretrain.csv"))
 def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    import numpy as np
+
+    from .datagen import CLASS_NAMES, image_inputs, load_dataset
+    from .models import pretrain_vision, save_checkpoint
+    from .seeding import derive_seed
     ckpt, curve = outputs
     ds = load_dataset(inputs["data"])
     model, accuracy, train_loss = pretrain_vision(
@@ -163,6 +157,9 @@ def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("pretrain", inputs=("data", "vision"),
          outputs=("radio.xmck", "pretrain_metrics.csv"))
 def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from .contrastive import pretrain
+    from .datagen import load_dataset
+    from .models import load_checkpoint, save_checkpoint
     ckpt, metrics_path = outputs
     encoder, history = pretrain(load_dataset(inputs["data"]),
                                 load_checkpoint(inputs["vision"]), cfg.contrastive,
@@ -177,6 +174,7 @@ def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: in
                   accuracy: float, losses: list[float]):
     """Write a probe, fine-tune or baseline result row and test-loss curve;
     the best epoch is the one with the least test loss."""
+    import numpy as np
     result_path, curve_path = outputs[:2]
     best = int(np.argmin(losses))
     write_csv(result_path, ["mode", "label_fraction", "seed", "test_accuracy",
@@ -186,9 +184,11 @@ def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: in
     return {"test_accuracy": accuracy}, f"{what} accuracy {accuracy:.3f}"
 
 
-def _dataset_and_encoder(inputs: dict) -> tuple[Dataset, EncoderModel]:
+def _dataset_and_encoder(inputs: dict) -> tuple:
     """The dataset and the encoder checkpoint, checked to take the dataset's
     R·A heatmap bins before anything is gathered or encoded."""
+    from .datagen import load_dataset
+    from .models import load_checkpoint
     ds = load_dataset(inputs["data"])
     encoder = load_checkpoint(inputs["encoder"])
     if encoder.frozen:
@@ -204,6 +204,7 @@ def _dataset_and_encoder(inputs: dict) -> tuple[Dataset, EncoderModel]:
 @command("probe", inputs=("data", "encoder"),
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
     ds, encoder = _dataset_and_encoder(inputs)
     accuracy, losses = ev.linear_probe(encoder, ev.make_task_split(ds), args.fraction,
                                        cfg.eval, cfg.seed)
@@ -215,6 +216,8 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("finetune_result.csv", "finetune_curve.csv", "radio_finetuned.xmck"),
          flags=("fraction",))
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
+    from .models import save_checkpoint
     ds, encoder = _dataset_and_encoder(inputs)
     accuracy, losses, tuned = ev.finetune(encoder, ev.make_task_split(ds), args.fraction,
                                           cfg.eval, cfg.seed)
@@ -226,6 +229,8 @@ def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("baseline", inputs=("data",),
          outputs=("baseline_result.csv", "baseline_curve.csv"), flags=("fraction",))
 def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
+    from .datagen import load_dataset
     split = ev.make_task_split(load_dataset(inputs["data"]))
     accuracy, losses = ev.supervised_baseline(split, args.fraction, cfg.eval, cfg.seed,
                                               hidden=cfg.encoder_hidden,
@@ -259,12 +264,15 @@ def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
 def _loaded_arm(arm_fn: Callable, data: str, vision: str, cfg: ExperimentConfig, *axis):
     """``arm_fn`` on the dataset and vision checkpoint, each loaded in the
     process that runs the arm, at the arm's axis values."""
+    from .datagen import load_dataset
+    from .models import load_checkpoint
     return arm_fn(load_dataset(data), load_checkpoint(vision), cfg, *axis)
 
 
 def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
     """Write a sweep's (axis, arm, seed, accuracy) rows in that order, and
     one summary row per (arm, axis); the arm column only ``with_arm``."""
+    from . import evaluation as ev
     detail_path, summary_path = outputs
     keep = (lambda row: row) if with_arm else (lambda row: (row[0], *row[2:]))
     rows = sorted(rows)
@@ -278,6 +286,7 @@ def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
 @command("sweep-k", inputs=("data", "vision"),
          outputs=("sweep_k.csv", "sweep_k_summary.csv"), flags=("jobs",))
 def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     arm = partial(_loaded_arm, ev.queue_sweep_arm, str(inputs["data"]),
                   str(inputs["vision"]), cfg)
@@ -288,6 +297,8 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("sweep-labels", inputs=("data", "vision"),
          outputs=("sweep_labels.csv", "sweep_labels_summary.csv"), flags=("jobs",))
 def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
+    from .datagen import load_dataset
     # a load checks the whole file and reads only the labels; the arms load their own
     fractions = ev.feasible_fractions(cfg.eval.fractions,
                                       len(load_dataset(inputs["data"]).contrastive_idx))
@@ -301,6 +312,7 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 def _mi_arm(mi: MiSection, rho: float, seed: int) -> tuple:
     """One (rho, seed) arm of the MI estimate, as its CSV row."""
+    from .mi import estimate_mi_gaussian
     return (rho, mi.dim, mi.queue_size, seed, *estimate_mi_gaussian(mi, rho, seed))
 
 
@@ -318,6 +330,8 @@ def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 @command("project", inputs=("data", "encoder"), outputs=("projection.csv",))
 def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
+    from . import evaluation as ev
+    from .datagen import CLASS_NAMES, heatmap_inputs
     (proj_path,) = outputs
     ds, encoder = _dataset_and_encoder(inputs)
     # the test rows alone: a projection reads nothing of the contrastive split
@@ -361,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+        import numpy as np
         # a diverging run overflows on its way to the non-finite loss that
         # fit reports; that report is its one stderr line
         with np.errstate(over="ignore", invalid="ignore"):

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import yaml
-
 from .errors import InputError
 
 
@@ -168,6 +166,7 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     """Defaults, overlaid by an optional YAML file."""
     cfg = ExperimentConfig()
     if path is not None:
+        import yaml  # here, so that a run on the defaults never loads PyYAML
         with open(path, "rb") as f:
             try:
                 loaded = yaml.safe_load(f)

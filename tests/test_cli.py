@@ -12,10 +12,11 @@ import time
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
-from xmc import cli
+from xmc import cli, datagen
 from xmc.cli import main
 from xmc.errors import InputError, NumericError, XmcError
 from xmc.models import init_encoder, load_checkpoint, save_checkpoint
@@ -187,7 +188,7 @@ class TestExitCodes:
                                     monkeypatch, flag):
         """A pool of fewer than one process is refused before any input is
         read, rather than silently run serially."""
-        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
+        monkeypatch.setattr(datagen, "load_dataset", lambda path: pytest.fail("data loaded"))
         inputs = ["--data", str(pipeline / "dataset.xmcd"),
                   "--vision", str(pipeline / "vision.xmck")]
         for command, args in (("sweep-labels", inputs), ("sweep-k", inputs),
@@ -203,7 +204,7 @@ class TestExitCodes:
                                           monkeypatch, flag):
         """A label fraction outside (0, 1], NaN included, is refused before any
         input is read, as --jobs is."""
-        monkeypatch.setattr(cli, "load_dataset", lambda path: pytest.fail("data loaded"))
+        monkeypatch.setattr(datagen, "load_dataset", lambda path: pytest.fail("data loaded"))
         data = ["--data", str(pipeline / "dataset.xmcd")]
         for command, args in (("probe", [*data, "--encoder", str(pipeline / "radio.xmck")]),
                               ("finetune", [*data, "--encoder", str(pipeline / "radio.xmck")]),
@@ -798,8 +799,9 @@ class TestSweepCommands:
         """The parent process loads the dataset once, reading only its labels,
         to count the contrastive split; then each arm loads it again."""
         loads = []
-        real = cli.load_dataset
-        monkeypatch.setattr(cli, "load_dataset", lambda path: loads.append(path) or real(path))
+        real = datagen.load_dataset
+        monkeypatch.setattr(datagen, "load_dataset",
+                            lambda path: loads.append(path) or real(path))
         data = str(pipeline / "dataset.xmcd")
         assert main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"), "--data", data,
@@ -883,13 +885,20 @@ class TestConsoleEntryPoint:
         assert "gen-data" in proc.stdout
 
     def test_import_leaves_the_process_pool_unloaded(self):
-        """Only a command that maps arms over a pool pays for importing it."""
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys, xmc.cli; "
-             "print(sorted(m for m in sys.modules if m.startswith("
-             "('concurrent', 'multiprocessing'))))"],
-            capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        """Importing the CLI, its help and a usage error load neither numpy,
+        PyYAML nor the process pool: only a command that calls one pays for
+        importing it. Importing the config loads no PyYAML either."""
+        heavy = ("numpy", "yaml", "concurrent", "multiprocessing")
+        cases = ["from xmc import cli", "import xmc.config",
+                 *(f"from xmc import cli; cli.main({argv!r})"
+                   for argv in (["--help"], ["pretrain", "--help"], ["no-such-command"]))]
+        for case in cases:
+            proc = subprocess.run(
+                [sys.executable, "-c", f"import sys\ntry:\n    {case}\n"
+                 "except SystemExit:\n    pass\n"
+                 f"print(sorted(m for m in sys.modules if m.partition('.')[0] in {heavy}))"],
+                capture_output=True, text=True, check=True)
+            assert proc.stdout.splitlines()[-1] == "[]", case
 
 
 class TestTimePipeline:
@@ -901,7 +910,11 @@ class TestTimePipeline:
                                "estimate-mi", "probe", "project"],
                               capture_output=True, text=True)
         assert proc.returncode == 1
-        ran = json.loads(proc.stdout)["commands"]
+        report = json.loads(proc.stdout)
+        assert report["numpy"] == np.__version__
+        assert {"cpu_model", "cpu0_cache"} <= report.keys()
+        assert report["cpu0_cache"].keys() == {"L2", "L3"}
+        ran = report["commands"]
         assert [c["command"] for c in ran] == ["estimate-mi", "probe"]
         assert ran[0]["rc"] == 0 and ran[0]["minflt"] > 0 and ran[0]["peak_rss_mb"] > 0
         assert ran[1]["rc"] == 2 and "required input not found" in ran[1]["stderr"]
