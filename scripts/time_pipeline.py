@@ -9,7 +9,9 @@ faults come from ``os.wait4`` on that child, so they include any pool
 workers it reaped.
 Prints one JSON object to stdout, which also names the host: the CPU
 model line of /proc/cpuinfo, cpu0's L2 and L3 cache sizes and the numpy
-version the commands import (each null where it cannot be read). Stops at
+version the commands import (each null where it cannot be read), and
+whether PYTHONDONTWRITEBYTECODE is set, in which case every command compiles
+src/ afresh as it starts. Stops at
 the first command that fails, since later commands read its outputs, and
 then exits 1.
 
@@ -138,6 +140,7 @@ def main() -> int:
               "config": args.config,
               "python": platform.python_version(), "numpy": numpy_version(env),
               "cpu_model": cpu_model(), "cpu0_cache": cpu0_cache(), "nproc": os.cpu_count(),
+              "dont_write_bytecode": bool(env.get("PYTHONDONTWRITEBYTECODE")),
               "loadavg_at_start": os.getloadavg(), "blas_threads": 1, "jobs": args.jobs,
               "commands": []}
     passes = []  # per run, each command's result in order

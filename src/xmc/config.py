@@ -11,6 +11,7 @@ from __future__ import annotations
 import codecs
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -134,7 +135,8 @@ def _checked(where: str, name: str, kind: str, v):
             v = math.inf if v > 0 else -math.inf
     finite = not isinstance(v, float) or math.isfinite(v)
     if not (ok and finite and test(v)):
-        raise InputError(f"{where} must be {rule if finite else 'finite and ' + rule}, got {v!r}")
+        got = f"{v!r} (text, not a number)" if isinstance(v, str) and kind != "str" else repr(v)
+        raise InputError(f"{where} must be {rule if finite else 'finite and ' + rule}, got {got}")
     return v
 
 
@@ -167,9 +169,12 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
     cfg = ExperimentConfig()
     if path is not None:
         import yaml  # here, so that a run on the defaults never loads PyYAML
+        loader = type("Loader", (yaml.SafeLoader,), {})  # 1e-3 a float, as in YAML 1.2
+        loader.add_implicit_resolver("tag:yaml.org,2002:float", re.compile(
+            r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)[eE][-+]?[0-9]+$"), list("-+.0123456789"))
         with open(path, "rb") as f:
             try:
-                loaded = yaml.safe_load(f)
+                loaded = yaml.load(f, loader)
             except yaml.reader.ReaderError as e:  # a byte that is not UTF-8 or not printable
                 at = e.position
                 if e.encoding == "unicode":  # not printable: PyYAML counts characters
@@ -186,8 +191,10 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
                 problem = getattr(e, "problem", None) or "parse error"
                 raise InputError(f"malformed YAML in {path}{where}: {problem}") from None
             except (ValueError, RecursionError) as e:  # a bad date, say, or deep nesting
-                # the reason only: no config can act on Python's advice after "; "
-                raise InputError(f"malformed YAML in {path}: {str(e).split('; ')[0]}") from None
+                # the reason only: not Python's advice after "; ", which no config can act on,
+                # nor a RecursionError's text, which varies with the caller's stack depth
+                why = str(e).split("; ")[0] if isinstance(e, ValueError) else "nesting too deep"
+                raise InputError(f"malformed YAML in {path}: {why}") from None
         if not isinstance(loaded, (dict, type(None))):
             raise InputError(f"config root must be a mapping: {path}")
         _apply(cfg, loaded or {}, "")

@@ -38,7 +38,7 @@ class NegativeQueue:
 
     def snapshot(self) -> np.ndarray:
         """The keys of the current entries, oldest first."""
-        return self.keys[self._rows]
+        return np.take(self.keys, self._rows, axis=0)
 
 
 def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
@@ -46,10 +46,9 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
     """Mean contrastive loss over the batch, and its gradient dq.
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
-    evaluated as a stabilized logsumexp over the (K+1)-way scores against
-    the (K, D) ``negatives``. Gradients reach q only; the positive keys and
-    the negatives are constants. With P = softmax - one-hot(0) over the
-    scores, dq = P @ [k+, N] / (B tau).
+    a stabilized logsumexp over the (K+1)-way scores against the (K, D)
+    ``negatives``. Only q gets a gradient: dq = P @ [k+, N] / (B tau), with
+    P = softmax - one-hot(0). At tau = 1 (the MI critic's) 1/tau scales nothing.
     """
     if q.ndim != 2 or k_plus.shape != q.shape:
         raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
@@ -63,13 +62,16 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
     scores = np.empty((len(pos), len(negatives) + 1))
     scores[:, 0] = pos
     np.matmul(q, negatives.T, out=scores[:, 1:])
-    scores *= inv_tau
+    if tau != 1.0:
+        scores *= inv_tau
     lse, d = ad.logsumexp_row(scores)
     c = 1.0 / len(pos)
     d *= c
-    d *= inv_tau
+    if tau != 1.0:
+        d *= inv_tau
+        pos *= inv_tau
     d[:, 0] -= c * inv_tau
-    return (float((lse - pos * inv_tau).mean()),
+    return (float(np.add.reduce(lse - pos) / len(pos)),
             d[:, 1:] @ negatives + d[:, :1] * k_plus)
 
 

@@ -88,9 +88,10 @@ class EncoderModel:
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             acts.append(h)
-            h = h @ w + b[None, :]
+            h = h @ w
+            h += b
             if i != last:
-                h = np.maximum(h, 0.0)
+                np.maximum(h, 0.0, out=h)
         return h, acts
 
     def forward_numpy(self, x: np.ndarray) -> np.ndarray:
@@ -134,7 +135,7 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     c = 1.0 / len(rows)
     d *= c
     d[rows, labels] -= c
-    return float((lse - logits[rows, labels]).mean()), d
+    return float(np.add.reduce(lse - logits[rows, labels]) / len(rows)), d
 
 
 # ---------------------------------------------------------------------------

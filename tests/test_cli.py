@@ -4,6 +4,7 @@ import argparse
 import concurrent.futures
 import csv
 import json
+import os
 import statistics
 import struct
 import subprocess
@@ -120,7 +121,7 @@ class TestGenData:
     @pytest.mark.parametrize("text, reason", [
         ("seed: 2020-13-45\n", "month must be in 1..12"),
         ("seed: 1" + "0" * 5000 + "\n", "Exceeds the limit (4300 digits)"),
-        ("seed: " + "[" * 5000 + "]" * 5000 + "\n", "maximum recursion depth exceeded"),
+        ("seed: " + "[" * 5000 + "]" * 5000 + "\n", "nesting too deep"),
     ], ids=["bad-date", "integer-too-long", "nesting-too-deep"])
     def test_yaml_that_fails_to_construct_exits_3(self, tmp_path, capsys, text,
                                                   reason):
@@ -912,13 +913,30 @@ class TestTimePipeline:
         assert proc.returncode == 1
         report = json.loads(proc.stdout)
         assert report["numpy"] == np.__version__
-        assert {"cpu_model", "cpu0_cache"} <= report.keys()
+        assert {"cpu_model", "cpu0_cache", "dont_write_bytecode"} <= report.keys()
         assert report["cpu0_cache"].keys() == {"L2", "L3"}
         ran = report["commands"]
         assert [c["command"] for c in ran] == ["estimate-mi", "probe"]
         assert ran[0]["rc"] == 0 and ran[0]["minflt"] > 0 and ran[0]["peak_rss_mb"] > 0
         assert ran[1]["rc"] == 2 and "required input not found" in ran[1]["stderr"]
         assert (out / "mi_estimates.csv").is_file()
+
+    @pytest.mark.parametrize("value, expected", [(None, False), ("", False), ("1", True)],
+                             ids=["unset", "empty", "set"])
+    def test_reports_whether_the_commands_write_bytecode(self, tmp_path, value, expected):
+        """Python writes no bytecode iff PYTHONDONTWRITEBYTECODE is a non-empty
+        string; then each command compiles src/ as it starts."""
+        script = README.parent / "scripts" / "time_pipeline.py"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env["PYTHONPYCACHEPREFIX"] = str(tmp_path / "pycache")  # keep src/ free of bytecode
+        if value is not None:
+            env["PYTHONDONTWRITEBYTECODE"] = value
+        proc = subprocess.run([sys.executable, str(script), "--out", str(tmp_path / "o"),
+                               "probe"], env=env, capture_output=True, text=True)
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["dont_write_bytecode"] is expected
+        assert [c["rc"] for c in report["commands"]] == [2]
 
     def test_jobs_reach_the_pooled_commands_as_the_flag(self, workdir, tmp_path):
         """gen-data takes no --jobs, so it runs; estimate-mi is given --jobs 0."""

@@ -124,6 +124,80 @@ def test_every_float_setting_rejects_nan_and_infinities(setting, value):
         load_overlay(nested(path, [value] if is_list else value))
 
 
+def flow_yaml(path: tuple, text: str) -> str:
+    """YAML flow text that sets the setting at ``path`` to the scalar ``text``."""
+    for key in reversed(path):
+        text = f"{{{key}: {text}}}"
+    return text + "\n"
+
+
+# 0.5, in the range of every float setting, spelled with an exponent that YAML 1.1
+# does not read: no dot, or an exponent without a sign
+EXPONENT_SPELLINGS = ["5e-1", "5E-1", "+5e-1", "5e-01", "0.05e1", ".05e1"]
+
+
+@pytest.mark.parametrize("spelling", EXPONENT_SPELLINGS)
+@pytest.mark.parametrize("setting", FLOAT_SETTINGS,
+                         ids=[".".join(path) for path, _ in FLOAT_SETTINGS])
+def test_every_float_setting_reads_a_plain_exponent_as_a_float(tmp_path, setting, spelling):
+    """YAML 1.1 reads 5e-1 (no dot, or an unsigned exponent) as a string;
+    the config reads it as YAML 1.2 and JSON do."""
+    path, is_list = setting
+    config = tmp_path / "c.yaml"
+    config.write_text(flow_yaml(path, f"[{spelling}]" if is_list else spelling))
+    stored = functools.reduce(getattr, path, load_config(config))
+    assert stored == ([0.5] if is_list else 0.5)
+    assert {type(v) for v in (stored if is_list else [stored])} == {float}
+
+
+@pytest.mark.parametrize("quote", ["'", '"'], ids=["single", "double"])
+@pytest.mark.parametrize("setting", FLOAT_SETTINGS,
+                         ids=[".".join(path) for path, _ in FLOAT_SETTINGS])
+def test_every_float_setting_refuses_a_quoted_number_as_text(tmp_path, setting, quote):
+    path, is_list = setting
+    config = tmp_path / "c.yaml"
+    text = f"{quote}5e-1{quote}"
+    config.write_text(flow_yaml(path, f"[{text}]" if is_list else text))
+    with pytest.raises(InputError, match=re.escape(
+            f"{'.'.join(path)} must be ") + r".*, got '5e-1' \(text, not a number\)$"):
+        load_config(config)
+
+
+def test_a_json_config_with_exponent_floats_loads(tmp_path):
+    """A JSON overlay, as perfbench writes and a manifest's config would be
+    dumped, spells small and large floats with an exponent."""
+    config = tmp_path / "c.json"
+    config.write_text('{"eval": {"lr": 1e-05}, "contrastive": {"lr": 1E-2, "tau": 7e-2},'
+                      ' "datagen": {"sigma_radar": 1e+20}, "mi": {"rhos": [-9e-1, 0]}}')
+    cfg = load_config(config)
+    assert (cfg.eval.lr, cfg.contrastive.lr, cfg.contrastive.tau) == (1e-05, 0.01, 0.07)
+    assert cfg.datagen.sigma_radar == 1e+20 and cfg.mi.rhos == [-0.9, 0.0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("io: {out_dir: 1e3}\n", "io.out_dir must be a string, got 1000.0"),
+    ("io: {out_dir: '1e3'}\n", None),
+    ("seed: 7e0\n", "seed must be an integer, got 7.0"),
+    ("mi: {n_seeds: '3'}\n", "mi.n_seeds must be an integer >= 1, got '3' (text, not a number)"),
+    ("eval: {lr: 1e-3x}\n", "eval.lr must be > 0, got '1e-3x' (text, not a number)"),
+    ("eval: {lr: 1e3_0}\n", "eval.lr must be > 0, got '1e3_0' (text, not a number)"),
+    ("vision: {mode: 1e3}\n",
+     "vision.mode must be 'supervised' or 'random-frozen', got 1000.0"),
+], ids=["plain-out-dir", "quoted-out-dir", "exponent-seed", "quoted-count", "trailing-letter",
+        "underscore-in-exponent", "exponent-mode"])
+def test_exponent_scalars_outside_float_settings(tmp_path, text, message):
+    """A plain exponent is a float wherever it appears, so a string setting
+    refuses it unquoted and takes it quoted; a scalar that is not a YAML 1.2
+    float stays text."""
+    config = tmp_path / "c.yaml"
+    config.write_text(text)
+    if message is None:
+        assert load_config(config).io.out_dir == "1e3"
+    else:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            load_config(config)
+
+
 # Each setting's range as the README's Configuration section states it; every
 # other setting annotated as an integer is a count, >= 1.
 IN_RANGE = {
@@ -202,7 +276,7 @@ def test_every_setting_is_stored_as_its_annotation_in_range_or_refused(setting, 
      ": Exceeds the limit (4300 digits) for integer string conversion: value has 5001"
      " digits"),
     (b"seed: " + b"[" * 5000 + b"]" * 5000 + b"\n",
-     ": maximum recursion depth exceeded while calling a Python object"),
+     ": nesting too deep"),
 ], ids=["parser", "not-utf8", "control-character", "control-after-multibyte", "bad-date",
         "integer-too-long", "nesting-too-deep"])
 def test_malformed_yaml_names_where_and_why(tmp_path, text, where):
@@ -210,3 +284,20 @@ def test_malformed_yaml_names_where_and_why(tmp_path, text, where):
     bad.write_bytes(text)
     with pytest.raises(InputError, match=f"^{re.escape(f'malformed YAML in {bad}{where}')}$"):
         load_config(bad)
+
+
+def test_too_deep_nesting_reads_the_same_at_any_stack_depth(tmp_path):
+    """Python's RecursionError text gains or loses a tail with the caller's
+    stack depth; the message does not."""
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("seed: " + "[" * 5000 + "]" * 5000 + "\n")
+
+    def message_at(depth: int) -> str:
+        if depth:
+            return message_at(depth - 1)
+        with pytest.raises(InputError) as err:
+            load_config(bad)
+        return str(err.value)
+
+    assert {message_at(depth) for depth in range(4)} == {
+        f"malformed YAML in {bad}: nesting too deep"}

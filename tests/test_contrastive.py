@@ -28,7 +28,9 @@ def unit_rows(arr: np.ndarray) -> np.ndarray:
 
 def reference_info_nce(q, k_plus, negatives, tau):
     """InfoNCE evaluated out of place, in the float operations and order of
-    ``info_nce``: concatenated scores, a scaled copy and a fresh softmax."""
+    ``info_nce``: concatenated scores, a scaled copy, a fresh softmax and the
+    loss's ``mean``. It scales by 1/tau at tau = 1 too, where ``info_nce``
+    skips the three products with 1.0."""
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
     scores = np.concatenate([pos[:, None], q @ negatives.T], axis=1) * inv_tau
@@ -45,11 +47,11 @@ def reference_info_nce(q, k_plus, negatives, tau):
             d[:, 1:] @ negatives + d[:, :1] * k_plus)
 
 
-def critic_batch(tau: float):
-    """B = 128 queries against K = 256 keys of width 8, the MI critic's
-    shapes: raw rows at tau = 1, else unit-norm rows."""
+def critic_batch(tau: float, batch: int = 128):
+    """``batch`` queries (by default 128) against K = 256 keys of width 8,
+    the MI critic's shapes: raw rows at tau = 1, else unit-norm rows."""
     rng = np.random.default_rng(int(tau * 100))
-    q, k_plus, keys = (rng.normal(size=(n, 8)) for n in (128, 128, 256))
+    q, k_plus, keys = (rng.normal(size=(n, 8)) for n in (batch, batch, 256))
     if tau != 1.0:
         q, k_plus, keys = unit_rows(q), unit_rows(k_plus), unit_rows(keys)
     return q, k_plus, keys
@@ -83,6 +85,25 @@ class TestNegativeQueue:
         q = NegativeQueue(vecs, 2)
         q.enqueue(np.arange(3))
         np.testing.assert_array_equal(q.snapshot(), vecs[1:])  # oldest first
+
+    def test_snapshot_is_a_copy_of_the_gathered_rows(self):
+        """The same bytes as ``keys[rows]``, in a fresh array per call: a later
+        snapshot does not overwrite it, and writing to it changes neither the
+        key table nor a later snapshot."""
+        keys = np.random.default_rng(6).normal(size=(10, 3))
+        before = keys.copy()
+        q = NegativeQueue(keys, 4)
+        q.enqueue(np.array([7, 2, 9, 2, 5]))
+        snap = q.snapshot()
+        assert snap.tobytes() == keys[np.array([2, 9, 2, 5])].tobytes()
+        assert snap.flags.owndata and not np.shares_memory(snap, keys)
+        q.enqueue(np.array([0]))
+        later = q.snapshot()
+        assert later.tobytes() == keys[np.array([9, 2, 5, 0])].tobytes()
+        assert snap.tobytes() == keys[np.array([2, 9, 2, 5])].tobytes()
+        snap[:] = 0.0
+        assert keys.tobytes() == before.tobytes()
+        assert later.tobytes() == keys[np.array([9, 2, 5, 0])].tobytes()
 
     @given(st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=30),
            st.integers(min_value=5, max_value=16))
@@ -288,11 +309,16 @@ class TestInfoNce:
         grad = back(info_nce(q, k_plus, negatives, tau=0.3)[1])
         check_grads(loss, [(raw, grad)])
 
-    @pytest.mark.parametrize("tau", [1.0, 0.07], ids=["raw-tau-1", "unit-tau-0.07"])
-    def test_matches_the_out_of_place_reference_bytes(self, tau):
-        """The one score buffer changes no rounding: loss and gradient equal
-        the out-of-place evaluation to the byte, and no input changes."""
-        inputs = critic_batch(tau)
+    @pytest.mark.parametrize("tau, batch", [(1.0, 128), (0.07, 128), (1.0, 48), (0.07, 48)],
+                             ids=["raw-tau-1", "unit-tau-0.07", "raw-tau-1-B48",
+                                  "unit-tau-0.07-B48"])
+    def test_matches_the_out_of_place_reference_bytes(self, tau, batch):
+        """The one score buffer, the 1/tau scalings skipped at tau = 1 and
+        the loss's sum divided by B change no rounding: loss and gradient
+        equal the out-of-place evaluation to the byte, and no input changes.
+        B = 48 is the last batch of pretrain's 1,200 contrastive rows at
+        B = 64, a batch that is no power of two."""
+        inputs = critic_batch(tau, batch)
         before = tuple(a.copy() for a in inputs)
         loss, dq = info_nce(*inputs, tau)
         ref_loss, ref_dq = reference_info_nce(*before, tau)

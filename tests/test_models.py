@@ -101,6 +101,29 @@ class TestEncoderForward:
         np.testing.assert_array_equal(out, m.forward_numpy(x))
         assert [a.shape for a in acts] == [(6, 7), (6, 5)]
 
+    def test_in_place_forward_matches_the_out_of_place_reference_bytes(self):
+        """The bias add and relu run in place on each fresh GEMM output: the
+        output and every stored layer input equal an out-of-place forward to
+        the byte, the caller's batch is kept as the first, and a second
+        forward leaves the first call's arrays as they were."""
+        m = init_encoder([7, 5, 6, 4], seed=12)
+        m.data[:] = np.random.default_rng(12).normal(size=m.data.shape)  # non-zero biases
+        x, x2 = np.random.default_rng(13).normal(size=(2, 9, 7))
+        x_before = x.copy()
+        out, acts = m.forward(x)
+        ref_acts, h = [], x
+        for i, (w, b) in enumerate(zip(m.weights, m.biases)):
+            ref_acts.append(h)
+            h = h @ w + b[None, :]
+            if i < len(m.weights) - 1:
+                h = np.maximum(h, 0.0)
+        assert out.tobytes() == h.tobytes()
+        assert [a.tobytes() for a in acts] == [a.tobytes() for a in ref_acts]
+        assert acts[0] is x and x.tobytes() == x_before.tobytes()
+        kept = [a.copy() for a in (out, *acts)]
+        m.forward(x2)
+        assert [a.tobytes() for a in (out, *acts)] == [a.tobytes() for a in kept]
+
     def test_init_is_seeded_and_xavier_bounded(self):
         a = init_encoder([10, 8], seed=4)
         b = init_encoder([10, 8], seed=4)
@@ -311,6 +334,22 @@ class TestSoftmaxAndCrossEntropy:
         log_softmax = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
         naive = -log_softmax[np.arange(8), labels].mean()
         assert math.isclose(cross_entropy(logits, labels)[0], naive, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("batch", [8, 5, 64])
+    def test_cross_entropy_loss_matches_the_mean_form_bytes(self, batch):
+        """The loss, a sum over the batch divided by B, rounds as ``mean``
+        does; the gradient is unchanged."""
+        rng = np.random.default_rng(batch)
+        logits = rng.normal(size=(batch, 4)) * 3.0
+        labels = rng.integers(0, 4, size=batch)
+        rows = np.arange(batch)
+        lse, d = ad.logsumexp_row(logits.copy())
+        ref = float((lse - logits[rows, labels]).mean())
+        d *= 1.0 / batch
+        d[rows, labels] -= 1.0 / batch
+        loss, grad = cross_entropy(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
+        assert grad.tobytes() == d.tobytes()
 
     def test_uniform_logits_loss_is_log_c(self):
         labels = np.array([0, 1, 2, 3])
