@@ -13,7 +13,8 @@ version the commands import (each null where it cannot be read), and
 whether PYTHONDONTWRITEBYTECODE is set, in which case every command compiles
 src/ afresh as it starts. Stops at
 the first command that fails, since later commands read its outputs, and
-then exits 1.
+then exits 1. The commands run a temporary copy of the tree's src/,
+removed at the end, so any bytecode they write leaves the tree as it was.
 
 Usage:
   python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
@@ -132,7 +133,10 @@ def main() -> int:
 
     tree = args.tree.resolve()
     out = args.out or Path(tempfile.mkdtemp(prefix="xmc-time-"))
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+    # not PYTHONPYCACHEPREFIX: under it, a child reads no installed package's
+    # bytecode, and with PYTHONDONTWRITEBYTECODE compiles numpy every time
+    src = Path(tempfile.mkdtemp(prefix="xmc-src-"), "src")
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     config = ["--config", str(Path(args.config).resolve())] if args.config else []
 
@@ -145,6 +149,7 @@ def main() -> int:
               "commands": []}
     passes = []  # per run, each command's result in order
     try:
+        shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(args.repeat):
             run_out = out if args.repeat == 1 else out / f"run{i + 1}"
             passes.append([])
@@ -158,6 +163,7 @@ def main() -> int:
             if passes[-1][-1]["rc"] != 0:
                 break
     finally:
+        shutil.rmtree(src.parent, ignore_errors=True)
         if args.out is None:
             shutil.rmtree(out, ignore_errors=True)
     if args.repeat == 1:

@@ -130,8 +130,7 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from .seeding import derive_seed
     ds = make_dataset(cfg.datagen, derive_seed(cfg.seed, "datagen"))
     save_dataset(outputs[0], ds)
-    return ({"n": ds.n, "content_hash": ds.content_hash()},
-            f"wrote {outputs[0]} ({ds.n} samples)")
+    return {"n": ds.n}, f"wrote {outputs[0]} ({ds.n} samples)"
 
 
 @command("pretrain-vision", inputs=("data",),
@@ -172,15 +171,11 @@ def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 
 def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: int,
                   accuracy: float, losses: list[float]):
-    """Write a probe, fine-tune or baseline result row and test-loss curve;
-    the best epoch is the one with the least test loss."""
-    import numpy as np
+    """Write a probe, fine-tune or baseline result row and train-loss curve."""
     result_path, curve_path = outputs[:2]
-    best = int(np.argmin(losses))
-    write_csv(result_path, ["mode", "label_fraction", "seed", "test_accuracy",
-                            "best_epoch", "best_test_loss", "final_test_loss"],
-              [[mode, fraction, seed, accuracy, best, losses[best], losses[-1]]])
-    write_csv(curve_path, ["epoch", "test_loss"], enumerate(losses))
+    write_csv(result_path, ["mode", "label_fraction", "seed", "test_accuracy"],
+              [[mode, fraction, seed, accuracy]])
+    write_csv(curve_path, ["epoch", "train_loss"], enumerate(losses))
     return {"test_accuracy": accuracy}, f"{what} accuracy {accuracy:.3f}"
 
 

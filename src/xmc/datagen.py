@@ -10,7 +10,6 @@ evaluation only and is never read during pre-training.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 import os
@@ -189,10 +188,10 @@ def render_image(scene: SceneLatent, cfg: DatagenSection,
 class Dataset:
     """All samples plus the index partition.
 
-    ``train_idx``/``test_idx`` form the 80/20 split; within train,
-    ``vision_idx`` is reserved for teacher pre-training and
-    ``contrastive_idx`` for label-free contrastive training (labels of the
-    latter are also what the downstream probes are allowed to see). The file
+    ``test_idx`` holds 20% of the samples; of the other 80%, ``vision_idx``
+    is reserved for teacher pre-training and ``contrastive_idx`` for
+    label-free contrastive training (labels of the latter are also what the
+    downstream probes are allowed to see). The file
     stores the partition as one split byte per sample, so a loaded partition
     is whole and disjoint by construction. Loaded samples stay in the file
     (``_Rows``).
@@ -201,7 +200,6 @@ class Dataset:
     heatmaps: np.ndarray | _Rows  # (n, R, A)
     images: np.ndarray | _Rows    # (n, H, W)
     labels: np.ndarray            # (n,) uint8, evaluation-only
-    train_idx: np.ndarray
     test_idx: np.ndarray
     vision_idx: np.ndarray
     contrastive_idx: np.ndarray
@@ -209,14 +207,6 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.labels)
-
-    def content_hash(self) -> str:
-        h = hashlib.sha256()
-        for arr in (self.heatmaps, self.images, self.labels,
-                    self.train_idx, self.test_idx,
-                    self.vision_idx, self.contrastive_idx):
-            h.update(np.ascontiguousarray(arr[:]))
-        return h.hexdigest()
 
 
 def _stratified_split(labels: np.ndarray, indices: np.ndarray, frac: float,
@@ -252,12 +242,11 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
         labels[i] = scene.label
 
     all_idx = np.arange(n, dtype=np.int64)
-    train_idx, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
+    train, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
     train_frac = cfg.vision_fraction / 0.8  # fraction of *train* reserved for vision
     contrastive_idx, vision_idx = _stratified_split(
-        labels, train_idx, train_frac, rng_for(seed, "vision-split"))
-    return Dataset(heatmaps, images, labels,
-                   train_idx, test_idx, vision_idx, contrastive_idx)
+        labels, train, train_frac, rng_for(seed, "vision-split"))
+    return Dataset(heatmaps, images, labels, test_idx, vision_idx, contrastive_idx)
 
 
 def heatmap_inputs(heatmaps: np.ndarray) -> np.ndarray:
@@ -369,4 +358,4 @@ def load_dataset(path) -> Dataset:
     body = _HEADER.size + 2 * n
     return Dataset(_Rows(path, stamp, body, (n, r, a)),
                    _Rows(path, stamp, body + 8 * n * r * a, (n, h, w)),
-                   labels, np.flatnonzero(split != 0), *parts)
+                   labels, *parts)

@@ -24,7 +24,7 @@ from .config import EvalSection, ExperimentConfig
 from .contrastive import pretrain
 from .datagen import Dataset, N_CLASSES, heatmap_inputs
 from .errors import InputError, NumericError
-from .models import EncoderModel, cross_entropy, init_encoder, init_head, train_classifier
+from .models import EncoderModel, init_encoder, init_head, train_classifier
 from .seeding import derive_seed, rng_for
 
 
@@ -43,10 +43,6 @@ class TaskSplit:
 
     def test_accuracy(self, predictions: np.ndarray) -> float:
         return float((np.asarray(predictions) == self._test_labels).mean())
-
-    def test_labels_for_reporting(self) -> np.ndarray:
-        """Labels for plots/CSV emission only; never feed these to training."""
-        return self._test_labels.copy()
 
 
 def make_task_split(dataset: Dataset) -> TaskSplit:
@@ -67,7 +63,7 @@ def stratified_label_subset(labels: np.ndarray, fraction: float,
     """Indices of ceil(fraction * N) labels, per-class counts within +-1."""
     n = len(labels)
     total = math.ceil(fraction * n)
-    classes = np.unique(labels)
+    classes = np.flatnonzero(np.bincount(labels))  # np.unique would import numpy.ma
     if total < len(classes):
         raise InputError(
             f"{total} labels cannot cover {len(classes)} classes")
@@ -104,71 +100,59 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _train_and_score(encoder: EncoderModel | None,
                      train_inputs: np.ndarray, test_inputs: np.ndarray,
                      split: TaskSplit, fraction: float, epochs: int,
-                     cfg: EvalSection, seed: int, train_tag: str,
-                     curve: bool) -> tuple[float, list[float]]:
+                     cfg: EvalSection, seed: int, train_tag: str
+                     ) -> tuple[float, list[float]]:
     """Train a zero-initialised head, and ``encoder`` with it unless that is
     None (then the inputs are features), on a stratified label subsample;
-    then score them on the test split. Returns the test accuracy and the
-    per-epoch test losses: ``curve`` adds a test-split forward pass per
-    epoch for them, outside training, so no gradient touches the test split;
-    without it they are empty."""
+    then score them on the test split, in one forward pass that no gradient
+    touches. Returns the test accuracy and the per-epoch train losses."""
     sel = stratified_label_subset(split.train_labels, fraction,
                                   derive_seed(seed, "subsample", fraction))
     head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
                      N_CLASSES)
     chain = [head] if encoder is None else [encoder, head]
-
-    def test_logits() -> np.ndarray:
-        return reduce(lambda h, model: model.forward_numpy(h), chain, test_inputs)
-
-    test_labels, losses = split.test_labels_for_reporting(), []
-    for _ in train_classifier(chain, train_inputs[sel], split.train_labels[sel],
-                              epochs=epochs, lr=cfg.lr, momentum=cfg.momentum,
-                              weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-                              seed=derive_seed(seed, train_tag)):
-        if curve:
-            losses.append(cross_entropy(test_logits(), test_labels)[0])
-    return split.test_accuracy(test_logits().argmax(axis=1)), losses
+    losses = [loss for _, _, loss in train_classifier(
+        chain, train_inputs[sel], split.train_labels[sel], epochs=epochs, lr=cfg.lr,
+        momentum=cfg.momentum, weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
+        seed=derive_seed(seed, train_tag))]
+    logits = reduce(lambda h, model: model.forward_numpy(h), chain, test_inputs)
+    return split.test_accuracy(logits.argmax(axis=1)), losses
 
 
 def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
-                 cfg: EvalSection, seed: int, *,
-                 curve: bool = True) -> tuple[float, list[float]]:
+                 cfg: EvalSection, seed: int) -> tuple[float, list[float]]:
     """Train only a linear head on frozen features from a stratified label
     subsample; the encoder is never updated. Features are standardized with
     statistics of the (label-free) full train split. Returns the test
-    accuracy and the per-epoch test losses."""
+    accuracy and the per-epoch train losses."""
     feats_train = encoder.forward_numpy(split.train_inputs)
     feats_test = encoder.forward_numpy(split.test_inputs)
     mu, sd = _standardizer(feats_train)
     return _train_and_score(None, (feats_train - mu) / sd, (feats_test - mu) / sd,
-                            split, fraction, cfg.probe_epochs, cfg, seed,
-                            "probe-train", curve)
+                            split, fraction, cfg.probe_epochs, cfg, seed, "probe-train")
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
-             cfg: EvalSection, seed: int, *,
-             curve: bool = True) -> tuple[float, list[float], EncoderModel]:
+             cfg: EvalSection, seed: int) -> tuple[float, list[float], EncoderModel]:
     """Same protocol as the probe but the encoder trains too; operates on a
     copy so the pre-trained encoder can be reused across fractions. Returns
-    the test accuracy, the per-epoch test losses and the tuned copy."""
+    the test accuracy, the per-epoch train losses and the tuned copy."""
     tuned = encoder.copy()
     return (*_train_and_score(tuned, split.train_inputs, split.test_inputs, split,
                               fraction, cfg.finetune_epochs, cfg, seed,
-                              "finetune-train", curve), tuned)
+                              "finetune-train"), tuned)
 
 
 def supervised_baseline(split: TaskSplit, fraction: float, cfg: EvalSection,
-                        seed: int, hidden: Sequence[int], embed_dim: int, *,
-                        curve: bool = True) -> tuple[float, list[float]]:
+                        seed: int, hidden: Sequence[int],
+                        embed_dim: int) -> tuple[float, list[float]]:
     """End-to-end supervised training of a fresh encoder, with ``hidden``
     layers and ``embed_dim`` outputs, plus a head on the labeled fraction.
-    Returns the test accuracy and the per-epoch test losses."""
+    Returns the test accuracy and the per-epoch train losses."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
     return _train_and_score(encoder, split.train_inputs, split.test_inputs, split,
-                            fraction, cfg.baseline_epochs, cfg, seed,
-                            "baseline-train", curve)
+                            fraction, cfg.baseline_epochs, cfg, seed, "baseline-train")
 
 
 # ---------------------------------------------------------------------------
@@ -200,19 +184,18 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
                      fractions: list[float], seed: int) -> list[tuple]:
     """One seed of the label sweep: pre-train once, then run the fine-tune
     and supervised arms at every fraction, sharing each fraction's label
-    subsample between the two arms. Only the accuracies are kept, so the
-    arms train without test-loss curves. The task split is built after
-    pre-training, so its inputs are not held beside pre-training's own.
-    Returns one (fraction, arm, seed, accuracy) row per arm and fraction."""
+    subsample between the two arms. Only the accuracies are kept. The task
+    split is built after pre-training, so its inputs are not held beside
+    pre-training's own. Returns one (fraction, arm, seed, accuracy) row per
+    arm and fraction."""
     encoder, _ = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden,
                           cfg.embed_dim)
     split = make_task_split(dataset)
     out = []
     for fraction in fractions:
-        ft, _, _ = finetune(encoder, split, fraction, cfg.eval, seed, curve=False)
+        ft, _, _ = finetune(encoder, split, fraction, cfg.eval, seed)
         sup, _ = supervised_baseline(split, fraction, cfg.eval, seed,
-                                     hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
-                                     curve=False)
+                                     hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim)
         out += [(fraction, "fine-tune", seed, ft), (fraction, "supervised", seed, sup)]
     return out
 
@@ -220,14 +203,12 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
                     k: int, seed: int) -> tuple:
     """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
-    scored by accuracy alone (no test-loss curve). As in the label sweep,
-    the task split is built after pre-training. Returns the row
-    (K, "linear-probe", seed, accuracy)."""
+    scored by accuracy alone. As in the label sweep, the task split is built
+    after pre-training. Returns the row (K, "linear-probe", seed, accuracy)."""
     contrastive = dataclasses.replace(cfg.contrastive, queue_size=k)
     encoder, _ = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden,
                           cfg.embed_dim)
-    accuracy, _ = linear_probe(encoder, make_task_split(dataset), 1.0, cfg.eval, seed,
-                               curve=False)
+    accuracy, _ = linear_probe(encoder, make_task_split(dataset), 1.0, cfg.eval, seed)
     return (k, "linear-probe", seed, accuracy)
 
 
@@ -263,7 +244,7 @@ def cluster_separation(coords: np.ndarray, labels: np.ndarray) -> float:
     coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels)
     centroids, spreads = [], []
-    for c in np.unique(labels):
+    for c in np.flatnonzero(np.bincount(labels)):
         block = coords[labels == c]
         centroid = block.mean(axis=0)
         centroids.append(centroid)

@@ -225,35 +225,36 @@ class TestMakeDataset:
 
     def test_split_is_disjoint_and_covers(self):
         ds = make_dataset(DatagenSection(n=120), seed=6)
-        union = np.sort(np.concatenate([ds.train_idx, ds.test_idx]))
-        np.testing.assert_array_equal(union, np.arange(120))
-        assert len(np.intersect1d(ds.train_idx, ds.test_idx)) == 0
+        parts = [ds.test_idx, ds.vision_idx, ds.contrastive_idx]
+        union = np.sort(np.concatenate(parts))
+        np.testing.assert_array_equal(union, np.arange(120))  # so no index is in two
+        assert len(ds.test_idx) == 24
 
     def test_split_balance_within_one(self):
         ds = make_dataset(DatagenSection(n=402), seed=7)
-        for idx in (ds.train_idx, ds.test_idx):
+        train = np.concatenate([ds.vision_idx, ds.contrastive_idx])
+        for idx in (train, ds.test_idx):
             counts = np.bincount(ds.labels[idx], minlength=4)
             assert counts.max() - counts.min() <= 1
 
     def test_vision_and_contrastive_partition_train(self):
         ds = make_dataset(DatagenSection(n=200), seed=8)
         union = np.sort(np.concatenate([ds.vision_idx, ds.contrastive_idx]))
-        np.testing.assert_array_equal(union, ds.train_idx)
-        assert len(np.intersect1d(ds.vision_idx, ds.test_idx)) == 0
+        np.testing.assert_array_equal(union, np.setdiff1d(np.arange(200), ds.test_idx))
+        assert len(ds.vision_idx) == 40  # vision_fraction 0.2 of all samples
 
-    def test_same_seed_identical_hash(self):
-        a = make_dataset(DatagenSection(n=60), seed=9)
-        b = make_dataset(DatagenSection(n=60), seed=9)
-        assert a.content_hash() == b.content_hash()
-        c = make_dataset(DatagenSection(n=60), seed=10)
-        assert a.content_hash() != c.content_hash()
+    def test_same_seed_identical_hash(self, tmp_path):
+        a = file_sha256(tmp_path, make_dataset(DatagenSection(n=60), seed=9))
+        b = file_sha256(tmp_path, make_dataset(DatagenSection(n=60), seed=9))
+        assert a == b
+        assert a != file_sha256(tmp_path, make_dataset(DatagenSection(n=60), seed=10))
 
-    def test_frozen_content_hash(self):
+    def test_frozen_content_hash(self, tmp_path):
         """Pins the simulator: a change to one sample byte or one split index,
         by any refactor, fails here."""
         ds = make_dataset(DatagenSection(n=40), seed=12)
-        assert ds.content_hash() == (
-            "c3463fda82e48e03da78a35242550aacc1360400ccac2942acce5df54f26a4fe")
+        assert file_sha256(tmp_path, ds) == (
+            "62c14c367b37c71baff9827393c9de6ec22717d4cd08fbdf7ed43ff0e5a02359")
 
     def test_too_small_rejected(self):
         with pytest.raises(InputError, match="datagen.n must be an integer >= 20, got 4"):
@@ -265,6 +266,11 @@ def file_bytes(tmp_path, ds: dg.Dataset) -> bytes:
     path = tmp_path / "saved.xmcd"
     dg.save_dataset(path, ds)
     return path.read_bytes()
+
+
+def file_sha256(tmp_path, ds: dg.Dataset) -> str:
+    """The sha256 of ``ds``'s dataset file, as ``gen-data``'s manifest lists it."""
+    return hashlib.sha256(file_bytes(tmp_path, ds)).hexdigest()
 
 
 def load_bytes(tmp_path, blob: bytes) -> dg.Dataset:
@@ -283,24 +289,35 @@ class TestDatasetFile:
             path = tmp_path / "toy.xmcd"
             dg.save_dataset(path, ds)
             loaded = dg.load_dataset(path)
-            assert loaded.content_hash() == ds.content_hash()
-            for key in ("train_idx", "test_idx", "vision_idx", "contrastive_idx"):
+            assert file_sha256(tmp_path, loaded) == file_sha256(tmp_path, ds)
+            for key in ("test_idx", "vision_idx", "contrastive_idx"):
                 got, want = getattr(loaded, key), getattr(ds, key)
                 assert got.dtype == want.dtype == np.int64
                 np.testing.assert_array_equal(got, want)
         assert len(ds.vision_idx) == 0
 
     def test_load_leaves_numpy_ma_unimported(self, tmp_path):
-        """A load rebuilds the split indices with ``np.flatnonzero``:
-        ``np.unique`` and the set routines would import ``numpy.ma`` into
-        every command that loads a dataset."""
+        """A load rebuilds the split indices with ``np.flatnonzero``, and the
+        label subsample of ``probe``, ``finetune`` and ``baseline`` and the
+        cluster separation of ``project`` list the classes with
+        ``np.bincount``: ``np.unique`` and the set routines would import
+        ``numpy.ma`` into every command that loads a dataset."""
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, make_dataset(DatagenSection(n=40), seed=12))
-        proc = subprocess.run(
-            [sys.executable, "-c", "import sys; from xmc.datagen import load_dataset; "
-             f"load_dataset({str(path)!r}); print('numpy.ma' in sys.modules)"],
-            capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "False"
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from xmc.datagen import load_dataset\n"
+            "from xmc.evaluation import cluster_separation, stratified_label_subset\n"
+            f"ds = load_dataset({str(path)!r})\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "stratified_label_subset(ds.labels[ds.contrastive_idx], 0.5, 0)\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "cluster_separation(np.arange(2.0 * ds.n).reshape(ds.n, 2), ds.labels)\n"
+            "print('numpy.ma' in sys.modules)\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout.split() == ["False"] * 3
 
     def test_header_layout(self, tmp_path):
         blob = file_bytes(tmp_path, make_dataset(DatagenSection(n=20), seed=13))

@@ -119,16 +119,18 @@ class TestLinearProbe:
         assert abs(accuracy - 0.25) < 0.07
 
     def test_loss_curve_well_formed(self):
+        """One mean train loss per epoch, falling on separable clusters."""
         split = separable_split()
         _, losses = linear_probe(IdentityEncoder(16), split, 0.5, FAST_HEAD, seed=9)
         assert len(losses) == FAST_HEAD.probe_epochs
         assert all(math.isfinite(v) for v in losses)
+        assert losses[-1] < losses[0]
 
     def test_probe_is_reproducible(self):
         split = separable_split()
         a = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=10)
         b = linear_probe(IdentityEncoder(16), split, 1.0, FAST_HEAD, seed=10)
-        assert a == b  # the accuracies and the test-loss curves
+        assert a == b  # the accuracies and the train-loss curves
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +157,7 @@ class TestFinetuneAndBaseline:
                                 hidden=(32,), embed_dim=16)
         b = supervised_baseline(tiny_task, 1.0, FAST_HEAD, seed=22,
                                 hidden=(32,), embed_dim=16)
-        assert a == b  # the accuracies and the test-loss curves
+        assert a == b  # the accuracies and the train-loss curves
         assert len(a[1]) == FAST_HEAD.baseline_epochs
 
     def test_tiny_fraction_uses_few_labels_and_underperforms(self):
@@ -178,26 +180,34 @@ class TestFinetuneAndBaseline:
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
 
-class TestCurveFreeArms:
-    """Sweep arms keep only the accuracy, so they train without the
-    per-epoch test-loss curve; leaving it out changes nothing they keep."""
+class TestOneTestPass:
+    """Each evaluation trains first, then forwards the test split once
+    through each model of its chain: nothing is scored on the test split
+    while it trains."""
 
-    def test_curve_free_arms_match_curve_on_arms(self, tiny_task):
-        enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=24)
-        acc_on, losses_on, tuned_on = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24)
-        acc_off, losses_off, tuned_off = finetune(enc, tiny_task, 0.5, FAST_HEAD, seed=24,
-                                                  curve=False)
-        assert len(losses_on) == FAST_HEAD.finetune_epochs
-        assert losses_off == []
-        assert acc_off == acc_on
-        assert tuned_off.data.tobytes() == tuned_on.data.tobytes()
-        shape = dict(hidden=(32,), embed_dim=16)
-        sup_off = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape, curve=False)
-        sup_on = supervised_baseline(tiny_task, 0.5, FAST_HEAD, 25, **shape)
-        assert sup_off[1] == [] and sup_off[0] == sup_on[0]
-        probe_off = linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26, curve=False)
-        probe_on = linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 26)
-        assert probe_off[1] == [] and probe_off[0] == probe_on[0]
+    @pytest.mark.parametrize("evaluation", ["probe", "finetune", "baseline"])
+    def test_each_model_forwards_the_test_rows_once(self, tiny_task, monkeypatch,
+                                                    evaluation):
+        n_test = len(tiny_task.test_inputs)
+        assert n_test not in (FAST_HEAD.batch_size, len(tiny_task.train_labels))
+        enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=28)
+        run = {"probe": lambda: linear_probe(enc, tiny_task, 1.0, FAST_HEAD, 28),
+               "finetune": lambda: finetune(enc, tiny_task, 1.0, FAST_HEAD, 28),
+               "baseline": lambda: supervised_baseline(tiny_task, 1.0, FAST_HEAD, 28,
+                                                       hidden=(32,), embed_dim=16)}
+        seen = []
+        forward = EncoderModel.forward
+
+        def spy(model, x):
+            if len(x) == n_test:
+                seen.append((model, x))
+            return forward(model, x)
+
+        monkeypatch.setattr(EncoderModel, "forward", spy)
+        run[evaluation]()
+        [(first, x), (head, _)] = seen
+        assert first is not head and head.dims == [16, 4]
+        np.testing.assert_array_equal(x, tiny_task.test_inputs)
 
     def test_sweep_arms_run_one_test_forward_pass_each(self, tiny_dataset, monkeypatch):
         """Each fine-tune, baseline and probe arm of a sweep passes the test

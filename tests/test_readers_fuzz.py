@@ -26,7 +26,7 @@ def small_dataset() -> Dataset:
     rng = np.random.default_rng(0)
     return Dataset(heatmaps=rng.normal(size=(12, 3, 2)), images=rng.normal(size=(12, 2, 4)),
                    labels=np.arange(12, dtype=np.uint8) % 4,
-                   train_idx=np.arange(4), test_idx=np.arange(4, 12),
+                   test_idx=np.arange(4, 12),
                    vision_idx=np.array([0, 1]), contrastive_idx=np.array([2, 3]))
 
 
@@ -132,8 +132,8 @@ class TestDatasetReader:
             return
         ds = in_file(blob, load_dataset)
         i = SPLIT_BYTES.index(at)
-        assert i in (ds.test_idx, ds.vision_idx, ds.contrastive_idx)[value]
-        assert (i in ds.train_idx) == (value != 0)
+        parts = (ds.test_idx, ds.vision_idx, ds.contrastive_idx)
+        assert [i in part for part in parts] == [tag == value for tag in range(3)]
 
     @FUZZ
     @given(st.sampled_from(SAMPLE_VALUES), st.sampled_from([np.nan, np.inf, -np.inf]))
