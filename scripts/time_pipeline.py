@@ -13,8 +13,9 @@ version the commands import (each null where it cannot be read), and
 whether PYTHONDONTWRITEBYTECODE is set, in which case every command compiles
 src/ afresh as it starts. Stops at
 the first command that fails, since later commands read its outputs, and
-then exits 1. The commands run a temporary copy of the tree's src/,
-removed at the end, so any bytecode they write leaves the tree as it was.
+then exits 1. Each run of the command list runs a fresh temporary copy of
+the tree's src/, removed at the end, so any bytecode its commands write
+leaves the tree as it was and reaches no later run.
 
 Usage:
   python3 scripts/time_pipeline.py [--tree DIR] [--config YAML] [--out DIR]
@@ -149,8 +150,10 @@ def main() -> int:
               "commands": []}
     passes = []  # per run, each command's result in order
     try:
-        shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
         for i in range(args.repeat):
+            # a fresh copy per run, so that no run reads the bytecode an earlier one wrote
+            shutil.rmtree(src, ignore_errors=True)
+            shutil.copytree(tree / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
             run_out = out if args.repeat == 1 else out / f"run{i + 1}"
             passes.append([])
             for name in args.commands or COMMANDS:

@@ -28,7 +28,7 @@ from typing import Callable
 # --help and a usage error answer without loading either
 from .config import ExperimentConfig, MiSection, config_to_dict, load_config
 from .errors import InputError, XmcError
-from .runio import sha256_file, write_csv, write_manifest
+from .runio import STAMP, sha256_file, write_csv, write_manifest
 
 
 def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
@@ -40,7 +40,7 @@ def _seeds(cfg: ExperimentConfig, tag: str, n: int) -> list[int]:
 # the command table and its driver
 # ---------------------------------------------------------------------------
 
-# Input role -> (default file under the output directory, --help text).
+# Input role -> (default file under the output directory, --help text and name in messages).
 INPUTS = {
     "data": ("dataset.xmcd", "dataset file"),
     "vision": ("vision.xmck", "vision checkpoint"),
@@ -56,8 +56,8 @@ FLAGS = {
 
 @dataclass(frozen=True)
 class CommandSpec:
-    """``body(args, cfg, inputs, outputs)`` gets the input paths by role and
-    the output paths in order; it returns (manifest metrics or None, report)."""
+    """``body(args, cfg, inputs, outputs)`` gets each input's (path, stamp) by
+    role and the output paths in order; it returns (metrics or None, report)."""
 
     body: Callable[..., tuple[dict | None, str]]
     inputs: tuple[str, ...]   # keys of INPUTS
@@ -89,35 +89,63 @@ def _check_input(path: Path) -> None:
 
 
 def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
-    """Check the flags (exit 3), hash the inputs (exit 2 if one is not a
-    readable file), check the output directory and refuse to overwrite the
-    outputs (exit 1), then run the body and write the manifest."""
+    """Check the flags (exit 3), stamp and hash the inputs (exit 2 if one is
+    not a readable file), check the output directory and refuse to overwrite
+    the outputs (exit 1), then run the body and write the manifest."""
     spec = SPECS[name]
     if "jobs" in spec.flags and args.jobs < 1:
         raise InputError(f"--jobs must be at least 1, got {args.jobs}")
     if "fraction" in spec.flags and not 0.0 < args.fraction <= 1.0:  # NaN included
         raise InputError(f"--fraction must be in (0, 1], got {args.fraction}")
     out_dir = Path(args.out or cfg.io.out_dir)
-    paths = {role: Path(getattr(args, role) or out_dir / INPUTS[role][0])
-             for role in spec.inputs}
-    inputs = {}
-    for path in paths.values():
+    inputs, hashes = {}, {}
+    for role in spec.inputs:
+        path = Path(getattr(args, role) or out_dir / INPUTS[role][0])
         _check_input(path)
-        inputs[str(path)] = sha256_file(path)
+        # stamped before it is hashed: a file replaced from here on is refused at its load
+        inputs[role] = (str(path), STAMP(os.stat(path)))
+        hashes[str(path)] = sha256_file(path)
     base = next(p for p in (out_dir, *out_dir.parents) if p.exists())
     if not base.is_dir():
         raise XmcError(f"output directory {out_dir}: {base} is not a directory")
     outputs = [out_dir / file for file in spec.outputs]
     clashes = [str(p) for p in outputs if p.exists()]
     if clashes and not args.force:
-        raise XmcError(
-            "refusing to overwrite existing outputs (use --force): "
-            + ", ".join(clashes))
-    metrics, report = spec.body(args, cfg, paths, outputs)
+        raise XmcError("refusing to overwrite existing outputs (use --force): "
+                       + ", ".join(clashes))
+    metrics, report = spec.body(args, cfg, inputs, outputs)
     write_manifest(out_dir / f"{name}.manifest.json", name, config_to_dict(cfg),
-                   inputs, {str(p): sha256_file(p) for p in outputs}, metrics)
+                   hashes, {str(p): sha256_file(p) for p in outputs}, metrics)
     print(report)
     return 0
+
+
+def _load_inputs(inputs: dict, cfg: ExperimentConfig) -> dict:
+    """Each input by role, loaded from its (path, stamp) where it is used and
+    checked before any row is gathered (exit 3): its file still has the stamp
+    _drive hashed; the teacher is frozen, takes the images' H·W pixels and
+    embeds to ``embed_dim``; the encoder is trainable and takes the R·A bins."""
+    from .datagen import load_dataset
+    from .models import load_checkpoint
+    loaded = {}
+    for role, (path, stamp) in inputs.items():  # the dataset first
+        loaded[role] = (load_dataset if role == "data" else load_checkpoint)(path)
+        if STAMP(os.stat(path)) != stamp:
+            raise InputError(f"{INPUTS[role][1]} {path} changed after it was hashed")
+    ds = loaded["data"]
+    # checkpoint role -> (its frozen flag, the rows it embeds, what their width counts)
+    fits = {"vision": (True, ds.images, "the images have {} (H·W) pixels"),
+            "encoder": (False, ds.heatmaps, "the heatmaps have {} (R·A) bins")}
+    for role in [r for r in fits if r in loaded]:
+        (frozen, rows, unit), model = fits[role], loaded[role]
+        name, width = f"{INPUTS[role][1]} {inputs[role][0]}", math.prod(rows.shape[1:])
+        if model.frozen != frozen:
+            raise InputError(f"{name} is {'' if model.frozen else 'not '}a frozen vision teacher")
+        if model.input_dim != width:
+            raise InputError(f"{name} takes {model.input_dim} inputs, but {unit.format(width)}")
+        if frozen and model.embed_dim != cfg.embed_dim:
+            raise InputError(f"{name} embeds to {model.embed_dim}, not embed_dim {cfg.embed_dim}")
+    return loaded
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +166,11 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     import numpy as np
 
-    from .datagen import CLASS_NAMES, image_inputs, load_dataset
+    from .datagen import CLASS_NAMES, image_inputs
     from .models import pretrain_vision, save_checkpoint
     from .seeding import derive_seed
     ckpt, curve = outputs
-    ds = load_dataset(inputs["data"])
+    ds = _load_inputs(inputs, cfg)["data"]
     model, accuracy, train_loss = pretrain_vision(
         image_inputs(ds.images[ds.vision_idx]), ds.labels[ds.vision_idx].astype(np.int64),
         cfg.vision, hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
@@ -157,11 +185,9 @@ def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("radio.xmck", "pretrain_metrics.csv"))
 def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from .contrastive import pretrain
-    from .datagen import load_dataset
-    from .models import load_checkpoint, save_checkpoint
+    from .models import save_checkpoint
     ckpt, metrics_path = outputs
-    encoder, history = pretrain(load_dataset(inputs["data"]),
-                                load_checkpoint(inputs["vision"]), cfg.contrastive,
+    encoder, history = pretrain(*_load_inputs(inputs, cfg).values(), cfg.contrastive,
                                 cfg.seed, cfg.encoder_hidden, cfg.embed_dim)
     save_checkpoint(ckpt, encoder)
     write_csv(metrics_path, ["epoch", "lr", "mean_loss"], history)
@@ -179,28 +205,11 @@ def _write_result(outputs: list, what: str, mode: str, fraction: float, seed: in
     return {"test_accuracy": accuracy}, f"{what} accuracy {accuracy:.3f}"
 
 
-def _dataset_and_encoder(inputs: dict) -> tuple:
-    """The dataset and the encoder checkpoint, checked to take the dataset's
-    R·A heatmap bins before anything is gathered or encoded."""
-    from .datagen import load_dataset
-    from .models import load_checkpoint
-    ds = load_dataset(inputs["data"])
-    encoder = load_checkpoint(inputs["encoder"])
-    if encoder.frozen:
-        raise InputError(f"encoder checkpoint {inputs['encoder']} is a frozen vision teacher")
-    width = math.prod(ds.heatmaps.shape[1:])
-    if encoder.input_dim != width:
-        raise InputError(f"encoder checkpoint {inputs['encoder']} takes "
-                         f"{encoder.input_dim} inputs, but the heatmaps have {width} "
-                         f"(R·A) bins")
-    return ds, encoder
-
-
 @command("probe", inputs=("data", "encoder"),
          outputs=("probe_result.csv", "probe_curve.csv"), flags=("fraction",))
 def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
-    ds, encoder = _dataset_and_encoder(inputs)
+    ds, encoder = _load_inputs(inputs, cfg).values()
     accuracy, losses = ev.linear_probe(encoder, ev.make_task_split(ds), args.fraction,
                                        cfg.eval, cfg.seed)
     return _write_result(outputs, "linear probe", "linear-probe", args.fraction, cfg.seed,
@@ -213,7 +222,7 @@ def _probe(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
     from .models import save_checkpoint
-    ds, encoder = _dataset_and_encoder(inputs)
+    ds, encoder = _load_inputs(inputs, cfg).values()
     accuracy, losses, tuned = ev.finetune(encoder, ev.make_task_split(ds), args.fraction,
                                           cfg.eval, cfg.seed)
     save_checkpoint(outputs[2], tuned)
@@ -225,8 +234,7 @@ def _finetune(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("baseline_result.csv", "baseline_curve.csv"), flags=("fraction",))
 def _baseline(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
-    from .datagen import load_dataset
-    split = ev.make_task_split(load_dataset(inputs["data"]))
+    split = ev.make_task_split(_load_inputs(inputs, cfg)["data"])
     accuracy, losses = ev.supervised_baseline(split, args.fraction, cfg.eval, cfg.seed,
                                               hidden=cfg.encoder_hidden,
                                               embed_dim=cfg.embed_dim)
@@ -256,12 +264,10 @@ def _map_arms(fn: Callable, arms: list[tuple], jobs: int) -> list:
     return [f.result() for f in futures]
 
 
-def _loaded_arm(arm_fn: Callable, data: str, vision: str, cfg: ExperimentConfig, *axis):
-    """``arm_fn`` on the dataset and vision checkpoint, each loaded in the
-    process that runs the arm, at the arm's axis values."""
-    from .datagen import load_dataset
-    from .models import load_checkpoint
-    return arm_fn(load_dataset(data), load_checkpoint(vision), cfg, *axis)
+def _loaded_arm(arm_fn: Callable, inputs: dict, cfg: ExperimentConfig, *axis):
+    """``arm_fn`` at the arm's axis values, on the dataset and vision
+    checkpoint that :func:`_load_inputs` loads in the process running it."""
+    return arm_fn(*_load_inputs(inputs, cfg).values(), cfg, *axis)
 
 
 def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
@@ -283,8 +289,7 @@ def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
 def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
-    arm = partial(_loaded_arm, ev.queue_sweep_arm, str(inputs["data"]),
-                  str(inputs["vision"]), cfg)
+    arm = partial(_loaded_arm, ev.queue_sweep_arm, inputs, cfg)
     rows = _map_arms(arm, [(k, s) for k in cfg.eval.queue_sizes for s in seeds], args.jobs)
     return _sweep(outputs, "K", rows, with_arm=False)
 
@@ -293,13 +298,11 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
          outputs=("sweep_labels.csv", "sweep_labels_summary.csv"), flags=("jobs",))
 def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
-    from .datagen import load_dataset
-    # a load checks the whole file and reads only the labels; the arms load their own
-    fractions = ev.feasible_fractions(cfg.eval.fractions,
-                                      len(load_dataset(inputs["data"]).contrastive_idx))
+    # the dataset alone, whose load checks the file and reads its labels; each arm loads both
+    n_contrastive = len(_load_inputs({"data": inputs["data"]}, cfg)["data"].contrastive_idx)
+    fractions = ev.feasible_fractions(cfg.eval.fractions, n_contrastive)
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
-    arm = partial(_loaded_arm, ev.label_sweep_seed, str(inputs["data"]),
-                  str(inputs["vision"]), cfg)
+    arm = partial(_loaded_arm, ev.label_sweep_seed, inputs, cfg)
     per_seed = _map_arms(arm, [(fractions, s) for s in seeds], args.jobs)
     return _sweep(outputs, "label_fraction", [r for rows in per_seed for r in rows],
                   with_arm=True)
@@ -328,7 +331,7 @@ def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
     from .datagen import CLASS_NAMES, heatmap_inputs
     (proj_path,) = outputs
-    ds, encoder = _dataset_and_encoder(inputs)
+    ds, encoder = _load_inputs(inputs, cfg).values()
     # the test rows alone: a projection reads nothing of the contrastive split
     coords = ev.project_2d(encoder.forward_numpy(heatmap_inputs(ds.heatmaps[ds.test_idx])))
     labels = ds.labels[ds.test_idx]

@@ -100,7 +100,7 @@ class ExperimentConfig:
 
 # Field name -> (range or choice test, its description); every field not
 # named here is a count, each integer >= 1. Every list but encoder_hidden
-# (empty: a linear encoder) is a sweep axis, so it must not be empty.
+# (empty: a linear encoder) is a sweep axis: not empty, and no value twice.
 _RANGES = {
     "seed": (lambda v: True, "an integer"),
     "out_dir": (lambda v: True, "a string"),
@@ -155,9 +155,11 @@ def _apply(obj, mapping: dict, path: str) -> None:
         elif kind.startswith("list["):
             if not isinstance(value, list):
                 raise InputError(f"{where} must be a list")
-            if value == [] and key != "encoder_hidden":
-                raise InputError(f"{where} must not be empty")
-            setattr(obj, key, [_checked(where, key, kind[5:-1], v) for v in value])
+            items = [_checked(where, key, kind[5:-1], v) for v in value]
+            if key != "encoder_hidden" and len(set(items)) < max(len(items), 1):
+                raise InputError(f"{where} must not repeat a value, got {items}" if items
+                                 else f"{where} must not be empty")
+            setattr(obj, key, items)
         elif value is None and kind == "float | None":
             setattr(obj, key, None)
         else:

@@ -126,18 +126,10 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
     layers and ``embed_dim`` outputs, seeded by ``seed``: its normalized
     queries against the frozen ``vision`` keys, by :func:`fit_to_keys`.
     Returns the encoder and the trainer's per-epoch history."""
-    if not vision.frozen:
-        raise InputError("the vision encoder must be frozen before pre-training")
     idx = dataset.contrastive_idx
     if len(idx) < cfg.queue_size:
         raise InputError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
-    pixels = math.prod(dataset.images.shape[1:])
-    if vision.input_dim != pixels:
-        raise InputError(f"vision checkpoint takes {vision.input_dim} inputs, but the "
-                         f"images have {pixels} pixels")
-    if vision.embed_dim != embed_dim:
-        raise InputError(f"vision embed dim {vision.embed_dim} != configured {embed_dim}")
 
     heat = heatmap_inputs(dataset.heatmaps[idx])
     keys = encode_keys(vision, image_inputs(dataset.images[idx]))

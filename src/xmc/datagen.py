@@ -11,7 +11,6 @@ evaluation only and is never read during pre-training.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import struct
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from .config import DatagenSection
 from .errors import InputError
+from .runio import STAMP, atomic_write_bytes
 from .seeding import rng_for
 
 CLASS_NAMES = ("empty", "pedestrian", "cyclist", "car")
@@ -267,8 +267,6 @@ def image_inputs(images: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<4sH5I")  # magic, version, R, A, H, W, n
-# what a gather checks of the file its load read: (device, inode, size, mtime)
-_STAMP = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def _checked_header(head: bytes, size: int) -> tuple[int, int, int, int, int]:
@@ -304,7 +302,7 @@ class _Rows:
     reads just those rows, as float64, in order."""
 
     path: str | os.PathLike
-    stamp: tuple                  # the _STAMP its load saw
+    stamp: tuple                  # the STAMP its load saw
     offset: int                   # where the field's first row starts
     shape: tuple[int, ...]        # (n, rows, columns)
 
@@ -312,7 +310,7 @@ class _Rows:
         want = np.arange(self.shape[0])[key]
         out = np.empty((len(want), *self.shape[1:]), dtype="<f8")
         with open(self.path, "rb", buffering=0) as f:
-            if _STAMP(os.fstat(f.fileno())) != self.stamp:
+            if STAMP(os.fstat(f.fileno())) != self.stamp:
                 raise InputError(f"dataset file {f.name} changed after it was loaded")
             for i, row in zip(want.tolist(), out):
                 f.seek(self.offset + i * row.nbytes)
@@ -326,7 +324,6 @@ def save_dataset(path, ds: Dataset) -> None:
     """Header: magic, version u16, R, A, H, W, n as little-endian u32; then
     the n class bytes, the n split bytes (0 test, 1 vision, 2 contrastive),
     the n heatmaps and the n images, each f64 row-major."""
-    from .runio import atomic_write_bytes
     split = np.zeros(ds.n, dtype=np.uint8)
     split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
     dims = (*ds.heatmaps.shape[1:], *ds.images.shape[1:])
@@ -339,7 +336,7 @@ def load_dataset(path) -> Dataset:
     """The dataset file at ``path``. The class and split bytes are read now;
     the heatmaps and images stay in the file until a gather (``_Rows``)."""
     with open(path, "rb", buffering=0) as f:
-        stamp = _STAMP(os.fstat(f.fileno()))
+        stamp = STAMP(os.fstat(f.fileno()))
         r, a, h, w, n = _checked_header(f.read(_HEADER.size), stamp[2])
         tags = np.empty((2, n), dtype=np.uint8)  # the class bytes, the split bytes
         _read_exactly(f, tags)

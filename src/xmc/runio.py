@@ -10,10 +10,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 import os
 import tempfile
 from pathlib import Path
 from typing import Iterable
+
+
+# (device, inode, size, mtime): a file renamed over, truncated or rewritten gets another
+STAMP = operator.attrgetter("st_dev", "st_ino", "st_size", "st_mtime_ns")
 
 
 def atomic_write_bytes(path: str | Path, blob: bytes | Iterable[bytes]) -> None:

@@ -321,6 +321,10 @@ class TestExitCodes:
         ("sweep-k", ("eval", "queue_sizes"), [], "eval.queue_sizes must not be empty"),
         ("sweep-labels", ("eval", "fractions"), [], "eval.fractions must not be empty"),
         ("estimate-mi", ("mi", "rhos"), [], "mi.rhos must not be empty"),
+        ("sweep-labels", ("eval", "fractions"), [0.5, 0.5],
+         "eval.fractions must not repeat a value, got [0.5, 0.5]"),
+        ("estimate-mi", ("mi", "rhos"), [0.8, 0.8],
+         "mi.rhos must not repeat a value, got [0.8, 0.8]"),
         ("pretrain", ("contrastive", "tau"), float("inf"),
          "contrastive.tau must be finite and > 0, got inf"),
         ("pretrain", ("contrastive", "lr"), float("inf"),
@@ -336,7 +340,7 @@ class TestExitCodes:
          "contrastive.lr must be finite and > 0, got inf"),
     ], ids=["no-mi-seeds", "negative-lr", "normalize", "nan-sigma-image", "nan-sigma-radar",
             "inf-sigma-image", "inf-sigma-radar", "no-queue-sizes", "no-fractions",
-            "no-rhos", "inf-tau", "inf-lr", "inf-weight-decay", "vision-mode", "true-lr",
+            "no-rhos", "repeated-fraction", "repeated-rho", "inf-tau", "inf-lr", "inf-weight-decay", "vision-mode", "true-lr",
             "false-sigma-image", "huge-lr"])
     def test_bad_config_value_exits_3(self, tmp_path, capsys, command, key, value,
                                       message):
@@ -407,8 +411,8 @@ class TestExitCodes:
         assert "takes 100 inputs, but the heatmaps have 1024" in line
 
     @pytest.mark.parametrize("dims, message", [
-        ([100, 16], "vision checkpoint takes 100 inputs, but the images have 1024"),
-        ([1024, 8], "vision embed dim 8 != configured 16"),
+        ([100, 16], "takes 100 inputs, but the images have 1024 (H·W) pixels"),
+        ([1024, 8], "embeds to 8, not embed_dim 16"),
     ], ids=["input-width", "embed-dim"])
     def test_mismatched_vision_checkpoint_exits_3_before_encoding_keys(
             self, pipeline, workdir, tmp_path, capsys, monkeypatch, dims, message):
@@ -426,7 +430,7 @@ class TestExitCodes:
                      "--out", str(tmp_path / "o"),
                      "--data", str(pipeline / "dataset.xmcd"), "--vision", str(vision)])
         assert code == 3
-        assert message in self.one_line(capsys)
+        assert self.one_line(capsys) == f"xmc pretrain: vision checkpoint {vision} {message}\n"
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
     def test_non_finite_checkpoint_parameter_exits_3(self, pipeline, workdir, tmp_path,
@@ -456,18 +460,20 @@ class TestExitCodes:
         assert code == 4
         assert "embeds image 0 to a vector of norm 0.0" in self.one_line(capsys)
 
-    @pytest.mark.parametrize("command", ["pretrain", "sweep-labels"])
+    @pytest.mark.parametrize("command", ["pretrain", "sweep-k", "sweep-labels"])
     def test_a_radio_checkpoint_as_the_vision_teacher_exits_3(self, pipeline, workdir,
                                                                tmp_path, capsys, command):
         """The radio encoder takes the 1024 pixels of an image too; its frozen
         flag of 0 is what tells it from the teacher."""
+        radio = pipeline / "radio.xmck"
         capsys.readouterr()
         code = main([command, "--config", str(workdir / "tiny.yaml"),
                      "--out", str(tmp_path / "o"), "--data", str(pipeline / "dataset.xmcd"),
-                     "--vision", str(pipeline / "radio.xmck")])
+                     "--vision", str(radio)])
         assert code == 3
         assert self.one_line(capsys) == (
-            f"xmc {command}: the vision encoder must be frozen before pre-training\n")
+            f"xmc {command}: vision checkpoint {radio} is not a frozen vision teacher\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["probe", "finetune", "project"])
     def test_the_vision_teacher_as_the_encoder_exits_3(self, pipeline, workdir, tmp_path,
@@ -482,6 +488,64 @@ class TestExitCodes:
         assert code == 3
         assert self.one_line(capsys) == (
             f"xmc {command}: encoder checkpoint {vision} is a frozen vision teacher\n")
+
+    @pytest.mark.parametrize("command, role", [("probe", "data"), ("pretrain", "vision"),
+                                               ("finetune", "encoder")])
+    def test_an_input_replaced_after_it_was_hashed_exits_3(
+            self, pipeline, workdir, tmp_path, capsys, monkeypatch, command, role):
+        """The file is renamed over, as gen-data --force does, right after the
+        driver hashed it: the body would load a file the manifest never named."""
+        inputs = {"data": tmp_path / "d.xmcd", "vision": tmp_path / "v.xmck",
+                  "encoder": tmp_path / "r.xmck"}
+        for name, source in (("data", "dataset.xmcd"), ("vision", "vision.xmck"),
+                             ("encoder", "radio.xmck")):
+            shutil.copyfile(pipeline / source, inputs[name])
+        real_hash = cli.sha256_file
+
+        def hash_then_replace(path):
+            digest = real_hash(path)
+            if Path(path) == inputs[role]:
+                shutil.copyfile(path, tmp_path / "new")
+                os.replace(tmp_path / "new", path)  # the same bytes, another file
+            return digest
+        monkeypatch.setattr(cli, "sha256_file", hash_then_replace)
+        flags = [arg for name in cli.SPECS[command].inputs
+                 for arg in (f"--{name}", str(inputs[name]))]
+        capsys.readouterr()
+        assert main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), *flags]) == 3
+        assert self.one_line(capsys) == (
+            f"xmc {command}: {cli.INPUTS[role][1]} {inputs[role]} changed after it was "
+            "hashed\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_dataset_replaced_between_sweep_arms_exits_3(self, pipeline, workdir,
+                                                           tmp_path, capsys, monkeypatch):
+        """After the first arm, another dataset is renamed over the one the
+        driver hashed. The second arm refuses it rather than train on a file
+        the manifest does not name."""
+        data = tmp_path / "d.xmcd"
+        shutil.copyfile(pipeline / "dataset.xmcd", data)
+        assert main(["gen-data", "--config", str(workdir / "tiny.yaml"), "--seed", "6",
+                     "--out", str(tmp_path / "other")]) == 0
+        from xmc import evaluation
+        real_arm, arms = evaluation.label_sweep_seed, []
+
+        def arm_then_replace(*args):
+            rows = real_arm(*args)
+            arms.append(rows)
+            if len(arms) == 1:
+                os.replace(tmp_path / "other" / "dataset.xmcd", data)
+            return rows
+        monkeypatch.setattr(evaluation, "label_sweep_seed", arm_then_replace)
+        capsys.readouterr()
+        code = main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), "--data", str(data),
+                     "--vision", str(pipeline / "vision.xmck"), "--jobs", "1"])
+        assert (code, len(arms)) == (3, 1)
+        assert self.one_line(capsys) == (
+            f"xmc sweep-labels: dataset file {data} changed after it was hashed\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["probe", "project"])
     def test_a_test_split_without_a_class_exits_3(self, pipeline, workdir, tmp_path,
@@ -798,19 +862,53 @@ class TestSweepCommands:
         assert rows[0] == "rho,dim,K,seed,mean_loss,mi_lower_bound,true_mi"
         assert len(rows) == 1 + 2 * 2
 
-    def test_sweep_labels_loads_the_dataset_once_per_arm(self, pipeline, workdir,
-                                                          tmp_path, monkeypatch):
-        """The parent process loads the dataset once, reading only its labels,
-        to count the contrastive split; then each arm loads it again."""
-        loads = []
-        real = datagen.load_dataset
-        monkeypatch.setattr(datagen, "load_dataset",
-                            lambda path: loads.append(path) or real(path))
-        data = str(pipeline / "dataset.xmcd")
-        assert main(["sweep-labels", "--config", str(workdir / "tiny.yaml"),
-                     "--out", str(tmp_path / "o"), "--data", data,
-                     "--vision", str(pipeline / "vision.xmck"), "--jobs", "1"]) == 0
-        assert list(map(str, loads)) == [data] * 3  # the parent, then eval.n_seeds = 2 arms
+    @pytest.mark.parametrize("command, calls", [
+        ("pretrain-vision", [("data",)]),
+        ("pretrain", [("data", "vision")]),
+        ("probe", [("data", "encoder")]),
+        ("finetune", [("data", "encoder")]),
+        ("baseline", [("data",)]),
+        ("project", [("data", "encoder")]),
+        # one call per arm: |eval.queue_sizes| x eval.n_seeds
+        ("sweep-k", [("data", "vision")] * 4),
+        # the parent counts the contrastive split, then one call per eval.n_seeds arm
+        ("sweep-labels", [("data",)] + [("data", "vision")] * 2),
+    ])
+    def test_each_command_and_arm_loads_each_input_once_through_the_loader(
+            self, pipeline, workdir, tmp_path, monkeypatch, command, calls):
+        """Every dataset and checkpoint load is made by ``_load_inputs``, and
+        each of its calls loads each of its roles once."""
+        from xmc import models
+        paths = {"data": pipeline / "dataset.xmcd", "vision": pipeline / "vision.xmck",
+                 "encoder": pipeline / "radio.xmck"}
+        events, inside = [], []
+
+        def spy(module, name):
+            real = getattr(module, name)
+
+            def load(path):
+                assert inside, f"{name} called outside _load_inputs"
+                events.append(str(path))
+                return real(path)
+            monkeypatch.setattr(module, name, load)
+        spy(datagen, "load_dataset")
+        spy(models, "load_checkpoint")
+        real_loader = cli._load_inputs
+
+        def loader(inputs, cfg):
+            events.append(tuple(inputs))
+            inside.append(True)
+            try:
+                return real_loader(inputs, cfg)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(cli, "_load_inputs", loader)
+        flags = [arg for role in cli.SPECS[command].inputs
+                 for arg in (f"--{role}", str(paths[role]))]
+        assert main([command, "--config", str(workdir / "tiny.yaml"),
+                     "--out", str(tmp_path / "o"), *flags]) == 0
+        assert events == [event for roles in calls
+                          for event in (roles, *(str(paths[role]) for role in roles))]
 
     def test_parallel_jobs_give_identical_csv(self, pipeline, workdir, tmp_path):
         inputs = ["--data", str(pipeline / "dataset.xmcd"),
@@ -996,6 +1094,32 @@ class TestTimePipeline:
             assert (out / run / "mi_estimates.csv").is_file()
         assert (out / "run1" / "mi_estimates.csv").read_bytes() == (
             out / "run2" / "mi_estimates.csv").read_bytes()
+
+    def test_each_repeat_runs_a_fresh_copy_of_src(self, tmp_path):
+        """A stand-in xmc.cli records whether a module it imports was already
+        compiled when it started: with bytecode written, no run finds what an
+        earlier run compiled."""
+        script = README.parent / "scripts" / "time_pipeline.py"
+        package = tmp_path / "tree" / "src" / "xmc"
+        package.mkdir(parents=True)
+        (package / "__init__.py").write_text("")
+        (package / "helper.py").write_text("")
+        (package / "cli.py").write_text(
+            "import sys\nfrom pathlib import Path\n"
+            "out = Path(sys.argv[sys.argv.index('--out') + 1])\n"
+            "out.mkdir(parents=True, exist_ok=True)\n"
+            "cached = any(Path(__file__).parent.glob('__pycache__/helper.*.pyc'))\n"
+            "(out / 'cached.txt').write_text(str(cached))\n"
+            "import xmc.helper\n")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        out = tmp_path / "o"
+        proc = subprocess.run([sys.executable, str(script), "--tree", str(tmp_path / "tree"),
+                               "--out", str(out), "--repeat", "3", "gen-data"],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert [(out / f"run{i}" / "cached.txt").read_text() for i in (1, 2, 3)] == [
+            "False"] * 3
+        assert list(package.parent.rglob("__pycache__")) == []
 
     def test_repeat_below_one_is_refused(self):
         script = README.parent / "scripts" / "time_pipeline.py"

@@ -39,6 +39,13 @@ def test_defaults_are_in_range():
     ({"eval": {"fractions": []}}, "eval.fractions must not be empty"),
     ({"eval": {"queue_sizes": []}}, "eval.queue_sizes must not be empty"),
     ({"mi": {"rhos": []}}, "mi.rhos must not be empty"),
+    ({"eval": {"fractions": [0.5, 0.5]}},
+     "eval.fractions must not repeat a value, got [0.5, 0.5]"),
+    ({"eval": {"fractions": [1, 0.5, 1.0]}},
+     "eval.fractions must not repeat a value, got [1.0, 0.5, 1.0]"),
+    ({"eval": {"queue_sizes": [8, 4, 8]}},
+     "eval.queue_sizes must not repeat a value, got [8, 4, 8]"),
+    ({"mi": {"rhos": [0.8, 0.8]}}, "mi.rhos must not repeat a value, got [0.8, 0.8]"),
     ({"contrastive": {"tau": math.inf}}, "contrastive.tau must be finite and > 0, got inf"),
     ({"datagen": {"n": 7}}, "datagen.n must be an integer >= 20, got 7"),
     ({"datagen": {"n": 19}}, "datagen.n must be an integer >= 20, got 19"),
@@ -61,6 +68,8 @@ def test_defaults_are_in_range():
 ], ids=["negative-lr", "zero-lr", "zero-tau", "no-seeds", "zero-queue", "float-width",
         "zero-fraction", "fraction-above-1", "zero-holdout", "momentum-1",
         "negative-decay", "string-rho", "no-fractions", "no-queue-sizes", "no-rhos",
+        "repeated-fraction", "fraction-repeated-as-int", "repeated-queue-size",
+        "repeated-rho",
         "inf-tau", "n-7", "n-19", "one-azimuth-bin", "vision-fraction-0.8", "negative-sigma",
         "null-sigma-image", "vision-mode", "true-lr", "false-sigma-image", "true-seeds",
         "huge-lr", "huge-rho", "string-tau", "float-seed", "integer-out-dir",
@@ -75,6 +84,8 @@ def test_edges_of_the_ranges_are_accepted():
                              "mode": "random-frozen"},
                   "eval": {"fractions": [1.0], "weight_decay": 0.0},
                   "mi": {"n_seeds": 1}, "seed": -1, "encoder_hidden": []})
+    # the widths of the hidden layers are no sweep axis: they may repeat
+    assert load_overlay({"encoder_hidden": [32, 32]}).encoder_hidden == [32, 32]
     load_overlay({"datagen": {"n": 20, "range_bins": 2, "image_width": 2,
                               "vision_fraction": 0.0, "sigma_radar": None,
                               "sigma_image": 0.0}})
@@ -219,8 +230,9 @@ def stored_as(kind: str, name: str, drawn, stored) -> bool:
     """Whether ``stored`` is ``drawn`` read as a value of the annotation
     ``kind``, within the range of the setting ``name``."""
     if kind.startswith("list["):
+        # every list but encoder_hidden is a sweep axis: not empty, no value twice
         return (type(drawn) is list and len(stored) == len(drawn)
-                and (drawn != [] or name == "encoder_hidden")
+                and (name == "encoder_hidden" or 0 < len(set(stored)) == len(stored))
                 and all(stored_as(kind[5:-1], name, d, s) for d, s in zip(drawn, stored)))
     if kind == "float | None" and drawn is None:
         return stored is None

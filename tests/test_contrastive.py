@@ -382,14 +382,6 @@ def toy_pretrain(ds, vision, seed, **changes):
 
 
 class TestPretrain:
-    def test_requires_frozen_vision(self, toy_setup):
-        ds, _ = toy_setup
-        live = init_encoder([ds.images.shape[1] * ds.images.shape[2], 64, 32], seed=1)
-        with pytest.raises(InputError, match="^the vision encoder must be frozen before "
-                                             "pre-training$") as err:
-            toy_pretrain(ds, live, seed=0)
-        assert err.type is InputError
-
     def test_queue_larger_than_split_rejected(self, toy_setup):
         ds, teacher = toy_setup
         with pytest.raises(InputError, match=r"^contrastive split \(\d+\) smaller than the "
