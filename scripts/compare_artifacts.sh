@@ -11,8 +11,10 @@
 # still writes one) and compares the manifests with each side's output
 # directory replaced by a placeholder. Under each CSV that differs it prints
 # the first ten differing lines of both sides (- parent, + change), numbered
-# from 1 at the header; under each manifest that differs, the first ten
-# differing JSON paths with both values (<absent> where a side lacks one).
+# from 1 at the header, then the largest absolute and the largest relative
+# difference over the numeric cells the two sides share, each with its line
+# and column; under each manifest that differs, the first ten differing JSON
+# paths with both values (<absent> where a side lacks one).
 # Exits 0 when all are equal, 1 when something differs or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
@@ -90,6 +92,7 @@ done
 python3 - "$work/parent" "$work/change" <<'PY'
 import filecmp
 import json
+import math
 import sys
 from itertools import zip_longest
 from pathlib import Path
@@ -109,6 +112,33 @@ def show(side, at, value):
     print(f"  {side} {at}: {value}")
 
 
+def number(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def largest_numeric_differences(lines):
+    """The largest absolute and relative difference, |a - b| / max(|a|, |b|),
+    over the cells that parse as numbers on both sides, each as (difference,
+    line, column name); a NaN against a number counts as infinite."""
+    header = lines[0][0].split(",") if lines[0] else []
+    worst = {"absolute": (0.0, None, None), "relative": (0.0, None, None)}
+    for i, (a, b) in enumerate(zip(*lines), 1):
+        for col, (x, y) in enumerate(zip(a.split(","), b.split(","))):
+            x, y = number(x), number(y)
+            if x is None or y is None or x == y or (x != x and y != y):
+                continue
+            diff = abs(x - y)
+            diff = math.inf if diff != diff else diff
+            name = header[col] if col < len(header) else f"#{col + 1}"
+            for kind, value in (("absolute", diff), ("relative", diff / max(abs(x), abs(y)))):
+                if value > worst[kind][0]:
+                    worst[kind] = (value, i, name)
+    return worst
+
+
 dirs = [Path(d) for d in sys.argv[1:]]
 names = [sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
          for d in dirs]
@@ -124,11 +154,14 @@ for name in sorted(set(names[0]) & set(names[1])):
         same = filecmp.cmp(dirs[0] / name, dirs[1] / name, shallow=False)
     print(f"{'same' if same else 'DIFFERENT'}  {name}")
     if not same and name.endswith(".csv"):
-        sides = ((d / name).read_text().splitlines() for d in dirs)
-        pairs = [(i, a, b) for i, (a, b) in enumerate(zip_longest(*sides), 1) if a != b]
+        lines = [(d / name).read_text().splitlines() for d in dirs]
+        pairs = [(i, a, b) for i, (a, b) in enumerate(zip_longest(*lines), 1) if a != b]
         for i, a, b in pairs[:10]:
             show("-", i, "<no line>" if a is None else a)
             show("+", i, "<no line>" if b is None else b)
+        for kind, (value, i, col) in largest_numeric_differences(lines).items():
+            print(f"  largest {kind} difference: "
+                  + (f"{value:.3g} at line {i}, column {col}" if i else "none"))
     if not same and name.endswith(".manifest.json"):
         flat = [dict(leaves(doc)) for doc in docs]
         paths = sorted(p for p in flat[0].keys() | flat[1].keys()

@@ -3,11 +3,12 @@
 Every trained model is an MLP chain (affine layers, relu between them, none
 after the last) that feeds a loss with a closed-form gradient
 (``models.cross_entropy``, ``contrastive.info_nce``, both on the numpy kernel
-:func:`logsumexp_row`). So there is no graph: ``EncoderModel.forward``
-returns each layer's input next to the output, and :func:`backward` walks
-the layers in reverse from the loss gradient. The one other differentiable
-step, :func:`l2_normalize` between the radio encoder and InfoNCE, returns
-its backward as a closure.
+:func:`logsumexp_row`, which leaves the exponentials and returns the row sums:
+each loss divides at whichever point its gradient is smallest). So there is
+no graph: ``EncoderModel.forward`` returns each layer's input next to the
+output, and :func:`backward` walks the layers in reverse from the loss
+gradient. The one other differentiable step, :func:`l2_normalize` between
+the radio encoder and InfoNCE, returns its backward as a closure.
 """
 
 from __future__ import annotations
@@ -49,18 +50,18 @@ def backward(model, acts: list[np.ndarray], g: np.ndarray,
 
 def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise log(sum(exp(x))) of an (M, N) float array, stabilized by
-    subtracting the row max, and the row softmax, which is its gradient.
+    subtracting the row max, and the (M, 1) row sums of exp(x - row max).
 
-    The softmax is computed in place: ``x`` is overwritten and returned as
-    the softmax, so a caller that still needs its scores passes a copy."""
+    ``x`` is overwritten with those exponentials, so a caller that still needs
+    its scores passes a copy. ``x / sums``, the row softmax, is the gradient:
+    each loss divides at whichever point its gradient is smallest."""
     if x.ndim != 2:
         raise InputError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
     mx = x.max(axis=1, keepdims=True)
     x -= mx
     np.exp(x, out=x)
     sums = x.sum(axis=1, keepdims=True)
-    x /= sums
-    return (mx + np.log(sums)).reshape(-1), x
+    return (mx + np.log(sums)).reshape(-1), sums
 
 
 def l2_normalize(m: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:

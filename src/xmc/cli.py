@@ -301,11 +301,14 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     # the dataset alone, whose load checks the file and reads its labels; each arm loads both
     n_contrastive = len(_load_inputs({"data": inputs["data"]}, cfg)["data"].contrastive_idx)
     fractions = ev.feasible_fractions(cfg.eval.fractions, n_contrastive)
+    dropped = [f for f in cfg.eval.fractions if f not in fractions]
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     arm = partial(_loaded_arm, ev.label_sweep_seed, inputs, cfg)
     per_seed = _map_arms(arm, [(fractions, s) for s in seeds], args.jobs)
-    return _sweep(outputs, "label_fraction", [r for rows in per_seed for r in rows],
-                  with_arm=True)
+    _, report = _sweep(outputs, "label_fraction", [r for rows in per_seed for r in rows],
+                       with_arm=True)
+    note = f" (dropped fractions {dropped}: too few labels for every class)"
+    return ({"dropped_fractions": dropped}, report + note) if dropped else (None, report)
 
 
 def _mi_arm(mi: MiSection, rho: float, seed: int) -> tuple:

@@ -47,8 +47,10 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
     a stabilized logsumexp over the (K+1)-way scores against the (K, D)
-    ``negatives``. Only q gets a gradient: dq = P @ [k+, N] / (B tau), with
-    P = softmax - one-hot(0). At tau = 1 (the MI critic's) 1/tau scales nothing.
+    ``negatives``. Only q gets a gradient. The kernel leaves the exponentials
+    e and returns the row sums, which divide the (B, D) GEMM result, not the
+    (B, K+1) softmax: dq = (e[:, 1:] @ N / sums + (e[:, :1] / sums - 1) k+) / (tau B).
+    At tau = 1 (the MI critic's) 1/tau scales nothing.
     """
     if q.ndim != 2 or k_plus.shape != q.shape:
         raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
@@ -58,21 +60,19 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
 
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
-    # one (B, K+1) buffer holds the scores, then logsumexp_row's softmax
-    scores = np.empty((len(pos), len(negatives) + 1))
-    scores[:, 0] = pos
-    np.matmul(q, negatives.T, out=scores[:, 1:])
+    # one (B, K+1) buffer holds the scores, then logsumexp_row's exponentials
+    e = np.empty((len(pos), len(negatives) + 1))
+    e[:, 0] = pos
+    np.matmul(q, negatives.T, out=e[:, 1:])
     if tau != 1.0:
-        scores *= inv_tau
-    lse, d = ad.logsumexp_row(scores)
-    c = 1.0 / len(pos)
-    d *= c
-    if tau != 1.0:
-        d *= inv_tau
+        e *= inv_tau
         pos *= inv_tau
-    d[:, 0] -= c * inv_tau
-    return (float(np.add.reduce(lse - pos) / len(pos)),
-            d[:, 1:] @ negatives + d[:, :1] * k_plus)
+    lse, sums = ad.logsumexp_row(e)
+    dq = e[:, 1:] @ negatives
+    dq /= sums
+    dq += (e[:, :1] / sums - 1.0) * k_plus
+    dq *= inv_tau / len(pos)
+    return float(np.add.reduce(lse - pos) / len(pos)), dq
 
 
 def encode_keys(vision: EncoderModel, images_flat: np.ndarray,

@@ -131,7 +131,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.nda
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise InputError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     rows = np.arange(len(labels))
-    lse, d = ad.logsumexp_row(logits.copy())  # the loss below reads the logits
+    lse, sums = ad.logsumexp_row(d := logits.copy())  # the loss below reads the logits
+    d /= sums
     c = 1.0 / len(rows)
     d *= c
     d[rows, labels] -= c

@@ -102,15 +102,17 @@ class TestLogsumexpRow:
         np.testing.assert_allclose(lse, [math.log(2.0)])
 
     def test_large_values_do_not_overflow(self):
-        lse, softmax = ad.logsumexp_row(np.array([[1000.0, 1000.0]]))
+        x = np.array([[1000.0, 1000.0]])
+        lse, sums = ad.logsumexp_row(x)
         np.testing.assert_allclose(lse, [1000.0 + math.log(2.0)])
-        np.testing.assert_allclose(softmax, [[0.5, 0.5]])
+        np.testing.assert_allclose(x / sums, [[0.5, 0.5]])
 
     def test_single_value_row_is_exact(self):
         x = np.array([[-123.456]])
-        lse, softmax = ad.logsumexp_row(x.copy())
+        e = x.copy()
+        lse, sums = ad.logsumexp_row(e)
         assert lse[0] == x[0, 0]
-        assert softmax[0, 0] == 1.0
+        assert (e / sums)[0, 0] == 1.0
 
     def test_matches_naive_evaluation(self):
         rng = np.random.default_rng(4)
@@ -122,19 +124,25 @@ class TestLogsumexpRow:
     def test_gradient_is_softmax(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(3, 4))
-        _, softmax = ad.logsumexp_row(x.copy())
+        e = x.copy()
+        _, sums = ad.logsumexp_row(e)
         (numeric,) = finite_diff_grads(lambda: ad.logsumexp_row(x.copy())[0].sum(), [x])
-        assert relative_error(softmax, numeric) < 1e-8
+        assert relative_error(e / sums, numeric) < 1e-8
 
     def test_rejects_non_matrix(self):
         with pytest.raises(InputError,
                            match=r"^logsumexp_row: expected a matrix, got shape \(3,\)$"):
             ad.logsumexp_row(np.zeros(3))
 
-    def test_softmax_is_computed_in_x(self):
+    def test_exponentials_are_left_in_x(self):
+        """``x`` holds exp(x - row max) and the row sums are its (M, 1) sums,
+        to the byte: the kernel divides nothing."""
         x = np.random.default_rng(6).normal(size=(3, 5))
-        _, softmax = ad.logsumexp_row(x)
-        assert np.shares_memory(softmax, x)
+        ex = np.exp(x - x.max(axis=1, keepdims=True))
+        _, sums = ad.logsumexp_row(x)
+        assert x.tobytes() == ex.tobytes()
+        assert sums.shape == (3, 1)
+        assert sums.tobytes() == ex.sum(axis=1, keepdims=True).tobytes()
 
     @given(st.lists(st.lists(st.floats(-50, 50), min_size=2, max_size=6),
                     min_size=1, max_size=4).filter(

@@ -851,6 +851,26 @@ class TestSweepCommands:
         summary = (pipeline / "sweep_labels_summary.csv").read_text().strip().split("\n")
         assert len(summary) == 1 + 2 * 2
 
+    def test_sweep_labels_names_each_dropped_fraction(self, pipeline, tmp_path, capsys):
+        """A fraction that cannot place one label in every class is dropped,
+        and the report line and the manifest's metrics name it."""
+        cfg = yaml.safe_load(TINY_YAML)
+        cfg["eval"]["fractions"] = [0.001, 0.5]
+        path = tmp_path / "drop.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        capsys.readouterr()
+        assert main(["sweep-labels", "--config", str(path), "--out", str(out),
+                     "--data", str(pipeline / "dataset.xmcd"),
+                     "--vision", str(pipeline / "vision.xmck")]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'sweep_labels_summary.csv'} (dropped fractions [0.001]: "
+            "too few labels for every class)\n")
+        summary = (out / "sweep_labels_summary.csv").read_text().strip().split("\n")
+        assert [row.split(",")[0] for row in summary[1:]] == ["0.5", "0.5"]
+        manifest = json.loads((out / "sweep-labels.manifest.json").read_text())
+        assert manifest["metrics"] == {"dropped_fractions": [0.001]}
+
     def test_sweep_k_row_count(self, pipeline, workdir):
         assert run(workdir, "sweep-k") == 0
         rows = (pipeline / "sweep_k.csv").read_text().strip().split("\n")

@@ -28,9 +28,10 @@ def unit_rows(arr: np.ndarray) -> np.ndarray:
 
 def reference_info_nce(q, k_plus, negatives, tau):
     """InfoNCE evaluated out of place, in the float operations and order of
-    ``info_nce``: concatenated scores, a scaled copy, a fresh softmax and the
-    loss's ``mean``. It scales by 1/tau at tau = 1 too, where ``info_nce``
-    skips the three products with 1.0."""
+    ``info_nce``: concatenated scores, a scaled copy, fresh exponentials, the
+    loss's ``mean``, and the gradient GEMM on the exponentials with its
+    (B, D) result divided by the row sums. It scales by 1/tau at tau = 1
+    too, where ``info_nce`` skips the two products with 1.0."""
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
     scores = np.concatenate([pos[:, None], q @ negatives.T], axis=1) * inv_tau
@@ -38,13 +39,21 @@ def reference_info_nce(q, k_plus, negatives, tau):
     ex = np.exp(scores - mx)
     sums = ex.sum(axis=1, keepdims=True)
     lse = (mx + np.log(sums)).reshape(-1)
-    d = ex / sums
-    c = 1.0 / len(pos)
-    d *= c
-    d *= inv_tau
-    d[:, 0] -= c * inv_tau
-    return (float((lse - pos * inv_tau).mean()),
-            d[:, 1:] @ negatives + d[:, :1] * k_plus)
+    dq = (ex[:, 1:] @ negatives / sums + (ex[:, :1] / sums - 1.0) * k_plus) \
+        * (inv_tau / len(pos))
+    return float((lse - pos * inv_tau).mean()), dq
+
+
+def softmax_reference_dq(q, k_plus, negatives, tau):
+    """InfoNCE's gradient in its textbook form, (softmax - one-hot(0)) @
+    [k+, N] / (B tau): the softmax normalized before the GEMM."""
+    scores = np.concatenate([(q * k_plus).sum(axis=1)[:, None], q @ negatives.T],
+                            axis=1) / tau
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    d = ex / ex.sum(axis=1, keepdims=True)
+    d[:, 0] -= 1.0
+    d /= len(q) * tau
+    return d[:, 1:] @ negatives + d[:, :1] * k_plus
 
 
 def critic_batch(tau: float, batch: int = 128):
@@ -316,8 +325,11 @@ class TestInfoNce:
         """The one score buffer, the 1/tau scalings skipped at tau = 1 and
         the loss's sum divided by B change no rounding: loss and gradient
         equal the out-of-place evaluation to the byte, and no input changes.
-        B = 48 is the last batch of pretrain's 1,200 contrastive rows at
-        B = 64, a batch that is no power of two."""
+        Dividing the (B, D) GEMM result by the row sums, not the (B, K+1)
+        softmax, moves the gradient by rounding alone: it stays within
+        1e-12 of its largest entry from the softmax form. B = 48 is the last
+        batch of pretrain's 1,200 contrastive rows at B = 64, a batch that
+        is no power of two."""
         inputs = critic_batch(tau, batch)
         before = tuple(a.copy() for a in inputs)
         loss, dq = info_nce(*inputs, tau)
@@ -326,6 +338,8 @@ class TestInfoNce:
         assert dq.tobytes() == ref_dq.tobytes()
         for was, now in zip(before, inputs):
             assert was.tobytes() == now.tobytes()
+        softmax_dq = softmax_reference_dq(*before, tau)
+        assert np.abs(dq - softmax_dq).max() <= 1e-12 * np.abs(dq).max()
 
     def test_one_score_buffer_per_call(self):
         """At the MI critic's B = 128, K = 256, D = 8, one call peaks at

@@ -176,8 +176,9 @@ class TestFinetuneAndBaseline:
         head = init_head(x.shape[1], 4)
         w = head.weights[0]
         w[:] = np.random.default_rng(0).normal(size=w.shape) * 20
-        _, probs = ad.logsumexp_row(head.forward_numpy(x))
-        np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
+        ex = head.forward_numpy(x)
+        _, sums = ad.logsumexp_row(ex)
+        np.testing.assert_allclose((ex / sums).sum(axis=1), 1.0, atol=1e-9)
 
 
 class TestOneTestPass:

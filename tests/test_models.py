@@ -305,8 +305,8 @@ class TestCosineSchedule:
 class TestSoftmaxAndCrossEntropy:
     def test_softmax_rows_sum_to_one(self):
         z = np.random.default_rng(5).normal(size=(10, 4)) * 30
-        _, s = ad.logsumexp_row(z)
-        np.testing.assert_allclose(s.sum(axis=1), 1.0, atol=1e-9)
+        _, sums = ad.logsumexp_row(z)
+        np.testing.assert_allclose((z / sums).sum(axis=1), 1.0, atol=1e-9)
 
     def test_cross_entropy_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -343,13 +343,36 @@ class TestSoftmaxAndCrossEntropy:
         logits = rng.normal(size=(batch, 4)) * 3.0
         labels = rng.integers(0, 4, size=batch)
         rows = np.arange(batch)
-        lse, d = ad.logsumexp_row(logits.copy())
+        d = logits.copy()
+        lse, sums = ad.logsumexp_row(d)
         ref = float((lse - logits[rows, labels]).mean())
+        d /= sums
         d *= 1.0 / batch
         d[rows, labels] -= 1.0 / batch
         loss, grad = cross_entropy(logits, labels)
         assert np.float64(loss).tobytes() == np.float64(ref).tobytes()
         assert grad.tobytes() == d.tobytes()
+
+    @pytest.mark.parametrize("batch", [8, 12])
+    def test_cross_entropy_matches_the_out_of_place_bytes(self, batch):
+        """Loss and gradient equal an out-of-place evaluation to the byte:
+        the softmax exp(x - max) / sums, times 1/B, minus 1/B at the labels.
+        So the classifiers (teacher, probe, fine-tune, baseline) train on the
+        same bytes however the logsumexp kernel splits its work. B = 12 is no
+        power of two."""
+        rng = np.random.default_rng(100 + batch)
+        logits = rng.normal(size=(batch, 4)) * 3.0
+        labels = rng.integers(0, 4, size=batch)
+        rows = np.arange(batch)
+        mx = logits.max(axis=1, keepdims=True)
+        ex = np.exp(logits - mx)
+        sums = ex.sum(axis=1, keepdims=True)
+        ref_loss = float(((mx + np.log(sums)).reshape(-1) - logits[rows, labels]).mean())
+        ref_grad = ex / sums * (1.0 / batch)
+        ref_grad[rows, labels] -= 1.0 / batch
+        loss, grad = cross_entropy(logits, labels)
+        assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
 
     def test_uniform_logits_loss_is_log_c(self):
         labels = np.array([0, 1, 2, 3])
