@@ -14,7 +14,10 @@
 # from 1 at the header, then the largest absolute and the largest relative
 # difference over the numeric cells the two sides share, each with its line
 # and column; under each manifest that differs, the first ten differing JSON
-# paths with both values (<absent> where a side lacks one).
+# paths with both values (<absent> where a side lacks one). Last comes one
+# line that lists every test_accuracy and mean_accuracy cell that differs
+# between the trees (file, line, column, both values), or says none did, so a
+# declared rounding change shows at a glance whether any score moved.
 # Exits 0 when all are equal, 1 when something differs or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
@@ -139,7 +142,30 @@ def largest_numeric_differences(lines):
     return worst
 
 
+def accuracy_differences(name, lines):
+    """"file:line column parent -> change" for each test_accuracy or
+    mean_accuracy cell that differs, each column found by name on each side."""
+    rows = [[line.split(",") for line in side] for side in lines]
+    if not all(rows):
+        return []
+
+    def cell(row, at):
+        return row[at] if row is not None and at is not None and at < len(row) else "<absent>"
+
+    out = []
+    for col in ("test_accuracy", "mean_accuracy"):
+        at = [side[0].index(col) if col in side[0] else None for side in rows]
+        if at == [None, None]:
+            continue
+        for i, (a, b) in enumerate(zip_longest(rows[0][1:], rows[1][1:]), 2):
+            x, y = cell(a, at[0]), cell(b, at[1])
+            if x != y:
+                out.append(f"{name}:{i} {col} {x} -> {y}")
+    return out
+
+
 dirs = [Path(d) for d in sys.argv[1:]]
+moved = []
 names = [sorted(str(p.relative_to(d)) for p in d.rglob("*") if p.is_file())
          for d in dirs]
 ok = names[0] == names[1]
@@ -155,6 +181,7 @@ for name in sorted(set(names[0]) & set(names[1])):
     print(f"{'same' if same else 'DIFFERENT'}  {name}")
     if not same and name.endswith(".csv"):
         lines = [(d / name).read_text().splitlines() for d in dirs]
+        moved += accuracy_differences(name, lines)
         pairs = [(i, a, b) for i, (a, b) in enumerate(zip_longest(*lines), 1) if a != b]
         for i, a, b in pairs[:10]:
             show("-", i, "<no line>" if a is None else a)
@@ -170,5 +197,6 @@ for name in sorted(set(names[0]) & set(names[1])):
             for side, values in zip("-+", flat):
                 show(side, at, values.get(at, "<absent>"))
     ok = ok and same
+print("accuracy cells that differ: " + ("; ".join(moved) if moved else "none"))
 sys.exit(0 if ok else 1)
 PY

@@ -10,7 +10,7 @@ from the batch size.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -42,8 +42,8 @@ class NegativeQueue:
 
 
 def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
-             tau: float) -> tuple[float, np.ndarray]:
-    """Mean contrastive loss over the batch, and its gradient dq.
+             tau: float) -> tuple[float, Callable[[], np.ndarray]]:
+    """Mean contrastive loss over the batch, and a closure that forms its gradient dq.
 
     Per row: -log( exp(q.k+/tau) / (exp(q.k+/tau) + sum_i exp(q.ki-/tau)) ),
     a stabilized logsumexp over the (K+1)-way scores against the (K, D)
@@ -68,11 +68,13 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
         e *= inv_tau
         pos *= inv_tau
     lse, sums = ad.logsumexp_row(e)
-    dq = e[:, 1:] @ negatives
-    dq /= sums
-    dq += (e[:, :1] / sums - 1.0) * k_plus
-    dq *= inv_tau / len(pos)
-    return float(np.add.reduce(lse - pos) / len(pos)), dq
+    def grad() -> np.ndarray:
+        dq = e[:, 1:] @ negatives
+        dq /= sums
+        dq += (e[:, :1] / sums - 1.0) * k_plus
+        dq *= inv_tau / len(pos)
+        return dq
+    return float(np.add.reduce(lse - pos) / len(pos)), grad
 
 
 def encode_keys(vision: EncoderModel, images_flat: np.ndarray,
@@ -109,9 +111,9 @@ def fit_to_keys(model: EncoderModel, inputs: np.ndarray, keys: np.ndarray,
         q, back = ad.l2_normalize(out) if normalize else (out, lambda dq: dq)
         # scored before it is enqueued, yet a row can meet its own key among the negatives:
         # in epoch 0's warm-start batches, and just after each epoch boundary
-        value, dq = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
+        value, grad = info_nce(q, keys[sel], queue.snapshot(), cfg.tau)
         queue.enqueue(sel)
-        return value, back(dq)
+        return value, back(grad())
 
     # a fresh stream: its epoch-0 permutation is the one the queue was warmed from
     return list(fit([model], inputs, loss, epochs=cfg.epochs, batch_size=cfg.batch_size,

@@ -2,7 +2,10 @@
 
 The protocol mirrors common practice: freeze the pre-trained features and
 train a linear softmax classifier; or fine-tune encoder and head together;
-or train everything from scratch as the supervised reference. Label-fraction
+or train everything from scratch as the supervised reference. Each trains
+through ``models.train_classifier``: with fewer labelled rows than inputs,
+the first layer trains in the rows' span, where all its gradient lies, equal
+to full-width SGD up to rounding; else the chain trains as it is. Label-fraction
 and queue-size sweeps aggregate means and standard deviations over seeds.
 
 Test-split hygiene: training code receives a :class:`TaskSplit` whose test

@@ -74,12 +74,13 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
 
     # Held-out evaluation: the leading ``warm`` held-out pairs only fill the
     # queue; each later batch is scored against the k held-out keys before it.
+    # The gradient closure is dropped at once: it would hold the scores to the next call.
     keys_hold = k_enc.forward_numpy(y_hold)
     q_hold = q_enc.forward_numpy(x_hold)
     total, count = 0.0, 0
     for start in range(warm, n_hold, critic.batch_size):
         sel = slice(start, min(start + critic.batch_size, n_hold))
-        loss, _ = info_nce(q_hold[sel], keys_hold[sel], keys_hold[start - k:start], TAU)
+        loss = info_nce(q_hold[sel], keys_hold[sel], keys_hold[start - k:start], TAU)[0]
         m = q_hold[sel].shape[0]
         total += loss * m
         count += m

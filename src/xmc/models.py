@@ -249,13 +249,32 @@ def fit(chain: list[EncoderModel], inputs: np.ndarray,
 
 def train_classifier(chain: list[EncoderModel], inputs: np.ndarray, labels: np.ndarray, *,
                      epochs: int, lr: float, momentum: float, weight_decay: float,
-                     batch_size: int, seed: int) -> Iterator[tuple[int, float, float]]:
-    """:func:`fit` of ``chain`` on softmax cross-entropy against ``labels``,
-    visiting the samples in the seed's "classifier-order" stream."""
-    return fit(chain, inputs, lambda logits, sel: cross_entropy(logits, labels[sel]),
-               epochs=epochs, batch_size=batch_size, lr=lr, momentum=momentum,
-               weight_decay=weight_decay, order_rng=rng_for(seed, "classifier-order"),
-               cosine=False)
+                     batch_size: int, seed: int) -> list[tuple[int, float, float]]:
+    """:func:`fit` of ``chain`` on softmax cross-entropy against ``labels`` in
+    the seed's "classifier-order" stream; returns its (epoch, lr, loss) rows.
+    With n training rows X and n < fan_in, fit trains u = q^T W1 on X q, q an
+    orthonormal basis of their span, and then W1 <- a W1 + q (u - a u0); else
+    the chain itself. SGD moves W1 by X_sel^T g, in that span, and outside it
+    weight decay alone scales W1, by a: the same trajectory up to rounding."""
+    first, n, trained = chain[0], len(inputs), chain
+    if n < first.input_dim:
+        q, w1 = np.linalg.qr(inputs.T)[0], first.weights[0]
+        u0, inputs = q.T @ w1, inputs @ q
+        trained = [EncoderModel([q.shape[1], *first.dims[1:]], np.concatenate(
+            [u0.ravel(), first.data[w1.size:]]), frozen=first.frozen), *chain[1:]]
+    history = list(fit(trained, inputs, lambda logits, sel: cross_entropy(logits, labels[sel]),
+                       epochs=epochs, batch_size=batch_size, lr=lr, momentum=momentum,
+                       weight_decay=weight_decay,
+                       order_rng=rng_for(seed, "classifier-order"), cosine=False))
+    if trained is not chain:
+        a, b = 1.0, 0.0  # W1's scale outside the span, and its velocity's
+        for _ in range(epochs * math.ceil(n / batch_size)):  # one per step, at a constant lr
+            b = momentum * b + weight_decay * a
+            a -= lr * b
+        w1 *= a
+        w1 += q @ (trained[0].weights[0] - a * u0)
+        first.data[w1.size:] = trained[0].data[u0.size:]
+    return history
 
 
 def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, *,

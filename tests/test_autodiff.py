@@ -216,7 +216,7 @@ class TestCompositeGradients:
             ce, d_ce = cross_entropy(out, labels)
             q, back = ad.l2_normalize(out)
             nce, d_nce = info_nce(q, keys, negatives, tau=0.5)
-            return ce + nce, acts, d_ce + back(d_nce)
+            return ce + nce, acts, d_ce + back(d_nce())
 
         _, acts, g = losses()
         ad.backward(m, acts, g)

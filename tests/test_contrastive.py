@@ -298,7 +298,7 @@ class TestInfoNce:
         k_plus = unit_rows(rng.normal(size=(3, 5)))
         negatives = unit_rows(rng.normal(size=(8, 5)))
         before = (q.copy(), k_plus.copy(), negatives.copy())
-        _, dq = info_nce(q, k_plus, negatives, tau=0.2)
+        dq = info_nce(q, k_plus, negatives, tau=0.2)[1]()
         assert dq.shape == q.shape and np.abs(dq).max() > 0
         for was, now in zip(before, (q, k_plus, negatives)):
             np.testing.assert_array_equal(was, now)
@@ -315,7 +315,7 @@ class TestInfoNce:
             return info_nce(ad.l2_normalize(raw)[0], k_plus, negatives, tau=0.3)[0]
 
         q, back = ad.l2_normalize(raw)
-        grad = back(info_nce(q, k_plus, negatives, tau=0.3)[1])
+        grad = back(info_nce(q, k_plus, negatives, tau=0.3)[1]())
         check_grads(loss, [(raw, grad)])
 
     @pytest.mark.parametrize("tau, batch", [(1.0, 128), (0.07, 128), (1.0, 48), (0.07, 48)],
@@ -332,7 +332,8 @@ class TestInfoNce:
         is no power of two."""
         inputs = critic_batch(tau, batch)
         before = tuple(a.copy() for a in inputs)
-        loss, dq = info_nce(*inputs, tau)
+        loss, grad = info_nce(*inputs, tau)
+        dq = grad()
         ref_loss, ref_dq = reference_info_nce(*before, tau)
         assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
         assert dq.tobytes() == ref_dq.tobytes()
@@ -342,13 +343,13 @@ class TestInfoNce:
         assert np.abs(dq - softmax_dq).max() <= 1e-12 * np.abs(dq).max()
 
     def test_one_score_buffer_per_call(self):
-        """At the MI critic's B = 128, K = 256, D = 8, one call peaks at
-        little more than its one (B, K+1) float64 score buffer."""
+        """At the MI critic's B = 128, K = 256, D = 8, one call, its gradient
+        formed, peaks at little more than its one (B, K+1) float64 score buffer."""
         inputs = critic_batch(1.0)
-        info_nce(*inputs, tau=1.0)  # warm any first-call allocations
+        info_nce(*inputs, tau=1.0)[1]()  # warm any first-call allocations
         tracemalloc.start()
         try:
-            info_nce(*inputs, tau=1.0)
+            info_nce(*inputs, tau=1.0)[1]()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

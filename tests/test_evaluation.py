@@ -7,6 +7,7 @@ import pytest
 
 from xmc import autodiff as ad
 from xmc import evaluation as ev
+from xmc import models
 from xmc.config import ContrastiveSection, DatagenSection, EvalSection, ExperimentConfig
 from xmc.datagen import make_dataset
 from xmc.errors import InputError, NumericError
@@ -22,7 +23,7 @@ from xmc.evaluation import (
     stratified_label_subset,
     supervised_baseline,
 )
-from xmc.models import EncoderModel, init_encoder, init_head
+from xmc.models import EncoderModel, fit, init_encoder, init_head
 
 FAST_HEAD = EvalSection(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
                         batch_size=8)
@@ -179,6 +180,40 @@ class TestFinetuneAndBaseline:
         ex = head.forward_numpy(x)
         _, sums = ad.logsumexp_row(ex)
         np.testing.assert_allclose((ex / sums).sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestSpanTraining:
+    """With fewer labelled rows than inputs, fit trains a first model of n
+    inputs on the rows' coordinates in their span; the caller's model keeps
+    its width, and trains."""
+
+    @pytest.mark.parametrize("evaluation, fraction, first", [
+        ("finetune", 0.1, [15, 32, 16]), ("baseline", 0.1, [15, 32, 16]),
+        ("probe", 0.05, [8, 4]), ("probe", 1.0, [16, 4])])
+    def test_fit_sees_the_first_layer_at_the_width_of_the_rows(self, tiny_task, monkeypatch,
+                                                                 evaluation, fraction, first):
+        """144 rows of 1,024 heatmap inputs: 0.1 of them buys 15 labels. The
+        probe's head has 16 inputs: 8 labels train it in their span, and all
+        144 train it as it is."""
+        seen = []
+
+        def spy_fit(chain, inputs, loss, **kw):
+            seen.append((chain[0].dims, inputs.shape))
+            return fit(chain, inputs, loss, **kw)
+
+        monkeypatch.setattr(models, "fit", spy_fit)
+        enc = init_encoder([tiny_task.train_inputs.shape[1], 32, 16], seed=29)
+        before = enc.data.copy()
+        if evaluation == "finetune":
+            _, _, tuned = finetune(enc, tiny_task, fraction, FAST_HEAD, seed=29)
+            assert tuned.dims == enc.dims and not np.array_equal(tuned.data, before)
+        elif evaluation == "baseline":
+            supervised_baseline(tiny_task, fraction, FAST_HEAD, seed=29, hidden=(32,),
+                                embed_dim=16)
+        else:
+            linear_probe(enc, tiny_task, fraction, FAST_HEAD, seed=29)
+        assert seen == [(first, (math.ceil(fraction * 144), first[0]))]
+        assert np.array_equal(enc.data, before)
 
 
 class TestOneTestPass:

@@ -103,3 +103,28 @@ class TestGaussianEstimator:
         estimate_mi_gaussian(critic, 0.5, 18)  # K = 100: 4 batches, 128 rows
         epoch_0 = np.concatenate(sels)
         np.testing.assert_array_equal(first_negatives[0], tables[0][epoch_0[128 - 100:128]])
+
+    def test_the_gradient_is_formed_once_per_training_step_and_never_held_out(
+            self, monkeypatch):
+        """Training forms info_nce's gradient once per step, through the
+        closure it returns; held-out scoring takes the loss alone."""
+        calls = {"train": [0, 0], "held-out": [0, 0]}  # scored, gradient formed
+
+        def spy(where):
+            def spy_info_nce(q, k_plus, negatives, tau):
+                loss, grad = info_nce(q, k_plus, negatives, tau)
+                calls[where][0] += 1
+
+                def counted_grad():
+                    calls[where][1] += 1
+                    return grad()
+                return loss, counted_grad
+            return spy_info_nce
+
+        monkeypatch.setattr(contrastive, "info_nce", spy("train"))
+        monkeypatch.setattr(mi, "info_nce", spy("held-out"))
+        critic = MiSection(dim=1, epochs=2, queue_size=64, batch_size=32, pair_count=600)
+        estimate_mi_gaussian(critic, 0.5, 19)
+        n_train = 600 - 200  # a third of the pairs is held out
+        assert calls["train"] == [2 * math.ceil(n_train / 32)] * 2
+        assert calls["held-out"][0] > 0 and calls["held-out"][1] == 0

@@ -24,6 +24,7 @@ from xmc.models import (
     pretrain_vision,
     save_checkpoint,
     sgd_step,
+    train_classifier,
     xavier_uniform,
 )
 from xmc.seeding import derive_seed, rng_for
@@ -471,6 +472,82 @@ class TestFit:
         sgd_step([ref_enc, ref_head], make_optimizer([ref_enc, ref_head], 0.1, 0.9, 0.01))
         assert enc.data.tobytes() == ref_enc.data.tobytes()
         assert head.data.tobytes() == ref_head.data.tobytes()
+
+
+def classifier_task(n: int, fan_in: int = 64, seed: int = 40):
+    """n rows of fan_in inputs, each a random mix of eight directions plus
+    small noise, so that the rows' span is ill-conditioned, and labels of
+    four classes."""
+    rng = np.random.default_rng(seed)
+    mix = rng.normal(size=(8, fan_in)) / math.sqrt(8 * fan_in)
+    x = rng.normal(size=(n, 8)) @ mix + 0.01 * rng.normal(size=(n, fan_in))
+    return x, np.arange(n) % 4
+
+
+def classifier_chain(fan_in: int, hidden: list[int]) -> list[EncoderModel]:
+    """An encoder of ``hidden`` layers and 8 outputs, and a head seeded non-zero,
+    so that every layer gets a gradient from the first step."""
+    head = init_encoder([8, 4], seed=42)
+    return [init_encoder([fan_in, *hidden, 8], seed=41), head]
+
+
+CLASSIFIER_KW = dict(epochs=12, lr=0.1, momentum=0.9, batch_size=4, seed=43)
+
+
+def reference_classifier(chain, x, labels, weight_decay):
+    """The explicit path: fit of the whole chain, every layer at full width."""
+    return list(fit(chain, x, lambda out, sel: cross_entropy(out, labels[sel]),
+                    epochs=CLASSIFIER_KW["epochs"], batch_size=CLASSIFIER_KW["batch_size"],
+                    lr=CLASSIFIER_KW["lr"], momentum=CLASSIFIER_KW["momentum"],
+                    weight_decay=weight_decay, cosine=False,
+                    order_rng=rng_for(CLASSIFIER_KW["seed"], "classifier-order")))
+
+
+class TestTrainClassifier:
+    @pytest.mark.parametrize("hidden, weight_decay", [([16], 0.0), ([16], 0.01), ([], 0.01)],
+                             ids=["wd-0", "wd-0.01", "one-layer-encoder"])
+    def test_fewer_rows_than_inputs_follow_the_explicit_path(self, hidden, weight_decay):
+        """14 rows of 64 inputs: the first layer trains in the rows' span, and
+        the losses, every weight and the predictions match a fit of the full
+        chain up to rounding. Weight decay moves W1 outside the span too."""
+        x, labels = classifier_task(14)
+        chain = classifier_chain(64, hidden)
+        ref = [m.copy() for m in chain]
+        ref_history = reference_classifier(ref, x, labels, weight_decay)
+        history = train_classifier(chain, x, labels, weight_decay=weight_decay,
+                                   **CLASSIFIER_KW)
+        assert isinstance(history, list) and len(history) == CLASSIFIER_KW["epochs"]
+        assert [h[:2] for h in history] == [h[:2] for h in ref_history]
+        np.testing.assert_allclose([h[2] for h in history], [h[2] for h in ref_history],
+                                   rtol=1e-12, atol=0)
+        for model, want in zip(chain, ref):
+            assert model.dims == want.dims
+            assert np.abs(model.data - want.data).max() <= 1e-12 * np.abs(want.data).max()
+        assert chain[0].data.tobytes() != ref[0].data.tobytes()  # a path of its own
+        probe_x = classifier_task(50, seed=44)[0]
+        logits = [h.forward_numpy(e.forward_numpy(probe_x)) for e, h in (chain, ref)]
+        np.testing.assert_array_equal(logits[0].argmax(axis=1), logits[1].argmax(axis=1))
+
+    @pytest.mark.parametrize("n", [64, 70])
+    def test_as_many_rows_as_inputs_train_the_chain_itself(self, n):
+        """n >= fan_in: the span is the whole input space, and every byte is
+        the explicit path's."""
+        x, labels = classifier_task(n)
+        chain = classifier_chain(64, [16])
+        ref = [m.copy() for m in chain]
+        assert train_classifier(chain, x, labels, weight_decay=0.01,
+                                **CLASSIFIER_KW) == reference_classifier(ref, x, labels, 0.01)
+        for model, want in zip(chain, ref):
+            assert model.data.tobytes() == want.data.tobytes()
+
+    def test_a_frozen_first_model_is_refused_before_any_step(self):
+        x, labels = classifier_task(6)
+        chain = classifier_chain(64, [16])
+        chain[0].freeze()
+        before = [m.data.tobytes() for m in chain]
+        with pytest.raises(XmcError, match="^cannot train a frozen model$"):
+            train_classifier(chain, x, labels, weight_decay=0.0, **CLASSIFIER_KW)
+        assert [m.data.tobytes() for m in chain] == before
 
 
 @pytest.fixture(scope="module")
