@@ -3,7 +3,10 @@
 #
 # Runs the ten commands, gen-data through estimate-mi, on the tiny test
 # config (TINY_YAML in CHANGE_TREE/tests/test_cli.py) with one BLAS thread,
-# once with each tree's src/. Then it replays the benchmark's traffic: the
+# once with each tree's src/. Then it runs the ablation teacher:
+# pretrain-vision, pretrain and probe under that config with
+# vision.mode: random-frozen, on the same side's tiny dataset, into
+# random-frozen/. Then it replays the benchmark's traffic: the
 # setup and measured xmc commands of each workload in WORKLOADS of
 # CHANGE_TREE/perfbench/run.py, under that workload's config overlay, at
 # seed 7, each workload into its own output directory. Then it cmp's every
@@ -23,7 +26,8 @@
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
 # WORK_DIR (default: a new temporary directory) receives the configs and the
 # two output directories, parent/ and change/, each holding the tiny
-# config's outputs and one subdirectory per workload.
+# config's outputs, the ablation teacher's random-frozen/ and one
+# subdirectory per workload.
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
@@ -40,15 +44,19 @@ export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 # a tree whose dataset file is version 1 also reads its pool size from XMC_JOBS
 unset XMC_JOBS
 
-# Both trees run the same config, so any difference comes from the code.
-python3 - "$change/tests/test_cli.py" > "$work/tiny.yaml" <<'PY'
+# Both trees run the same configs, so any difference comes from the code.
+python3 - "$change/tests/test_cli.py" "$work" <<'PY'
 import ast
 import sys
+from pathlib import Path
 
 for node in ast.parse(open(sys.argv[1]).read()).body:
     if isinstance(node, ast.Assign) and any(
             getattr(t, "id", None) == "TINY_YAML" for t in node.targets):
-        print(ast.literal_eval(node.value), end="")
+        tiny = ast.literal_eval(node.value)
+Path(sys.argv[2], "tiny.yaml").write_text(tiny)
+Path(sys.argv[2], "random-frozen.yaml").write_text(
+    tiny.replace("vision:\n", "vision:\n  mode: random-frozen\n", 1))
 PY
 
 # One line per workload command: the workload name, then the command's
@@ -78,6 +86,14 @@ for side in parent change; do
         if ! PYTHONPATH="$tree/src" python3 -m xmc.cli "$cmd" \
                 --config "$work/tiny.yaml" --out "$work/$side" > /dev/null; then
             echo "$side: xmc $cmd failed" >&2
+            exit 1
+        fi
+    done
+    for cmd in pretrain-vision pretrain probe; do
+        if ! PYTHONPATH="$tree/src" python3 -m xmc.cli "$cmd" \
+                --config "$work/random-frozen.yaml" --data "$work/$side/dataset.xmcd" \
+                --out "$work/$side/random-frozen" > /dev/null; then
+            echo "$side: xmc $cmd with the random-frozen teacher failed" >&2
             exit 1
         fi
     done

@@ -164,21 +164,17 @@ def _gen_data(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("pretrain-vision", inputs=("data",),
          outputs=("vision.xmck", "vision_pretrain.csv"))
 def _pretrain_vision(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
-    import numpy as np
-
-    from .datagen import CLASS_NAMES, image_inputs
-    from .models import pretrain_vision, save_checkpoint
+    from .evaluation import pretrain_vision
+    from .models import save_checkpoint
     from .seeding import derive_seed
     ckpt, curve = outputs
-    ds = _load_inputs(inputs, cfg)["data"]
     model, accuracy, train_loss = pretrain_vision(
-        image_inputs(ds.images[ds.vision_idx]), ds.labels[ds.vision_idx].astype(np.int64),
-        cfg.vision, hidden=cfg.encoder_hidden, embed_dim=cfg.embed_dim,
-        n_classes=len(CLASS_NAMES), seed=derive_seed(cfg.seed, "vision"))
+        _load_inputs(inputs, cfg)["data"], cfg.vision, hidden=cfg.encoder_hidden,
+        embed_dim=cfg.embed_dim, seed=derive_seed(cfg.seed, "vision"))
     save_checkpoint(ckpt, model)
     write_csv(curve, ["epoch", "train_loss"], enumerate(train_loss))
-    return ({"holdout_accuracy": accuracy},
-            f"wrote {ckpt} (holdout accuracy {accuracy:.3f})")
+    shown = "not measured" if accuracy is None else f"{accuracy:.3f}"
+    return {"holdout_accuracy": accuracy}, f"wrote {ckpt} (holdout accuracy {shown})"
 
 
 @command("pretrain", inputs=("data", "vision"),

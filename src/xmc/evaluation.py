@@ -1,16 +1,17 @@
-"""Downstream evaluation: probes, fine-tuning, baselines, sweeps, projection.
+"""Labelled chains (vision teacher, probe, fine-tune, baseline), sweeps, projection.
 
 The protocol mirrors common practice: freeze the pre-trained features and
 train a linear softmax classifier; or fine-tune encoder and head together;
-or train everything from scratch as the supervised reference. Each trains
-through ``models.train_classifier``: with fewer labelled rows than inputs,
-the first layer trains in the rows' span, where all its gradient lies, equal
-to full-width SGD up to rounding; else the chain trains as it is. Label-fraction
-and queue-size sweeps aggregate means and standard deviations over seeds.
+or train everything from scratch as the supervised reference; the teacher
+trains on its own split. Each trains through ``models.train_classifier``:
+with fewer labelled rows than inputs, the first layer trains in the rows'
+span, where all its gradient lies, equal to full-width SGD up to rounding;
+else the chain trains as it is. Label-fraction and queue-size sweeps
+aggregate means and standard deviations over seeds.
 
 Test-split hygiene: training code receives a :class:`TaskSplit` whose test
-labels are private; the only way to touch them is through scoring methods,
-and no test-side forward pass is ever backpropagated.
+(or teacher holdout) labels are private; the only way to touch them is
+through scoring methods, and no test-side forward pass is ever backpropagated.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from functools import reduce
 
 import numpy as np
 
-from .config import EvalSection, ExperimentConfig
+from .config import EvalSection, ExperimentConfig, VisionSection
 from .contrastive import pretrain
-from .datagen import Dataset, N_CLASSES, heatmap_inputs
+from .datagen import Dataset, N_CLASSES, heatmap_inputs, image_inputs
 from .errors import InputError, NumericError
 from .models import EncoderModel, init_encoder, init_head, train_classifier
 from .seeding import derive_seed, rng_for
@@ -91,7 +92,7 @@ def stratified_label_subset(labels: np.ndarray, fraction: float,
 
 
 # ---------------------------------------------------------------------------
-# probes and baselines
+# the labelled chains
 # ---------------------------------------------------------------------------
 
 def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,25 +101,24 @@ def _standardizer(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mu, sd
 
 
-def _train_and_score(encoder: EncoderModel | None,
-                     train_inputs: np.ndarray, test_inputs: np.ndarray,
-                     split: TaskSplit, fraction: float, epochs: int,
-                     cfg: EvalSection, seed: int, train_tag: str
-                     ) -> tuple[float, list[float]]:
+def _train_and_score(encoder: EncoderModel | None, split: TaskSplit, fraction: float,
+                     epochs: int, cfg: EvalSection | VisionSection, seed: int,
+                     train_tag: str) -> tuple[float, list[float]]:
     """Train a zero-initialised head, and ``encoder`` with it unless that is
-    None (then the inputs are features), on a stratified label subsample;
-    then score them on the test split, in one forward pass that no gradient
+    None (then the split's inputs are features), on a stratified label
+    subsample of the split (at fraction 1.0 every row, in order); then score
+    them on the split's test part, in one forward pass that no gradient
     touches. Returns the test accuracy and the per-epoch train losses."""
     sel = stratified_label_subset(split.train_labels, fraction,
                                   derive_seed(seed, "subsample", fraction))
-    head = init_head(train_inputs.shape[1] if encoder is None else encoder.embed_dim,
+    head = init_head(split.train_inputs.shape[1] if encoder is None else encoder.embed_dim,
                      N_CLASSES)
     chain = [head] if encoder is None else [encoder, head]
     losses = [loss for _, _, loss in train_classifier(
-        chain, train_inputs[sel], split.train_labels[sel], epochs=epochs, lr=cfg.lr,
+        chain, split.train_inputs[sel], split.train_labels[sel], epochs=epochs, lr=cfg.lr,
         momentum=cfg.momentum, weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
         seed=derive_seed(seed, train_tag))]
-    logits = reduce(lambda h, model: model.forward_numpy(h), chain, test_inputs)
+    logits = reduce(lambda h, model: model.forward_numpy(h), chain, split.test_inputs)
     return split.test_accuracy(logits.argmax(axis=1)), losses
 
 
@@ -131,8 +131,10 @@ def linear_probe(encoder: EncoderModel, split: TaskSplit, fraction: float,
     feats_train = encoder.forward_numpy(split.train_inputs)
     feats_test = encoder.forward_numpy(split.test_inputs)
     mu, sd = _standardizer(feats_train)
-    return _train_and_score(None, (feats_train - mu) / sd, (feats_test - mu) / sd,
-                            split, fraction, cfg.probe_epochs, cfg, seed, "probe-train")
+    features = dataclasses.replace(split, train_inputs=(feats_train - mu) / sd,
+                                   test_inputs=(feats_test - mu) / sd)
+    return _train_and_score(None, features, fraction, cfg.probe_epochs, cfg, seed,
+                            "probe-train")
 
 
 def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
@@ -141,8 +143,7 @@ def finetune(encoder: EncoderModel, split: TaskSplit, fraction: float,
     copy so the pre-trained encoder can be reused across fractions. Returns
     the test accuracy, the per-epoch train losses and the tuned copy."""
     tuned = encoder.copy()
-    return (*_train_and_score(tuned, split.train_inputs, split.test_inputs, split,
-                              fraction, cfg.finetune_epochs, cfg, seed,
+    return (*_train_and_score(tuned, split, fraction, cfg.finetune_epochs, cfg, seed,
                               "finetune-train"), tuned)
 
 
@@ -154,8 +155,36 @@ def supervised_baseline(split: TaskSplit, fraction: float, cfg: EvalSection,
     Returns the test accuracy and the per-epoch train losses."""
     encoder = init_encoder([split.train_inputs.shape[1], *hidden, embed_dim],
                            derive_seed(seed, "baseline-encoder"))
-    return _train_and_score(encoder, split.train_inputs, split.test_inputs, split,
-                            fraction, cfg.baseline_epochs, cfg, seed, "baseline-train")
+    return _train_and_score(encoder, split, fraction, cfg.baseline_epochs, cfg, seed,
+                            "baseline-train")
+
+
+def pretrain_vision(dataset: Dataset, cfg: VisionSection, *, hidden: Sequence[int],
+                    embed_dim: int, seed: int) -> tuple[EncoderModel, float | None, list[float]]:
+    """Train the vision teacher on image -> class over the vision split, less a
+    "vision-holdout" slice that scores it as the test split scores the other
+    chains, then freeze it. Returns the frozen encoder, its holdout accuracy
+    and the per-epoch train losses. Mode "random-frozen" freezes the fresh init
+    as a no-signal ablation teacher; it gathers no row, and its accuracy is None."""
+    model = init_encoder([math.prod(dataset.images.shape[1:]), *hidden, embed_dim],
+                         derive_seed(seed, "vision-encoder"))
+    if cfg.mode == "random-frozen":
+        model.freeze()
+        return model, None, []
+    n = len(dataset.vision_idx)
+    if n == 0:
+        raise InputError("the vision split is empty; there is nothing to train the teacher on")
+    n_hold = max(1, int(round(cfg.holdout_fraction * n)))
+    order = dataset.vision_idx[rng_for(seed, "vision-holdout").permutation(n)]
+    hold, train = order[:n_hold], order[n_hold:]
+    if len(train) == 0:
+        raise InputError(f"the vision holdout takes all {n} samples of the "
+                         f"vision split; none are left to fit")
+    split = TaskSplit(image_inputs(dataset.images[train]), dataset.labels[train].astype(np.int64),
+                      image_inputs(dataset.images[hold]), dataset.labels[hold].astype(np.int64))
+    accuracy, losses = _train_and_score(model, split, 1.0, cfg.epochs, cfg, seed, "vision-train")
+    model.freeze()
+    return model, accuracy, losses
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """Contrastive mutual-information lower-bound estimation.
 
-A critic trained with the (K+1)-way contrastive loss bounds the mutual
-information between paired signals: MI >= ln(K) - loss. The bound is checked
-against correlated Gaussians whose MI is known in closed form; the critic's
-held-out loss, not its training loss, feeds the bound.
+A critic trained with the (K+1)-way contrastive loss over K negatives bounds
+the mutual information between paired signals: MI >= ln(K+1) - loss. The
+bound is checked against correlated Gaussians whose MI is known in closed
+form; the critic's held-out loss, not its training loss, feeds the bound.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from .seeding import derive_seed
 
 
 def mi_lower_bound(mean_loss: float, k: int) -> float:
-    """ln(k) - mean_loss, in nats. May be negative; callers may clamp for
-    reporting but the raw value is what the bound says."""
-    return math.log(k) - mean_loss
+    """ln(k + 1) - mean_loss in nats; k counts the negatives. May be negative;
+    callers may clamp for reporting but the raw value is what the bound says."""
+    return math.log(k + 1) - mean_loss
 
 
 # Critics are affine maps over [v, v^2] features (no relu): the Gaussian
@@ -45,7 +45,7 @@ def estimate_mi_gaussian(critic: MiSection, rho: float,
     """Train a contrastive critic on ``critic.pair_count`` Gaussian pairs of
     ``critic.dim`` coordinates at correlation ``rho``, against a queue of
     K = ``critic.queue_size`` negatives. Returns the held-out mean loss, the
-    bound ln(K) - that loss and the analytic MI of the pairs.
+    bound ln(K + 1) - that loss and the analytic MI of the pairs.
 
     The query encoder is trained; the key encoder stays at its random init
     because the contrastive loss detaches keys. For affine critics this does

@@ -1,9 +1,9 @@
 """Encoders, classifier heads, the SGD optimizer, and checkpoint IO.
 
 Both branches are plain MLPs (affine layers with relu between, none after
-the last), and a classifier head is a one-layer MLP. The vision branch is
-trained supervised on its own data slice and then frozen; it only ever
-serves as a fixed key encoder afterwards.
+the last), and a classifier head is a one-layer MLP. Every labelled chain,
+the vision teacher's included, trains through ``train_classifier``; the
+teacher is then frozen and only ever serves as a fixed key encoder.
 """
 
 from __future__ import annotations
@@ -17,9 +17,8 @@ from typing import Callable, Iterator
 import numpy as np
 
 from . import autodiff as ad
-from .config import VisionSection
 from .errors import InputError, NumericError, XmcError
-from .seeding import derive_seed, rng_for
+from .seeding import rng_for
 
 CHECKPOINT_MAGIC = b"XMCK"
 CHECKPOINT_VERSION = 2
@@ -206,7 +205,7 @@ def cosine_lr(t: int, total: int, base: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the training loop and its supervised use (vision teacher, probes, baselines)
+# the training loop and its supervised use (every labelled chain)
 # ---------------------------------------------------------------------------
 
 def fit(chain: list[EncoderModel], inputs: np.ndarray,
@@ -275,48 +274,6 @@ def train_classifier(chain: list[EncoderModel], inputs: np.ndarray, labels: np.n
         w1 += q @ (trained[0].weights[0] - a * u0)
         first.data[w1.size:] = trained[0].data[u0.size:]
     return history
-
-
-def pretrain_vision(images: np.ndarray, labels: np.ndarray, cfg: VisionSection, *,
-                    hidden: list[int], embed_dim: int, n_classes: int,
-                    seed: int) -> tuple[EncoderModel, float, list[float]]:
-    """Train the vision teacher on image->class, then freeze it. Returns the
-    frozen encoder, its accuracy on its own holdout and the per-epoch train
-    losses.
-
-    ``cfg.mode`` "random-frozen" skips training and freezes the fresh init,
-    as a no-signal ablation teacher; ``load_config`` admits no mode but it
-    and "supervised". The holdout is carved from the given slice itself;
-    downstream splits never see these samples.
-    """
-    dims = [images.shape[1], *hidden, embed_dim]
-    model = init_encoder(dims, derive_seed(seed, "vision-encoder"))
-    if cfg.mode == "random-frozen":
-        model.freeze()
-        return model, 0.0, []
-
-    n = len(labels)
-    if n == 0:
-        raise InputError("the vision split is empty; there is nothing to train "
-                         "the teacher on")
-    n_hold = max(1, int(round(cfg.holdout_fraction * n)))
-    order = rng_for(seed, "vision-holdout").permutation(n)
-    hold, train = order[:n_hold], order[n_hold:]
-    if len(train) == 0:
-        raise InputError(f"the vision holdout takes all {n} samples of the "
-                         f"vision split; none are left to fit")
-
-    head = init_head(embed_dim, n_classes)
-    train_loss = [loss for _, _, loss in train_classifier(
-        [model, head], images[train], labels[train],
-        epochs=cfg.epochs, lr=cfg.lr, momentum=cfg.momentum,
-        weight_decay=cfg.weight_decay, batch_size=cfg.batch_size,
-        seed=derive_seed(seed, "vision-train"))]
-
-    logits = head.forward_numpy(model.forward_numpy(images[hold]))
-    acc = float((logits.argmax(axis=1) == labels[hold]).mean())
-    model.freeze()
-    return model, acc, train_loss
 
 
 # ---------------------------------------------------------------------------

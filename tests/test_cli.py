@@ -842,6 +842,27 @@ class TestEvaluationCommands:
         assert rows[1].split(",")[2] in {"empty", "pedestrian", "cyclist", "car"}
 
 
+class TestRandomFrozenTeacher:
+    def test_reports_no_holdout_accuracy_and_feeds_pretrain_and_probe(
+            self, pipeline, tmp_path, capsys):
+        """The ablation teacher is never scored on a holdout: its manifest's
+        metric is null and its report line says so. Pre-training and a probe
+        then run on it as on a trained teacher."""
+        cfg = tmp_path / "random-frozen.yaml"
+        cfg.write_text(TINY_YAML.replace("vision:\n", "vision:\n  mode: random-frozen\n"))
+        out = tmp_path / "o"
+        args = ["--config", str(cfg), "--out", str(out), "--data", str(pipeline / "dataset.xmcd")]
+        capsys.readouterr()
+        assert main(["pretrain-vision", *args]) == 0
+        assert capsys.readouterr().out == (
+            f"wrote {out / 'vision.xmck'} (holdout accuracy not measured)\n")
+        manifest = json.loads((out / "pretrain-vision.manifest.json").read_text())
+        assert manifest["metrics"] == {"holdout_accuracy": None}
+        assert (out / "vision_pretrain.csv").read_text() == "epoch,train_loss\n"
+        assert main(["pretrain", *args]) == 0
+        assert main(["probe", *args]) == 0
+
+
 class TestSweepCommands:
     def test_sweep_labels_row_count(self, pipeline, workdir):
         assert run(workdir, "sweep-labels") == 0

@@ -16,7 +16,8 @@ from xmc.config import ContrastiveSection, DatagenSection, VisionSection
 from xmc.contrastive import NegativeQueue, encode_keys, fit_to_keys, info_nce, pretrain
 from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import InputError, NumericError
-from xmc.models import fit, init_encoder, pretrain_vision
+from xmc.evaluation import pretrain_vision
+from xmc.models import fit, init_encoder
 from xmc.seeding import rng_for
 
 from helpers import check_grads
@@ -378,11 +379,9 @@ def toy_setup():
     """Small dataset plus frozen teacher for fast pre-training runs."""
     ds = make_dataset(DatagenSection(n=320), seed=31)
     teacher, _, _ = pretrain_vision(
-        image_inputs(ds.images[ds.vision_idx]),
-        ds.labels[ds.vision_idx].astype(np.int64),
-        VisionSection(epochs=30, lr=0.01, momentum=0.9, weight_decay=1e-4,
-                      batch_size=16, holdout_fraction=0.2),
-        hidden=[64], embed_dim=32, n_classes=4, seed=31)
+        ds, VisionSection(epochs=30, lr=0.01, momentum=0.9, weight_decay=1e-4,
+                          batch_size=16, holdout_fraction=0.2),
+        hidden=[64], embed_dim=32, seed=31)
     return ds, teacher
 
 

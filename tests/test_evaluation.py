@@ -8,8 +8,9 @@ import pytest
 from xmc import autodiff as ad
 from xmc import evaluation as ev
 from xmc import models
-from xmc.config import ContrastiveSection, DatagenSection, EvalSection, ExperimentConfig
-from xmc.datagen import make_dataset
+from xmc.config import (ContrastiveSection, DatagenSection, EvalSection, ExperimentConfig,
+                        VisionSection)
+from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import InputError, NumericError
 from xmc.evaluation import (
     TaskSplit,
@@ -23,7 +24,8 @@ from xmc.evaluation import (
     stratified_label_subset,
     supervised_baseline,
 )
-from xmc.models import EncoderModel, fit, init_encoder, init_head
+from xmc.models import EncoderModel, fit, init_encoder, init_head, train_classifier
+from xmc.seeding import rng_for
 
 FAST_HEAD = EvalSection(probe_epochs=32, finetune_epochs=8, baseline_epochs=8,
                         batch_size=8)
@@ -214,6 +216,47 @@ class TestSpanTraining:
             linear_probe(enc, tiny_task, fraction, FAST_HEAD, seed=29)
         assert seen == [(first, (math.ceil(fraction * 144), first[0]))]
         assert np.array_equal(enc.data, before)
+
+
+class TestVisionTeacher:
+    """The teacher trains and is scored through the path of the other chains:
+    on every vision row after the "vision-holdout" permutation's holdout, in
+    that order, and then on the holdout alone."""
+
+    CFG = VisionSection(epochs=2, batch_size=8)
+
+    def run(self, dataset, monkeypatch):
+        """pretrain_vision at seed 3, with each train_classifier call's chain,
+        inputs and labels, and the vision rows of the holdout and of training."""
+        calls = []
+
+        def spy(chain, inputs, labels, **kw):
+            calls.append((chain, inputs.copy(), labels.copy()))
+            return train_classifier(chain, inputs, labels, **kw)
+
+        monkeypatch.setattr(ev, "train_classifier", spy)
+        result = ev.pretrain_vision(dataset, self.CFG, hidden=[32], embed_dim=16, seed=3)
+        n = len(dataset.vision_idx)
+        n_hold = max(1, int(round(self.CFG.holdout_fraction * n)))
+        order = dataset.vision_idx[rng_for(3, "vision-holdout").permutation(n)]
+        return result, calls, order[:n_hold], order[n_hold:]
+
+    def test_trains_on_the_rows_after_the_holdout_in_their_order(self, tiny_dataset,
+                                                                 monkeypatch):
+        _, [(_, inputs, labels)], hold, train = self.run(tiny_dataset, monkeypatch)
+        np.testing.assert_array_equal(inputs, image_inputs(tiny_dataset.images[train]))
+        np.testing.assert_array_equal(labels, tiny_dataset.labels[train])
+        held = {row.tobytes() for row in image_inputs(tiny_dataset.images[hold])}
+        assert len(held) == len(hold) and not held & {row.tobytes() for row in inputs}
+
+    def test_the_accuracy_is_the_frozen_chains_on_the_holdout(self, tiny_dataset,
+                                                              monkeypatch):
+        (teacher, accuracy, losses), [(chain, _, _)], hold, _ = self.run(tiny_dataset,
+                                                                         monkeypatch)
+        assert chain[0] is teacher and teacher.frozen and len(losses) == self.CFG.epochs
+        logits = chain[1].forward_numpy(
+            teacher.forward_numpy(image_inputs(tiny_dataset.images[hold])))
+        assert accuracy == float((logits.argmax(axis=1) == tiny_dataset.labels[hold]).mean())
 
 
 class TestOneTestPass:

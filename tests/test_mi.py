@@ -21,17 +21,28 @@ def fast_critic(k: int, pair_count: int = 6144) -> MiSection:
 
 
 class TestBoundArithmetic:
-    def test_loss_equal_log_k_means_zero(self):
-        assert mi_lower_bound(math.log(256), 256) == 0.0
+    """The loss is (K + 1)-way, over K negatives, so the bound is
+    ln(K + 1) - loss (CPC's ln N - L_N, arXiv 1807.03748)."""
+
+    def test_loss_equal_log_k_plus_1_means_zero(self):
+        assert mi_lower_bound(math.log(257), 256) == 0.0
 
     def test_frozen_value(self):
-        assert math.isclose(mi_lower_bound(2.0, 256), 3.545177444479562, rel_tol=1e-12)
+        assert math.isclose(mi_lower_bound(2.0, 256), 3.54907608489522, rel_tol=1e-12)
 
-    def test_uniform_loss_gives_negative_bound(self):
+    def test_loss_above_log_k_plus_1_gives_negative_bound(self):
         k = 64
-        bound = mi_lower_bound(math.log(k + 1), k)
-        assert math.isclose(bound, math.log(k / (k + 1)), rel_tol=1e-12)
+        bound = mi_lower_bound(math.log(k + 1) + 0.25, k)
+        assert math.isclose(bound, -0.25, rel_tol=1e-12)
         assert bound < 0.0
+
+    def test_a_critic_with_equal_scores_bounds_zero(self):
+        """Equal scores for the key and its K negatives are a critic that
+        tells nothing apart: its loss is ln(K + 1), and its bound 0."""
+        k = 256
+        keys = np.random.default_rng(0).normal(size=(8 + k, 4))
+        loss = info_nce(np.zeros((8, 4)), keys[:8], keys[8:], 1.0)[0]
+        assert abs(mi_lower_bound(loss, k)) <= 1e-12
 
 
 class TestQuadraticFeatures:
@@ -56,10 +67,10 @@ class TestGaussianEstimator:
                   for rho in (0.3, 0.6, 0.9)]
         assert bounds[0] < bounds[1] < bounds[2]
 
-    def test_bound_never_exceeds_log_k(self):
+    def test_bound_never_exceeds_log_k_plus_1(self):
         loss, bound, _ = estimate_mi_gaussian(fast_critic(64), 0.6, 14)
-        assert bound == math.log(64) - loss
-        assert bound <= math.log(64)
+        assert bound == math.log(65) - loss
+        assert bound <= math.log(65)
         assert loss >= 0.0
 
     def test_small_queue_with_large_batch_works(self):

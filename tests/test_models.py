@@ -3,6 +3,7 @@
 import math
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from xmc import autodiff as ad
 from xmc.config import DatagenSection, VisionSection
 from xmc.datagen import image_inputs, make_dataset
 from xmc.errors import InputError, NumericError, XmcError
+from xmc.evaluation import pretrain_vision
 from xmc.models import (
     SGD_BLOCK,
     EncoderModel,
@@ -21,7 +23,6 @@ from xmc.models import (
     init_head,
     load_checkpoint,
     make_optimizer,
-    pretrain_vision,
     save_checkpoint,
     sgd_step,
     train_classifier,
@@ -559,11 +560,9 @@ class TestVisionPretrain:
     def test_freeze_contract_after_training_step(self, small_dataset):
         ds = small_dataset
         model, _, _ = pretrain_vision(
-            image_inputs(ds.images[ds.vision_idx]),
-            ds.labels[ds.vision_idx].astype(np.int64),
-            VisionSection(epochs=2, lr=0.01, momentum=0.9, weight_decay=1e-4,
-                          batch_size=32, holdout_fraction=0.2),
-            hidden=[32], embed_dim=16, n_classes=4, seed=1)
+            ds, VisionSection(epochs=2, lr=0.01, momentum=0.9, weight_decay=1e-4,
+                              batch_size=32, holdout_fraction=0.2),
+            hidden=[32], embed_dim=16, seed=1)
         assert model.frozen
         before = model.data.tobytes()
         labels = ds.labels[ds.test_idx[:8]].astype(np.int64)
@@ -575,17 +574,23 @@ class TestVisionPretrain:
         assert model.data.tobytes() == before
 
     def test_random_frozen_mode_returns_untrained_frozen(self, small_dataset):
-        ds = small_dataset
-        imgs = image_inputs(ds.images[ds.vision_idx])
-        labels = ds.labels[ds.vision_idx].astype(np.int64)
+        """The ablation teacher reads no image row and measures no holdout
+        accuracy."""
+        class Unread:
+            shape = small_dataset.images.shape
+
+            def __getitem__(self, key):
+                raise AssertionError("the ablation teacher gathered an image row")
+
         cfg = VisionSection(mode="random-frozen", epochs=5, lr=0.01, momentum=0.9,
                             weight_decay=0.0, batch_size=32, holdout_fraction=0.2)
-        frozen, accuracy, train_loss = pretrain_vision(imgs, labels, cfg, hidden=[32],
-                                                       embed_dim=16, n_classes=4, seed=2)
-        fresh = init_encoder([imgs.shape[1], 32, 16], derive_seed(2, "vision-encoder"))
+        frozen, accuracy, train_loss = pretrain_vision(
+            replace(small_dataset, images=Unread()), cfg, hidden=[32], embed_dim=16, seed=2)
+        fresh = init_encoder([math.prod(Unread.shape[1:]), 32, 16],
+                             derive_seed(2, "vision-encoder"))
         assert frozen.frozen
         assert frozen.data.tobytes() == fresh.data.tobytes()
-        assert (accuracy, train_loss) == (0.0, [])
+        assert (accuracy, train_loss) == (None, [])
 
     def test_unknown_mode_rejected(self):
         """An unknown mode is refused where the config is loaded, so no
