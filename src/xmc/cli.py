@@ -19,14 +19,14 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable
 
 # numpy and the library are imported where a command calls them, so that
 # --help and a usage error answer without loading either
-from .config import ExperimentConfig, MiSection, config_to_dict, load_config
+from .config import ExperimentConfig, MiSection, load_config
 from .errors import InputError, XmcError
 from .runio import STAMP, sha256_file, write_csv, write_manifest
 
@@ -114,7 +114,7 @@ def _drive(name: str, args: argparse.Namespace, cfg: ExperimentConfig) -> int:
         raise XmcError("refusing to overwrite existing outputs (use --force): "
                        + ", ".join(clashes))
     metrics, report = spec.body(args, cfg, inputs, outputs)
-    write_manifest(out_dir / f"{name}.manifest.json", name, config_to_dict(cfg),
+    write_manifest(out_dir / f"{name}.manifest.json", name, asdict(cfg),
                    hashes, {str(p): sha256_file(p) for p in outputs}, metrics)
     print(report)
     return 0
@@ -328,11 +328,11 @@ def _estimate_mi(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
 @command("project", inputs=("data", "encoder"), outputs=("projection.csv",))
 def _project(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
-    from .datagen import CLASS_NAMES, heatmap_inputs
+    from .datagen import CLASS_NAMES
     (proj_path,) = outputs
     ds, encoder = _load_inputs(inputs, cfg).values()
     # the test rows alone: a projection reads nothing of the contrastive split
-    coords = ev.project_2d(encoder.forward_numpy(heatmap_inputs(ds.heatmaps[ds.test_idx])))
+    coords = ev.project_2d(encoder.forward_numpy(ds.heatmap_inputs(ds.test_idx)))
     labels = ds.labels[ds.test_idx]
     sep = ev.cluster_separation(coords, labels)
     write_csv(proj_path, ["x", "y", "class"],

@@ -202,6 +202,3 @@ def load_config(path: str | Path | None = None) -> ExperimentConfig:
         _apply(cfg, loaded or {}, "")
     return cfg
 
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return dataclasses.asdict(cfg)

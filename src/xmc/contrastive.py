@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .config import ContrastiveSection
-from .datagen import Dataset, heatmap_inputs, image_inputs
+from .datagen import Dataset
 from .errors import InputError, NumericError, XmcError
 from .models import EncoderModel, fit, init_encoder
 from .seeding import derive_seed, rng_for
@@ -133,7 +133,7 @@ def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
         raise InputError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
 
-    heat = heatmap_inputs(dataset.heatmaps[idx])
-    keys = encode_keys(vision, image_inputs(dataset.images[idx]))
+    heat = dataset.heatmap_inputs(idx)
+    keys = encode_keys(vision, dataset.image_inputs(idx))
     radio = init_encoder([heat.shape[1], *hidden, embed_dim], derive_seed(seed, "radio"))
     return radio, fit_to_keys(radio, heat, keys, cfg, seed, "batch-order", normalize=True)[0]

@@ -1,11 +1,10 @@
-"""Synthetic data: correlated Gaussian pairs and paired radar/camera scenes.
+"""Synthetic paired radar/camera scenes, their dataset file and their encoder rows.
 
-The Gaussian pairs have a closed-form mutual information and exist solely to
-validate the contrastive MI estimator. The scene simulator produces paired
-range-azimuth heatmaps and camera images driven by one shared latent per
-sample, so the two modalities carry mutual information by construction; a
-hidden 4-way class label (empty / pedestrian / cyclist / car) is kept for
-evaluation only and is never read during pre-training.
+The scene simulator produces paired range-azimuth heatmaps and camera images
+driven by one shared latent per sample, so the two modalities carry mutual
+information by construction; a hidden 4-way class label (empty / pedestrian /
+cyclist / car) is kept for evaluation only and is never read during
+pre-training.
 """
 
 from __future__ import annotations
@@ -27,27 +26,6 @@ N_CLASSES = len(CLASS_NAMES)
 
 DATASET_MAGIC = b"XMCD"
 DATASET_VERSION = 3
-
-
-# ---------------------------------------------------------------------------
-# correlated Gaussian pairs with known mutual information
-# ---------------------------------------------------------------------------
-
-def gen_gaussian_pairs(dim: int, rho: float, count: int,
-                       seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (count, dim) arrays x, y of per-coordinate bivariate normal
-    pairs: zero mean, unit variance, corr(x_ij, y_ij) = rho, independent
-    across coordinates and samples."""
-    rng = rng_for(seed, "gaussian-pairs")
-    x = rng.standard_normal((count, dim))
-    noise = rng.standard_normal((count, dim))
-    y = rho * x + math.sqrt(1.0 - rho**2) * noise
-    return x, y
-
-
-def analytic_mi(rho: float, dim: int) -> float:
-    """Exact MI in nats of the pair distribution: -(dim/2) ln(1 - rho^2)."""
-    return -0.5 * dim * math.log1p(-rho * rho)
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +57,6 @@ class SceneLatent:
     azimuth_rad: float | None = None
     extent_m: float | None = None
     reflectivity: float | None = None
-
-    @property
-    def label(self) -> int:
-        return CLASS_NAMES.index(self.class_id)
 
 
 # The field of view and the camera's optics. No config key sets them: a run
@@ -199,7 +173,7 @@ class Dataset:
 
     heatmaps: np.ndarray | _Rows  # (n, R, A)
     images: np.ndarray | _Rows    # (n, H, W)
-    labels: np.ndarray            # (n,) uint8, evaluation-only
+    labels: np.ndarray            # (n,) int64 class ids, evaluation-only
     test_idx: np.ndarray
     vision_idx: np.ndarray
     contrastive_idx: np.ndarray
@@ -207,6 +181,19 @@ class Dataset:
     @property
     def n(self) -> int:
         return len(self.labels)
+
+    def heatmap_inputs(self, idx: np.ndarray) -> np.ndarray:
+        """The radar encoder's rows of the samples ``idx`` (an index array):
+        flattened, each scaled in place on the gathered copy to unit peak (radar
+        AGC), which keeps the input O(1) despite the 1/range^2 amplitude swing."""
+        flat = self.heatmaps[idx].reshape(len(idx), math.prod(self.heatmaps.shape[1:]))
+        flat /= np.maximum(flat.max(axis=1), 1e-30)[:, None]
+        return flat
+
+    def image_inputs(self, idx: np.ndarray) -> np.ndarray:
+        """The vision encoder's rows of the samples ``idx``, flattened; patches
+        are unit intensity already."""
+        return self.images[idx].reshape(len(idx), math.prod(self.images.shape[1:]))
 
 
 def _stratified_split(labels: np.ndarray, indices: np.ndarray, frac: float,
@@ -233,13 +220,12 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
     n = cfg.n
     heatmaps = np.empty((n, cfg.range_bins, cfg.azimuth_bins))
     images = np.empty((n, cfg.image_height, cfg.image_width))
-    labels = np.empty(n, dtype=np.uint8)
+    labels = np.arange(n, dtype=np.int64) % N_CLASSES
     for i in range(n):
         rng = rng_for(seed, "sample", i)
-        scene = sample_scene(CLASS_NAMES[i % N_CLASSES], rng)
+        scene = sample_scene(CLASS_NAMES[labels[i]], rng)
         images[i] = render_image(scene, cfg, rng)
         heatmaps[i] = render_radar(scene, cfg, rng)
-        labels[i] = scene.label
 
     all_idx = np.arange(n, dtype=np.int64)
     train, test_idx = _stratified_split(labels, all_idx, 0.2, rng_for(seed, "split"))
@@ -247,19 +233,6 @@ def make_dataset(cfg: DatagenSection, seed: int) -> Dataset:
     contrastive_idx, vision_idx = _stratified_split(
         labels, train, train_frac, rng_for(seed, "vision-split"))
     return Dataset(heatmaps, images, labels, test_idx, vision_idx, contrastive_idx)
-
-
-def heatmap_inputs(heatmaps: np.ndarray) -> np.ndarray:
-    """Flatten heatmaps and scale each to unit peak (radar AGC), in place; keeps
-    the encoder input O(1) despite the 1/range^2 amplitude swing."""
-    flat = heatmaps.reshape(len(heatmaps), math.prod(heatmaps.shape[1:]))
-    flat /= np.maximum(flat.max(axis=1), 1e-30)[:, None]
-    return flat
-
-
-def image_inputs(images: np.ndarray) -> np.ndarray:
-    """Flatten images; patches are unit intensity already."""
-    return images.reshape(len(images), math.prod(images.shape[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -355,4 +328,4 @@ def load_dataset(path) -> Dataset:
     body = _HEADER.size + 2 * n
     return Dataset(_Rows(path, stamp, body, (n, r, a)),
                    _Rows(path, stamp, body + 8 * n * r * a, (n, h, w)),
-                   labels, *parts)
+                   labels.astype(np.int64), *parts)

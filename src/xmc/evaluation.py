@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import EvalSection, ExperimentConfig, VisionSection
 from .contrastive import pretrain
-from .datagen import Dataset, N_CLASSES, heatmap_inputs, image_inputs
+from .datagen import Dataset, N_CLASSES
 from .errors import InputError, NumericError
 from .models import EncoderModel, init_encoder, init_head, train_classifier
 from .seeding import derive_seed, rng_for
@@ -55,10 +55,10 @@ def make_task_split(dataset: Dataset) -> TaskSplit:
     tr = dataset.contrastive_idx
     te = dataset.test_idx
     return TaskSplit(
-        train_inputs=heatmap_inputs(dataset.heatmaps[tr]),
-        train_labels=dataset.labels[tr].astype(np.int64),
-        test_inputs=heatmap_inputs(dataset.heatmaps[te]),
-        _test_labels=dataset.labels[te].astype(np.int64),
+        train_inputs=dataset.heatmap_inputs(tr),
+        train_labels=dataset.labels[tr],
+        test_inputs=dataset.heatmap_inputs(te),
+        _test_labels=dataset.labels[te],
     )
 
 
@@ -180,8 +180,8 @@ def pretrain_vision(dataset: Dataset, cfg: VisionSection, *, hidden: Sequence[in
     if len(train) == 0:
         raise InputError(f"the vision holdout takes all {n} samples of the "
                          f"vision split; none are left to fit")
-    split = TaskSplit(image_inputs(dataset.images[train]), dataset.labels[train].astype(np.int64),
-                      image_inputs(dataset.images[hold]), dataset.labels[hold].astype(np.int64))
+    split = TaskSplit(dataset.image_inputs(train), dataset.labels[train],
+                      dataset.image_inputs(hold), dataset.labels[hold])
     accuracy, losses = _train_and_score(model, split, 1.0, cfg.epochs, cfg, seed, "vision-train")
     model.freeze()
     return model, accuracy, losses

@@ -14,10 +14,26 @@ import numpy as np
 
 from .config import ContrastiveSection, MiSection
 from .contrastive import fit_to_keys, info_nce
-from .datagen import analytic_mi, gen_gaussian_pairs
 from .errors import InputError
 from .models import init_encoder
-from .seeding import derive_seed
+from .seeding import derive_seed, rng_for
+
+
+def gen_gaussian_pairs(dim: int, rho: float, count: int,
+                       seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draw (count, dim) arrays x, y of per-coordinate bivariate normal
+    pairs: zero mean, unit variance, corr(x_ij, y_ij) = rho, independent
+    across coordinates and samples."""
+    rng = rng_for(seed, "gaussian-pairs")
+    x = rng.standard_normal((count, dim))
+    noise = rng.standard_normal((count, dim))
+    y = rho * x + math.sqrt(1.0 - rho**2) * noise
+    return x, y
+
+
+def analytic_mi(rho: float, dim: int) -> float:
+    """Exact MI in nats of the pair distribution: -(dim/2) ln(1 - rho^2)."""
+    return -0.5 * dim * math.log1p(-rho * rho)
 
 
 def mi_lower_bound(mean_loss: float, k: int) -> float:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xmc.config import ExperimentConfig, config_to_dict, load_config
+from xmc.config import ExperimentConfig, load_config
 from xmc.errors import InputError
 
 from helpers import load_overlay
@@ -20,7 +20,7 @@ def test_defaults_are_in_range():
     """The defaults are not checked when no file is given, so they are
     checked here: overlaid on themselves, every one passes and is kept."""
     assert load_config() == ExperimentConfig()
-    assert load_overlay(config_to_dict(ExperimentConfig())) == ExperimentConfig()
+    assert load_overlay(dataclasses.asdict(ExperimentConfig())) == ExperimentConfig()
 
 
 @pytest.mark.parametrize("overlay, message", [

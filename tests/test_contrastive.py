@@ -14,7 +14,7 @@ from xmc import autodiff as ad
 from xmc import contrastive
 from xmc.config import ContrastiveSection, DatagenSection, VisionSection
 from xmc.contrastive import NegativeQueue, encode_keys, fit_to_keys, info_nce, pretrain
-from xmc.datagen import image_inputs, make_dataset
+from xmc.datagen import make_dataset
 from xmc.errors import InputError, NumericError
 from xmc.evaluation import pretrain_vision
 from xmc.models import fit, init_encoder
@@ -222,7 +222,7 @@ class TestWarmStart:
         monkeypatch.setattr(contrastive, "fit", spy_fit)
         monkeypatch.setattr(contrastive, "info_nce", spy_info_nce)
         toy_pretrain(ds, teacher, seed=4, batch_size=24, epochs=1)  # K = 64: 3 batches
-        keys = encode_keys(teacher, image_inputs(ds.images[ds.contrastive_idx]))
+        keys = encode_keys(teacher, ds.image_inputs(ds.contrastive_idx))
         epoch_0 = np.concatenate(sels)
         np.testing.assert_array_equal(first_negatives[0], keys[epoch_0[72 - 64:72]])
 
@@ -460,19 +460,19 @@ class TestEncodeKeys:
 
     def test_keys_are_unit_norm(self, toy_setup):
         ds, teacher = toy_setup
-        keys = encode_keys(teacher, image_inputs(ds.images[:10]))
+        keys = encode_keys(teacher, ds.image_inputs(np.arange(10)))
         np.testing.assert_allclose(np.linalg.norm(keys, axis=1), 1.0, atol=1e-9)
 
     def test_encoding_is_deterministic(self, toy_setup):
         ds, teacher = toy_setup
-        imgs = image_inputs(ds.images[:10])
+        imgs = ds.image_inputs(np.arange(10))
         a = encode_keys(teacher, imgs, batch=4)
         b = encode_keys(teacher, imgs, batch=4)
         assert a.tobytes() == b.tobytes()
 
     def test_batch_size_changes_only_rounding(self, toy_setup):
         ds, teacher = toy_setup
-        imgs = image_inputs(ds.images[:10])
+        imgs = ds.image_inputs(np.arange(10))
         np.testing.assert_allclose(encode_keys(teacher, imgs, batch=3),
                                    encode_keys(teacher, imgs, batch=100),
                                    atol=1e-12)

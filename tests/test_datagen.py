@@ -1,4 +1,5 @@
-"""Data generation tests: Gaussian pairs, scene rendering, dataset assembly."""
+"""Data generation tests: scene rendering, dataset assembly, the dataset file
+and the encoder rows."""
 
 import hashlib
 import math
@@ -12,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from xmc import datagen as dg
 from xmc.config import DatagenSection
@@ -22,8 +22,6 @@ from xmc.datagen import (
     RANGE_MAX,
     RANGE_MIN,
     SceneLatent,
-    analytic_mi,
-    gen_gaussian_pairs,
     make_dataset,
     project_to_image,
     render_image,
@@ -38,61 +36,6 @@ from helpers import load_overlay
 CFG = DatagenSection()
 NOISELESS = DatagenSection(sigma_radar=0.0, sigma_image=0.0)
 UNDRAWN = rng_for(0, "noiseless")  # the renders take an rng; with NOISELESS they draw none
-
-
-def mi_by_quadrature(rho: float, n: int = 2001, lim: float = 8.0) -> float:
-    """Independent oracle: 2-D Simpson quadrature of the bivariate density."""
-    x = np.linspace(-lim, lim, n)
-    gx, gy = np.meshgrid(x, x, indexing="ij")
-    det = 1.0 - rho**2
-    joint = np.exp(-(gx**2 - 2 * rho * gx * gy + gy**2) / (2 * det))
-    joint /= 2 * np.pi * np.sqrt(det)
-    log_marg = -x**2 / 2 - 0.5 * math.log(2 * math.pi)
-    integrand = joint * (np.log(np.maximum(joint, 1e-300))
-                         - log_marg[:, None] - log_marg[None, :])
-    return float(integrate.simpson(integrate.simpson(integrand, x=x, axis=1), x=x))
-
-
-class TestGaussianPairs:
-    def test_zero_rho_gives_near_zero_sample_correlation(self):
-        x, y = gen_gaussian_pairs(1, 0.0, 100_000, 1)
-        r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
-        assert abs(r) < 0.02
-
-    def test_high_rho_sample_correlation(self):
-        x, y = gen_gaussian_pairs(1, 0.9, 100_000, 2)
-        r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
-        assert abs(r - 0.9) < 0.02
-
-    def test_coordinates_are_standardized(self):
-        x, y = gen_gaussian_pairs(3, 0.5, 100_000, 3)
-        for arr in (x, y):
-            assert np.abs(arr.mean(axis=0)).max() < 0.02
-            assert np.abs(arr.std(axis=0) - 1.0).max() < 0.02
-
-    def test_same_seed_bit_identical(self):
-        x1, y1 = gen_gaussian_pairs(2, 0.4, 100, 9)
-        x2, y2 = gen_gaussian_pairs(2, 0.4, 100, 9)
-        assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
-
-    def test_frozen_bytes(self):
-        """Pins the pair generator: any change to its draws fails here."""
-        x, y = gen_gaussian_pairs(2, 0.4, 100, 9)
-        digest = hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
-        assert digest == "5a5852a6832275f026082291b9c8e64abf87dd26861559e867676299294a31af"
-
-
-class TestAnalyticMi:
-    def test_independence_means_zero(self):
-        assert analytic_mi(0.0, 5) == 0.0
-
-    def test_frozen_values(self):
-        assert math.isclose(analytic_mi(0.9, 1), 0.8303656034108255, rel_tol=1e-12)
-        assert math.isclose(analytic_mi(0.5, 4), 0.5753641449035618, rel_tol=1e-12)
-
-    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
-    def test_matches_quadrature_oracle(self, rho):
-        assert math.isclose(analytic_mi(rho, 1), mi_by_quadrature(rho), abs_tol=1e-9)
 
 
 class TestScenes:
@@ -337,7 +280,7 @@ class TestDatasetFile:
         split[ds.vision_idx], split[ds.contrastive_idx] = 1, 2
         assert sorted([*ds.test_idx, *ds.vision_idx, *ds.contrastive_idx]) == list(range(20))
         expected = [b"XMCD", struct.pack("<H5I", 3, 32, 32, 32, 32, 20),
-                    bytes(ds.labels), bytes(split),
+                    ds.labels.astype("u1").tobytes(), bytes(split),
                     ds.heatmaps.astype("<f8").tobytes(), ds.images.astype("<f8").tobytes()]
         assert file_bytes(tmp_path, ds) == b"".join(expected)
 
@@ -442,12 +385,12 @@ class TestRowGather:
         path = tmp_path / "toy.xmcd"
         dg.save_dataset(path, ds)
         body = path.stat().st_size
-        want = dg.heatmap_inputs(ds.heatmaps[ds.contrastive_idx])
+        want = ds.heatmap_inputs(ds.contrastive_idx)
         del ds
         tracemalloc.start()
         try:
             loaded = dg.load_dataset(path)
-            got = dg.heatmap_inputs(loaded.heatmaps[loaded.contrastive_idx])
+            got = loaded.heatmap_inputs(loaded.contrastive_idx)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -477,3 +420,33 @@ class TestRowGather:
         os.truncate(path, path.stat().st_size - 1)
         with pytest.raises(InputError, match="^dataset file .* changed after it was loaded$"):
             loaded.images[:2]
+
+
+class TestEncoderRows:
+    """What an encoder reads of a scene: its class id, and its heatmap or
+    image as one flattened row, each heatmap at unit peak."""
+
+    def test_made_and_loaded_class_ids_are_int64_round_robin(self, stored):
+        for ds in stored:
+            assert ds.labels.dtype == np.int64
+            np.testing.assert_array_equal(ds.labels, np.arange(40) % 4)
+
+    def test_rows_are_the_same_bytes_in_memory_and_loaded_and_on_a_second_call(self, stored):
+        """The heatmap scaling runs on the gathered copy alone, so the stored
+        heatmaps, and every later call, are untouched by it."""
+        ds, loaded = stored
+        idx = np.array([5, 0, 39, 5, 17])
+        before = ds.heatmaps.tobytes()
+        for method in ("heatmap_inputs", "image_inputs"):
+            want = getattr(ds, method)(idx)
+            assert want.shape == (5, 32 * 32)
+            for source in (loaded, ds, loaded):
+                assert getattr(source, method)(idx).tobytes() == want.tobytes()
+        assert ds.heatmaps.tobytes() == before
+
+    def test_each_heatmap_row_is_scaled_to_unit_peak(self, stored):
+        ds, _ = stored
+        flat = ds.heatmaps[ds.test_idx].reshape(len(ds.test_idx), -1)
+        rows = ds.heatmap_inputs(ds.test_idx)
+        np.testing.assert_array_equal(rows.max(axis=1), 1.0)
+        np.testing.assert_array_equal(rows, flat / flat.max(axis=1)[:, None])

@@ -10,7 +10,7 @@ from xmc import evaluation as ev
 from xmc import models
 from xmc.config import (ContrastiveSection, DatagenSection, EvalSection, ExperimentConfig,
                         VisionSection)
-from xmc.datagen import image_inputs, make_dataset
+from xmc.datagen import make_dataset
 from xmc.errors import InputError, NumericError
 from xmc.evaluation import (
     TaskSplit,
@@ -244,9 +244,9 @@ class TestVisionTeacher:
     def test_trains_on_the_rows_after_the_holdout_in_their_order(self, tiny_dataset,
                                                                  monkeypatch):
         _, [(_, inputs, labels)], hold, train = self.run(tiny_dataset, monkeypatch)
-        np.testing.assert_array_equal(inputs, image_inputs(tiny_dataset.images[train]))
+        np.testing.assert_array_equal(inputs, tiny_dataset.image_inputs(train))
         np.testing.assert_array_equal(labels, tiny_dataset.labels[train])
-        held = {row.tobytes() for row in image_inputs(tiny_dataset.images[hold])}
+        held = {row.tobytes() for row in tiny_dataset.image_inputs(hold)}
         assert len(held) == len(hold) and not held & {row.tobytes() for row in inputs}
 
     def test_the_accuracy_is_the_frozen_chains_on_the_holdout(self, tiny_dataset,
@@ -255,7 +255,7 @@ class TestVisionTeacher:
                                                                          monkeypatch)
         assert chain[0] is teacher and teacher.frozen and len(losses) == self.CFG.epochs
         logits = chain[1].forward_numpy(
-            teacher.forward_numpy(image_inputs(tiny_dataset.images[hold])))
+            teacher.forward_numpy(tiny_dataset.image_inputs(hold)))
         assert accuracy == float((logits.argmax(axis=1) == tiny_dataset.labels[hold]).mean())
 
 

@@ -1,17 +1,80 @@
-"""Mutual-information bound arithmetic and the Gaussian-validated estimator."""
+"""The correlated Gaussian pairs, mutual-information bound arithmetic and the
+Gaussian-validated estimator."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from xmc import contrastive, mi
 from xmc.config import MiSection
 from xmc.contrastive import fit_to_keys, info_nce
-from xmc.datagen import analytic_mi
 from xmc.errors import InputError
-from xmc.mi import estimate_mi_gaussian, mi_lower_bound, quadratic_features
+from xmc.mi import (
+    analytic_mi,
+    estimate_mi_gaussian,
+    gen_gaussian_pairs,
+    mi_lower_bound,
+    quadratic_features,
+)
 from xmc.models import fit
+
+
+def mi_by_quadrature(rho: float, n: int = 2001, lim: float = 8.0) -> float:
+    """Independent oracle: 2-D Simpson quadrature of the bivariate density."""
+    x = np.linspace(-lim, lim, n)
+    gx, gy = np.meshgrid(x, x, indexing="ij")
+    det = 1.0 - rho**2
+    joint = np.exp(-(gx**2 - 2 * rho * gx * gy + gy**2) / (2 * det))
+    joint /= 2 * np.pi * np.sqrt(det)
+    log_marg = -x**2 / 2 - 0.5 * math.log(2 * math.pi)
+    integrand = joint * (np.log(np.maximum(joint, 1e-300))
+                         - log_marg[:, None] - log_marg[None, :])
+    return float(integrate.simpson(integrate.simpson(integrand, x=x, axis=1), x=x))
+
+
+class TestGaussianPairs:
+    def test_zero_rho_gives_near_zero_sample_correlation(self):
+        x, y = gen_gaussian_pairs(1, 0.0, 100_000, 1)
+        r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
+        assert abs(r) < 0.02
+
+    def test_high_rho_sample_correlation(self):
+        x, y = gen_gaussian_pairs(1, 0.9, 100_000, 2)
+        r = np.corrcoef(x[:, 0], y[:, 0])[0, 1]
+        assert abs(r - 0.9) < 0.02
+
+    def test_coordinates_are_standardized(self):
+        x, y = gen_gaussian_pairs(3, 0.5, 100_000, 3)
+        for arr in (x, y):
+            assert np.abs(arr.mean(axis=0)).max() < 0.02
+            assert np.abs(arr.std(axis=0) - 1.0).max() < 0.02
+
+    def test_same_seed_bit_identical(self):
+        x1, y1 = gen_gaussian_pairs(2, 0.4, 100, 9)
+        x2, y2 = gen_gaussian_pairs(2, 0.4, 100, 9)
+        assert x1.tobytes() == x2.tobytes() and y1.tobytes() == y2.tobytes()
+
+    def test_frozen_bytes(self):
+        """Pins the pair generator: any change to its draws fails here."""
+        x, y = gen_gaussian_pairs(2, 0.4, 100, 9)
+        digest = hashlib.sha256(x.tobytes() + y.tobytes()).hexdigest()
+        assert digest == "5a5852a6832275f026082291b9c8e64abf87dd26861559e867676299294a31af"
+
+
+class TestAnalyticMi:
+    def test_independence_means_zero(self):
+        assert analytic_mi(0.0, 5) == 0.0
+
+    def test_frozen_values(self):
+        assert math.isclose(analytic_mi(0.9, 1), 0.8303656034108255, rel_tol=1e-12)
+        assert math.isclose(analytic_mi(0.5, 4), 0.5753641449035618, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
+    def test_matches_quadrature_oracle(self, rho):
+        assert math.isclose(analytic_mi(rho, 1), mi_by_quadrature(rho), abs_tol=1e-9)
 
 
 def fast_critic(k: int, pair_count: int = 6144) -> MiSection:

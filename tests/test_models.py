@@ -10,7 +10,7 @@ import pytest
 
 from xmc import autodiff as ad
 from xmc.config import DatagenSection, VisionSection
-from xmc.datagen import image_inputs, make_dataset
+from xmc.datagen import make_dataset
 from xmc.errors import InputError, NumericError, XmcError
 from xmc.evaluation import pretrain_vision
 from xmc.models import (
@@ -565,9 +565,9 @@ class TestVisionPretrain:
             hidden=[32], embed_dim=16, seed=1)
         assert model.frozen
         before = model.data.tobytes()
-        labels = ds.labels[ds.test_idx[:8]].astype(np.int64)
+        labels = ds.labels[ds.test_idx[:8]]
         with pytest.raises(XmcError, match="^cannot train a frozen model$") as err:
-            list(fit([model, init_head(16, 4)], image_inputs(ds.images[ds.test_idx[:8]]),
+            list(fit([model, init_head(16, 4)], ds.image_inputs(ds.test_idx[:8]),
                      lambda out, sel: cross_entropy(out, labels[sel]), epochs=1,
                      order_rng=np.random.default_rng(1), **FIT_KW))
         assert err.type is XmcError

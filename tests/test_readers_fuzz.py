@@ -25,7 +25,7 @@ def small_dataset() -> Dataset:
     another split leaves every class in the test split."""
     rng = np.random.default_rng(0)
     return Dataset(heatmaps=rng.normal(size=(12, 3, 2)), images=rng.normal(size=(12, 2, 4)),
-                   labels=np.arange(12, dtype=np.uint8) % 4,
+                   labels=np.arange(12, dtype=np.int64) % 4,
                    test_idx=np.arange(4, 12),
                    vision_idx=np.array([0, 1]), contrastive_idx=np.array([2, 3]))
 
