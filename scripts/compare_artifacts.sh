@@ -10,17 +10,17 @@
 # setup and measured xmc commands of each workload in WORKLOADS of
 # CHANGE_TREE/perfbench/run.py, under that workload's config overlay, at
 # seed 7, each workload into its own output directory. Then it cmp's every
-# artifact (CSV, checkpoint, dataset, and the splits sidecar of a tree that
-# still writes one) and compares the manifests with each side's output
-# directory replaced by a placeholder. Under each CSV that differs it prints
-# the first ten differing lines of both sides (- parent, + change), numbered
-# from 1 at the header, then the largest absolute and the largest relative
-# difference over the numeric cells the two sides share, each with its line
-# and column; under each manifest that differs, the first ten differing JSON
-# paths with both values (<absent> where a side lacks one). Last comes one
-# line that lists every test_accuracy and mean_accuracy cell that differs
-# between the trees (file, line, column, both values), or says none did, so a
-# declared rounding change shows at a glance whether any score moved.
+# artifact (CSV, checkpoint, dataset) and compares the manifests with each
+# side's output directory replaced by a placeholder. Under each CSV that
+# differs it prints the first ten differing lines of both sides (- parent,
+# + change), numbered from 1 at the header, then the largest absolute and the
+# largest relative difference over the numeric cells the two sides share,
+# each with its line and column; under each manifest that differs, the first
+# ten differing JSON paths with both values (<absent> where a side lacks
+# one). Last comes one line that lists every test_accuracy and mean_accuracy
+# cell that differs between the trees (file, line, column, both values), or
+# says none did, so a declared rounding change shows at a glance whether any
+# score moved.
 # Exits 0 when all are equal, 1 when something differs or a command fails.
 #
 # Usage: scripts/compare_artifacts.sh PARENT_TREE CHANGE_TREE [WORK_DIR]
@@ -41,8 +41,6 @@ mkdir -p "$work"
 work=$(cd "$work" && pwd)
 
 export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
-# a tree whose dataset file is version 1 also reads its pool size from XMC_JOBS
-unset XMC_JOBS
 
 # Both trees run the same configs, so any difference comes from the code.
 python3 - "$change/tests/test_cli.py" "$work" <<'PY'

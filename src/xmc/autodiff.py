@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import NumericError
 
 __all__ = ["backward", "l2_normalize", "logsumexp_row"]
 
@@ -32,10 +32,6 @@ def backward(model, acts: list[np.ndarray], g: np.ndarray,
     output). ``models.sgd_step`` forms the weight and bias gradients from
     them. Returns the gradient with respect to the model's input iff
     ``input_grad``."""
-    if g.shape != (len(acts[0]), model.dims[-1]):
-        raise InputError(
-            f"backward: output gradient {g.shape} vs output "
-            f"{(len(acts[0]), model.dims[-1])}")
     pairs = []
     for i in reversed(range(len(model.weights))):
         a, w = acts[i], model.weights[i]
@@ -55,8 +51,6 @@ def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``x`` is overwritten with those exponentials, so a caller that still needs
     its scores passes a copy. ``x / sums``, the row softmax, is the gradient:
     each loss divides at whichever point its gradient is smallest."""
-    if x.ndim != 2:
-        raise InputError(f"logsumexp_row: expected a matrix, got shape {x.shape}")
     mx = x.max(axis=1, keepdims=True)
     x -= mx
     np.exp(x, out=x)
@@ -67,8 +61,6 @@ def logsumexp_row(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def l2_normalize(m: np.ndarray) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
     """Each row of an (M, N) matrix scaled to unit Euclidean norm, and the
     backward that maps a gradient on the result to one on ``m``."""
-    if m.ndim != 2:
-        raise InputError(f"l2_normalize: expected a matrix, got shape {m.shape}")
     norms = np.sqrt((m * m).sum(axis=1))
     bad = np.nonzero(norms <= NORM_EPS)[0]
     if bad.size:

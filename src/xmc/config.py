@@ -25,7 +25,7 @@ class DatagenSection:
     azimuth_bins: int = 32
     image_height: int = 32
     image_width: int = 32
-    sigma_radar: float | None = None   # None: 5% of the far-car peak
+    sigma_radar: float | None = None   # None: 5% of the brightest far car's peak
     sigma_image: float = 0.05
     vision_fraction: float = 0.2
 

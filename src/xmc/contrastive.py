@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .config import ContrastiveSection
 from .datagen import Dataset
-from .errors import InputError, NumericError, XmcError
+from .errors import InputError, NumericError
 from .models import EncoderModel, fit, init_encoder
 from .seeding import derive_seed, rng_for
 
@@ -52,12 +52,6 @@ def info_nce(q: np.ndarray, k_plus: np.ndarray, negatives: np.ndarray,
     (B, K+1) softmax: dq = (e[:, 1:] @ N / sums + (e[:, :1] / sums - 1) k+) / (tau B).
     At tau = 1 (the MI critic's) 1/tau scales nothing.
     """
-    if q.ndim != 2 or k_plus.shape != q.shape:
-        raise XmcError(f"q {q.shape} and k_plus {k_plus.shape} must be equal (B, D) shapes")
-    if negatives.ndim != 2 or negatives.shape[1] != q.shape[1]:
-        raise XmcError(
-            f"negatives {negatives.shape} do not match embedding dim {q.shape[1]}")
-
     inv_tau = 1.0 / tau
     pos = (q * k_plus).sum(axis=1)
     # one (B, K+1) buffer holds the scores, then logsumexp_row's exponentials

@@ -68,9 +68,9 @@ AZIMUTH_MAX = math.pi / 3.0    # radians either side of boresight
 PATCH_SCALE = 5.0              # patch size = scale*extent/range**PATCH_POWER
 PATCH_POWER = 0.25             # weak size falloff keeps far shapes legible
 PIXEL_PSF = 0.7                # camera blur floor, pixels
-# The radar noise level when sigma_radar is None: 5% of the peak of the
-# brightest car at the far edge of the field, so every car clears the noise
-# by 20x while distant pedestrians stay genuinely ambiguous.
+# The radar noise level when sigma_radar is None: 5% of the far-edge peak of
+# the brightest car, so a far car peaks at 10x (dimmest) to 20x (brightest)
+# the noise while distant pedestrians stay genuinely ambiguous.
 _DEFAULT_SIGMA_RADAR = 0.05 * CLASS_TABLE["car"].reflectivity[1] / RANGE_MAX**2
 
 

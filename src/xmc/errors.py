@@ -3,8 +3,8 @@
 
 
 class XmcError(Exception):
-    """Base class for all package-specific errors; raised itself for API
-    misuse, a broken invariant or an output that would be overwritten."""
+    """Base class for all package-specific errors; raised itself for an output
+    that would be overwritten, an --out under a file or a frozen model to train."""
     exit_code = 1
 
 

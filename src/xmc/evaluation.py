@@ -46,7 +46,7 @@ class TaskSplit:
     _test_labels: np.ndarray
 
     def test_accuracy(self, predictions: np.ndarray) -> float:
-        return float((np.asarray(predictions) == self._test_labels).mean())
+        return float((predictions == self._test_labels).mean())
 
 
 def make_task_split(dataset: Dataset) -> TaskSplit:
@@ -254,14 +254,13 @@ def project_2d(features: np.ndarray) -> np.ndarray:
     Sign convention: each component's first nonzero loading is positive, so
     the projection is deterministic.
     """
-    feats = np.asarray(features, dtype=np.float64)
-    if not np.isfinite(feats).all():
+    if not np.isfinite(features).all():
         raise NumericError("project_2d: the features hold a non-finite value")
-    centered = feats - feats.mean(axis=0)
+    centered = features - features.mean(axis=0)
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     if svals[0] <= 1e-12:
         raise NumericError("features have rank 0 after centering")
-    coords = np.zeros((len(feats), 2))
+    coords = np.zeros((len(features), 2))
     for comp in range(min(2, vt.shape[0])):
         loading = vt[comp]
         nz = np.nonzero(np.abs(loading) > 1e-12)[0]
@@ -273,8 +272,6 @@ def project_2d(features: np.ndarray) -> np.ndarray:
 
 def cluster_separation(coords: np.ndarray, labels: np.ndarray) -> float:
     """Mean inter-class centroid distance over mean intra-class spread."""
-    coords = np.asarray(coords, dtype=np.float64)
-    labels = np.asarray(labels)
     centroids, spreads = [], []
     for c in np.flatnonzero(np.bincount(labels)):
         block = coords[labels == c]

@@ -39,8 +39,6 @@ def _views(dims: list[int], vec: np.ndarray) -> tuple[list[np.ndarray], list[np.
     """The per-layer weights and biases of an MLP as views into one flat
     vector, laid out as the checkpoint body: each layer's (fan_in, fan_out)
     weight, then its bias."""
-    if vec.shape != (_n_params(dims),):
-        raise InputError(f"dims {dims} take {_n_params(dims)} parameters, got {vec.shape}")
     ws, bs, off = [], [], 0
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         end = off + fan_in * fan_out
@@ -79,11 +77,7 @@ class EncoderModel:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Embed a (B, input_dim) batch. Also returns each layer's input,
         which ``autodiff.backward`` needs."""
-        h = np.asarray(x, dtype=np.float64)
-        if h.ndim != 2 or h.shape[1] != self.input_dim:
-            raise InputError(
-                f"encoder expects (B, {self.input_dim}), got {h.shape}")
-        acts = []
+        h, acts = x, []
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             acts.append(h)
@@ -126,9 +120,6 @@ def init_head(embed_dim: int, n_classes: int) -> EncoderModel:
 def cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of (B, C) logits against integer labels,
     and its gradient (softmax - one-hot(labels)) / B."""
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise InputError(f"cross_entropy: logits {logits.shape} vs labels {labels.shape}")
     rows = np.arange(len(labels))
     lse, sums = ad.logsumexp_row(d := logits.copy())  # the loss below reads the logits
     d /= sums
@@ -169,13 +160,9 @@ def sgd_step(params: list[EncoderModel], state: OptimizerState,
     applied to its slice of p and v while it is in cache. No block is one
     row long: numpy would send it to gemv, which rounds differently from the
     gemm of the whole product. The pairs are then cleared."""
-    if len(state.velocities) != len(params):
-        raise XmcError("optimizer state does not match the parameter list")
     if lr is not None:
         state.lr = float(lr)
     for p, v in zip(params, state.velocities):
-        if p.grad is None:
-            raise XmcError("sgd_step: a trainable model has no gradient")
         off = 0
         for (a, g), w in zip(p.grad, p.weights):
             fan_in, fan_out = w.shape

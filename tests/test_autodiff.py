@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from xmc import autodiff as ad
 from xmc.contrastive import info_nce
-from xmc.errors import InputError, NumericError
+from xmc.errors import NumericError
 from xmc.models import EncoderModel, cross_entropy
 
 from helpers import check_grads, dense_grad, finite_diff_grads, relative_error
@@ -34,13 +34,6 @@ class TestMatmul:
         m = chain((np.array([[1.0], [1.0]]), np.zeros(1)))
         out, _ = m.forward(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        m = chain((np.ones((4, 2)), np.zeros(2)))
-        _, acts = m.forward(np.ones((3, 4)))
-        with pytest.raises(InputError,
-                           match=r"^backward: output gradient \(3, 4\) vs output \(3, 2\)$"):
-            ad.backward(m, acts, np.ones((3, 4)))
 
     def test_gradient_of_sum_equals_ones_times_bt(self):
         rng = np.random.default_rng(0)
@@ -128,11 +121,6 @@ class TestLogsumexpRow:
         _, sums = ad.logsumexp_row(e)
         (numeric,) = finite_diff_grads(lambda: ad.logsumexp_row(x.copy())[0].sum(), [x])
         assert relative_error(e / sums, numeric) < 1e-8
-
-    def test_rejects_non_matrix(self):
-        with pytest.raises(InputError,
-                           match=r"^logsumexp_row: expected a matrix, got shape \(3,\)$"):
-            ad.logsumexp_row(np.zeros(3))
 
     def test_exponentials_are_left_in_x(self):
         """``x`` holds exp(x - row max) and the row sums are its (M, 1) sums,

@@ -427,6 +427,22 @@ class TestPretrain:
         assert losses[-1] < losses[0]
         assert losses[-1] < uniform
 
+    def test_info_nce_gets_equal_query_and_key_shapes_and_full_width_negatives(
+            self, toy_setup, monkeypatch):
+        """Every step scores (B, 32) queries against their own (B, 32) keys and
+        the queue's 64 keys of width 32: info_nce takes them unchecked."""
+        seen = []
+
+        def spy(q, k_plus, negatives, tau):
+            seen.append((q.shape, k_plus.shape, negatives.shape))
+            return info_nce(q, k_plus, negatives, tau)
+
+        monkeypatch.setattr(contrastive, "info_nce", spy)
+        toy_pretrain(*toy_setup, seed=0, epochs=1)
+        assert seen
+        assert all(q == k and q[1] == 32 and negatives == (TOY_CFG.queue_size, 32)
+                   for q, k, negatives in seen)
+
     def test_same_seed_identical_history(self, toy_setup):
         ds, teacher = toy_setup
         enc_a, history_a = toy_pretrain(ds, teacher, seed=5)

@@ -84,6 +84,14 @@ class TestRenderRadar:
         assert np.all(heat >= 0.0)
         assert heat.max() > 0.0
 
+    def test_default_noise_is_5_percent_of_the_brightest_far_car(self):
+        """``sigma_radar: None`` draws folded noise of sigma 0.05 * 6.0 / 25**2,
+        whose mean is sigma * sqrt(2 / pi)."""
+        assert DatagenSection().sigma_radar is None
+        sigma = 0.05 * CLASS_TABLE["car"].reflectivity[1] / RANGE_MAX**2
+        heat = render_radar(SceneLatent("empty"), DatagenSection(), rng_for(4, "n"))
+        assert math.isclose(heat.mean(), sigma * math.sqrt(2.0 / math.pi), rel_tol=0.1)
+
 
 class TestRenderImage:
     def test_zero_azimuth_centers_patch_horizontally(self):

@@ -146,6 +146,24 @@ class TestGaussianEstimator:
         b = estimate_mi_gaussian(fast_critic(64), 0.5, 16)
         assert a == b
 
+    def test_info_nce_gets_k_negatives_of_the_query_width(self, monkeypatch):
+        """Training and held-out batches alike score queries against keys of
+        their shape and K negatives of their width: info_nce takes them
+        unchecked."""
+        seen = []
+
+        def spy(q, k_plus, negatives, tau):
+            seen.append((q.shape, k_plus.shape, negatives.shape))
+            return info_nce(q, k_plus, negatives, tau)
+
+        monkeypatch.setattr(contrastive, "info_nce", spy)
+        monkeypatch.setattr(mi, "info_nce", spy)
+        critic = fast_critic(64)
+        estimate_mi_gaussian(critic, 0.5, 16)
+        assert seen
+        assert all(q == k and q[1] == critic.embed_dim and negatives == (64, q[1])
+                   for q, k, negatives in seen)
+
     def test_count_too_small_rejected(self):
         with pytest.raises(InputError, match=r"^count 300 too small for queue 256 plus "
                                              r"holdout \d+$"):
