@@ -184,7 +184,7 @@ def _pretrain(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from .models import save_checkpoint
     ckpt, metrics_path = outputs
     encoder, history = pretrain(*_load_inputs(inputs, cfg).values(), cfg.contrastive,
-                                cfg.seed, cfg.encoder_hidden, cfg.embed_dim)
+                                cfg.seed, cfg.encoder_hidden)
     save_checkpoint(ckpt, encoder)
     write_csv(metrics_path, ["epoch", "lr", "mean_loss"], history)
     final_loss = history[-1][2]
@@ -266,17 +266,15 @@ def _loaded_arm(arm_fn: Callable, inputs: dict, cfg: ExperimentConfig, *axis):
     return arm_fn(*_load_inputs(inputs, cfg).values(), cfg, *axis)
 
 
-def _sweep(outputs: list, axis: str, rows: list[tuple], with_arm: bool):
-    """Write a sweep's (axis, arm, seed, accuracy) rows in that order, and
-    one summary row per (arm, axis); the arm column only ``with_arm``."""
+def _sweep(outputs: list, columns: list[str], per_arm: list[list[tuple]]):
+    """Write the arms' (*key, seed, accuracy) rows, sorted, under the key's
+    ``columns``, and one summary row per key, in :func:`aggregate_arms`' order."""
     from . import evaluation as ev
     detail_path, summary_path = outputs
-    keep = (lambda row: row) if with_arm else (lambda row: (row[0], *row[2:]))
-    rows = sorted(rows)
-    summary = [(value, arm, *stats) for arm, value, *stats in ev.aggregate_arms(rows)]
-    write_csv(detail_path, keep([axis, "arm", "seed", "test_accuracy"]), map(keep, rows))
-    write_csv(summary_path, keep([axis, "arm", "mean_accuracy", "std_accuracy", "n_seeds"]),
-              map(keep, summary))
+    rows = sorted(row for arm in per_arm for row in arm)
+    write_csv(detail_path, [*columns, "seed", "test_accuracy"], rows)
+    write_csv(summary_path, [*columns, "mean_accuracy", "std_accuracy", "n_seeds"],
+              ev.aggregate_arms(rows))
     return None, f"wrote {summary_path}"
 
 
@@ -286,8 +284,8 @@ def _sweep_k(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     from . import evaluation as ev
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     arm = partial(_loaded_arm, ev.queue_sweep_arm, inputs, cfg)
-    rows = _map_arms(arm, [(k, s) for k in cfg.eval.queue_sizes for s in seeds], args.jobs)
-    return _sweep(outputs, "K", rows, with_arm=False)
+    per_arm = _map_arms(arm, [(k, s) for k in cfg.eval.queue_sizes for s in seeds], args.jobs)
+    return _sweep(outputs, ["K"], per_arm)
 
 
 @command("sweep-labels", inputs=("data", "vision"),
@@ -301,8 +299,7 @@ def _sweep_labels(args, cfg: ExperimentConfig, inputs: dict, outputs: list):
     seeds = _seeds(cfg, "eval-seed", cfg.eval.n_seeds)
     arm = partial(_loaded_arm, ev.label_sweep_seed, inputs, cfg)
     per_seed = _map_arms(arm, [(fractions, s) for s in seeds], args.jobs)
-    _, report = _sweep(outputs, "label_fraction", [r for rows in per_seed for r in rows],
-                       with_arm=True)
+    _, report = _sweep(outputs, ["label_fraction", "arm"], per_seed)
     note = f" (dropped fractions {dropped}: too few labels for every class)"
     return ({"dropped_fractions": dropped}, report + note) if dropped else (None, report)
 

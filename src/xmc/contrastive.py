@@ -116,18 +116,19 @@ def fit_to_keys(model: EncoderModel, inputs: np.ndarray, keys: np.ndarray,
 
 
 def pretrain(dataset: Dataset, vision: EncoderModel, cfg: ContrastiveSection,
-             seed: int, hidden: Sequence[int], embed_dim: int
+             seed: int, hidden: Sequence[int]
              ) -> tuple[EncoderModel, list[tuple[int, float, float]]]:
-    """Label-free contrastive pre-training of a radar encoder with ``hidden``
-    layers and ``embed_dim`` outputs, seeded by ``seed``: its normalized
-    queries against the frozen ``vision`` keys, by :func:`fit_to_keys`.
+    """Label-free contrastive pre-training, seeded by ``seed``, of a radar
+    encoder with ``hidden`` layers that embeds to the teacher's width: its
+    normalized queries against the frozen ``vision`` keys, by :func:`fit_to_keys`.
     Returns the encoder and the trainer's per-epoch history."""
     idx = dataset.contrastive_idx
     if len(idx) < cfg.queue_size:
         raise InputError(
             f"contrastive split ({len(idx)}) smaller than the queue ({cfg.queue_size})")
 
-    heat = dataset.heatmap_inputs(idx)
+    # the keys first: the images and the teacher's activations are freed before the heatmaps
     keys = encode_keys(vision, dataset.image_inputs(idx))
-    radio = init_encoder([heat.shape[1], *hidden, embed_dim], derive_seed(seed, "radio"))
+    heat = dataset.heatmap_inputs(idx)
+    radio = init_encoder([heat.shape[1], *hidden, vision.embed_dim], derive_seed(seed, "radio"))
     return radio, fit_to_keys(radio, heat, keys, cfg, seed, "batch-order", normalize=True)[0]

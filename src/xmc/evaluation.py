@@ -192,15 +192,15 @@ def pretrain_vision(dataset: Dataset, cfg: VisionSection, *, hidden: Sequence[in
 # ---------------------------------------------------------------------------
 
 def aggregate_arms(rows: list[tuple]) -> list[tuple]:
-    """One (arm, axis value, mean, std, n) row per (arm, axis value) of the
-    (axis value, arm, seed, accuracy) arm rows, in (arm, axis value) order:
-    the mean and standard deviation of its accuracies over seeds, taken in
-    the order the rows come in."""
+    """One (*key, mean, std, n) row per key of the (*key, seed, accuracy)
+    rows, keys ordered by their last column first (the label sweep's
+    (fraction, arm) keys arm by arm): the mean and standard deviation of
+    the key's accuracies over seeds, taken in the order the rows come in."""
     groups: dict[tuple, list[float]] = {}
-    for value, arm, _, accuracy in rows:
-        groups.setdefault((arm, value), []).append(accuracy)
-    return [(arm, value, float(np.mean(accs)), float(np.std(accs)), len(accs))
-            for (arm, value), accs in sorted(groups.items())]
+    for *key, _, accuracy in rows:
+        groups.setdefault(tuple(key), []).append(accuracy)
+    return [(*key, float(np.mean(accs)), float(np.std(accs)), len(accs))
+            for key, accs in sorted(groups.items(), key=lambda kv: (kv[0][-1], kv[0]))]
 
 
 def feasible_fractions(fractions: list[float], n_train: int) -> list[float]:
@@ -220,8 +220,7 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
     split is built after pre-training, so its inputs are not held beside
     pre-training's own. Returns one (fraction, arm, seed, accuracy) row per
     arm and fraction."""
-    encoder, _ = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden,
-                          cfg.embed_dim)
+    encoder, _ = pretrain(dataset, vision, cfg.contrastive, seed, cfg.encoder_hidden)
     split = make_task_split(dataset)
     out = []
     for fraction in fractions:
@@ -233,15 +232,14 @@ def label_sweep_seed(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConf
 
 
 def queue_sweep_arm(dataset: Dataset, vision: EncoderModel, cfg: ExperimentConfig,
-                    k: int, seed: int) -> tuple:
+                    k: int, seed: int) -> list[tuple]:
     """One (K, seed) arm: full pre-training plus a fraction-1.0 linear probe,
     scored by accuracy alone. As in the label sweep, the task split is built
-    after pre-training. Returns the row (K, "linear-probe", seed, accuracy)."""
+    after pre-training. Returns its one row, [(K, seed, accuracy)]."""
     contrastive = dataclasses.replace(cfg.contrastive, queue_size=k)
-    encoder, _ = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden,
-                          cfg.embed_dim)
+    encoder, _ = pretrain(dataset, vision, contrastive, seed, cfg.encoder_hidden)
     accuracy, _ = linear_probe(encoder, make_task_split(dataset), 1.0, cfg.eval, seed)
-    return (k, "linear-probe", seed, accuracy)
+    return [(k, seed, accuracy)]
 
 
 # ---------------------------------------------------------------------------

@@ -390,9 +390,9 @@ TOY_CFG = ContrastiveSection(tau=0.07, queue_size=64, batch_size=16, epochs=8, l
 
 
 def toy_pretrain(ds, vision, seed, **changes):
-    """``pretrain`` of a 64-unit, 32-dim radar encoder under TOY_CFG with
-    ``changes``."""
-    return pretrain(ds, vision, replace(TOY_CFG, **changes), seed, hidden=(64,), embed_dim=32)
+    """``pretrain`` of a 64-unit radar encoder, which embeds to the teacher's
+    width, under TOY_CFG with ``changes``."""
+    return pretrain(ds, vision, replace(TOY_CFG, **changes), seed, hidden=(64,))
 
 
 class TestPretrain:
@@ -442,6 +442,14 @@ class TestPretrain:
         assert seen
         assert all(q == k and q[1] == 32 and negatives == (TOY_CFG.queue_size, 32)
                    for q, k, negatives in seen)
+
+    def test_the_encoder_embeds_to_the_teachers_width(self, toy_setup):
+        """A teacher that embeds to 24 gives a radar encoder of 24 outputs."""
+        ds, _ = toy_setup
+        teacher = init_encoder([ds.images[0].size, 24], seed=8)
+        teacher.freeze()
+        encoder, _ = toy_pretrain(ds, teacher, seed=0, epochs=1)
+        assert encoder.dims == [ds.heatmaps[0].size, 64, 24]
 
     def test_same_seed_identical_history(self, toy_setup):
         ds, teacher = toy_setup

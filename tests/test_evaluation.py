@@ -296,9 +296,9 @@ class TestOneTestPass:
         width = test_inputs.shape[1]
         events = []
 
-        def stub_pretrain(ds, vision, cfg, seed, hidden, embed_dim):
+        def stub_pretrain(ds, vision, cfg, seed, hidden):
             events.append("pretrain")
-            return init_encoder([width, *hidden, embed_dim], seed=seed), []
+            return init_encoder([width, *hidden, vision.embed_dim], seed=seed), []
 
         monkeypatch.setattr(ev, "pretrain", stub_pretrain)
         monkeypatch.setattr(ev, "make_task_split",
@@ -313,13 +313,14 @@ class TestOneTestPass:
 
         monkeypatch.setattr(EncoderModel, "forward", counting_forward)
         cfg = ExperimentConfig(encoder_hidden=[32], embed_dim=16, eval=FAST_HEAD)
-        arms = ev.label_sweep_seed(tiny_dataset, None, cfg, [0.5, 1.0], seed=27)
+        teacher = IdentityEncoder(16)
+        arms = ev.label_sweep_seed(tiny_dataset, teacher, cfg, [0.5, 1.0], seed=27)
         assert len(arms) == 4 and len(passes) == 4
         assert events == ["pretrain", "split"]
         passes.clear()
         events.clear()
-        ev.queue_sweep_arm(tiny_dataset, None, cfg, k=256, seed=27)
-        assert len(passes) == 1
+        [(k, seed, _)] = ev.queue_sweep_arm(tiny_dataset, teacher, cfg, k=256, seed=27)
+        assert (k, seed) == (256, 27) and len(passes) == 1
         assert events == ["pretrain", "split"]
 
 
@@ -330,14 +331,14 @@ class TestSweepPlumbing:
         width = make_task_split(tiny_dataset).test_inputs.shape[1]
         sections = []
 
-        def stub_pretrain(ds, vision, cfg, seed, hidden, embed_dim):
+        def stub_pretrain(ds, vision, cfg, seed, hidden):
             sections.append(cfg)
-            return init_encoder([width, *hidden, embed_dim], seed=seed), []
+            return init_encoder([width, *hidden, vision.embed_dim], seed=seed), []
 
         monkeypatch.setattr(ev, "pretrain", stub_pretrain)
         cfg = ExperimentConfig(encoder_hidden=[32], embed_dim=16, eval=FAST_HEAD,
                                contrastive=ContrastiveSection(batch_size=8))
-        ev.queue_sweep_arm(tiny_dataset, None, cfg, k=k, seed=27)
+        ev.queue_sweep_arm(tiny_dataset, IdentityEncoder(16), cfg, k=k, seed=27)
         [section] = sections
         assert section.batch_size == cfg.contrastive.batch_size
         assert section.queue_size == k
@@ -347,12 +348,34 @@ class TestSweepPlumbing:
         details += [(8, "x", s, a) for s, a in [(0, 0.5), (1, 0.7), (2, 0.6)]]
         details += [(32, "a", 0, 0.1)]
         rows = aggregate_arms(details)
-        # one row per (arm, axis value), in that order
-        assert [(arm, value, n) for arm, value, _, _, n in rows] == [
-            ("a", 32, 1), ("x", 8, 3), ("x", 32, 3)]
+        # one (axis value, arm) row per key, arm by arm
+        assert [(value, arm, n) for value, arm, _, _, n in rows] == [
+            (32, "a", 1), (8, "x", 3), (32, "x", 3)]
         assert math.isclose(rows[1][2], 0.6)
         assert math.isclose(rows[1][3], math.sqrt(2 / 300))
         assert math.isclose(rows[2][3], 0.0, abs_tol=1e-12)
+
+    @pytest.mark.parametrize("extra, order", [
+        ((), [(1,), (3,)]),
+        (("arm",), [(2, "apple"), (1, "arm"), (3, "arm"), (0, "zebra")]),
+    ], ids=["one-column-key", "two-column-key"])
+    def test_aggregate_orders_keys_by_their_last_column_and_keeps_row_order(
+            self, extra, order):
+        """A one-column key sorts by its value; a two-column key by its last
+        column, then its first. Each key's mean and std are numpy's over its
+        accuracies in the order its rows come in, which here differ in the
+        last bit from those over the same accuracies sorted."""
+        accuracies = {3: [0.2, 0.9, 0.8], 1: [0.6, 0.45, 0.1]}
+        rows = [(i, *extra, seed, a) for i, accs in accuracies.items()
+                for seed, a in enumerate(accs)]
+        if extra:
+            rows += [(2, "apple", 0, 0.5), (0, "zebra", 0, 0.25)]
+        summary = aggregate_arms(rows)
+        assert [row[:-3] for row in summary] == order
+        for i, accs in accuracies.items():
+            [(mean, std, n)] = [row[-3:] for row in summary if row[:-3] == (i, *extra)]
+            assert (mean, std, n) == (float(np.mean(accs)), float(np.std(accs)), 3)
+            assert (mean, std) != (float(np.mean(sorted(accs))), float(np.std(sorted(accs))))
 
 
 class TestProjection:

@@ -1,8 +1,8 @@
-"""Source hygiene: no module of the package or of its tests imports a name
-it never uses, no package module binds a module-level private name that
-nothing in it reads, and no public module-level function, class or
-assignment of the package goes unnamed by every Python file of the
-repository.
+"""Source hygiene: no module of the package, of its tests or of its scripts
+imports a name it never uses, no package module binds a module-level
+private name that nothing in it reads, and no public module-level
+function, class or assignment of the package goes unnamed by every Python
+file of the repository.
 
 There is no linter among the test dependencies, so this walks the syntax
 tree itself. Every module of the package is checked, ``__init__.py`` too:
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "xmc"
 MODULES = sorted(SRC.glob("*.py"))
 TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 # every file that may call into the package
 USERS = sorted(p for d in ("src", "tests", "scripts", "perfbench")
                for p in (ROOT / d).rglob("*.py"))
@@ -50,6 +51,11 @@ def test_no_unused_imports(path):
 
 @pytest.mark.parametrize("path", TESTS, ids=[p.stem for p in TESTS])
 def test_no_unused_imports_in_tests(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.stem for p in SCRIPTS])
+def test_no_unused_imports_in_scripts(path):
     assert unused_imports(path.read_text()) == []
 
 
